@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-report lint-baseline test race dist-test cluster-test bench-smoke bench bench-json bench-kernels serve-bench bench-obs ci clean
+.PHONY: all build vet lint lint-report lint-baseline test race dist-test cluster-test bench-smoke bench perfbench ci clean
 
 all: ci
 
@@ -61,31 +61,19 @@ bench-smoke:
 bench:
 	$(GO) test -run '^$$' -bench 'Forward|Backprop|Epoch' -benchmem -benchtime 2s ./internal/nn ./internal/train
 
-# Machine-readable benchmark of the parallel experiment plane (see
-# DESIGN.md §7): CV folds, ensembles, and surface grids at workers=1 and
-# workers=NumCPU, with speedups, written to BENCH_experiments.json.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_experiments.json
+# The repository's benchmark (see perfbench/README.md and BENCHMARK.json):
+# a short traced run of every workload, each checking its outputs before it
+# reports. The JSON result lines are collected in perfbench-results.jsonl.
+# Before/after comparisons need longer runs over several seeds.
+PERFBENCH_WORKLOADS = predict_single fleet_mixed crossval_dist
 
-# Machine-readable benchmark of the compute kernels (see DESIGN.md §13):
-# tiled matmul GFLOP/s by shape in both precisions, batched forward and
-# backprop ns-per-sample, and the f32-vs-f64 inference speedup, written to
-# BENCH_kernels.json.
-bench-kernels:
-	$(GO) run ./cmd/kernelbench -out BENCH_kernels.json
-
-# Machine-readable benchmark of the prediction server (see DESIGN.md §8):
-# requests/sec and p50/p99 latency, single-request vs coalesced inference,
-# at 1 and many concurrent clients, at the HTTP and inference layers,
-# written to BENCH_serve.json.
-serve-bench:
-	$(GO) run ./cmd/servebench -out BENCH_serve.json
-
-# Machine-readable benchmark of the observability layer (see DESIGN.md §9):
-# ns/epoch and allocs/epoch with tracing disabled vs enabled, plus a
-# determinism pre-check, written to BENCH_obs.json.
-bench-obs:
-	$(GO) run ./cmd/obsbench -out BENCH_obs.json
+perfbench:
+	@rm -f perfbench-results.jsonl
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 1) || { echo "$$out"; exit 1; }; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 >> perfbench-results.jsonl; \
+	done
 
 ci: build vet lint race bench-smoke
 

@@ -351,11 +351,28 @@ func TestModelSaveLoadIdentityScalers(t *testing.T) {
 }
 
 func TestLoadModelRejectsCorrupt(t *testing.T) {
+	// valid is a well-formed 2->1 model; the scaler cases below each
+	// break one thing in it.
+	const net = `"network":{"layers":[{"inputs":2,"outputs":1,"activation":"tanh","w":[[1,2]],"b":[0]}]}`
+	const valid = `{"feature_names":["a","b"],"target_names":["y"],"x_scaler":{"kind":"standardizer","mean":[1,2],"std":[3,4]},"y_scaler":{"kind":"standardizer","mean":[5],"std":[6]},` + net + `}`
+	if _, err := LoadModel(bytes.NewReader([]byte(valid))); err != nil {
+		t.Fatalf("valid model rejected: %v", err)
+	}
 	cases := []string{
 		``,
 		`{}`,
 		`{"feature_names":["a"],"target_names":["y"],"x_scaler":{"kind":"what"},"y_scaler":{"kind":"identity"},"network":{"layers":[]}}`,
 		`{"feature_names":["a","b"],"target_names":["y"],"x_scaler":{"kind":"identity","dims":2},"y_scaler":{"kind":"identity","dims":1},"network":{"layers":[{"inputs":3,"outputs":1,"activation":"tanh","w":[[1,2,3]],"b":[0]}]}}`,
+		// x standardizer one column short of the schema.
+		`{"feature_names":["a","b"],"target_names":["y"],"x_scaler":{"kind":"standardizer","mean":[1],"std":[3]},"y_scaler":{"kind":"standardizer","mean":[5],"std":[6]},` + net + `}`,
+		// y standardizer one column over the schema.
+		`{"feature_names":["a","b"],"target_names":["y"],"x_scaler":{"kind":"standardizer","mean":[1,2],"std":[3,4]},"y_scaler":{"kind":"standardizer","mean":[5,5],"std":[6,6]},` + net + `}`,
+		// negative and zero standard deviations.
+		`{"feature_names":["a","b"],"target_names":["y"],"x_scaler":{"kind":"standardizer","mean":[1,2],"std":[3,-4]},"y_scaler":{"kind":"standardizer","mean":[5],"std":[6]},` + net + `}`,
+		`{"feature_names":["a","b"],"target_names":["y"],"x_scaler":{"kind":"standardizer","mean":[1,2],"std":[3,4]},"y_scaler":{"kind":"standardizer","mean":[5],"std":[0]},` + net + `}`,
+		// identity scalers whose recorded dims mismatch the schema.
+		`{"feature_names":["a","b"],"target_names":["y"],"x_scaler":{"kind":"identity","dims":3},"y_scaler":{"kind":"identity","dims":1},` + net + `}`,
+		`{"feature_names":["a","b"],"target_names":["y"],"x_scaler":{"kind":"identity","dims":2},"y_scaler":{"kind":"identity","dims":2},` + net + `}`,
 	}
 	for i, c := range cases {
 		if _, err := LoadModel(bytes.NewReader([]byte(c))); err == nil {

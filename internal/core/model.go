@@ -46,8 +46,8 @@ type BatchPredictor interface {
 // MatrixPredictor is a BatchPredictor that can evaluate a whole input
 // matrix into workspace-owned output without allocating — the entry point
 // the experiment plane (fold evaluation, surface probing, ensemble
-// prediction) rides so steady-state sweeps stay allocation-free. NNModel,
-// F32Model and Ensemble all implement it.
+// prediction) rides so steady-state sweeps stay allocation-free. NNModel
+// and Ensemble implement it.
 type MatrixPredictor interface {
 	BatchPredictor
 	// PredictMatrix evaluates every row of X (one configuration per row)
@@ -156,12 +156,6 @@ type NNModel struct {
 	FeatureMin []float64
 	FeatureMax []float64
 
-	// ParamsF32 is the float32 quantization of Net's parameters, written
-	// into artifacts at persist time so the serve plane can run the f32
-	// inference path without re-quantizing. Nil for models that were never
-	// persisted or predate the field; F32 quantizes on demand in that case.
-	ParamsF32 []float32
-
 	// TrainResult records how training terminated.
 	TrainResult train.Result
 }
@@ -267,7 +261,7 @@ func (m *NNModel) Predict(x []float64) []float64 {
 
 // PredictWorkspace bundles every buffer a PredictMatrix call needs: the
 // row-copied input staging matrix, the standardized inputs, the forward
-// workspace (in both precisions), and the output matrix the call returns.
+// workspace, and the output matrix the call returns.
 // The zero value is ready to use; buffers grow on first use and are
 // retained across calls, so steady-state prediction sweeps run without
 // allocating. A workspace must not be used concurrently; pool workspaces
@@ -277,10 +271,6 @@ type PredictWorkspace struct {
 	xstd mat.Matrix // standardized inputs
 	out  mat.Matrix // native-unit predictions, returned by PredictMatrix
 	ws   nn.BatchWorkspace
-
-	// float32 twin buffers (F32Model's quantized inference path).
-	x32  mat.Matrix32
-	ws32 nn.BatchWorkspace32
 
 	// sub holds the member scratch an Ensemble prediction needs while the
 	// mean accumulates in out; lazily created on first ensemble use.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -22,15 +23,9 @@ type modelJSON struct {
 	YScaler      scalerJSON `json:"y_scaler"`
 	// FeatureMin/FeatureMax carry the training envelope when the model
 	// recorded one; absent in artifacts written before the field existed.
-	FeatureMin []float64 `json:"feature_min,omitempty"`
-	FeatureMax []float64 `json:"feature_max,omitempty"`
-	// ParamsF32 is the float32 quantization of the network parameters,
-	// flat in nn.Network.Params layout. Written at persist time (train in
-	// f64, quantize once); absent in artifacts written before the field
-	// existed. Go's JSON encoding of float32 is shortest-round-trip, so
-	// the quantized values survive save/load bit-exactly.
-	ParamsF32 []float32       `json:"params_f32,omitempty"`
-	Network   json.RawMessage `json:"network"`
+	FeatureMin []float64       `json:"feature_min,omitempty"`
+	FeatureMax []float64       `json:"feature_max,omitempty"`
+	Network    json.RawMessage `json:"network"`
 }
 
 type scalerJSON struct {
@@ -50,11 +45,22 @@ func encodeScaler(s preprocess.Scaler) (scalerJSON, error) {
 	return scalerJSON{}, fmt.Errorf("core: cannot persist scaler of type %T", s)
 }
 
-func decodeScaler(sj scalerJSON) (preprocess.Scaler, error) {
+// decodeScaler rebuilds a persisted scaler over dims columns. It rejects
+// what Save never writes: a shape other than dims, and a standard
+// deviation that is not finite and positive.
+func decodeScaler(sj scalerJSON, dims int) (preprocess.Scaler, error) {
 	switch sj.Kind {
 	case "standardizer":
 		if len(sj.Mean) == 0 || len(sj.Mean) != len(sj.Std) {
 			return nil, fmt.Errorf("core: malformed standardizer parameters")
+		}
+		if len(sj.Mean) != dims {
+			return nil, fmt.Errorf("core: standardizer has %d columns, schema has %d", len(sj.Mean), dims)
+		}
+		for j, sd := range sj.Std {
+			if !(sd > 0) || math.IsInf(sd, 1) {
+				return nil, fmt.Errorf("core: standardizer column %d has std %v", j, sd)
+			}
 		}
 		// Rebuild by fitting on two rows that reproduce the recorded
 		// mean and std exactly: mean±std has mean `mean` and population
@@ -70,6 +76,9 @@ func decodeScaler(sj scalerJSON) (preprocess.Scaler, error) {
 		}
 		return sc, nil
 	case "identity":
+		if sj.Dims != 0 && sj.Dims != dims {
+			return nil, fmt.Errorf("core: identity scaler has %d columns, schema has %d", sj.Dims, dims)
+		}
 		sc := preprocess.NewIdentity()
 		if sj.Dims > 0 {
 			if err := sc.Fit([][]float64{make([]float64, sj.Dims)}); err != nil {
@@ -95,10 +104,6 @@ func (m *NNModel) Save(w io.Writer) error {
 	if err := m.Net.Save(&netBuf); err != nil {
 		return err
 	}
-	paramsF32 := m.ParamsF32
-	if paramsF32 == nil {
-		paramsF32 = m.Net.QuantizeParams()
-	}
 	doc := modelJSON{
 		FeatureNames: m.FeatureNames,
 		TargetNames:  m.TargetNames,
@@ -106,7 +111,6 @@ func (m *NNModel) Save(w io.Writer) error {
 		YScaler:      ys,
 		FeatureMin:   m.FeatureMin,
 		FeatureMax:   m.FeatureMax,
-		ParamsF32:    paramsF32,
 		Network:      json.RawMessage(netBuf.Bytes()),
 	}
 	enc := json.NewEncoder(w)
@@ -114,17 +118,19 @@ func (m *NNModel) Save(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// LoadModel reads a model previously written by Save.
+// LoadModel reads a model previously written by Save. Fields it does not
+// know are ignored, so older artifacts that also carry a params_f32
+// quantized copy of the weights still load.
 func LoadModel(r io.Reader) (*NNModel, error) {
 	var doc modelJSON
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w", err)
 	}
-	xScaler, err := decodeScaler(doc.XScaler)
+	xScaler, err := decodeScaler(doc.XScaler, len(doc.FeatureNames))
 	if err != nil {
 		return nil, err
 	}
-	yScaler, err := decodeScaler(doc.YScaler)
+	yScaler, err := decodeScaler(doc.YScaler, len(doc.TargetNames))
 	if err != nil {
 		return nil, err
 	}
@@ -149,13 +155,6 @@ func LoadModel(r io.Reader) (*NNModel, error) {
 		(len(m.FeatureMin) != len(m.FeatureNames) || len(m.FeatureMax) != len(m.FeatureNames)) {
 		return nil, fmt.Errorf("core: training envelope has %d/%d entries for %d features",
 			len(m.FeatureMin), len(m.FeatureMax), len(m.FeatureNames))
-	}
-	if doc.ParamsF32 != nil {
-		if len(doc.ParamsF32) != net.NumParams() {
-			return nil, fmt.Errorf("core: quantized vector has %d parameters, network has %d",
-				len(doc.ParamsF32), net.NumParams())
-		}
-		m.ParamsF32 = doc.ParamsF32
 	}
 	return m, nil
 }

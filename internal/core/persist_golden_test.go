@@ -78,3 +78,77 @@ func TestGoldenModelRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// loadLegacyF32Fixture loads the committed artifact written when models
+// also persisted a params_f32 quantized copy of their weights, along with
+// the same document with that field removed.
+func loadLegacyF32Fixture(t *testing.T) (legacy, plain *NNModel) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/golden_model_f32.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := doc["params_f32"]; !ok {
+		t.Fatal("legacy fixture carries no params_f32 field")
+	}
+	delete(doc, "params_f32")
+	stripped, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	legacy, err = LoadModel(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("legacy artifact no longer loads: %v", err)
+	}
+	plain, err = LoadModel(bytes.NewReader(stripped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return legacy, plain
+}
+
+var legacyProbes = [][]float64{{0, 0}, {1.5, -1.5}, {-2, 2}, {0.25, 0.75}}
+
+func assertSamePredictions(t *testing.T, what string, got, want *NNModel) {
+	t.Helper()
+	g, w := got.PredictAll(legacyProbes), want.PredictAll(legacyProbes)
+	for i := range legacyProbes {
+		for j := range w[i] {
+			if g[i][j] != w[i][j] {
+				t.Fatalf("probe %d output %d: %s %v, want %v", i, j, what, g[i][j], w[i][j])
+			}
+		}
+	}
+}
+
+// TestF32GoldenModel checks the loader ignores a legacy artifact's
+// params_f32 field: the model predicts bit-identically to the same
+// document without it.
+func TestF32GoldenModel(t *testing.T) {
+	legacy, plain := loadLegacyF32Fixture(t)
+	assertSamePredictions(t, "legacy", legacy, plain)
+}
+
+// TestQuantizedArtifactRoundTrip checks that re-saving a legacy artifact
+// drops its params_f32 field and that the re-saved model loads back and
+// predicts bit-identically.
+func TestQuantizedArtifactRoundTrip(t *testing.T) {
+	legacy, _ := loadLegacyF32Fixture(t)
+	var buf bytes.Buffer
+	if err := legacy.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte("params_f32")) {
+		t.Fatal("re-saved legacy model still writes params_f32")
+	}
+	back, err := LoadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSamePredictions(t, "re-saved", back, legacy)
+}

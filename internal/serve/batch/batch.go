@@ -62,11 +62,6 @@ type Config struct {
 	// Workers is the number of gather-and-infer loops per shape group
 	// (default GOMAXPROCS).
 	Workers int
-	// PerModel keys groups by tenant@version instead of network shape —
-	// every model batches alone. This is the configuration the fleet
-	// replaces; servebench measures both so the cross-tenant win stays
-	// visible in BENCH_serve.json.
-	PerModel bool
 }
 
 func (c Config) withDefaults() Config {
@@ -114,14 +109,6 @@ func New(cfg Config, run func(batch []Job)) *Batcher {
 	}
 }
 
-// key picks the coalescing domain for an instance.
-func (b *Batcher) key(inst *registry.Instance) string {
-	if b.cfg.PerModel {
-		return inst.Ref()
-	}
-	return inst.Shape
-}
-
 // group returns the shape group for key, creating it (and starting its
 // workers) on first use.
 func (b *Batcher) group(key string) *group {
@@ -159,7 +146,7 @@ func (b *Batcher) Submit(ctx context.Context, inst *registry.Instance, xs [][]fl
 		return nil, ErrDraining
 	default:
 	}
-	g := b.group(b.key(inst))
+	g := b.group(inst.Shape)
 	jobs := make([]Job, len(xs))
 	for i, x := range xs {
 		jobs[i] = Job{Inst: inst, X: x, Reply: make(chan Result, 1)}

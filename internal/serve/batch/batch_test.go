@@ -100,24 +100,6 @@ func TestCrossTenantSharedShapeGroup(t *testing.T) {
 	}
 }
 
-// TestPerModelKeying: PerModel gives every model its own group even when
-// shapes match.
-func TestPerModelKeying(t *testing.T) {
-	e := &echoRun{}
-	b := New(Config{MaxBatch: 8, Workers: 1, PerModel: true}, e.run)
-	defer b.Shutdown()
-	ctx := context.Background()
-	if _, err := b.Submit(ctx, inst("a", 1, "2-8-2"), [][]float64{{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Submit(ctx, inst("c", 1, "2-8-2"), [][]float64{{2}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.GroupCount(); got != 2 {
-		t.Fatalf("group count %d, want 2 (per model)", got)
-	}
-}
-
 // TestGatherHonorsMaxBatch: queued backlog drains as capped batches.
 func TestGatherHonorsMaxBatch(t *testing.T) {
 	var mu sync.Mutex

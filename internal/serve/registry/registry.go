@@ -22,7 +22,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nnwc/internal/core"
@@ -59,19 +58,14 @@ func (a Artifact) Ref() string { return a.Tenant + "@v" + strconv.Itoa(a.Version
 // hot swaps replace the whole pointer.
 type Instance struct {
 	Artifact
-	Pred core.BatchPredictor
-	// Precision records which inference path Pred runs: "float64" (the
-	// trained model) or "float32" (its quantized twin, selected by
-	// SetFloat32 / `nnwc serve -f32`).
-	Precision string
-	LoadedAt  time.Time
+	Pred     core.BatchPredictor
+	LoadedAt time.Time
 }
 
 // Registry stores per-tenant version chains and the warm-instance LRU.
 type Registry struct {
 	mu       sync.Mutex
 	capacity int
-	f32      atomic.Bool
 	tenants  map[string][]Artifact
 	warm     map[string]*warmEntry // key: tenant@version
 	// LRU list over warm entries; head = most recently used.
@@ -97,30 +91,6 @@ func New(capacity int) *Registry {
 		tenants:  make(map[string][]Artifact),
 		warm:     make(map[string]*warmEntry),
 	}
-}
-
-// SetFloat32 selects the inference precision for instances loaded after the
-// call: true serves subsequently loaded models through the quantized float32
-// forward kernels (using the artifact's persist-time params_f32 vector when
-// present), false (the default) through the trained float64 network. Already
-// warm instances are not re-wrapped — set this once at wiring time, before
-// any Register.
-func (r *Registry) SetFloat32(on bool) { r.f32.Store(on) }
-
-// Float32 reports the precision subsequently loaded instances will use.
-func (r *Registry) Float32() bool { return r.f32.Load() }
-
-// newPredictor wraps a freshly loaded model in the registry's configured
-// inference path.
-func (r *Registry) newPredictor(m *core.NNModel) (core.BatchPredictor, string, error) {
-	if r.f32.Load() {
-		f, err := m.F32()
-		if err != nil {
-			return nil, "", err
-		}
-		return f, "float32", nil
-	}
-	return m, "float64", nil
 }
 
 // shapeKey renders the topology of a loaded model.
@@ -161,10 +131,6 @@ func (r *Registry) Register(tenant, path string) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("registry: loading %s: %w", path, err)
 	}
-	pred, precision, err := r.newPredictor(m)
-	if err != nil {
-		return nil, fmt.Errorf("registry: loading %s: %w", path, err)
-	}
 	now := time.Now()
 	art := Artifact{
 		Tenant:       tenant,
@@ -179,7 +145,7 @@ func (r *Registry) Register(tenant, path string) (*Instance, error) {
 		Shape:        shapeKey(m),
 		RegisteredAt: now,
 	}
-	inst := &Instance{Artifact: art, Pred: pred, Precision: precision, LoadedAt: now}
+	inst := &Instance{Artifact: art, Pred: m, LoadedAt: now}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -236,11 +202,7 @@ func (r *Registry) Instance(tenant string, version int) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("registry: rehydrating %s: %w", art.Ref(), err)
 	}
-	pred, precision, err := r.newPredictor(m)
-	if err != nil {
-		return nil, fmt.Errorf("registry: rehydrating %s: %w", art.Ref(), err)
-	}
-	inst := &Instance{Artifact: art, Pred: pred, Precision: precision, LoadedAt: time.Now()}
+	inst := &Instance{Artifact: art, Pred: m, LoadedAt: time.Now()}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -105,15 +105,6 @@ type Config struct {
 	// RequestTimeout; a request that cannot finish inside the budget is
 	// shed with 429 so queue pressure relieves itself (default 0: off).
 	LatencyBudget time.Duration
-	// PerModelBatching keys batch domains by tenant@version instead of
-	// network shape — every model coalesces alone. The configuration the
-	// fleet replaces; kept so servebench can measure both.
-	PerModelBatching bool
-	// Float32 serves predictions through the quantized float32 inference
-	// kernels (models train in float64; artifacts carry a persist-time
-	// params_f32 vector). Accuracy deltas are pinned in internal/core; see
-	// DESIGN.md §13.
-	Float32 bool
 	// MaxBodyBytes caps a request body (default 1 MiB).
 	MaxBodyBytes int64
 	// Trace, when set, receives registry and deployment events
@@ -173,7 +164,6 @@ func New(cfg Config) (*Server, error) {
 		tenantPaths: make(map[string]string),
 		serveErr:    make(chan error, 1),
 	}
-	s.reg.SetFloat32(cfg.Float32)
 	s.metrics = newMetricsRegistry(
 		func() float64 { return float64(s.reg.WarmCount()) },
 		func() float64 { return float64(s.batcher.GroupCount()) },
@@ -184,7 +174,6 @@ func New(cfg Config) (*Server, error) {
 		MaxWait:    cfg.MaxWait,
 		QueueDepth: cfg.QueueDepth,
 		Workers:    cfg.Workers,
-		PerModel:   cfg.PerModelBatching,
 	}, s.runBatch)
 
 	if cfg.ModelPath != "" {
@@ -283,7 +272,6 @@ type ModelInfo struct {
 	Version      int      `json:"version"`
 	SHA256       string   `json:"sha256"`
 	Shape        string   `json:"shape"`
-	Precision    string   `json:"precision"` // "float64" | "float32"
 	Path         string   `json:"path"`
 	LoadedAt     string   `json:"loaded_at"`
 	FeatureNames []string `json:"feature_names"`
@@ -296,7 +284,6 @@ func modelInfo(inst *registry.Instance) ModelInfo {
 		Version:      inst.Version,
 		SHA256:       inst.SHA256,
 		Shape:        inst.Shape,
-		Precision:    inst.Precision,
 		Path:         inst.Path,
 		LoadedAt:     inst.LoadedAt.UTC().Format(time.RFC3339Nano),
 		FeatureNames: inst.FeatureNames,

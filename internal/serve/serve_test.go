@@ -270,8 +270,7 @@ func TestCoalescerBatchesConcurrentRequests(t *testing.T) {
 }
 
 // TestCrossTenantCoalescing: two tenants whose networks share a topology
-// land in ONE batch domain and fill batches together; per-model batching
-// splits them into separate domains.
+// land in ONE batch domain and fill batches together.
 func TestCrossTenantCoalescing(t *testing.T) {
 	dir := t.TempDir()
 	models := map[string]string{
@@ -321,18 +320,6 @@ func TestCrossTenantCoalescing(t *testing.T) {
 	}
 	if batches >= 2*perTenant {
 		t.Fatalf("batches = %d for %d requests — no cross-tenant coalescing", batches, 2*perTenant)
-	}
-
-	// Per-model mode: same fleet, separate domains.
-	s2, ts2 := newTestServer(t, Config{Models: models, PerModelBatching: true})
-	for _, tenant := range []string{"web", "db"} {
-		resp, _, raw := postPredict(t, ts2.URL, PredictRequest{Model: tenant, X: []float64{1, 1}})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", tenant, resp.StatusCode, raw)
-		}
-	}
-	if groups := s2.batcher.GroupCount(); groups != 2 {
-		t.Fatalf("per-model batching created %d groups, want 2", groups)
 	}
 }
 
