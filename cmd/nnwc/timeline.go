@@ -208,7 +208,7 @@ func runsTail(base, id, addr string, interval time.Duration) error {
 
 func tailCoordinator(url string, interval time.Duration) error {
 	client := &http.Client{Timeout: 10 * time.Second}
-	misses := 0
+	misses, answered := 0, false
 	for {
 		var p dist.Progress
 		resp, err := client.Get(url + "/dist/progress")
@@ -217,14 +217,19 @@ func tailCoordinator(url string, interval time.Duration) error {
 			resp.Body.Close()
 		}
 		if err != nil {
-			// A vanished coordinator after progress was seen means the job
-			// finished (it lingers only briefly past Done).
+			// A coordinator stops listening once its workers have heard
+			// Done: vanishing after progress was seen means the job finished.
 			misses++
 			if misses >= 3 {
+				if answered {
+					fmt.Println("coordinator stopped answering after progress was seen")
+					return nil
+				}
 				return fmt.Errorf("coordinator at %s is not answering: %v", url, err)
 			}
 		} else {
 			misses = 0
+			answered = true
 			fmt.Println(progressLine(p))
 			if p.Total > 0 && p.Completed+p.Failed >= p.Total {
 				return nil

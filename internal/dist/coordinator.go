@@ -33,12 +33,13 @@ type CoordinatorConfig struct {
 	// LeaseTTL is how long a worker may sit on a lease without delivering
 	// its results before the tasks are reassigned (default 60s).
 	LeaseTTL time.Duration
-	// PollInterval is the retry hint handed to workers when every pending
-	// task is leased out (default 250ms).
+	// PollInterval is the longest the coordinator holds a lease request
+	// while every pending task is leased out; a held request answers Done
+	// as soon as the job completes (default 250ms).
 	PollInterval time.Duration
-	// LingerAfterDone keeps the listener answering Done after the last
-	// result, so other workers observe completion and exit cleanly
-	// instead of erroring on a vanished coordinator (default 2s).
+	// LingerAfterDone bounds Wait's wait for stragglers: it returns once
+	// every worker seen on the protocol has been told Done, or when this
+	// runs out (default 2s).
 	LingerAfterDone time.Duration
 	// StateFile, when set, journals completed tasks so a restarted
 	// coordinator with the same spec skips them. "" disables resume.
@@ -119,6 +120,12 @@ type Coordinator struct {
 	rec       *clusterRecorder
 	started   time.Time
 	done      chan struct{}
+	// untold holds the workers seen on the protocol but not yet told
+	// Done. The Done reply that empties it closes allTold and sets it nil:
+	// Wait is returning, and later arrivals are not waited for.
+	untold  map[string]bool
+	allTold chan struct{}
+	quit    chan struct{} // closed before Shutdown; releases held lease requests
 }
 
 // NewCoordinator validates the spec, loads the state journal (if any),
@@ -145,6 +152,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		remaining:   n,
 		started:     time.Now(),
 		done:        make(chan struct{}),
+		untold:      make(map[string]bool),
+		allTold:     make(chan struct{}),
+		quit:        make(chan struct{}),
 	}
 	if cfg.ClusterTraceFile != "" {
 		c.rec = newClusterRecorder(n)
@@ -313,11 +323,12 @@ func (c *Coordinator) CoordStats() Stats {
 	return c.stats
 }
 
-// Wait blocks until every task has a result (or ctx is canceled), lingers
-// briefly so polling workers observe Done, then stops the listener and
-// returns the payloads in index order. If any task failed, the error of
-// the lowest-index failing task is returned — the same
-// first-error-in-index-order semantics sched.ForEach has.
+// Wait blocks until every task has a result (or ctx is canceled), keeps
+// the listener up until every worker seen on the protocol has been told
+// Done (at most LingerAfterDone), then stops it and returns the payloads
+// in index order. If any task failed, the error of the lowest-index
+// failing task is returned — the same first-error-in-index-order
+// semantics sched.ForEach has. Call Wait once.
 func (c *Coordinator) Wait(ctx context.Context) ([]json.RawMessage, error) {
 	defer c.close()
 	select {
@@ -331,13 +342,14 @@ func (c *Coordinator) Wait(ctx context.Context) ([]json.RawMessage, error) {
 		return nil, ctx.Err()
 	}
 	if c.http != nil {
-		// Let pollers see Done before the listener goes away.
+		// Let the workers hear Done before the listener goes away.
 		timer := time.NewTimer(c.cfg.LingerAfterDone)
 		select {
+		case <-c.allTold:
 		case <-timer.C:
 		case <-ctx.Done():
-			timer.Stop()
 		}
+		timer.Stop()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -351,15 +363,8 @@ func (c *Coordinator) Wait(ctx context.Context) ([]json.RawMessage, error) {
 	return out, nil
 }
 
-// Run is Start + Wait.
-func (c *Coordinator) Run(ctx context.Context) ([]json.RawMessage, error) {
-	if err := c.Start(); err != nil {
-		return nil, err
-	}
-	return c.Wait(ctx)
-}
-
 func (c *Coordinator) close() {
+	close(c.quit)
 	if c.http != nil {
 		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		c.http.Shutdown(sctx)
@@ -397,7 +402,18 @@ func (c *Coordinator) close() {
 }
 
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
+	c.mu.Lock()
+	c.seeLocked(r.Header.Get(httpx.HeaderWorker))
+	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, c.cfg.Spec)
+}
+
+// seeLocked records a worker that must hear Done before Wait returns.
+// Must hold mu.
+func (c *Coordinator) seeLocked(worker string) {
+	if worker != "" && c.untold != nil {
+		c.untold[worker] = true
+	}
 }
 
 // reclaimLocked requeues the unresolved indexes of expired leases. Must
@@ -452,24 +468,54 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	// cumulative snapshots into the federated series before touching the
 	// lease table (the vec has its own lock; no need for c.mu).
 	absorbWorkerMetrics(req.Worker, req.Metrics)
-	now := time.Now()
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.seeLocked(req.Worker)
+	rep := c.leaseLocked(req.Worker)
+	c.mu.Unlock()
+	if rep.empty() {
+		// Every range is leased out: hold the request, unlocked, until the
+		// job completes or PollInterval passes, then look again.
+		timer := time.NewTimer(c.cfg.PollInterval)
+		defer timer.Stop()
+		select {
+		case <-r.Context().Done():
+			return // the worker hung up; a range granted now would sit out its TTL
+		case <-c.done:
+		case <-c.quit:
+		case <-timer.C:
+		}
+		c.mu.Lock()
+		rep = c.leaseLocked(req.Worker)
+		c.mu.Unlock()
+		rep.Held = rep.empty()
+	}
+	writeJSON(w, http.StatusOK, rep)
+}
+
+// leaseLocked reclaims expired leases, then answers Done (the worker is
+// told), a range, or an empty reply. Must hold mu.
+func (c *Coordinator) leaseLocked(worker string) leaseReply {
+	now := time.Now()
 	c.reclaimLocked(now)
 	if c.remaining == 0 {
-		writeJSON(w, http.StatusOK, leaseReply{Done: true})
-		return
+		if c.untold[worker] {
+			delete(c.untold, worker)
+			if len(c.untold) == 0 {
+				close(c.allTold)
+				c.untold = nil
+			}
+		}
+		return leaseReply{Done: true}
 	}
 	if len(c.pending) == 0 {
-		writeJSON(w, http.StatusOK, leaseReply{RetryMS: int(c.cfg.PollInterval / time.Millisecond)})
-		return
+		return leaseReply{RetryMS: int(c.cfg.PollInterval / time.Millisecond)}
 	}
 	rng := c.pending[0]
 	c.pending = c.pending[1:]
 	c.nextLease++
 	l := &lease{
 		id:       c.nextLease,
-		worker:   req.Worker,
+		worker:   worker,
 		deadline: now.Add(c.cfg.LeaseTTL),
 		pending:  make(map[int]struct{}, rng[1]-rng[0]),
 	}
@@ -480,9 +526,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.stats.Leases++
 	leasesTotal.Inc()
 	if c.rec != nil {
-		c.rec.leaseGranted(req.Worker, rng[0], rng[1], l.id)
+		c.rec.leaseGranted(worker, rng[0], rng[1], l.id)
 	}
-	writeJSON(w, http.StatusOK, leaseReply{LeaseID: l.id, Lo: rng[0], Hi: rng[1]})
+	return leaseReply{LeaseID: l.id, Lo: rng[0], Hi: rng[1]}
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {

@@ -24,7 +24,7 @@
 // Protocol (JSON over HTTP, served by the coordinator):
 //
 //	GET  /dist/job             → Spec (kind, seed, task count, config, artifact hashes)
-//	POST /dist/lease           {"worker":id,"metrics":{...}} → {"lease_id","lo","hi"} | {"done":true} | {"retry_ms":n}
+//	POST /dist/lease           {"worker":id,"metrics":{...}} → {"lease_id","lo","hi"} | {"done":true} | {"retry_ms":n,"held":true}
 //	POST /dist/result          {"lease_id","worker","index","payload"|"error","events"} → {"done","duplicate"}
 //	GET  /dist/artifact/{sha}  → artifact bytes (verified by the worker)
 //	GET  /dist/progress        → {"completed","failed","total","workers","elapsed_sec"}
@@ -173,7 +173,13 @@ type leaseReply struct {
 	// RetryMS hints how long to wait before asking again when no lease
 	// was available (other workers hold everything outstanding).
 	RetryMS int `json:"retry_ms,omitempty"`
+	// Held marks an empty reply to a request the coordinator already held
+	// for its poll interval: ask again at once (older workers use RetryMS).
+	Held bool `json:"held,omitempty"`
 }
+
+// empty reports a reply that grants nothing and does not end the job.
+func (r leaseReply) empty() bool { return r.LeaseID == 0 && !r.Done }
 
 type resultRequest struct {
 	LeaseID uint64 `json:"lease_id"`

@@ -13,9 +13,11 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"nnwc/internal/httpx"
 	"nnwc/internal/obs"
 )
 
@@ -47,11 +49,33 @@ func newTestCoordinator(t *testing.T, cfg CoordinatorConfig) *Coordinator {
 	return c
 }
 
+// afterSeen holds every task of r until n workers have fetched the job
+// from c. Wait does not wait for a worker it first sees after the job
+// completes, so a test asserting that all its workers exit cleanly must
+// not let the first worker finish the job alone.
+func afterSeen(c *Coordinator, n int, r Runner) Runner {
+	return func(ctx context.Context, env Env, spec Spec, index int) (json.RawMessage, error) {
+		for {
+			c.mu.Lock()
+			seen := len(c.untold)
+			c.mu.Unlock()
+			if seen >= n {
+				return r(ctx, env, spec, index)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// testWorkerSeq keeps worker IDs unique: the coordinator tells each ID
+// Done once, so two workers sharing one could outlive its listener.
+var testWorkerSeq atomic.Int64
+
 func newTestWorker(t *testing.T, coordinator string, runners map[string]Runner) *Worker {
 	t.Helper()
 	w, err := NewWorker(WorkerConfig{
 		Coordinator: coordinator,
-		ID:          "test-worker",
+		ID:          fmt.Sprintf("test-worker-%d", testWorkerSeq.Add(1)),
 		CacheDir:    t.TempDir(),
 		Runners:     runners,
 		BackoffMin:  5 * time.Millisecond,
@@ -108,10 +132,11 @@ func seedLike() float64 { return 0.0027368722195466755 }
 
 func TestCoordinatorTwoWorkersCompleteInOrder(t *testing.T) {
 	const n = 13
-	// A real linger window: this test asserts both workers exit cleanly,
-	// which requires the listener to stay up until they observe Done.
-	c := newTestCoordinator(t, CoordinatorConfig{Spec: toySpec(n), LeaseSize: 2, PollInterval: 5 * time.Millisecond, LingerAfterDone: 3 * time.Second})
-	runners := map[string]Runner{"toy": toyRunner}
+	// A long straggler bound: both workers exit cleanly only if Wait keeps
+	// the listener up until each has been told Done, and Wait must return
+	// as soon as they have, not when the bound runs out.
+	c := newTestCoordinator(t, CoordinatorConfig{Spec: toySpec(n), LeaseSize: 2, PollInterval: 5 * time.Millisecond, LingerAfterDone: 30 * time.Second})
+	runners := map[string]Runner{"toy": afterSeen(c, 2, toyRunner)}
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for i := range errs {
@@ -122,9 +147,13 @@ func TestCoordinatorTwoWorkersCompleteInOrder(t *testing.T) {
 			errs[i] = w.Run(context.Background())
 		}(i)
 	}
+	start := time.Now()
 	payloads, err := c.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("Wait took %s after both workers were told Done", elapsed)
 	}
 	wg.Wait()
 	for i, werr := range errs {
@@ -237,9 +266,9 @@ func TestExpiredLeaseIsReassigned(t *testing.T) {
 // TestWorkerRetriesTransientErrors fronts the coordinator with a proxy
 // that fails every other request; the worker's backoff must ride through.
 func TestWorkerRetriesTransientErrors(t *testing.T) {
-	// Linger long enough after completion for the worker to observe the
-	// Done reply through its retry/backoff loop.
-	c := newTestCoordinator(t, CoordinatorConfig{Spec: toySpec(4), LeaseSize: 1, LingerAfterDone: 3 * time.Second})
+	// A long straggler bound: Wait must keep the listener up until the
+	// worker, behind its retry/backoff loop, has been told Done.
+	c := newTestCoordinator(t, CoordinatorConfig{Spec: toySpec(4), LeaseSize: 1, LingerAfterDone: 30 * time.Second})
 	target, err := url.Parse("http://" + c.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -263,8 +292,12 @@ func TestWorkerRetriesTransientErrors(t *testing.T) {
 	w := newTestWorker(t, flaky.URL, map[string]Runner{"toy": toyRunner})
 	done := make(chan error, 1)
 	go func() { done <- w.Run(context.Background()) }()
+	start := time.Now()
 	if _, err := c.Wait(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("Wait took %s; it should end once the worker is told Done", elapsed)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("worker: %v", err)
@@ -494,4 +527,149 @@ func TestCoordinatorCloseConcurrentProgress(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // overlap the pollers with the post-Wait close
 	close(stop)
 	wg.Wait()
+}
+
+// TestWaitBoundsSilentWorker: a worker that fetched the job and then went
+// silent is never told Done, so Wait keeps the listener up for it until
+// LingerAfterDone runs out, and no longer.
+func TestWaitBoundsSilentWorker(t *testing.T) {
+	const bound = 400 * time.Millisecond
+	c := newTestCoordinator(t, CoordinatorConfig{Spec: toySpec(4), LeaseSize: 2, LingerAfterDone: bound})
+	req, err := http.NewRequest(http.MethodGet, "http://"+c.Addr()+"/dist/job", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(httpx.HeaderWorker, "silent")
+	resp, err := (&http.Client{Timeout: 5 * time.Second}).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	w := newTestWorker(t, c.Addr(), map[string]Runner{"toy": toyRunner})
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	done := time.Now() // the job is complete once the worker is told Done
+	if _, err := c.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(done); waited < bound/2 || waited > bound+time.Second {
+		t.Fatalf("Wait returned %s after the job completed; want about the %s bound", waited, bound)
+	}
+}
+
+// TestHeldLeaseWakesOnLastResult: a lease request that arrives while
+// every range is leased out is held on the server, and answers Done as
+// soon as the last result lands rather than when PollInterval ends.
+func TestHeldLeaseWakesOnLastResult(t *testing.T) {
+	const poll = 10 * time.Second
+	c := newTestCoordinator(t, CoordinatorConfig{Spec: toySpec(2), LeaseSize: 2, PollInterval: poll})
+	base := "http://" + c.Addr()
+	client := &http.Client{Timeout: 2 * poll}
+	var lr leaseReply
+	postJSONT(t, client, base+"/dist/lease", leaseRequest{Worker: "busy"}, &lr)
+	if lr.LeaseID == 0 {
+		t.Fatalf("no lease granted: %+v", lr)
+	}
+
+	held := make(chan leaseReply, 1)
+	go func() {
+		var rep leaseReply
+		resp, err := client.Post(base+"/dist/lease", "application/json", strings.NewReader(`{"worker":"idle"}`))
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&rep)
+			resp.Body.Close()
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		held <- rep
+	}()
+	select {
+	case rep := <-held:
+		t.Fatalf("lease request answered %+v while every range was leased; want it held", rep)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	for i := 0; i < 2; i++ {
+		payload, _ := toyRunner(context.Background(), nil, toySpec(2), i)
+		var rr resultReply
+		postJSONT(t, client, base+"/dist/result", resultRequest{LeaseID: lr.LeaseID, Worker: "busy", Index: i, Payload: payload}, &rr)
+	}
+	last := time.Now()
+	rep := <-held
+	if woke := time.Since(last); woke > time.Second {
+		t.Fatalf("held lease answered %s after the last result; PollInterval is %s", woke, poll)
+	}
+	if !rep.Done {
+		t.Fatalf("held lease answered %+v after the last result, want done", rep)
+	}
+	if _, err := c.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHeldLeaseReclaimsExpiredLease: an idle worker's held polls still
+// reclaim a dead worker's lease within one PollInterval of its TTL.
+func TestHeldLeaseReclaimsExpiredLease(t *testing.T) {
+	const ttl, poll = 150 * time.Millisecond, 50 * time.Millisecond
+	c := newTestCoordinator(t, CoordinatorConfig{Spec: toySpec(1), LeaseTTL: ttl, PollInterval: poll})
+	base := "http://" + c.Addr()
+	client := &http.Client{Timeout: 5 * time.Second}
+	var dead leaseReply
+	postJSONT(t, client, base+"/dist/lease", leaseRequest{Worker: "doomed"}, &dead)
+	granted := time.Now()
+	for {
+		var rep leaseReply
+		postJSONT(t, client, base+"/dist/lease", leaseRequest{Worker: "healthy"}, &rep)
+		if rep.LeaseID != 0 {
+			break
+		}
+		if !rep.Held || rep.RetryMS <= 0 {
+			t.Fatalf("empty reply %+v: want held with a retry hint for older workers", rep)
+		}
+	}
+	if took := time.Since(granted); took > ttl+poll+500*time.Millisecond {
+		t.Fatalf("expired lease reassigned %s after grant; TTL %s, poll %s", took, ttl, poll)
+	}
+	payload, _ := toyRunner(context.Background(), nil, toySpec(1), 0)
+	var rr resultReply
+	postJSONT(t, client, base+"/dist/result", resultRequest{Worker: "healthy", Index: 0, Payload: payload}, &rr)
+	if _, err := c.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBackToBackJobsShutDownPromptly: a finished worker drops its idle
+// connections, so a connection it dialed but never used cannot hold the
+// coordinator's Shutdown for the 5 s net/http grants a new connection.
+func TestBackToBackJobsShutDownPromptly(t *testing.T) {
+	for job := 0; job < 10; job++ {
+		c := newTestCoordinator(t, CoordinatorConfig{Spec: toySpec(6), LeaseSize: 1, LingerAfterDone: 30 * time.Second})
+		runners := map[string]Runner{"toy": afterSeen(c, 2, toyRunner)}
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i := range errs {
+			w := newTestWorker(t, c.Addr(), runners)
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = w.Run(context.Background())
+			}(i)
+		}
+		start := time.Now()
+		if _, err := c.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Fatalf("job %d: Wait took %s", job, elapsed)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("job %d worker %d: %v", job, i, err)
+			}
+		}
+	}
 }

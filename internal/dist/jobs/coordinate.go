@@ -24,10 +24,9 @@ type Options struct {
 	// JobID names the run in the spec (informational; usually the obs run
 	// ID). Excluded from the resume fingerprint.
 	JobID string
-	// LeaseSize, LeaseTTL, LingerAfterDone: see dist.CoordinatorConfig.
-	LeaseSize       int
-	LeaseTTL        time.Duration
-	LingerAfterDone time.Duration
+	// LeaseSize, LeaseTTL: see dist.CoordinatorConfig.
+	LeaseSize int
+	LeaseTTL  time.Duration
 	// StateFile journals completed tasks for resume; "" disables.
 	StateFile string
 	// ClusterTraceFile is where the coordinator writes the merged cluster
@@ -42,16 +41,22 @@ type Options struct {
 	OnStart func(addr string)
 }
 
-// coordinate runs one job to completion: build the coordinator, serve,
-// wait, and hand back the index-ordered payloads plus per-job stats.
-func coordinate(ctx context.Context, opt Options, spec dist.Spec, paths map[string]string) ([]json.RawMessage, dist.Stats, error) {
+// coordinate runs one job to completion: stamp the spec with the run ID
+// and the marshaled kind config, build the coordinator, serve, wait, and
+// hand back the index-ordered payloads plus per-job stats. paths maps
+// each artifact hash to its local file.
+func coordinate(ctx context.Context, opt Options, spec dist.Spec, cfg any, paths map[string]string) ([]json.RawMessage, dist.Stats, error) {
+	var err error
+	if spec.Config, err = json.Marshal(cfg); err != nil {
+		return nil, dist.Stats{}, err
+	}
+	spec.JobID = opt.JobID
 	c, err := dist.NewCoordinator(dist.CoordinatorConfig{
 		Addr:             opt.Addr,
 		Spec:             spec,
 		ArtifactPaths:    paths,
 		LeaseSize:        opt.LeaseSize,
 		LeaseTTL:         opt.LeaseTTL,
-		LingerAfterDone:  opt.LingerAfterDone,
 		StateFile:        opt.StateFile,
 		ClusterTraceFile: opt.ClusterTraceFile,
 		Timeouts:         opt.Timeouts,
@@ -89,19 +94,9 @@ func CoordinateCrossval(ctx context.Context, opt Options, dataPath string, k int
 	if _, err := ModelConfig(hidden, epochs, seed); err != nil {
 		return nil, dist.Stats{}, err
 	}
-	cfgJSON, err := json.Marshal(CrossvalConfig{K: k, Hidden: hidden, Epochs: epochs})
-	if err != nil {
-		return nil, dist.Stats{}, err
-	}
-	spec := dist.Spec{
-		JobID:     opt.JobID,
-		Kind:      KindCrossval,
-		Seed:      seed,
-		NumTasks:  k,
-		Config:    cfgJSON,
-		Artifacts: map[string]string{RoleDataset: sha},
-	}
-	payloads, stats, err := coordinate(ctx, opt, spec, map[string]string{sha: dataPath})
+	spec := dist.Spec{Kind: KindCrossval, Seed: seed, NumTasks: k, Artifacts: map[string]string{RoleDataset: sha}}
+	cfg := CrossvalConfig{K: k, Hidden: hidden, Epochs: epochs}
+	payloads, stats, err := coordinate(ctx, opt, spec, cfg, map[string]string{sha: dataPath})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -136,19 +131,9 @@ func CoordinateCompare(ctx context.Context, opt Options, dataPath string, k int,
 	if err != nil {
 		return nil, dist.Stats{}, err
 	}
-	cfgJSON, err := json.Marshal(CompareConfig{K: k, Hidden: hidden, Epochs: epochs})
-	if err != nil {
-		return nil, dist.Stats{}, err
-	}
-	spec := dist.Spec{
-		JobID:     opt.JobID,
-		Kind:      KindCompare,
-		Seed:      seed,
-		NumTasks:  len(fams) * k,
-		Config:    cfgJSON,
-		Artifacts: map[string]string{RoleDataset: sha},
-	}
-	payloads, stats, err := coordinate(ctx, opt, spec, map[string]string{sha: dataPath})
+	spec := dist.Spec{Kind: KindCompare, Seed: seed, NumTasks: len(fams) * k, Artifacts: map[string]string{RoleDataset: sha}}
+	cfg := CompareConfig{K: k, Hidden: hidden, Epochs: epochs}
+	payloads, stats, err := coordinate(ctx, opt, spec, cfg, map[string]string{sha: dataPath})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -177,25 +162,16 @@ func CoordinateSurface(ctx context.Context, opt Options, modelPath string, sl su
 	if err := sl.Validate(model.InputDim(), model.OutputDim()); err != nil {
 		return nil, dist.Stats{}, err
 	}
-	cfgJSON, err := json.Marshal(SurfaceConfig{
+	spec := dist.Spec{Kind: KindSurface, NumTasks: len(sl.XValues), Artifacts: map[string]string{RoleModel: sha}}
+	cfg := SurfaceConfig{
 		Fixed:   dist.Floats(sl.Fixed),
 		XIndex:  sl.XIndex,
 		YIndex:  sl.YIndex,
 		XValues: dist.Floats(sl.XValues),
 		YValues: dist.Floats(sl.YValues),
 		Output:  sl.Output,
-	})
-	if err != nil {
-		return nil, dist.Stats{}, err
 	}
-	spec := dist.Spec{
-		JobID:     opt.JobID,
-		Kind:      KindSurface,
-		NumTasks:  len(sl.XValues),
-		Config:    cfgJSON,
-		Artifacts: map[string]string{RoleModel: sha},
-	}
-	payloads, stats, err := coordinate(ctx, opt, spec, map[string]string{sha: modelPath})
+	payloads, stats, err := coordinate(ctx, opt, spec, cfg, map[string]string{sha: modelPath})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -221,19 +197,9 @@ func CoordinateImportance(ctx context.Context, opt Options, modelPath, dataPath 
 	if err != nil {
 		return nil, dist.Stats{}, err
 	}
-	cfgJSON, err := json.Marshal(ImportanceConfig{Repeats: repeats})
-	if err != nil {
-		return nil, dist.Stats{}, err
-	}
-	spec := dist.Spec{
-		JobID:     opt.JobID,
-		Kind:      KindImportance,
-		Seed:      seed,
-		NumTasks:  ds.NumFeatures(),
-		Config:    cfgJSON,
-		Artifacts: map[string]string{RoleModel: modelSHA, RoleDataset: dataSHA},
-	}
-	payloads, stats, err := coordinate(ctx, opt, spec, map[string]string{modelSHA: modelPath, dataSHA: dataPath})
+	spec := dist.Spec{Kind: KindImportance, Seed: seed, NumTasks: ds.NumFeatures(), Artifacts: map[string]string{RoleModel: modelSHA, RoleDataset: dataSHA}}
+	cfg := ImportanceConfig{Repeats: repeats}
+	payloads, stats, err := coordinate(ctx, opt, spec, cfg, map[string]string{modelSHA: modelPath, dataSHA: dataPath})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -262,19 +228,9 @@ func CoordinateSelect(ctx context.Context, opt Options, dataPath string, candida
 	if err != nil {
 		return nil, dist.Stats{}, err
 	}
-	cfgJSON, err := json.Marshal(SelectConfig{K: k, Epochs: epochs, Candidates: candidates})
-	if err != nil {
-		return nil, dist.Stats{}, err
-	}
-	spec := dist.Spec{
-		JobID:     opt.JobID,
-		Kind:      KindSelect,
-		Seed:      seed,
-		NumTasks:  len(candidates),
-		Config:    cfgJSON,
-		Artifacts: map[string]string{RoleDataset: sha},
-	}
-	payloads, stats, err := coordinate(ctx, opt, spec, map[string]string{sha: dataPath})
+	spec := dist.Spec{Kind: KindSelect, Seed: seed, NumTasks: len(candidates), Artifacts: map[string]string{RoleDataset: sha}}
+	cfg := SelectConfig{K: k, Epochs: epochs, Candidates: candidates}
+	payloads, stats, err := coordinate(ctx, opt, spec, cfg, map[string]string{sha: dataPath})
 	if err != nil {
 		return nil, stats, err
 	}

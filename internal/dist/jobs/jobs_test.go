@@ -306,9 +306,16 @@ func TestDistWorkerKilledMidLease(t *testing.T) {
 	}
 
 	// The wedging worker completes tasks 0 and 1, then hangs on task 2
-	// while holding its lease. Kill it once the first results are in.
+	// while holding its lease. Kill it once it holds that second lease:
+	// killed between posting result 1 and leasing [2,4), it would leave
+	// nothing to reassign.
 	victim := spawnWorker(t, c.Addr(), "NNWC_DIST_HANG=1")
 	waitProgress(t, c.Addr(), 2)
+	for deadline := time.Now().Add(60 * time.Second); c.CoordStats().Leases < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the wedging worker never leased its second range")
+		}
+	}
 	victim.Process.Kill()
 	victim.Wait()
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 )
 
 // StateFileName is the journal's conventional name inside a run directory
@@ -154,4 +155,23 @@ func ReadStateSummary(path string) (*StateSummary, error) {
 		}
 	}
 	return sum, sc.Err()
+}
+
+// writeFileAtomic writes data to path through a temporary sibling that is
+// renamed into place, so a reader never sees a torn file and concurrent
+// writers of the same bytes race harmlessly.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // gone once renamed
+	if _, err := tmp.Write(data); err != nil {
+		_ = tmp.Close() // the write error is the one worth returning
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }

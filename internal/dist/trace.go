@@ -2,8 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"nnwc/internal/obs"
@@ -88,18 +86,5 @@ func (r *clusterRecorder) write(path string, spec Spec, fingerprint string, fail
 	head.Emit("cluster_done",
 		obs.Int("tasks", spec.NumTasks),
 		obs.Int("failed", failed))
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".cluster-trace-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(out.Bytes()); err != nil {
-		_ = tmp.Close() // the write error is the one worth returning
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return writeFileAtomic(path, out.Bytes())
 }

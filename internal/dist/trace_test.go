@@ -38,7 +38,7 @@ func runClusterJob(t *testing.T, workers, n int) []byte {
 		LingerAfterDone:  3 * time.Second,
 		ClusterTraceFile: tracePath,
 	})
-	runners := map[string]Runner{"toy": tracingToyRunner}
+	runners := map[string]Runner{"toy": afterSeen(c, workers, tracingToyRunner)}
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	for i := range errs {

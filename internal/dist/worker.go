@@ -38,7 +38,9 @@ type WorkerConfig struct {
 	// Coordinator is the coordinator's base URL ("http://host:9000"; a
 	// bare host:port is accepted).
 	Coordinator string
-	// ID names this worker in coordinator metrics (default host-pid).
+	// ID names this worker in coordinator metrics and in the set of
+	// workers the coordinator tells Done before it stops; keep it unique
+	// within a job (default host-pid).
 	ID string
 	// CacheDir holds fetched artifacts, keyed by hash (default: a fresh
 	// temp dir). Safe to share across runs — content addressing makes
@@ -218,21 +220,11 @@ func (w *Worker) retry(ctx context.Context, budget time.Duration, fn func() erro
 	}
 }
 
-// Start runs the worker on its own goroutine, for callers that drive a
-// coordinator and its workers inside one process (benchmarks, tests).
-// The returned channel receives Run's result exactly once. The
-// coordinator's Wait remains the authoritative job outcome; a worker
-// error here is only diagnostic.
-func (w *Worker) Start(ctx context.Context) <-chan error {
-	ch := make(chan error, 1)
-	go func() { ch <- w.Run(ctx) }()
-	return ch
-}
-
 // Run executes the coordinator's job until Done: fetch the spec, then
 // loop lease → compute → stream results. Returns nil once the
 // coordinator reports every task complete.
 func (w *Worker) Run(ctx context.Context) error {
+	defer w.client.CloseIdleConnections() // an unused one would stall the coordinator's Shutdown 5 s
 	var spec Spec
 	err := w.retry(ctx, w.cfg.WaitForJob, func() error {
 		return w.getJSON(ctx, "/dist/job", &spec)
@@ -265,6 +257,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		case rep.Done:
 			w.logf("dist: worker %s: job complete", w.cfg.ID)
 			return nil
+		case rep.Held: // the coordinator already waited; ask again at once
 		case rep.LeaseID == 0:
 			wait := time.Duration(rep.RetryMS) * time.Millisecond
 			if wait <= 0 {
@@ -388,21 +381,7 @@ func (w *Worker) ArtifactPath(ctx context.Context, sha string) (string, error) {
 	if got := obs.HashBytes(body); got != sha {
 		return "", fmt.Errorf("dist: artifact %s failed content verification (got %s)", sha, got)
 	}
-	tmp, err := os.CreateTemp(w.cfg.CacheDir, ".fetch-*")
-	if err != nil {
-		return "", err
-	}
-	if _, err := tmp.Write(body); err != nil {
-		_ = tmp.Close() // the write error is the one worth returning
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := writeFileAtomic(path, body); err != nil {
 		return "", err
 	}
 	w.artMu.Lock()
