@@ -1,19 +1,27 @@
 // Package batch is the fleet's request micro-batcher: concurrent predict
 // requests are gathered into batched forward calls, and — the fleet's key
-// property — rows are coalesced *across tenants that share a network
+// property — requests are coalesced *across tenants that share a network
 // shape*. Every tenant whose model has the same topology key feeds one
 // shape group with its own queue and gather workers, so eight lightly
 // loaded tenants fill batches as well as one heavily loaded tenant: one
 // channel rendezvous, one workspace acquisition, and one scheduler wakeup
-// per gathered super-batch instead of per tenant. The run callback groups
-// the gathered rows by instance (weights differ per tenant) and pushes
-// each sub-batch through the zero-allocation batched forward spine.
+// per gathered super-batch instead of per tenant. A request travels as one
+// job carrying all its rows and one reply channel; the run callback groups
+// the gathered jobs by instance (weights differ per tenant) and pushes each
+// instance's rows through one call of the batched forward spine.
 //
-// Gathering is greedy first — whatever is already queued joins immediately
-// — then one cooperative yield lets runnable submitters enqueue, and only
-// a lone row on an idle queue waits out MaxWait for company. A full queue
-// sheds instead of blocking (ErrOverloaded): the serve plane turns that
-// into 429s, which is the queue-depth half of admission control.
+// MaxBatch bounds the rows of one super-batch: a request with more rows is
+// split into MaxBatch-row jobs, and a queued job that would overflow the
+// batch being gathered opens the worker's next batch instead. Gathering is
+// greedy first — whatever is already queued joins immediately — then one
+// cooperative yield lets runnable submitters enqueue, and only a lone row
+// on an idle queue waits out MaxWait for company. QueueDepth bounds the
+// rows waiting in a shape group: a request that would overfill it sheds
+// instead of blocking (ErrOverloaded), and the serve plane turns that into
+// 429s, which is the queue-depth half of admission control. An empty queue
+// admits any request whole, so one with more rows than QueueDepth is
+// served on an idle group rather than refused with a 429 that no retry
+// could clear.
 package batch
 
 import (
@@ -35,18 +43,19 @@ var ErrDraining = errors.New("serve: server is draining")
 // load-shedding signal admission control turns into 429s.
 var ErrOverloaded = errors.New("serve: prediction queue is full")
 
-// Job is one configuration vector waiting for inference, tagged with the
-// immutable instance that must serve it. Reply is buffered so a worker
-// never blocks on a caller that gave up.
+// Job is one request's configuration vectors (at most MaxBatch of them)
+// waiting for inference, tagged with the immutable instance that must
+// serve them. Reply is buffered so a worker never blocks on a caller that
+// gave up.
 type Job struct {
 	Inst  *registry.Instance
-	X     []float64
+	Xs    [][]float64
 	Reply chan Result
 }
 
-// Result is one row's answer.
+// Result is one job's answer: Ys[i] is the prediction for Xs[i].
 type Result struct {
-	Y   []float64
+	Ys  [][]float64
 	Err error
 }
 
@@ -57,7 +66,7 @@ type Config struct {
 	// MaxWait bounds the extra latency a lone row pays waiting for
 	// batch-mates (default 0: gather only what is queued).
 	MaxWait time.Duration
-	// QueueDepth is each shape group's pending-row buffer (default 1024).
+	// QueueDepth bounds the rows queued in each shape group (default 1024).
 	QueueDepth int
 	// Workers is the number of gather-and-infer loops per shape group
 	// (default GOMAXPROCS).
@@ -94,7 +103,14 @@ type Batcher struct {
 }
 
 type group struct {
-	jobs chan Job
+	// jobs blocks no sender but an oversize request's: each job holds at
+	// least one row, and queued counts a job's rows from before it is sent
+	// until after it is received. Admission keeps queued at or below
+	// QueueDepth, the channel's capacity, except while an oversize request
+	// admitted onto an empty queue is counted, and every other request
+	// sheds then.
+	jobs   chan Job
+	queued atomic.Int64
 }
 
 // New builds a Batcher over the given inference callback. run receives a
@@ -133,47 +149,91 @@ func (b *Batcher) GroupCount() int {
 	return len(b.groups)
 }
 
-// Sheds reports how many rows were refused on a full queue.
+// Sheds reports how many requests were refused on a full queue.
 func (b *Batcher) Sheds() uint64 { return b.sheds.Load() }
 
-// Submit enqueues every row of xs for inst's shape group and waits for all
-// results (or ctx). Rows from one request may land in different batches,
-// and batches mix rows from every tenant sharing the shape — that is the
-// point. A full queue sheds with ErrOverloaded rather than blocking.
+// Submit queues the rows of xs for inst's shape group and waits for their
+// results (or ctx). The request travels as MaxBatch-row jobs, usually
+// one, and batches mix jobs from every tenant sharing the shape — that is
+// the point. A request that would overfill a non-empty queue sheds whole
+// with ErrOverloaded rather than blocking.
 func (b *Batcher) Submit(ctx context.Context, inst *registry.Instance, xs [][]float64) ([][]float64, error) {
 	select {
 	case <-b.stop:
 		return nil, ErrDraining
 	default:
 	}
-	g := b.group(inst.Shape)
-	jobs := make([]Job, len(xs))
-	for i, x := range xs {
-		jobs[i] = Job{Inst: inst, X: x, Reply: make(chan Result, 1)}
-		select {
-		case g.jobs <- jobs[i]:
-		case <-b.stop:
-			return nil, ErrDraining
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		default:
-			b.sheds.Add(1)
-			return nil, ErrOverloaded
-		}
+	if len(xs) == 0 {
+		return [][]float64{}, nil
 	}
-	out := make([][]float64, len(xs))
-	for i := range jobs {
-		select {
-		case res := <-jobs[i].Reply:
-			if res.Err != nil {
-				return nil, res.Err
-			}
-			out[i] = res.Y
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	g := b.group(inst.Shape)
+	n := int64(len(xs))
+	if was := g.queued.Add(n) - n; was > 0 && was+n > int64(b.cfg.QueueDepth) {
+		g.queued.Add(-n)
+		b.sheds.Add(1)
+		return nil, ErrOverloaded
+	}
+	var stack [1]chan Result
+	replies := stack[:0]
+	for lo := 0; lo < len(xs); lo += b.cfg.MaxBatch {
+		hi := min(lo+b.cfg.MaxBatch, len(xs))
+		j := Job{Inst: inst, Xs: xs[lo:hi:hi], Reply: make(chan Result, 1)}
+		if err := b.send(ctx, g, j); err != nil {
+			g.queued.Add(-int64(len(xs) - lo))
+			return nil, err
+		}
+		replies = append(replies, j.Reply)
+	}
+	var out [][]float64
+	for i, reply := range replies {
+		ys, err := wait(ctx, reply)
+		switch {
+		case err != nil:
+			return nil, err
+		case i == 0:
+			// Capped, so that appending a later job's rows copies them out
+			// of the memory the batch shares.
+			out = ys[:len(ys):len(ys)]
+		default:
+			out = append(out, ys...)
 		}
 	}
 	return out, nil
+}
+
+// send queues j on g. Only an oversize request's jobs can find the queue
+// full (see group.jobs); they wait for the workers, ctx or shutdown.
+func (b *Batcher) send(ctx context.Context, g *group, j Job) error {
+	select {
+	case g.jobs <- j:
+		return nil
+	default:
+	}
+	select {
+	case g.jobs <- j:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-b.stop:
+		return ErrDraining
+	}
+}
+
+// wait returns one job's predictions, or ctx's error if it ends first.
+func wait(ctx context.Context, reply chan Result) ([][]float64, error) {
+	select {
+	case res := <-reply:
+		return res.Ys, res.Err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// receive takes a job off g's queue, releasing its rows' share of
+// QueueDepth.
+func (g *group) receive(j Job) Job {
+	g.queued.Add(-int64(len(j.Xs)))
+	return j
 }
 
 func (b *Batcher) loop(g *group) {
@@ -182,14 +242,23 @@ func (b *Batcher) loop(g *group) {
 	// slice before returning, so gather can reuse it without allocating
 	// MaxBatch headers per batch.
 	buf := make([]Job, 0, b.cfg.MaxBatch)
+	// next is a received job that did not fit the previous batch; it
+	// opens this worker's next one.
+	var next Job
 	for {
-		select {
-		case <-b.stop:
-			b.drain(g)
-			return
-		case j := <-g.jobs:
-			b.run(b.gather(g, buf[:0], j))
+		first := next
+		if first.Reply == nil {
+			select {
+			case <-b.stop:
+				b.drain(g)
+				return
+			case j := <-g.jobs:
+				first = g.receive(j)
+			}
 		}
+		var batch []Job
+		batch, next = b.gather(g, buf[:0], first)
+		b.run(batch)
 	}
 }
 
@@ -207,43 +276,60 @@ func (b *Batcher) drain(g *group) {
 	}
 }
 
-// gather assembles a super-batch around the first job. Batches form from
-// backlog: everything already queued joins greedily, then one cooperative
-// yield lets submitters that are already runnable enqueue before the batch
-// closes. A batch that found company runs immediately; only a lone row on
-// an idle queue is held, up to MaxWait, for near-simultaneous arrivals.
-func (b *Batcher) gather(g *group, batch []Job, first Job) []Job {
+// gather assembles a super-batch of at most MaxBatch rows around the
+// first job, and returns it with the received job that would have
+// overflowed it, if any. Batches form from backlog: everything already
+// queued joins greedily, then one cooperative yield lets submitters that
+// are already runnable enqueue before the batch closes. A batch that found
+// company runs immediately; only a lone row on an idle queue is held, up
+// to MaxWait, for near-simultaneous arrivals.
+func (b *Batcher) gather(g *group, batch []Job, first Job) ([]Job, Job) {
 	batch = append(batch, first)
-	batch = b.greedy(g, batch)
-	if len(batch) < b.cfg.MaxBatch {
+	rows := len(first.Xs)
+	var next Job
+	batch, rows, next = b.greedy(g, batch, rows)
+	if next.Reply == nil && rows < b.cfg.MaxBatch {
 		runtime.Gosched()
-		batch = b.greedy(g, batch)
+		batch, rows, next = b.greedy(g, batch, rows)
 	}
-	if len(batch) > 1 || b.cfg.MaxWait <= 0 {
-		return batch
+	if next.Reply != nil || rows > 1 || b.cfg.MaxWait <= 0 {
+		return batch, next
 	}
 	timer := time.NewTimer(b.cfg.MaxWait)
 	defer timer.Stop()
 	select {
 	case j := <-g.jobs:
-		return b.greedy(g, append(batch, j))
+		if batch, rows, next = b.add(batch, rows, g.receive(j)); next.Reply == nil {
+			batch, _, next = b.greedy(g, batch, rows)
+		}
 	case <-timer.C:
 	case <-b.stop:
 	}
-	return batch
+	return batch, next
 }
 
-// greedy drains whatever is queued right now into batch, up to MaxBatch.
-func (b *Batcher) greedy(g *group, batch []Job) []Job {
-	for len(batch) < b.cfg.MaxBatch {
+// greedy drains whatever is queued right now into batch, up to MaxBatch
+// rows.
+func (b *Batcher) greedy(g *group, batch []Job, rows int) ([]Job, int, Job) {
+	var next Job
+	for rows < b.cfg.MaxBatch && next.Reply == nil {
 		select {
 		case j := <-g.jobs:
-			batch = append(batch, j)
+			batch, rows, next = b.add(batch, rows, g.receive(j))
 		default:
-			return batch
+			return batch, rows, next
 		}
 	}
-	return batch
+	return batch, rows, next
+}
+
+// add appends j to a batch holding rows rows, or hands j back as the next
+// batch's first job when it does not fit.
+func (b *Batcher) add(batch []Job, rows int, j Job) ([]Job, int, Job) {
+	if rows+len(j.Xs) > b.cfg.MaxBatch {
+		return batch, rows, j
+	}
+	return append(batch, j), rows + len(j.Xs), Job{}
 }
 
 // Shutdown stops the workers of every group and waits for them;

@@ -17,6 +17,7 @@
 package registry
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -55,12 +56,62 @@ func (a Artifact) Ref() string { return a.Tenant + "@v" + strconv.Itoa(a.Version
 
 // Instance is one warm, immutable model snapshot: the artifact identity
 // plus the loaded predictor. Instances are never mutated after creation —
-// hot swaps replace the whole pointer.
+// hot swaps replace the whole pointer. Build them with NewInstance, which
+// also encodes the response metadata every prediction served by the
+// instance carries.
 type Instance struct {
 	Artifact
 	Pred     core.BatchPredictor
 	LoadedAt time.Time
+
+	// infoJSON and targetNamesJSON are Info() and TargetNames as
+	// encoding/json renders them, encoded once so the predict path can
+	// copy them into every response.
+	infoJSON, targetNamesJSON []byte
 }
+
+// ModelInfo describes the model that served a response.
+type ModelInfo struct {
+	Ref          string   `json:"ref"` // tenant@vN
+	Version      int      `json:"version"`
+	SHA256       string   `json:"sha256"`
+	Shape        string   `json:"shape"`
+	Path         string   `json:"path"`
+	LoadedAt     string   `json:"loaded_at"`
+	FeatureNames []string `json:"feature_names"`
+	TargetNames  []string `json:"target_names"`
+}
+
+// NewInstance snapshots a loaded predictor for art and encodes its
+// response metadata.
+func NewInstance(art Artifact, pred core.BatchPredictor, loadedAt time.Time) *Instance {
+	inst := &Instance{Artifact: art, Pred: pred, LoadedAt: loadedAt}
+	// Strings and string slices always encode, so the errors are nil.
+	inst.infoJSON, _ = json.Marshal(inst.Info())
+	inst.targetNamesJSON, _ = json.Marshal(art.TargetNames)
+	return inst
+}
+
+// Info describes the instance for responses and the fleet API.
+func (inst *Instance) Info() ModelInfo {
+	return ModelInfo{
+		Ref:          inst.Ref(),
+		Version:      inst.Version,
+		SHA256:       inst.SHA256,
+		Shape:        inst.Shape,
+		Path:         inst.Path,
+		LoadedAt:     inst.LoadedAt.UTC().Format(time.RFC3339Nano),
+		FeatureNames: inst.FeatureNames,
+		TargetNames:  inst.TargetNames,
+	}
+}
+
+// InfoJSON is Info() encoded as JSON; callers must not modify it.
+func (inst *Instance) InfoJSON() []byte { return inst.infoJSON }
+
+// TargetNamesJSON is TargetNames encoded as JSON; callers must not modify
+// it.
+func (inst *Instance) TargetNamesJSON() []byte { return inst.targetNamesJSON }
 
 // Registry stores per-tenant version chains and the warm-instance LRU.
 type Registry struct {
@@ -131,7 +182,6 @@ func (r *Registry) Register(tenant, path string) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("registry: loading %s: %w", path, err)
 	}
-	now := time.Now()
 	art := Artifact{
 		Tenant:       tenant,
 		SHA256:       sha,
@@ -143,9 +193,8 @@ func (r *Registry) Register(tenant, path string) (*Instance, error) {
 		FeatureMin:   m.FeatureMin,
 		FeatureMax:   m.FeatureMax,
 		Shape:        shapeKey(m),
-		RegisteredAt: now,
+		RegisteredAt: time.Now(),
 	}
-	inst := &Instance{Artifact: art, Pred: m, LoadedAt: now}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -156,15 +205,15 @@ func (r *Registry) Register(tenant, path string) (*Instance, error) {
 				r.touch(e)
 				return e.inst, nil
 			}
-			inst.Artifact = a
+			inst := NewInstance(a, m, art.RegisteredAt)
 			r.insert(inst)
 			return inst, nil
 		}
 	}
 	art.Version = len(r.tenants[tenant]) + 1
-	inst.Artifact = art
 	r.tenants[tenant] = append(r.tenants[tenant], art)
 	r.loads++
+	inst := NewInstance(art, m, art.RegisteredAt)
 	r.insert(inst)
 	return inst, nil
 }
@@ -202,7 +251,7 @@ func (r *Registry) Instance(tenant string, version int) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("registry: rehydrating %s: %w", art.Ref(), err)
 	}
-	inst := &Instance{Artifact: art, Pred: m, LoadedAt: time.Now()}
+	inst := NewInstance(art, m, time.Now())
 
 	r.mu.Lock()
 	defer r.mu.Unlock()

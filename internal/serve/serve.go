@@ -34,6 +34,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -267,29 +268,7 @@ func (s *Server) Reload() error {
 }
 
 // ModelInfo describes the model that served a response.
-type ModelInfo struct {
-	Ref          string   `json:"ref"` // tenant@vN
-	Version      int      `json:"version"`
-	SHA256       string   `json:"sha256"`
-	Shape        string   `json:"shape"`
-	Path         string   `json:"path"`
-	LoadedAt     string   `json:"loaded_at"`
-	FeatureNames []string `json:"feature_names"`
-	TargetNames  []string `json:"target_names"`
-}
-
-func modelInfo(inst *registry.Instance) ModelInfo {
-	return ModelInfo{
-		Ref:          inst.Ref(),
-		Version:      inst.Version,
-		SHA256:       inst.SHA256,
-		Shape:        inst.Shape,
-		Path:         inst.Path,
-		LoadedAt:     inst.LoadedAt.UTC().Format(time.RFC3339Nano),
-		FeatureNames: inst.FeatureNames,
-		TargetNames:  inst.TargetNames,
-	}
-}
+type ModelInfo = registry.ModelInfo
 
 // PredictRequest is the /predict body: one vector in X, or several in
 // Instances (exactly one of the two). Model selects the serving model —
@@ -487,45 +466,63 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // runBatch is the batcher's inference callback. The gathered super-batch
-// may span several instances of one network shape; rows regroup by
-// instance (weights differ) and each sub-batch takes one batched forward
-// call. After replies fan out, live rows whose tenant has a staged shadow
-// are mirrored: the shadow predicts the same rows and the divergence
-// between the answers feeds the canary's comparison window.
+// may span several instances of one network shape; the jobs' rows regroup
+// by instance (weights differ), instances in first-seen order and rows in
+// job order, and each instance takes one batched forward call whose
+// output rows go back to their jobs. After
+// replies fan out, live rows whose tenant has a staged shadow are
+// mirrored: the shadow predicts the same rows and the divergence between
+// the answers feeds the canary's comparison window.
 func (s *Server) runBatch(jobs []batch.Job) {
-	s.metrics.observeBatch(len(jobs))
-	// Group by instance, preserving first-seen order for determinism.
-	type subBatch struct {
-		inst *registry.Instance
-		xs   [][]float64
-		js   []batch.Job
-	}
-	var subs []*subBatch
-	byInst := make(map[*registry.Instance]*subBatch, 1)
+	rows := 0
 	for _, j := range jobs {
-		sb, ok := byInst[j.Inst]
-		if !ok {
-			sb = &subBatch{inst: j.Inst}
-			byInst[j.Inst] = sb
-			subs = append(subs, sb)
-		}
-		sb.xs = append(sb.xs, j.X)
-		sb.js = append(sb.js, j)
+		rows += len(j.Xs)
 	}
-	for _, sb := range subs {
-		outs, err := predictSafely(sb.inst, sb.xs)
+	s.metrics.observeBatch(rows)
+	for k, j := range jobs {
+		if servesAny(jobs[:k], j.Inst) {
+			continue // served with its instance's first job
+		}
+		xs := j.Xs
+		if servesAny(jobs[k+1:], j.Inst) {
+			xs = make([][]float64, 0, rows)
+			for _, o := range jobs[k:] {
+				if o.Inst == j.Inst {
+					xs = append(xs, o.Xs...)
+				}
+			}
+		}
+		outs, err := predictSafely(j.Inst, xs)
 		if err != nil {
 			s.metrics.observeError("inference_panic")
-			for _, j := range sb.js {
-				j.Reply <- batch.Result{Err: err}
+		}
+		off := 0
+		for _, o := range jobs[k:] {
+			if o.Inst != j.Inst {
+				continue
 			}
-			continue
+			res := batch.Result{Err: err}
+			if err == nil {
+				n := len(o.Xs)
+				res.Ys = outs[off : off+n : off+n]
+				off += n
+			}
+			o.Reply <- res
 		}
-		for i, j := range sb.js {
-			j.Reply <- batch.Result{Y: outs[i]}
+		if err == nil {
+			s.mirror(j.Inst, xs, outs)
 		}
-		s.mirror(sb.inst, sb.xs, outs)
 	}
+}
+
+// servesAny reports whether any of jobs is for inst.
+func servesAny(jobs []batch.Job, inst *registry.Instance) bool {
+	for _, j := range jobs {
+		if j.Inst == inst {
+			return true
+		}
+	}
+	return false
 }
 
 // mirror runs a staged shadow over rows its live sibling just served and
@@ -680,7 +677,7 @@ func (s *Server) handleFleetDeploy(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, "fleet_deploy", http.StatusOK, map[string]any{
 		"status": "deployed",
 		"canary": req.Canary,
-		"model":  modelInfo(inst),
+		"model":  inst.Info(),
 	})
 }
 
@@ -702,7 +699,7 @@ func (s *Server) handleFleetAction(endpoint string, action func(string) (*regist
 		}
 		resp := map[string]any{"status": status}
 		if inst != nil {
-			resp["model"] = modelInfo(inst)
+			resp["model"] = inst.Info()
 		}
 		s.writeJSON(w, "fleet_"+endpoint, http.StatusOK, resp)
 	}
@@ -762,10 +759,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	sc := scratchPool.Get().(*predictScratch)
+	defer scratchPool.Put(sc)
+	buf := bytes.NewBuffer(sc.body[:0])
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body := buf.Bytes()
+	sc.body = keep(body)
 	var req PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := sc.dec.decode(body, readErr != nil, &req); err != nil {
+		if readErr != nil {
+			err = readErr
+		}
 		s.metrics.observeError("bad_json")
 		respond(http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
 		return
@@ -847,12 +851,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	respond(http.StatusOK, PredictResponse{
-		Predictions: preds,
-		TargetNames: inst.TargetNames,
-		Warnings:    warnings,
-		Model:       modelInfo(inst),
-	})
+	out, err := appendPredictResponse(sc.out[:0], preds, inst, warnings)
+	sc.out = keep(out)
+	if err != nil {
+		s.metrics.observeError("non_finite_prediction")
+		respond(http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
+	elapsed := time.Since(start)
+	s.writeBody(w, "predict", http.StatusOK, out, elapsed)
+	s.metrics.observeTenantRequest(tenant, http.StatusOK, elapsed.Seconds())
 }
 
 // requestRows normalizes a PredictRequest into its input rows.
@@ -897,9 +905,25 @@ func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, status int, v
 	s.writeJSONTimed(w, endpoint, status, v, 0)
 }
 
+// writeJSONTimed encodes v, the way json.Encoder does, before it commits
+// to a status: a value that cannot be encoded is answered with a 500.
 func (s *Server) writeJSONTimed(w http.ResponseWriter, endpoint string, status int, v any, elapsed time.Duration) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		s.metrics.observeError("encode_failed")
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: fmt.Sprintf("encoding response: %v", err)})
+	}
+	s.writeBody(w, endpoint, status, append(body, '\n'), elapsed)
+}
+
+// writeBody sends a JSON response body and counts the request.
+func (s *Server) writeBody(w http.ResponseWriter, endpoint string, status int, body []byte, elapsed time.Duration) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	if _, err := w.Write(body); err != nil {
+		// The status is on the wire; all that is left is to count it.
+		s.metrics.observeError("write_failed")
+	}
 	s.metrics.observeRequest(endpoint, status, elapsed.Seconds())
 }

@@ -27,7 +27,13 @@ var testClient = &http.Client{Timeout: 10 * time.Second}
 
 // trainTestModel fits a small 2→2 model on a smooth function — fast enough
 // for a unit test, real enough to exercise scalers and the batched path.
-func trainTestModel(t *testing.T, seed uint64) *core.NNModel {
+func trainTestModel(t testing.TB, seed uint64) *core.NNModel {
+	return trainTestModelWith(t, core.Config{Hidden: []int{6}, Seed: seed})
+}
+
+// trainTestModelWith fits trainTestModel's data with the given model
+// configuration.
+func trainTestModelWith(t testing.TB, cfg core.Config) *core.NNModel {
 	t.Helper()
 	ds := workload.NewDataset([]string{"a", "b"}, []string{"u", "v"})
 	for i := 0; i < 40; i++ {
@@ -40,7 +46,8 @@ func trainTestModel(t *testing.T, seed uint64) *core.NNModel {
 	}
 	tc := train.DefaultConfig()
 	tc.MaxEpochs = 150
-	model, err := core.Fit(ds, core.Config{Hidden: []int{6}, Train: &tc, Seed: seed})
+	cfg.Train = &tc
+	model, err := core.Fit(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +55,7 @@ func trainTestModel(t *testing.T, seed uint64) *core.NNModel {
 }
 
 // writeTestModel persists a freshly trained model and returns its path.
-func writeTestModel(t *testing.T, dir string, seed uint64) string {
+func writeTestModel(t testing.TB, dir string, seed uint64) string {
 	t.Helper()
 	path := filepath.Join(dir, fmt.Sprintf("model-%d.json", seed))
 	if err := trainTestModel(t, seed).SaveFile(path); err != nil {
@@ -57,7 +64,7 @@ func writeTestModel(t *testing.T, dir string, seed uint64) string {
 	return path
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -176,6 +183,21 @@ func TestServeInstancesAndWarnings(t *testing.T) {
 	}
 	if !strings.Contains(pr.Warnings[0], "outside training envelope") {
 		t.Fatalf("warning %q", pr.Warnings[0])
+	}
+}
+
+// TestServeRequestLargerThanQueue: a request with more rows than
+// QueueDepth is served on an idle server, not shed with a 429.
+func TestServeRequestLargerThanQueue(t *testing.T) {
+	path := writeTestModel(t, t.TempDir(), 2)
+	_, ts := newTestServer(t, Config{ModelPath: path, QueueDepth: 2, MaxBatch: 1})
+
+	resp, pr, raw := postPredict(t, ts.URL, PredictRequest{Instances: [][]float64{{0, 0}, {1, 0}, {0, 1}}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("QueueDepth+1 rows: status %d: %s", resp.StatusCode, raw)
+	}
+	if len(pr.Predictions) != 3 {
+		t.Fatalf("want 3 predictions, got %d", len(pr.Predictions))
 	}
 }
 
