@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -108,12 +107,7 @@ func cmdDoegenRun(obsf *obsFlags, out, design string, n, levels int, seed uint64
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := ds.WriteCSV(f); err != nil {
+	if err := writeFile(out, ds.WriteCSV); err != nil {
 		return err
 	}
 	obsf.metric("samples", float64(ds.Len()))

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"nnwc/internal/core"
 	"nnwc/internal/linear"
@@ -179,22 +180,19 @@ func (c *Context) RunBaseline() error {
 		c.printf("linear/MLP error ratio: %.1fx (the paper's motivation: linear models miss the non-linear structure)\n\n", linMean/mlpMean)
 	}
 
-	f, err := c.createArtifact("baseline.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "model")
-	for _, n := range ds.TargetNames {
-		fmt.Fprintf(f, ",%s", n)
-	}
-	fmt.Fprintln(f, ",mean")
-	for fi, fam := range fams {
-		fmt.Fprintf(f, "%q", fam.name)
-		for _, e := range errs[fi] {
-			fmt.Fprintf(f, ",%.4f", e)
+	return c.writeArtifact("baseline.csv", func(f io.Writer) error {
+		fmt.Fprintf(f, "model")
+		for _, n := range ds.TargetNames {
+			fmt.Fprintf(f, ",%s", n)
 		}
-		fmt.Fprintf(f, ",%.4f\n", stats.Mean(errs[fi]))
-	}
-	return nil
+		fmt.Fprintln(f, ",mean")
+		for fi, fam := range fams {
+			fmt.Fprintf(f, "%q", fam.name)
+			for _, e := range errs[fi] {
+				fmt.Fprintf(f, ",%.4f", e)
+			}
+			fmt.Fprintf(f, ",%.4f\n", stats.Mean(errs[fi]))
+		}
+		return nil
+	})
 }

@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -150,13 +151,27 @@ func (c *Context) FullModel() (*core.NNModel, error) {
 	return c.full, nil
 }
 
-// createArtifact opens OutDir/name for writing, creating the directory as
-// needed. Callers must close the returned file.
-func (c *Context) createArtifact(name string) (*os.File, error) {
+// writeArtifact creates OutDir/name (and the directory as needed), hands
+// write a buffered writer over it, then flushes and closes the file. It
+// returns the first error of those steps: a failed write, flush or close
+// fails the experiment instead of leaving a truncated artifact behind.
+func (c *Context) writeArtifact(name string, write func(io.Writer) error) error {
 	if err := os.MkdirAll(c.OutDir, 0o755); err != nil {
-		return nil, err
+		return err
 	}
-	return os.Create(filepath.Join(c.OutDir, name))
+	f, err := os.Create(filepath.Join(c.OutDir, name))
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	err = write(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (c *Context) printf(format string, args ...any) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -285,5 +286,22 @@ func TestRunAblations(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(c.OutDir, "ablations.csv")); err != nil {
 		t.Fatal("ablations.csv missing")
+	}
+}
+
+// TestWriteArtifactReportsWriteErrors checks that a write the device
+// refuses fails the artifact instead of leaving a truncated file behind:
+// /dev/full accepts the open and rejects every write with ENOSPC.
+func TestWriteArtifactReportsWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	c := &Context{OutDir: "/dev"}
+	err := c.writeArtifact("full", func(w io.Writer) error {
+		_, err := io.WriteString(w, "x,y\n1,2\n")
+		return err
+	})
+	if err == nil {
+		t.Fatal("write to /dev/full reported success")
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"nnwc/internal/nn"
 	"nnwc/internal/plot"
@@ -18,22 +19,23 @@ func (c *Context) RunFig2() error {
 		xs[i] = -10 + float64(i)*0.25
 	}
 
-	f, err := c.createArtifact("fig2_sigmoid.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "x")
-	for _, a := range alphas {
-		fmt.Fprintf(f, ",alpha=%g", a)
-	}
-	fmt.Fprintln(f)
-	for _, x := range xs {
-		fmt.Fprintf(f, "%g", x)
+	err := c.writeArtifact("fig2_sigmoid.csv", func(f io.Writer) error {
+		fmt.Fprintf(f, "x")
 		for _, a := range alphas {
-			fmt.Fprintf(f, ",%g", nn.Logistic{Alpha: a}.Eval(x))
+			fmt.Fprintf(f, ",alpha=%g", a)
 		}
 		fmt.Fprintln(f)
+		for _, x := range xs {
+			fmt.Fprintf(f, "%g", x)
+			for _, a := range alphas {
+				fmt.Fprintf(f, ",%g", nn.Logistic{Alpha: a}.Eval(x))
+			}
+			fmt.Fprintln(f)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	c.printf("Figure 2 — sigmoid 1/(1+exp(-αx)) on [-10,10]\n")
@@ -91,15 +93,12 @@ func (c *Context) runFitFigure(title, artifact string, trainingSet bool) error {
 		if err := sc.Render(c.Out); err != nil {
 			return err
 		}
-		f, err := c.createArtifact(fmt.Sprintf("%s_%s.csv", artifact, name))
+		err := c.writeArtifact(fmt.Sprintf("%s_%s.csv", artifact, name), func(f io.Writer) error {
+			return plot.WriteSeriesCSV(f, actual, pred)
+		})
 		if err != nil {
 			return err
 		}
-		if err := plot.WriteSeriesCSV(f, actual, pred); err != nil {
-			f.Close()
-			return err
-		}
-		f.Close()
 	}
 	c.printf("\n")
 	return nil

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"nnwc/internal/core"
 	"nnwc/internal/sensitivity"
@@ -58,24 +59,21 @@ func (c *Context) RunImportance() error {
 	}
 	c.printf("\n\n")
 
-	f, err := c.createArtifact("importance.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "feature")
-	for _, n := range im.TargetNames {
-		fmt.Fprintf(f, ",%s", n)
-	}
-	fmt.Fprintln(f)
-	for i, fname := range im.FeatureNames {
-		fmt.Fprintf(f, "%s", fname)
-		for _, v := range im.Scores[i] {
-			fmt.Fprintf(f, ",%.4f", v)
+	return c.writeArtifact("importance.csv", func(f io.Writer) error {
+		fmt.Fprintf(f, "feature")
+		for _, n := range im.TargetNames {
+			fmt.Fprintf(f, ",%s", n)
 		}
 		fmt.Fprintln(f)
-	}
-	return nil
+		for i, fname := range im.FeatureNames {
+			fmt.Fprintf(f, "%s", fname)
+			for _, v := range im.Scores[i] {
+				fmt.Fprintf(f, ",%.4f", v)
+			}
+			fmt.Fprintln(f)
+		}
+		return nil
+	})
 }
 
 // RunNodeCount automates the paper's §3.2 hand-tuning of the hidden node
@@ -100,14 +98,11 @@ func (c *Context) RunNodeCount() error {
 	c.printf("selected: %v (error %.1f%%, %d parameters)\n\n",
 		sel.Best.Hidden, sel.Best.Error*100, sel.Best.Params)
 
-	f, err := c.createArtifact("nodecount.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "hidden,params,cv_error")
-	for _, cand := range sel.Candidates {
-		fmt.Fprintf(f, "%q,%d,%.4f\n", fmt.Sprint(cand.Hidden), cand.Params, cand.Error)
-	}
-	return nil
+	return c.writeArtifact("nodecount.csv", func(f io.Writer) error {
+		fmt.Fprintln(f, "hidden,params,cv_error")
+		for _, cand := range sel.Candidates {
+			fmt.Fprintf(f, "%q,%d,%.4f\n", fmt.Sprint(cand.Hidden), cand.Params, cand.Error)
+		}
+		return nil
+	})
 }

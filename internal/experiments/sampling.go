@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"nnwc/internal/core"
 	"nnwc/internal/doe"
@@ -102,16 +103,13 @@ func (c *Context) RunSampling() error {
 	}
 	c.printf("(expected shape: space-filling designs reach lower error per sample than coarse grids)\n\n")
 
-	f, err := c.createArtifact("sampling_designs.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "design,budget,samples,probe_error")
-	for _, r := range rows {
-		fmt.Fprintf(f, "%q,%d,%d,%.4f\n", r.design, r.budget, r.samples, r.err)
-	}
-	return nil
+	return c.writeArtifact("sampling_designs.csv", func(f io.Writer) error {
+		fmt.Fprintln(f, "design,budget,samples,probe_error")
+		for _, r := range rows {
+			fmt.Fprintf(f, "%q,%d,%d,%.4f\n", r.design, r.budget, r.samples, r.err)
+		}
+		return nil
+	})
 }
 
 // collectDesign scales unit-cube points into configurations and simulates

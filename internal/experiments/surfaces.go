@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"nnwc/internal/core"
 	"nnwc/internal/plot"
@@ -155,12 +156,9 @@ func (c *Context) runSurface(title, artifact string, output int, expectation str
 	dev := stats.MAPE(actual, predicted)
 	c.printf("  model vs fresh simulation at 9 probe points: mean |rel.err| %.1f%%\n\n", dev*100)
 
-	f, err := c.createArtifact(artifact + ".csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return plot.WriteSurfaceCSV(f, sl.XValues, sl.YValues, grid.Z)
+	return c.writeArtifact(artifact+".csv", func(f io.Writer) error {
+		return plot.WriteSurfaceCSV(f, sl.XValues, sl.YValues, grid.Z)
+	})
 }
 
 // subsample picks k approximately evenly spaced values from vs.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strings"
@@ -88,25 +89,22 @@ func (c *Context) RunTable2() error {
 			strings.Join(names, ", "))
 	}
 
-	f, err := c.createArtifact("table2.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "trial,%s\n", strings.Join(cv.TargetNames, ","))
-	for i, tr := range cv.Trials {
-		fmt.Fprintf(f, "%d", i+1)
-		for _, e := range tr.Errors {
+	return c.writeArtifact("table2.csv", func(f io.Writer) error {
+		fmt.Fprintf(f, "trial,%s\n", strings.Join(cv.TargetNames, ","))
+		for i, tr := range cv.Trials {
+			fmt.Fprintf(f, "%d", i+1)
+			for _, e := range tr.Errors {
+				fmt.Fprintf(f, ",%s", csvCell(e))
+			}
+			fmt.Fprintln(f)
+		}
+		fmt.Fprintf(f, "average")
+		for _, e := range cv.Averages {
 			fmt.Fprintf(f, ",%s", csvCell(e))
 		}
 		fmt.Fprintln(f)
-	}
-	fmt.Fprintf(f, "average")
-	for _, e := range cv.Averages {
-		fmt.Fprintf(f, ",%s", csvCell(e))
-	}
-	fmt.Fprintln(f)
-	return nil
+		return nil
+	})
 }
 
 // shortNames abbreviates indicator names for fixed-width tables.

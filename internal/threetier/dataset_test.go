@@ -1,7 +1,15 @@
 package threetier
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"strings"
 	"testing"
+
+	"nnwc/internal/sched"
+	"nnwc/internal/workload"
 )
 
 func tinySweep() SweepSpec {
@@ -115,6 +123,20 @@ func TestCollectRejectsBadConfig(t *testing.T) {
 	if _, err := Collect(spec, testParams(), 1); err == nil {
 		t.Fatal("invalid sweep accepted")
 	}
+	// With several bad configs, the lowest-indexed one is reported at
+	// any worker count.
+	ok := Config{InjectionRate: 300, MfgThreads: 8, WebThreads: 12, DefaultThreads: 4}
+	bad1, bad3 := ok, ok
+	bad1.WebThreads = 0
+	bad3.InjectionRate = 0
+	defer sched.SetWorkers(0)
+	for _, w := range []int{1, 2, 8} {
+		sched.SetWorkers(w)
+		_, err := CollectConfigs([]Config{ok, bad1, ok, bad3}, 1, testParams(), 1)
+		if err == nil || !strings.Contains(err.Error(), "every thread pool") {
+			t.Fatalf("workers=%d: got %v, want the error of config 1", w, err)
+		}
+	}
 }
 
 func TestDefaultSweepSane(t *testing.T) {
@@ -125,6 +147,80 @@ func TestDefaultSweepSane(t *testing.T) {
 	for _, c := range spec.Configs() {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("default sweep contains invalid config: %v", err)
+		}
+	}
+}
+
+// datasetDigest hashes a dataset bit for bit: SHA-256 over the
+// little-endian math.Float64bits of each sample's X then Y, in sample order.
+func datasetDigest(ds *workload.Dataset) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, s := range ds.Samples {
+		for _, row := range [][]float64{s.X, s.Y} {
+			for _, v := range row {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCollectMatchesParentDigest pins the collected dataset to the bits the
+// serial container/heap simulator produced, at several worker counts. The
+// default QueueCap rejects at saturation; QueueCap 0 censors instead, which
+// runs censoredOf's array-order sum over the event heap.
+func TestCollectMatchesParentDigest(t *testing.T) {
+	spec := SweepSpec{
+		InjectionRates: []float64{480, 640},
+		MfgThreads:     []int{8, 24},
+		WebThreads:     []int{8, 28},
+		DefaultThreads: []int{2, 24},
+		Replicates:     2,
+	}
+	cases := []struct {
+		name     string
+		queueCap int
+		want     string
+	}{
+		{"reject", DefaultSystemParams().QueueCap, "ca62e743015417777246c7ed7793caa0e7a2a108235638821e108fbc971f6f7c"},
+		{"censor", 0, "735fe9de52e157c471fd331175b3f4c09d819894f3f571f2787bfa1e70c621e1"},
+	}
+	defer sched.SetWorkers(0)
+	for _, tc := range cases {
+		sys := DefaultSystemParams()
+		sys.WarmupTime, sys.MeasureTime = 1, 2
+		sys.QueueCap = tc.queueCap
+		for _, w := range []int{1, 2, 8} {
+			sched.SetWorkers(w)
+			ds, err := Collect(spec, sys, 2006)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := datasetDigest(ds); got != tc.want {
+				t.Errorf("%s, workers=%d: digest %s, want %s", tc.name, w, got, tc.want)
+			}
+		}
+	}
+}
+
+// BenchmarkCollect times one collection campaign of perfbench's shape: the
+// 3×3×6×6 sweep over 1 s warm-up and 2 s measurement windows.
+func BenchmarkCollect(b *testing.B) {
+	spec := SweepSpec{
+		InjectionRates: []float64{480, 560, 640},
+		MfgThreads:     []int{8, 16, 24},
+		WebThreads:     []int{8, 12, 16, 20, 24, 28},
+		DefaultThreads: []int{2, 4, 8, 12, 16, 24},
+		Replicates:     1,
+	}
+	sys := DefaultSystemParams()
+	sys.WarmupTime, sys.MeasureTime = 1, 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Collect(spec, sys, uint64(i)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package threetier
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -104,20 +103,61 @@ type event struct {
 	req  *request
 }
 
+// eventHeap is a binary min-heap on (time, seq). push and pop repeat
+// container/heap's Push and Pop step for step, so the backing array holds
+// the same events in the same slots: censoredOf sums over that array in
+// slot order, and a different layout would change the dataset's bits.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	//lint:waive floateq -- event heap needs an exact time tie-break for a deterministic total order
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)     { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)       { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any         { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
 func (h eventHeap) peekTime() float64 { return h[0].time }
+
+// push appends e and sifts it up (heap.Push).
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+// pop removes and returns the earliest event (heap.Pop): swap the root with
+// the last slot, sift the new root down over the rest, shrink by one.
+//
+//nnwc:hotpath
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
+}
 
 type request struct {
 	class    Class
@@ -168,11 +208,19 @@ type Simulator struct {
 	cfg      Config
 	sys      SystemParams
 	profiles [NumClasses]classProfile
-	src      *rng.Source
+	// times holds each stage's CPU and database service-time
+	// distributions, derived once from profiles and the variation knobs.
+	// The stages slices themselves are never written: profiles() may
+	// share them between concurrent simulators.
+	times [NumClasses][]stageTimes
+	src   *rng.Source
 
 	now    float64
 	events eventHeap
 	seq    int64
+	// free holds completed requests for reuse. A completed request is in
+	// no heap slot and no queue, so reusing it changes no result.
+	free []*request
 
 	pools         [NumPools]*pool
 	busyCPU       int // requests currently in their CPU phase
@@ -210,9 +258,17 @@ func NewSimulator(cfg Config, sys SystemParams, src *rng.Source) (*Simulator, er
 		profiles: profiles(),
 		src:      src,
 	}
-	if sys.Mix != nil {
-		for c := range s.profiles {
+	for c := range s.profiles {
+		if sys.Mix != nil {
 			s.profiles[c].mix = sys.Mix[c]
+		}
+		stages := s.profiles[c].stages
+		s.times[c] = make([]stageTimes, len(stages))
+		for i, st := range stages {
+			s.times[c][i] = stageTimes{
+				cpu: newLognormal(st.cpuMean, sys.CPUVariation),
+				db:  newLognormal(st.dbMean, sys.DBVariation),
+			}
 		}
 	}
 	s.pools[MfgPool] = &pool{threads: cfg.MfgThreads}
@@ -243,7 +299,7 @@ func (s *Simulator) Run() (*Metrics, error) {
 		if s.events.peekTime() > drainLimit {
 			break
 		}
-		e := heap.Pop(&s.events).(event)
+		e := s.events.pop()
 		s.advanceClocks(e.time)
 		s.now = e.time
 		switch e.kind {
@@ -267,7 +323,7 @@ func (s *Simulator) advanceClocks(now float64) {
 
 func (s *Simulator) schedule(at float64, kind eventKind, r *request) {
 	s.seq++
-	heap.Push(&s.events, event{time: at, seq: s.seq, kind: kind, req: r})
+	s.events.push(event{time: at, seq: s.seq, kind: kind, req: r})
 }
 
 func (s *Simulator) onArrival() {
@@ -280,13 +336,27 @@ func (s *Simulator) onArrival() {
 	if s.cfg.Mode == ClosedLoop && s.now >= s.windowEnd {
 		return // the user retires instead of submitting
 	}
-	r := &request{class: s.sampleClass(), arrival: s.now}
+	r := s.newRequest(s.sampleClass())
 	if s.now >= s.windowStart && s.now < s.windowEnd {
 		r.measured = true
 		s.arrivals++
 	}
 	s.inFlight++
 	s.enqueue(r)
+}
+
+// newRequest returns a request of class c arriving now, reusing a
+// completed one when the free list has one.
+func (s *Simulator) newRequest(c Class) *request {
+	var r *request
+	if n := len(s.free); n > 0 {
+		r = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		r = new(request)
+	}
+	*r = request{class: c, arrival: s.now}
+	return r
 }
 
 func (s *Simulator) sampleClass() Class {
@@ -319,6 +389,7 @@ func (s *Simulator) enqueue(r *request) {
 		if r.measured {
 			s.rejected[r.class]++
 		}
+		s.free = append(s.free, r)
 		s.userDone()
 	default:
 		p.push(r)
@@ -333,9 +404,8 @@ func (s *Simulator) startCPU(r *request) {
 		st := s.profiles[r.class].stages[r.stageIdx]
 		s.waitSum[r.class][st.pool] += s.now - r.queuedAt
 	}
-	st := s.profiles[r.class].stages[r.stageIdx]
 	s.busyCPU++
-	base := s.sampleTime(st.cpuMean, s.sys.CPUVariation)
+	base := s.sampleTime(s.times[r.class][r.stageIdx].cpu)
 	slow := s.cpuSlowdown()
 	s.schedule(s.now+base*slow, evCPUDone, r)
 }
@@ -371,7 +441,7 @@ func (s *Simulator) onCPUDone(r *request) {
 		stretch += s.sys.DBSlowdown * float64(s.dbOutstanding-s.sys.DBSoftLimit)
 	}
 	s.dbOutstanding++
-	d := s.sampleTime(st.dbMean, s.sys.DBVariation) * stretch
+	d := s.sampleTime(s.times[r.class][r.stageIdx].db) * stretch
 	s.schedule(s.now+d, evStageDone, r)
 }
 
@@ -410,6 +480,7 @@ func (s *Simulator) onStageDone(r *request) {
 			s.effective[r.class]++
 		}
 	}
+	s.free = append(s.free, r)
 	s.userDone()
 }
 
@@ -422,15 +493,33 @@ func (s *Simulator) userDone() {
 	s.schedule(s.now+s.src.Exp(1/s.cfg.ThinkTime), evArrival, nil)
 }
 
-// sampleTime draws a lognormal service time with the given mean and
-// coefficient of variation.
-func (s *Simulator) sampleTime(mean, cv float64) float64 {
+// lognormal is a service-time distribution with a given mean and
+// coefficient of variation, kept as the underlying normal's (mu, sigma).
+// A non-positive variation makes every draw the mean.
+type lognormal struct {
+	mean, mu, sigma float64
+	fixed           bool
+}
+
+func newLognormal(mean, cv float64) lognormal {
 	if cv <= 0 {
-		return mean
+		return lognormal{mean: mean, fixed: true}
 	}
 	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return s.src.LogNormal(mu, math.Sqrt(sigma2))
+	return lognormal{mean: mean, mu: math.Log(mean) - sigma2/2, sigma: math.Sqrt(sigma2)}
+}
+
+// stageTimes are one stage's CPU-phase and database-phase distributions.
+type stageTimes struct {
+	cpu, db lognormal
+}
+
+// sampleTime draws one service time from d.
+func (s *Simulator) sampleTime(d lognormal) float64 {
+	if d.fixed {
+		return d.mean
+	}
+	return s.src.LogNormal(d.mu, d.sigma)
 }
 
 func (s *Simulator) collect(drainEnd float64) *Metrics {

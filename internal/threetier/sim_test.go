@@ -341,6 +341,28 @@ func BenchmarkSimulation(b *testing.B) {
 	}
 }
 
+// TestRunAllocsIndependentOfSimulatedTime pins the event loop to zero
+// allocations per event: on BenchmarkSimulation's non-saturated config, a
+// run four times longer may allocate only a few dozen more times (heap
+// and free-list growth), not once per event as container/heap and a fresh
+// request per arrival did.
+func TestRunAllocsIndependentOfSimulatedTime(t *testing.T) {
+	cfg := Config{InjectionRate: 560, MfgThreads: 16, WebThreads: 18, DefaultThreads: 8}
+	allocs := func(measure float64) float64 {
+		sys := DefaultSystemParams()
+		sys.WarmupTime, sys.MeasureTime = 2, measure
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(cfg, sys, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(2), allocs(8)
+	if long-short > 48 {
+		t.Fatalf("Run allocates %.0f times at MeasureTime 2 but %.0f at 8: the event loop allocates per event", short, long)
+	}
+}
+
 // TestRejectionMatchesMMCKBlocking validates the simulator's admission
 // control against the M/M/c/K oracle: with every transaction's first stage
 // on a starved web pool (and the other pools effectively unbounded), the
