@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -250,35 +251,31 @@ func CoordinateSelect(ctx context.Context, opt Options, dataPath string, candida
 	return res, stats, nil
 }
 
-// loadHashedDataset opens the coordinator-local dataset and fingerprints
-// its bytes — the content address workers fetch it by.
+// loadHashedDataset reads the coordinator-local dataset once, fingerprints
+// those bytes — the content address workers fetch it by — and parses the
+// same bytes, so the spec's hash always names the data the coordinator
+// reduces with.
 func loadHashedDataset(path string) (*workload.Dataset, string, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, "", err
 	}
-	defer f.Close()
-	ds, err := workload.ReadCSV(f)
+	ds, err := workload.ReadCSV(bytes.NewReader(raw))
 	if err != nil {
 		return nil, "", fmt.Errorf("jobs: parsing dataset %s: %w", path, err)
 	}
-	sha, err := obs.HashFile(path)
-	if err != nil {
-		return nil, "", err
-	}
-	return ds, sha, nil
+	return ds, obs.HashBytes(raw), nil
 }
 
-// loadHashedModel loads the coordinator-local model and fingerprints its
-// bytes.
+// loadHashedModel is loadHashedDataset for a persisted model.
 func loadHashedModel(path string) (*core.NNModel, string, error) {
-	model, err := core.LoadModelFile(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, "", err
 	}
-	sha, err := obs.HashFile(path)
+	model, err := core.LoadModel(bytes.NewReader(raw))
 	if err != nil {
 		return nil, "", err
 	}
-	return model, sha, nil
+	return model, obs.HashBytes(raw), nil
 }

@@ -64,7 +64,9 @@ func (m *Matrix) Zero() {
 }
 
 // MulInto computes dst = a·b without allocating. dst must not alias a or b;
-// it is reshaped to a.Rows×b.Cols. Returns dst.
+// it is reshaped to a.Rows×b.Cols. Returns dst. Each cell starts at +0 and
+// adds a[i][k]·b[k][j] in ascending k, skipping exact-zero a[i][k]; a row's
+// columns go in register blocks of 4, the b.Cols%4 tail one at a time.
 //
 //nnwc:hotpath
 func MulInto(dst, a, b *Matrix) *Matrix {
@@ -72,16 +74,34 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 		panic(ErrShape)
 	}
 	dst.Reshape(a.Rows, b.Cols)
-	dst.Zero()
+	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		crow := dst.Row(i)
-		for k, av := range arow {
-			//lint:waive floateq -- exact-zero sparsity skip in the inner product; FP-safe
-			if av == 0 {
-				continue
+		arow, crow := a.Row(i), dst.Row(i)
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				//lint:waive floateq -- exact-zero sparsity skip in the inner product; FP-safe
+				if av == 0 {
+					continue
+				}
+				w := b.Data[k*n+j : k*n+j+4 : k*n+j+4]
+				s0 += av * w[0]
+				s1 += av * w[1]
+				s2 += av * w[2]
+				s3 += av * w[3]
 			}
-			AXPY(av, b.Row(k), crow)
+			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			var s float64
+			for k, av := range arow {
+				//lint:waive floateq -- exact-zero sparsity skip in the inner product; FP-safe
+				if av != 0 {
+					s += av * b.Data[k*n+j]
+				}
+			}
+			crow[j] = s
 		}
 	}
 	return dst
@@ -89,38 +109,12 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 
 // MulTransInto computes dst = a·bᵀ without allocating — the batched layer
 // product (samples × features)·(outputs × features)ᵀ. Both operands are
-// walked row-contiguously through the tiled kernel. dst must not alias a or
-// b; it is reshaped to a.Rows×b.Rows. Returns dst.
+// walked row-contiguously through the register-blocked kernel. dst must not
+// alias a or b; it is reshaped to a.Rows×b.Rows. Returns dst.
 //
 //nnwc:hotpath
 func MulTransInto(dst, a, b *Matrix) *Matrix {
 	return MulTransBiasInto(dst, a, b, nil)
-}
-
-// MulTransLeftInto computes dst = aᵀ·b without allocating — the gradient
-// product (samples × outputs)ᵀ·(samples × inputs) summed over the sample
-// axis in ascending row order. dst must not alias a or b; it is reshaped to
-// a.Cols×b.Cols. Returns dst.
-//
-//nnwc:hotpath
-func MulTransLeftInto(dst, a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(ErrShape)
-	}
-	dst.Reshape(a.Cols, b.Cols)
-	dst.Zero()
-	for n := 0; n < a.Rows; n++ {
-		arow := a.Row(n)
-		brow := b.Row(n)
-		for o, av := range arow {
-			//lint:waive floateq -- exact-zero sparsity skip in the inner product; FP-safe
-			if av == 0 {
-				continue
-			}
-			AXPY(av, brow, dst.Row(o))
-		}
-	}
-	return dst
 }
 
 // MulVecInto computes dst = m·x without allocating. dst must have length

@@ -41,14 +41,6 @@ func TestMulTransInto(t *testing.T) {
 	matsEqual(t, MulTransInto(dst, a, b), want, 0)
 }
 
-func TestMulTransLeftInto(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	b := FromRows([][]float64{{1, 0, 2}, {0, 1, 3}, {4, 4, 4}})
-	want := Mul(a.T(), b)
-	dst := &Matrix{}
-	matsEqual(t, MulTransLeftInto(dst, a, b), want, 1e-15)
-}
-
 func TestMulIntoShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

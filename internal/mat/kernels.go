@@ -1,59 +1,19 @@
 package mat
 
-// This file holds the cache-blocked compute kernels behind the batched
-// neural-network forward and backward passes. They are pure loop-order
-// optimizations: every output element is produced by exactly the same
-// floating-point operation sequence as the naive formulation (single
-// accumulator per element, ascending-k accumulation), so routing the nn
-// spine through them cannot perturb the repo's 1e-9 seed-reference pin.
+// This file holds the register-blocked compute kernels behind the batched
+// neural-network forward and backward passes. Their invariant: every output
+// element sees exactly the IEEE-754 operation sequence of the naive loop —
+// the same start value (bias, prior contents or +0), the same terms, added
+// one at a time in ascending reduction order onto a single accumulator. So
+// no math.FMA, no split or reassociated sums, and no hoisted common factors;
+// the repo's 1e-9 seed-reference pin and the training-spine digest depend
+// on it (see DESIGN.md §13).
 //
-// Techniques, in order of impact on this workload (see DESIGN.md §13):
-//
-//   - Tiling over the two *independent* output axes (a-rows × b-rows) keeps
-//     a block of b's rows hot in cache while a streams past, without ever
-//     splitting the k (reduction) axis — splitting k would reassociate the
-//     sum and change the rounding.
-//   - Paired-j inner kernels compute two output columns per sweep of an
-//     a-row, halving a-row traffic; the two accumulators are independent,
-//     so each retains its exact sequential addition order.
-//   - Slice re-slicing (`b = b[:len(a)]`) before the inner loops gives the
-//     compiler a single bounds proof, and the 4x-unrolled cores in Dot /
-//     DotSeed / AXPY amortize loop overhead.
-
-// Tile shapes: blockRows a-rows per tile × blockCols b-rows per tile keeps
-// a b-block (blockCols × k for the k ≤ a few hundred used here) plus one
-// dst stripe resident in L1 while the a block streams through.
-const (
-	blockRows = 64
-	blockCols = 16
-)
-
-// dotSeed2 accumulates two independent seeded dot products against a shared
-// left operand in one sweep: s0 + Σ a·b0 and s1 + Σ a·b1. Each accumulator
-// sees the same ascending addition order as a standalone DotSeed, so the
-// pairing is bit-identical to two sequential calls.
-//
-//nnwc:hotpath
-func dotSeed2(s0, s1 float64, a, b0, b1 []float64) (float64, float64) {
-	b0 = b0[:len(a)]
-	b1 = b1[:len(a)]
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b0[i]
-		s1 += a[i] * b1[i]
-		s0 += a[i+1] * b0[i+1]
-		s1 += a[i+1] * b1[i+1]
-		s0 += a[i+2] * b0[i+2]
-		s1 += a[i+2] * b1[i+2]
-		s0 += a[i+3] * b0[i+3]
-		s1 += a[i+3] * b1[i+3]
-	}
-	for ; i < len(a); i++ {
-		s0 += a[i] * b0[i]
-		s1 += a[i] * b1[i]
-	}
-	return s0, s1
-}
+// The speed comes from computing a small block of independent outputs per
+// sweep of the reduction axis: their accumulators stay in registers, every
+// operand load feeds several of them, and each output is stored once. No
+// cache tiling: every weight matrix trained or served here (≤ 24×24) already
+// sits in L1.
 
 // MulTransBiasInto computes dst[i][j] = bias[j] + Σₖ a[i][k]·b[j][k] — the
 // batched affine layer transform (samples × features)·(outputs × features)ᵀ
@@ -61,35 +21,78 @@ func dotSeed2(s0, s1 float64, a, b0, b1 []float64) (float64, float64) {
 // the per-sample perceptron loop. bias may be nil for a plain a·bᵀ. dst must
 // not alias a or b; it is reshaped to a.Rows×b.Rows. Returns dst.
 //
+// Rows go in pairs × 4 outputs (8 accumulators) and the b.Rows%4 tail
+// outputs 2 × 1; an odd last row runs 1 × 4, then DotSeed.
+//
 //nnwc:hotpath
 func MulTransBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 	if a.Cols != b.Cols || (bias != nil && len(bias) != b.Rows) {
 		panic(ErrShape)
 	}
 	dst.Reshape(a.Rows, b.Rows)
-	for i0 := 0; i0 < a.Rows; i0 += blockRows {
-		i1 := min(i0+blockRows, a.Rows)
-		for j0 := 0; j0 < b.Rows; j0 += blockCols {
-			j1 := min(j0+blockCols, b.Rows)
-			for i := i0; i < i1; i++ {
-				arow := a.Row(i)
-				crow := dst.Row(i)
-				j := j0
-				for ; j+2 <= j1; j += 2 {
-					var s0, s1 float64
-					if bias != nil {
-						s0, s1 = bias[j], bias[j+1]
-					}
-					crow[j], crow[j+1] = dotSeed2(s0, s1, arow, b.Row(j), b.Row(j+1))
-				}
-				for ; j < j1; j++ {
-					var s float64
-					if bias != nil {
-						s = bias[j]
-					}
-					crow[j] = DotSeed(s, arow, b.Row(j))
-				}
+	i := 0
+	for ; i+2 <= a.Rows; i += 2 {
+		x0 := a.Row(i)
+		x1 := a.Row(i + 1)[:len(x0)]
+		c0, c1 := dst.Row(i), dst.Row(i+1)
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
+			var s0, s1, s2, s3 float64
+			if bias != nil {
+				s0, s1, s2, s3 = bias[j], bias[j+1], bias[j+2], bias[j+3]
 			}
+			t0, t1, t2, t3 := s0, s1, s2, s3
+			w0, w1, w2, w3 := b.Row(j)[:len(x0)], b.Row(j + 1)[:len(x0)], b.Row(j + 2)[:len(x0)], b.Row(j + 3)[:len(x0)]
+			for k, u := range x0 {
+				v := x1[k]
+				s0 += u * w0[k]
+				s1 += u * w1[k]
+				s2 += u * w2[k]
+				s3 += u * w3[k]
+				t0 += v * w0[k]
+				t1 += v * w1[k]
+				t2 += v * w2[k]
+				t3 += v * w3[k]
+			}
+			c0[j], c0[j+1], c0[j+2], c0[j+3] = s0, s1, s2, s3
+			c1[j], c1[j+1], c1[j+2], c1[j+3] = t0, t1, t2, t3
+		}
+		for ; j < b.Rows; j++ {
+			var s float64
+			if bias != nil {
+				s = bias[j]
+			}
+			t, w := s, b.Row(j)[:len(x0)]
+			for k, u := range x0 {
+				s += u * w[k]
+				t += x1[k] * w[k]
+			}
+			c0[j], c1[j] = s, t
+		}
+	}
+	if i < a.Rows {
+		x, c := a.Row(i), dst.Row(i)
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
+			var s0, s1, s2, s3 float64
+			if bias != nil {
+				s0, s1, s2, s3 = bias[j], bias[j+1], bias[j+2], bias[j+3]
+			}
+			w0, w1, w2, w3 := b.Row(j)[:len(x)], b.Row(j + 1)[:len(x)], b.Row(j + 2)[:len(x)], b.Row(j + 3)[:len(x)]
+			for k, u := range x {
+				s0 += u * w0[k]
+				s1 += u * w1[k]
+				s2 += u * w2[k]
+				s3 += u * w3[k]
+			}
+			c[j], c[j+1], c[j+2], c[j+3] = s0, s1, s2, s3
+		}
+		for ; j < b.Rows; j++ {
+			var s float64
+			if bias != nil {
+				s = bias[j]
+			}
+			c[j] = DotSeed(s, x, b.Row(j))
 		}
 	}
 	return dst
@@ -101,35 +104,59 @@ func MulTransBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 //	db[o]       += scale·delta[r][o]
 //	dw[o][j]    += scale·(delta[r][o]·in[r][j])
 //
-// — the exact expression and ascending r/o/j order of the per-sample
-// backprop path, so scale = 1/N reproduces the classic mean-gradient epoch
+// — the exact expression and ascending-r order of the per-sample backprop
+// path, so scale = 1/N reproduces the classic mean-gradient epoch
 // bit-for-bit. dw and db are accumulated into, not overwritten. delta is
 // batch×outputs, in is batch×inputs, dw outputs×inputs, db len outputs.
+//
+// The loops are interchanged: each dw cell is loaded once, carried in a
+// register across the whole r sweep, and stored once. Outputs go in pairs
+// × 4 inputs (8 accumulators); an odd last output pairs with itself, and
+// the inputs%4 tail runs 2 × 1.
 //
 //nnwc:hotpath
 func GradAccumInto(dw *Matrix, db []float64, delta, in *Matrix, scale float64) {
 	if delta.Rows != in.Rows || dw.Rows != delta.Cols || dw.Cols != in.Cols || len(db) != delta.Cols {
 		panic(ErrShape)
 	}
-	dwd := dw.Data
-	for r := 0; r < delta.Rows; r++ {
-		drow := delta.Row(r)
-		xrow := in.Row(r)
-		off := 0
-		for o, d := range drow {
-			db[o] += scale * d
-			row := dwd[off : off+len(xrow)]
-			off += dw.Cols
-			j := 0
-			for ; j+4 <= len(xrow); j += 4 {
-				row[j] += scale * (d * xrow[j])
-				row[j+1] += scale * (d * xrow[j+1])
-				row[j+2] += scale * (d * xrow[j+2])
-				row[j+3] += scale * (d * xrow[j+3])
+	dd, xd := delta.Data, in.Data
+	outs, ins, n := delta.Cols, in.Cols, delta.Rows*delta.Cols
+	for o := 0; o < outs; o += 2 {
+		o1 := min(o+1, outs-1)
+		b0, b1 := db[o], db[o1]
+		for r := 0; r < n; r += outs {
+			b0 += scale * dd[r+o]
+			b1 += scale * dd[r+o1]
+		}
+		db[o], db[o1] = b0, b1
+		w0, w1 := dw.Row(o), dw.Row(o1)
+		j := 0
+		for ; j+4 <= ins; j += 4 {
+			p0, p1, p2, p3 := w0[j], w0[j+1], w0[j+2], w0[j+3]
+			q0, q1, q2, q3 := w1[j], w1[j+1], w1[j+2], w1[j+3]
+			for r, xi := 0, j; r < n; r, xi = r+outs, xi+ins {
+				d0, d1 := dd[r+o], dd[r+o1]
+				x := xd[xi : xi+4 : xi+4]
+				p0 += scale * (d0 * x[0])
+				q0 += scale * (d1 * x[0])
+				p1 += scale * (d0 * x[1])
+				q1 += scale * (d1 * x[1])
+				p2 += scale * (d0 * x[2])
+				q2 += scale * (d1 * x[2])
+				p3 += scale * (d0 * x[3])
+				q3 += scale * (d1 * x[3])
 			}
-			for ; j < len(xrow); j++ {
-				row[j] += scale * (d * xrow[j])
+			w0[j], w0[j+1], w0[j+2], w0[j+3] = p0, p1, p2, p3
+			w1[j], w1[j+1], w1[j+2], w1[j+3] = q0, q1, q2, q3
+		}
+		for ; j < ins; j++ {
+			p, q := w0[j], w1[j]
+			for r, xi := 0, j; r < n; r, xi = r+outs, xi+ins {
+				x := xd[xi]
+				p += scale * (dd[r+o] * x)
+				q += scale * (dd[r+o1] * x)
 			}
+			w0[j], w1[j] = p, q
 		}
 	}
 }

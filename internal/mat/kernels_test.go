@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"nnwc/internal/rng"
@@ -23,17 +25,38 @@ func randMatrix(src *rng.Source, rows, cols int) *Matrix {
 	return m
 }
 
-// Shapes straddle every tile and unroll boundary: sub-tile, exact-tile,
-// tile+1, odd k for the unrolled tail, single row/col for the paired-j tail.
-var kernelShapes = []struct{ m, n, k int }{
-	{1, 1, 1},
-	{3, 5, 7},
-	{7, 2, 9},
-	{blockRows, blockCols, 16},
-	{blockRows + 1, blockCols + 1, 17},
-	{2*blockRows + 3, 2*blockCols + 5, 33},
-	{128, 10, 4},
-	{5, 1, 11},
+// kernelShapes straddle every register block and unroll boundary: m covers
+// a lone row, the 2-row block, the odd-row tail and a Table 2 fold's
+// training sizes (259 odd, 260 even); n runs 1…9 so every n%4 tail and odd
+// output count appears; k covers the 4x-unrolled dot's tails.
+var kernelShapes = func() (shapes []struct{ m, n, k int }) {
+	for _, m := range []int{1, 2, 3, 259, 260} {
+		for n := 1; n <= 9; n++ {
+			for _, k := range []int{1, 3, 4, 16, 17} {
+				shapes = append(shapes, struct{ m, n, k int }{m, n, k})
+			}
+		}
+	}
+	return shapes
+}()
+
+// sameFloat reports whether x and y are the same IEEE-754 value: equal bits
+// (so +0 and −0 differ), or both NaN.
+func sameFloat(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+// requireSame fails unless got and want hold the same values bit for bit.
+func requireSame(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !sameFloat(got[i], want[i]) {
+			t.Fatalf("%s [%d]: got %v (%x) want %v (%x)", what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
 }
 
 func TestDotSeedMatchesNaive(t *testing.T) {
@@ -78,8 +101,63 @@ func TestAXPYMatchesNaive(t *testing.T) {
 	}
 }
 
+// refMulTransBias is the per-sample perceptron loop MulTransBiasInto must
+// reproduce: every cell starts from its bias (+0 when bias is nil) and adds
+// a[i][k]·b[j][k] in ascending k.
+func refMulTransBias(a, b *Matrix, bias []float64) *Matrix {
+	c := New(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			var s float64
+			if bias != nil {
+				s = bias[j]
+			}
+			c.Set(i, j, naiveDotSeed(s, a.Row(i), b.Row(j)))
+		}
+	}
+	return c
+}
+
+// refMul is the ascending-k product MulInto must reproduce, including its
+// skip of exact-zero a[i][k] terms (so 0·Inf never reaches a cell).
+func refMul(a, b *Matrix) *Matrix {
+	c := New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float64
+			for k := 0; k < a.Cols; k++ {
+				if av := a.At(i, k); av != 0 {
+					s += av * b.At(k, j)
+				}
+			}
+			c.Set(i, j, s)
+		}
+	}
+	return c
+}
+
+// refGradAccum is the per-sample backprop accumulation GradAccumInto must
+// reproduce: ascending r, then o, then j, with the expression scale·(d·x).
+func refGradAccum(dw *Matrix, db []float64, delta, in *Matrix, scale float64) {
+	for r := 0; r < delta.Rows; r++ {
+		xrow := in.Row(r)
+		for o, d := range delta.Row(r) {
+			db[o] += scale * d
+			row := dw.Row(o)
+			for j, xv := range xrow {
+				row[j] += scale * (d * xv)
+			}
+		}
+	}
+}
+
+// specialShapes put the last row and column both inside a full register
+// block and in the odd-row and n%4 tails.
+var specialShapes = []struct{ m, n, k int }{{2, 1, 1}, {2, 4, 4}, {3, 5, 17}, {4, 8, 3}, {3, 9, 16}}
+
 func TestMulTransBiasIntoBitIdentical(t *testing.T) {
 	src := rng.New(13)
+	dst := &Matrix{} // reused across shapes: stale contents must never leak
 	for _, sh := range kernelShapes {
 		a := randMatrix(src, sh.m, sh.k)
 		b := randMatrix(src, sh.n, sh.k)
@@ -87,27 +165,58 @@ func TestMulTransBiasIntoBitIdentical(t *testing.T) {
 		for i := range bias {
 			bias[i] = src.Uniform(-1, 1)
 		}
-		got := MulTransBiasInto(&Matrix{}, a, b, bias)
+		what := fmt.Sprintf("shape %v", sh)
+		got := MulTransBiasInto(dst, a, b, bias)
 		if got.Rows != sh.m || got.Cols != sh.n {
-			t.Fatalf("shape %v: got %dx%d", sh, got.Rows, got.Cols)
+			t.Fatalf("%s: got %dx%d", what, got.Rows, got.Cols)
 		}
-		for i := 0; i < sh.m; i++ {
-			for j := 0; j < sh.n; j++ {
-				want := naiveDotSeed(bias[j], a.Row(i), b.Row(j))
-				if got.At(i, j) != want {
-					t.Fatalf("shape %v cell (%d,%d): got %x want %x", sh, i, j, got.At(i, j), want)
-				}
+		requireSame(t, what, got.Data, refMulTransBias(a, b, bias).Data)
+
+		// nil bias must match the seed-zero naive product and MulTransInto.
+		want := refMulTransBias(a, b, nil).Data
+		requireSame(t, what+" nil bias", MulTransBiasInto(dst, a, b, nil).Data, want)
+		requireSame(t, what+" MulTransInto", MulTransInto(dst, a, b).Data, want)
+	}
+
+	for _, sh := range specialShapes {
+		what := fmt.Sprintf("shape %v", sh)
+		last := sh.m - 1
+
+		// −0 products onto a +0 bias give +0, as the ascending loop does.
+		a := randMatrix(src, sh.m, sh.k)
+		b := randMatrix(src, sh.n, sh.k)
+		for i := range b.Data {
+			b.Data[i] = math.Abs(b.Data[i]) + 0.5
+		}
+		for k := range a.Row(last) {
+			a.Row(last)[k] = math.Copysign(0, -1)
+		}
+		bias := make([]float64, sh.n)
+		got := MulTransBiasInto(dst, a, b, bias)
+		requireSame(t, what+" signed zero", got.Data, refMulTransBias(a, b, bias).Data)
+		for j, v := range got.Row(last) {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("%s: −0 products onto +0 bias gave %v at column %d, want +0", what, v, j)
 			}
 		}
 
-		// nil bias must match the seed-zero naive product and MulTransInto.
-		plain := MulTransBiasInto(&Matrix{}, a, b, nil)
-		viaTrans := MulTransInto(&Matrix{}, a, b)
-		for i := 0; i < sh.m; i++ {
-			for j := 0; j < sh.n; j++ {
-				want := naiveDotSeed(0, a.Row(i), b.Row(j))
-				if plain.At(i, j) != want || viaTrans.At(i, j) != want {
-					t.Fatalf("shape %v nil-bias cell (%d,%d) mismatch", sh, i, j)
+		// NaN and ±Inf propagate.
+		a = randMatrix(src, sh.m, sh.k)
+		b = randMatrix(src, sh.n, sh.k)
+		a.Set(0, sh.k-1, math.NaN())
+		b.Set(sh.n-1, 0, math.Inf(1))
+		bias[0] = math.Inf(-1)
+		got = MulTransBiasInto(dst, a, b, bias)
+		requireSame(t, what+" NaN/Inf", got.Data, refMulTransBias(a, b, bias).Data)
+		for j, v := range got.Row(0) {
+			if !math.IsNaN(v) {
+				t.Fatalf("%s: NaN input gave %v at (0,%d)", what, v, j)
+			}
+		}
+		if sh.n > 1 {
+			for i := 1; i < sh.m; i++ {
+				if !math.IsInf(got.At(i, 0), -1) || !math.IsInf(got.At(i, sh.n-1), 0) {
+					t.Fatalf("%s: Inf inputs gave %v, %v in row %d", what, got.At(i, 0), got.At(i, sh.n-1), i)
 				}
 			}
 		}
@@ -116,6 +225,7 @@ func TestMulTransBiasIntoBitIdentical(t *testing.T) {
 
 func TestMulIntoBitIdenticalToAscendingAccumulation(t *testing.T) {
 	src := rng.New(14)
+	dst := &Matrix{}
 	for _, sh := range kernelShapes {
 		a := randMatrix(src, sh.m, sh.k)
 		b := randMatrix(src, sh.k, sh.n)
@@ -124,15 +234,48 @@ func TestMulIntoBitIdenticalToAscendingAccumulation(t *testing.T) {
 		if len(a.Data) > 3 {
 			a.Data[3] = 0
 		}
-		got := MulInto(&Matrix{}, a, b)
+		requireSame(t, fmt.Sprintf("shape %v", sh), MulInto(dst, a, b).Data, refMul(a, b).Data)
+	}
+
+	for _, sh := range specialShapes {
+		what := fmt.Sprintf("shape %v", sh)
+		last := sh.m - 1
+
+		// Negative a times a +0 column of b gives −0 products onto the +0
+		// start: the cell stays +0.
+		a := randMatrix(src, sh.m, sh.k)
+		b := randMatrix(src, sh.k, sh.n)
+		for k := range a.Row(last) {
+			a.Row(last)[k] = -math.Abs(a.Row(last)[k]) - 0.5
+			b.Set(k, sh.n-1, 0)
+		}
+		got := MulInto(dst, a, b)
+		requireSame(t, what+" signed zero", got.Data, refMul(a, b).Data)
+		if v := got.At(last, sh.n-1); math.Float64bits(v) != 0 {
+			t.Fatalf("%s: −0 products onto +0 gave %v, want +0", what, v)
+		}
+
+		// An exact 0 in a opposite an Inf row of b is skipped, so row 0
+		// stays finite; the other rows see ±Inf, and a NaN in the last row
+		// of a propagates across it.
+		a = randMatrix(src, sh.m, sh.k)
+		b = randMatrix(src, sh.k, sh.n)
+		a.Set(0, 0, 0)
+		for j := range b.Row(0) {
+			b.Row(0)[j] = math.Inf(1)
+		}
+		a.Set(last, sh.k-1, math.NaN())
+		got = MulInto(dst, a, b)
+		requireSame(t, what+" NaN/Inf", got.Data, refMul(a, b).Data)
 		for i := 0; i < sh.m; i++ {
-			for j := 0; j < sh.n; j++ {
-				var want float64
-				for k := 0; k < sh.k; k++ {
-					want += a.At(i, k) * b.At(k, j)
-				}
-				if got.At(i, j) != want {
-					t.Fatalf("shape %v cell (%d,%d): got %x want %x", sh, i, j, got.At(i, j), want)
+			for j, v := range got.Row(i) {
+				switch {
+				case i == 0 && (math.IsInf(v, 0) || math.IsNaN(v)):
+					t.Fatalf("%s: 0 opposite Inf reached cell (0,%d) as %v; the zero skip is gone", what, j, v)
+				case i > 0 && i < last && !math.IsInf(v, 0):
+					t.Fatalf("%s: Inf input gave %v at (%d,%d)", what, v, i, j)
+				case i == last && !math.IsNaN(v):
+					t.Fatalf("%s: NaN input gave %v at (%d,%d)", what, v, i, j)
 				}
 			}
 		}
@@ -141,45 +284,75 @@ func TestMulIntoBitIdenticalToAscendingAccumulation(t *testing.T) {
 
 func TestGradAccumIntoBitIdentical(t *testing.T) {
 	src := rng.New(15)
+	// randPrior returns dw and db seeded with prior contents (the kernel
+	// accumulates, not overwrites) and the reference's copies of both.
+	randPrior := func(outputs, inputs int) (dw *Matrix, db []float64, wantW *Matrix, wantB []float64) {
+		dw = randMatrix(src, outputs, inputs)
+		db = make([]float64, outputs)
+		for i := range db {
+			db[i] = src.Uniform(-1, 1)
+		}
+		return dw, db, dw.Clone(), append([]float64(nil), db...)
+	}
 	for _, sh := range kernelShapes {
 		batch, outputs, inputs := sh.m, sh.n, sh.k
 		delta := randMatrix(src, batch, outputs)
 		in := randMatrix(src, batch, inputs)
 		scale := 1 / float64(batch)
-
-		dw := New(outputs, inputs)
-		db := make([]float64, outputs)
-		// Seed with prior contents: the kernel accumulates, not overwrites.
-		for i := range dw.Data {
-			dw.Data[i] = src.Uniform(-1, 1)
-		}
-		for i := range db {
-			db[i] = src.Uniform(-1, 1)
-		}
-		wantW := dw.Clone()
-		wantB := append([]float64(nil), db...)
-		for r := 0; r < batch; r++ {
-			drow := delta.Row(r)
-			xrow := in.Row(r)
-			for o, d := range drow {
-				wantB[o] += scale * d
-				row := wantW.Row(o)
-				for j, xv := range xrow {
-					t := d * xv
-					row[j] += scale * t
-				}
-			}
-		}
-
+		dw, db, wantW, wantB := randPrior(outputs, inputs)
+		refGradAccum(wantW, wantB, delta, in, scale)
 		GradAccumInto(dw, db, delta, in, scale)
-		for i := range dw.Data {
-			if dw.Data[i] != wantW.Data[i] {
-				t.Fatalf("shape %v dw[%d]: got %x want %x", sh, i, dw.Data[i], wantW.Data[i])
+		what := fmt.Sprintf("shape %v", sh)
+		requireSame(t, what+" dw", dw.Data, wantW.Data)
+		requireSame(t, what+" db", db, wantB)
+	}
+
+	for _, sh := range specialShapes {
+		batch, outputs, inputs := sh.m, sh.n, sh.k
+		what := fmt.Sprintf("shape %v", sh)
+		scale := 1 / float64(batch)
+
+		// A −0 delta column accumulates −0 terms onto +0 gradients: they
+		// stay +0.
+		delta := randMatrix(src, batch, outputs)
+		in := randMatrix(src, batch, inputs)
+		for r := 0; r < batch; r++ {
+			delta.Set(r, outputs-1, math.Copysign(0, -1))
+		}
+		dw, db := New(outputs, inputs), make([]float64, outputs)
+		wantW, wantB := New(outputs, inputs), make([]float64, outputs)
+		refGradAccum(wantW, wantB, delta, in, scale)
+		GradAccumInto(dw, db, delta, in, scale)
+		requireSame(t, what+" signed zero dw", dw.Data, wantW.Data)
+		requireSame(t, what+" signed zero db", db, wantB)
+		for j, v := range append(dw.Row(outputs-1), db[outputs-1]) {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("%s: −0 terms onto +0 gave %v at %d, want +0", what, v, j)
 			}
 		}
-		for i := range db {
-			if db[i] != wantB[i] {
-				t.Fatalf("shape %v db[%d]: got %x want %x", sh, i, db[i], wantB[i])
+
+		// NaN and ±Inf propagate: a NaN input poisons its dw column, an Inf
+		// delta its db cell and dw row.
+		delta = randMatrix(src, batch, outputs)
+		in = randMatrix(src, batch, inputs)
+		in.Set(0, inputs-1, math.NaN())
+		delta.Set(batch-1, 0, math.Inf(1))
+		dw, db, wantW, wantB = randPrior(outputs, inputs)
+		refGradAccum(wantW, wantB, delta, in, scale)
+		GradAccumInto(dw, db, delta, in, scale)
+		requireSame(t, what+" NaN/Inf dw", dw.Data, wantW.Data)
+		requireSame(t, what+" NaN/Inf db", db, wantB)
+		for o := 0; o < outputs; o++ {
+			if !math.IsNaN(dw.At(o, inputs-1)) {
+				t.Fatalf("%s: NaN input gave dw[%d][%d] = %v", what, o, inputs-1, dw.At(o, inputs-1))
+			}
+		}
+		if !math.IsInf(db[0], 1) {
+			t.Fatalf("%s: Inf delta gave db[0] = %v", what, db[0])
+		}
+		for j := 0; j < inputs-1; j++ {
+			if !math.IsInf(dw.At(0, j), 0) {
+				t.Fatalf("%s: Inf delta gave dw[0][%d] = %v", what, j, dw.At(0, j))
 			}
 		}
 	}

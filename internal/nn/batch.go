@@ -54,7 +54,7 @@ func (n *Network) ForwardTraceBatch(X *mat.Matrix, ws *BatchWorkspace) (acts, pr
 	in := X
 	for i, l := range n.Layers {
 		out, pre := ws.acts[i], ws.pres[i]
-		// One tiled affine kernel for the whole batch, then the activation
+		// One register-blocked affine kernel for the whole batch, then the activation
 		// over the flat backing array — the row-major flattening visits
 		// elements in the same per-row ascending order as the per-sample
 		// path, so both stay bit-identical to forwardInto.
