@@ -152,3 +152,23 @@ func TestQuantizedArtifactRoundTrip(t *testing.T) {
 	}
 	assertSamePredictions(t, "re-saved", back, legacy)
 }
+
+// TestLoadModelRejectsNonFiniteSlope checks that the golden model with its
+// hidden activation rewritten to a non-finite logistic slope is refused:
+// it would load and then predict NaN for every input.
+func TestLoadModelRejectsNonFiniteSlope(t *testing.T) {
+	raw, err := os.ReadFile("testdata/golden_model.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidden := []byte(`"activation": "logistic(1)"`)
+	if n := bytes.Count(raw, hidden); n != 1 {
+		t.Fatalf("golden model has %d logistic(1) layers, want 1", n)
+	}
+	for _, bad := range []string{"logistic(NaN)", "logistic(+Inf)", "logistic(-Inf)", "logistic(1)junk"} {
+		doc := bytes.Replace(raw, hidden, []byte(`"activation": "`+bad+`"`), 1)
+		if _, err := LoadModel(bytes.NewReader(doc)); err == nil {
+			t.Errorf("model with hidden activation %s accepted", bad)
+		}
+	}
+}

@@ -9,6 +9,8 @@ package nn
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Activation is a differentiable squashing (or pass-through) function
@@ -123,7 +125,8 @@ func (LogCompress) Name() string { return "logcompress" }
 // EvalRow applies act to every pre[i], writing out[i]. It type-switches on
 // the concrete activation once per row so the hot loop uses direct,
 // inlinable calls instead of per-element interface dispatch; the arithmetic
-// is identical to calling Eval per element.
+// is identical to calling Eval per element. The Logistic case runs four
+// lanes at a time on amd64 hosts that support it (logistic_amd64.go).
 //
 //nnwc:hotpath
 func EvalRow(act Activation, pre, out []float64) {
@@ -132,9 +135,7 @@ func EvalRow(act Activation, pre, out []float64) {
 	case Identity:
 		copy(out, pre)
 	case Logistic:
-		for i, v := range pre {
-			out[i] = a.Eval(v)
-		}
+		logisticRow(a.Alpha, pre, out)
 	case Tanh:
 		for i, v := range pre {
 			out[i] = Tanh{}.Eval(v)
@@ -200,9 +201,14 @@ func ActivationByName(name string) (Activation, error) {
 	case "logcompress":
 		return LogCompress{}, nil
 	}
-	var alpha float64
-	if n, err := fmt.Sscanf(name, "logistic(%g)", &alpha); err == nil && n == 1 {
-		return Logistic{Alpha: alpha}, nil
+	// Exactly "logistic(" + a finite float + ")": a NaN or infinite slope
+	// would make every prediction NaN.
+	if s, ok := strings.CutPrefix(name, "logistic("); ok {
+		if s, ok = strings.CutSuffix(s, ")"); ok {
+			if alpha, err := strconv.ParseFloat(s, 64); err == nil && !math.IsNaN(alpha) && !math.IsInf(alpha, 0) {
+				return Logistic{Alpha: alpha}, nil
+			}
+		}
 	}
 	return nil, fmt.Errorf("nn: unknown activation %q", name)
 }

@@ -129,7 +129,9 @@ func TestActivationByNameRoundTrip(t *testing.T) {
 }
 
 func TestActivationByNameUnknown(t *testing.T) {
-	if _, err := ActivationByName("nope"); err == nil {
-		t.Fatal("unknown name accepted")
+	for _, name := range []string{"nope", "logistic(NaN)", "logistic(+Inf)", "logistic(-Inf)", "logistic(1)junk"} {
+		if act, err := ActivationByName(name); err == nil {
+			t.Errorf("%q accepted as %#v", name, act)
+		}
 	}
 }

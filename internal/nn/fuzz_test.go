@@ -35,7 +35,8 @@ func FuzzLoad(f *testing.F) {
 // FuzzActivationByName asserts the parser never panics and round-trips
 // whatever it accepts.
 func FuzzActivationByName(f *testing.F) {
-	for _, s := range []string{"tanh", "relu", "identity", "logcompress", "logistic(1)", "logistic(-2.5)", "nope", ""} {
+	for _, s := range []string{"tanh", "relu", "identity", "logcompress", "logistic(1)", "logistic(-2.5)", "nope", "",
+		"logistic(NaN)", "logistic(+Inf)", "logistic(-Inf)", "logistic(1)junk"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, name string) {

@@ -1,0 +1,132 @@
+#include "textflag.h"
+
+// logisticAVX2 evaluates 1/(1+exp(x)), x = negAlpha·v, four lanes per YMM
+// register. The exp is an op-for-op copy of the avxfma branch of the Go
+// runtime's math.archExp ($GOROOT/src/math/exp_amd64.s, Shibata's SLEEF
+// method), so every lane carries the bits math.Exp returns on a host where
+// that branch runs. The constants below are copied from that file verbatim.
+
+#define LOG2E 1.4426950408889634073599246810018920 // 1/LN2
+#define LN2U 0.69314718055966295651160180568695068359375 // upper half LN2
+#define LN2L 0.28235290563031577122588448175013436025525412068e-12 // lower half LN2
+#define Overflow 7.09782712893384e+02
+
+DATA logisticdata<>+0(SB)/8, $0.5
+DATA logisticdata<>+8(SB)/8, $1.0
+DATA logisticdata<>+16(SB)/8, $2.0
+DATA logisticdata<>+24(SB)/8, $1.6666666666666666667e-1
+DATA logisticdata<>+32(SB)/8, $4.1666666666666666667e-2
+DATA logisticdata<>+40(SB)/8, $8.3333333333333333333e-3
+DATA logisticdata<>+48(SB)/8, $1.3888888888888888889e-3
+DATA logisticdata<>+56(SB)/8, $1.9841269841269841270e-4
+DATA logisticdata<>+64(SB)/8, $2.4801587301587301587e-5
+DATA logisticdata<>+72(SB)/8, $LOG2E
+DATA logisticdata<>+80(SB)/8, $LN2U
+DATA logisticdata<>+88(SB)/8, $LN2L
+DATA logisticdata<>+96(SB)/8, $0.0625
+DATA logisticdata<>+104(SB)/8, $-700.0             // lowest in-range x: 2^k stays normal
+DATA logisticdata<>+112(SB)/8, $Overflow           // highest in-range x
+DATA logisticdata<>+120(SB)/8, $4503599627371519.0 // 2^52 + 1023: k+1023 in the low mantissa bits
+GLOBL logisticdata<>+0(SB), RODATA, $128
+
+// func logisticAVX2(negAlpha float64, pre, out []float64) int
+//
+// Writes out[i] for i < len(pre)&^3 in blocks of four and returns how many
+// it wrote. It stops before the first block holding a lane whose x is NaN
+// or outside [-700, Overflow]; the caller finishes the row from there.
+TEXT ·logisticAVX2(SB), NOSPLIT, $0-64
+	MOVQ pre_base+8(FP), SI
+	MOVQ pre_len+16(FP), CX
+	MOVQ out_base+32(FP), DI
+	ANDQ $~3, CX
+	XORQ AX, AX
+	VBROADCASTSD negAlpha+0(FP), Y4
+	VBROADCASTSD logisticdata<>+72(SB), Y5
+	VBROADCASTSD logisticdata<>+80(SB), Y6
+	VBROADCASTSD logisticdata<>+88(SB), Y7
+	VBROADCASTSD logisticdata<>+96(SB), Y8
+	VBROADCASTSD logisticdata<>+56(SB), Y9
+	VBROADCASTSD logisticdata<>+48(SB), Y10
+	VBROADCASTSD logisticdata<>+40(SB), Y11
+	VBROADCASTSD logisticdata<>+32(SB), Y12
+	VBROADCASTSD logisticdata<>+24(SB), Y13
+	VBROADCASTSD logisticdata<>+0(SB), Y14
+	VBROADCASTSD logisticdata<>+8(SB), Y15
+
+loop:
+	CMPQ AX, CX
+	JGE  done
+	VMULPD (SI)(AX*8), Y4, Y0 // x = negAlpha·v
+
+	// Range check: -700 <= x <= Overflow, both ordered (false for NaN).
+	VBROADCASTSD logisticdata<>+104(SB), Y2
+	VCMPPD       $0x1d, Y2, Y0, Y2 // x >= -700
+	VBROADCASTSD logisticdata<>+112(SB), Y3
+	VCMPPD       $0x12, Y3, Y0, Y3 // x <= Overflow
+	VANDPD       Y2, Y3, Y3
+	VMOVMSKPD    Y3, DX
+	CMPQ         DX, $15
+	JNE          done
+
+	// k = round-to-nearest-even(LOG2E·x), as CVTSD2SL under the default MXCSR.
+	VMULPD   Y5, Y0, Y1
+	VROUNDPD $0, Y1, Y1
+	VFNMADD231PD Y6, Y1, Y0 // x -= k·LN2U
+	VFNMADD231PD Y7, Y1, Y0 // x -= k·LN2L
+	// reduce argument
+	VMULPD Y8, Y0, Y0
+	// Taylor series evaluation
+	VBROADCASTSD logisticdata<>+64(SB), Y2
+	VFMADD213PD  Y9, Y0, Y2
+	VFMADD213PD  Y10, Y0, Y2
+	VFMADD213PD  Y11, Y0, Y2
+	VFMADD213PD  Y12, Y0, Y2
+	VFMADD213PD  Y13, Y0, Y2
+	VFMADD213PD  Y14, Y0, Y2
+	VFMADD213PD  Y15, Y0, Y2
+	VMULPD       Y2, Y0, Y0
+	VBROADCASTSD logisticdata<>+16(SB), Y3
+	VADDPD       Y3, Y0, Y2
+	VMULPD       Y2, Y0, Y0
+	VADDPD       Y3, Y0, Y2
+	VMULPD       Y2, Y0, Y0
+	VADDPD       Y3, Y0, Y2
+	VMULPD       Y2, Y0, Y0
+	VADDPD       Y3, Y0, Y2
+	VFMADD213PD  Y15, Y2, Y0
+
+	// return fr * 2**exponent; k = 1024 builds +Inf, as archExp's overflow exit does.
+	VBROADCASTSD logisticdata<>+120(SB), Y3
+	VADDPD       Y3, Y1, Y1
+	VPSLLQ       $52, Y1, Y1
+	VMULPD       Y1, Y0, Y0
+
+	// 1/(1+exp(x))
+	VADDPD  Y15, Y0, Y0
+	VDIVPD  Y0, Y15, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     loop
+
+done:
+	VZEROUPPER // the caller's SSE code would otherwise pay a state transition
+	MOVQ AX, ret+56(FP)
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	RET

@@ -1,0 +1,142 @@
+package nn
+
+import (
+	"math"
+	"testing"
+
+	"nnwc/internal/rng"
+)
+
+// The constants and the two branches below transcribe math.archExp
+// ($GOROOT/src/math/exp_amd64.s) for x in the kernel's range, where
+// neither the overflow nor the denormal exit is taken before the final
+// scaling.
+const (
+	archLog2E = 1.4426950408889634073599246810018920
+	archLn2U  = 0.69314718055966295651160180568695068359375
+	archLn2L  = 0.28235290563031577122588448175013436025525412068e-12
+)
+
+// archExpPoly lists the Taylor coefficients in Horner order.
+var archExpPoly = [...]float64{
+	2.4801587301587301587e-5, 1.9841269841269841270e-4, 1.3888888888888888889e-3,
+	8.3333333333333333333e-3, 4.1666666666666666667e-2, 1.6666666666666666667e-1, 0.5, 1.0,
+}
+
+// archExpFMA is archExp's avxfma branch; math.FMA fuses exactly on any host.
+func archExpFMA(x float64) float64 {
+	k := math.RoundToEven(archLog2E * x)
+	r := math.FMA(-k, archLn2U, x)
+	r = math.FMA(-k, archLn2L, r)
+	r *= 0.0625
+	p := archExpPoly[0]
+	for _, c := range archExpPoly[1:] {
+		p = math.FMA(p, r, c)
+	}
+	r *= p
+	for i := 0; i < 3; i++ {
+		r *= r + 2
+	}
+	r = math.FMA(r+2, r, 1)
+	return r * math.Float64frombits(uint64(int64(k)+1023)<<52)
+}
+
+// archExpNoFMA is archExp's branch for hosts without FMA (or with
+// GODEBUG=cpu.fma=off): every product rounds before its sum.
+func archExpNoFMA(x float64) float64 {
+	k := math.RoundToEven(archLog2E * x)
+	r := x - k*archLn2U
+	r -= k * archLn2L
+	r *= 0.0625
+	p := archExpPoly[0]
+	for _, c := range archExpPoly[1:] {
+		p = p*r + c
+	}
+	r *= p
+	for i := 0; i < 4; i++ {
+		r *= r + 2
+	}
+	r++
+	return r * math.Float64frombits(uint64(int64(k)+1023)<<52)
+}
+
+// mathExpOnFMABranch reports whether math.Exp agrees with its FMA branch
+// on the whole probe.
+func mathExpOnFMABranch() bool {
+	for _, v := range logisticProbe {
+		if math.Float64bits(math.Exp(-v)) != math.Float64bits(archExpFMA(-v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLogisticProbeDiscriminates checks the self-check can tell math.Exp's
+// two branches apart: the transcriptions match math.Exp, whichever branch
+// this process runs, and give different logistics on the probe's first
+// ten inputs.
+func TestLogisticProbeDiscriminates(t *testing.T) {
+	for i, v := range logisticProbe {
+		fma, plain := archExpFMA(-v), archExpNoFMA(-v)
+		if e := math.Float64bits(math.Exp(-v)); e != math.Float64bits(fma) && e != math.Float64bits(plain) {
+			t.Fatalf("math.Exp(%v) = %v matches neither branch (FMA %v, non-FMA %v)", -v, math.Exp(-v), fma, plain)
+		}
+		if i < 10 && math.Float64bits(1/(1+fma)) == math.Float64bits(1/(1+plain)) {
+			t.Errorf("probe %v: both branches give logistic %v", v, 1/(1+fma))
+		}
+	}
+}
+
+// TestLogisticKernelSelection checks the gate: the kernel runs exactly
+// when the CPU supports it and math.Exp takes the branch it replicates.
+func TestLogisticKernelSelection(t *testing.T) {
+	onFMA := mathExpOnFMABranch()
+	if want := hasAVX2FMA && onFMA; useLogisticKernel != want {
+		t.Fatalf("kernel selected = %v, want %v (AVX2+FMA %v, math.Exp on its FMA branch %v)",
+			useLogisticKernel, want, hasAVX2FMA, onFMA)
+	}
+	t.Logf("kernel selected = %v (AVX2+FMA %v, math.Exp on its FMA branch %v)", useLogisticKernel, hasAVX2FMA, onFMA)
+}
+
+// TestLogisticKernelMatchesFMABranch runs the kernel directly, selected or
+// not, against the transcribed avxfma branch across its whole range, and
+// checks it stops before the first block holding an out-of-range lane.
+func TestLogisticKernelMatchesFMABranch(t *testing.T) {
+	if !hasAVX2FMA {
+		t.Skip("CPU lacks AVX2+FMA")
+	}
+	src := rng.New(42)
+	for _, alpha := range []float64{1, 0.5, 2, -1} {
+		pre := make([]float64, 4096)
+		for i := range pre {
+			x := src.Uniform(-700, expOverflow)
+			if i%4 == 1 {
+				x = 4 * src.Norm()
+			}
+			pre[i] = x / -alpha
+		}
+		for i, x := range logisticEdgesX[:4] {
+			pre[i] = x / -alpha
+		}
+		copy(pre[4:], logisticSpecials[:8])
+		out := make([]float64, len(pre))
+		if n := logisticAVX2(-alpha, pre, out); n != len(pre) {
+			t.Fatalf("α=%v: kernel wrote %d of %d in-range elements", alpha, n, len(pre))
+		}
+		for i, v := range pre {
+			if want := 1 / (1 + archExpFMA(-alpha*v)); math.Float64bits(out[i]) != math.Float64bits(want) {
+				t.Fatalf("α=%v v=%v: kernel %v, FMA branch %v", alpha, v, out[i], want)
+			}
+		}
+	}
+	out := make([]float64, 16)
+	for _, bad := range append(logisticEdgesX[4:], logisticSpecials[8:]...) {
+		for pos := 0; pos < 11; pos++ {
+			pre := make([]float64, 11)
+			pre[pos] = -bad
+			if n, want := logisticAVX2(-1, pre, out), pos&^3; n != want {
+				t.Fatalf("x=%v at %d: kernel wrote %d elements, want %d", bad, pos, n, want)
+			}
+		}
+	}
+}

@@ -1,0 +1,14 @@
+//go:build !amd64
+
+package nn
+
+import "math"
+
+// logisticRow writes out[i] = 1/(1+exp(−α·pre[i])).
+//
+//nnwc:hotpath
+func logisticRow(alpha float64, pre, out []float64) {
+	for i, v := range pre {
+		out[i] = 1 / (1 + math.Exp(-alpha*v))
+	}
+}
