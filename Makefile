@@ -57,9 +57,11 @@ cluster-test:
 bench-smoke:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
 
-# Real measurement run for the hot training kernels (see DESIGN.md §6 and §13).
+# Real measurement run for the hot training kernels (see DESIGN.md §6 and §13):
+# the mat kernels beside their portable Go versions, the served forward pass
+# by batch size, backprop, the epoch, and the logistic.
 bench:
-	$(GO) test -run '^$$' -bench 'Forward|Backprop|Epoch|LogisticRow' -benchmem -benchtime 2s ./internal/nn ./internal/train
+	$(GO) test -run '^$$' -bench 'FoldKernels|Forward|Backprop|Epoch|LogisticRow' -benchmem -benchtime 2s ./internal/mat ./internal/nn ./internal/train
 
 # The repository's benchmark (see perfbench/README.md and BENCHMARK.json):
 # a short traced run of every workload, each checking its outputs before it

@@ -103,7 +103,7 @@ func cmdSelect(args []string) error {
 		obsf.setConfig("candidates", *layouts)
 		var candidates [][]int
 		for _, spec := range strings.Split(*layouts, ";") {
-			layout, err := parseInts(spec)
+			layout, err := jobs.ParseLayout(spec)
 			if err != nil {
 				return fmt.Errorf("parsing candidate %q: %w", spec, err)
 			}

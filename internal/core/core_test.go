@@ -398,3 +398,16 @@ func TestCustomActivationConfig(t *testing.T) {
 		t.Fatalf("LNN training error %.1f%%", ev.MeanHMRE()*100)
 	}
 }
+
+func TestFitRejectsInvalidHiddenSizes(t *testing.T) {
+	ds := syntheticDataset(40, 3)
+	for _, hidden := range [][]int{{0}, {-3}, {4, 0}} {
+		cfg := Config{Hidden: hidden, Seed: 1}
+		if _, err := Fit(ds, cfg); err == nil {
+			t.Errorf("Fit accepted hidden %v", hidden)
+		}
+		if _, err := FitWithValidation(ds, ds, cfg); err == nil {
+			t.Errorf("FitWithValidation accepted hidden %v", hidden)
+		}
+	}
+}

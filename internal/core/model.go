@@ -16,6 +16,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"nnwc/internal/mat"
 	"nnwc/internal/nn"
@@ -183,6 +184,9 @@ func fitWithValidation(ds, val *workload.Dataset, cfg Config) (*NNModel, error) 
 		return nil, err
 	}
 	cfg = cfg.Defaults()
+	if slices.Min(cfg.Hidden) < 1 {
+		return nil, fmt.Errorf("core: hidden layer sizes %v must all be at least 1", cfg.Hidden)
+	}
 
 	m := &NNModel{
 		FeatureNames: append([]string(nil), ds.FeatureNames...),

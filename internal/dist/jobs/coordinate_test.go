@@ -1,11 +1,14 @@
 package jobs
 
 import (
+	"context"
+	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
 
 	"nnwc/internal/core"
+	"nnwc/internal/dist"
 	"nnwc/internal/obs"
 	"nnwc/internal/workload"
 )
@@ -49,5 +52,50 @@ func TestLoadHashedArtifacts(t *testing.T) {
 	}
 	if !reflect.DeepEqual(model, directModel) {
 		t.Fatal("model loaded by the coordinator differs from LoadModelFile")
+	}
+}
+
+// invalidLayouts are hidden sizes that are not finite or truncate below 1.
+var invalidLayouts = []string{"0", "-3", "inf", "nan", "0.5", "16,0"}
+
+func TestParseLayoutRejectsInvalidSizes(t *testing.T) {
+	for _, s := range invalidLayouts {
+		if got, err := ParseLayout(s); err == nil {
+			t.Errorf("ParseLayout(%q) = %v, want an error", s, got)
+		}
+	}
+	for s, want := range map[string][]int{"16": {16}, "16, 8": {16, 8}, "1.5": {1}} {
+		if got, err := ParseLayout(s); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ParseLayout(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+}
+
+// TestCoordinateCrossvalRejectsInvalidHidden checks the coordinator fails
+// on an invalid -hidden before it starts serving tasks.
+func TestCoordinateCrossvalRejectsInvalidHidden(t *testing.T) {
+	csvPath := writeParityCSV(t)
+	opt := Options{Addr: "127.0.0.1:0", OnStart: func(string) { t.Fatal("coordinator started") }}
+	if _, _, err := CoordinateCrossval(context.Background(), opt, csvPath, 4, "0", 10, 1); err == nil {
+		t.Fatal("CoordinateCrossval accepted -hidden 0")
+	}
+}
+
+// TestSelectRunnerRejectsInvalidCandidate checks a worker handed a select
+// candidate with a zero-width layer reports a task error instead of
+// panicking.
+func TestSelectRunnerRejectsInvalidCandidate(t *testing.T) {
+	csvPath := writeParityCSV(t)
+	sha, err := obs.HashFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := json.Marshal(SelectConfig{K: 4, Epochs: 10, Candidates: [][]int{{0}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := dist.Spec{Kind: KindSelect, Seed: 1, NumTasks: 1, Config: cfg, Artifacts: map[string]string{RoleDataset: sha}}
+	if _, err := runSelect(context.Background(), stubEnv{path: csvPath}, spec, 0); err == nil {
+		t.Fatal("select runner accepted candidate [0]")
 	}
 }

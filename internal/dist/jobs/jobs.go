@@ -47,22 +47,21 @@ const (
 )
 
 // ParseLayout parses a comma-separated hidden-layer spec ("16" or "16,8")
-// into layer sizes. It accepts the same inputs the CLI's -hidden flag
-// always has (floats truncate, "inf" is admitted by the shared float
-// parser), so local and distributed runs derive identical configs from
-// identical strings.
+// into layer sizes. Sizes are parsed as floats and truncated, as the CLI's
+// -hidden flag always has, so local and distributed runs derive identical
+// configs from identical strings. A size that is not finite or truncates
+// below 1 is an error.
 func ParseLayout(s string) ([]int, error) {
 	parts := strings.Split(s, ",")
 	out := make([]int, 0, len(parts))
 	for _, p := range parts {
 		p = strings.TrimSpace(p)
-		if strings.EqualFold(p, "inf") {
-			out = append(out, int(math.Inf(1)))
-			continue
-		}
 		v, err := strconv.ParseFloat(p, 64)
 		if err != nil {
 			return nil, fmt.Errorf("parsing %q: %w", p, err)
+		}
+		if !(v >= 1 && v <= math.MaxInt32) {
+			return nil, fmt.Errorf("hidden layer size %q must be a finite number from 1 to %d", p, math.MaxInt32)
 		}
 		out = append(out, int(v))
 	}

@@ -65,8 +65,7 @@ func (m *Matrix) Zero() {
 
 // MulInto computes dst = a·b without allocating. dst must not alias a or b;
 // it is reshaped to a.Rows×b.Cols. Returns dst. Each cell starts at +0 and
-// adds a[i][k]·b[k][j] in ascending k, skipping exact-zero a[i][k]; a row's
-// columns go in register blocks of 4, the b.Cols%4 tail one at a time.
+// adds a[i][k]·b[k][j] in ascending k, skipping exact-zero a[i][k].
 //
 //nnwc:hotpath
 func MulInto(dst, a, b *Matrix) *Matrix {
@@ -74,6 +73,15 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 		panic(ErrShape)
 	}
 	dst.Reshape(a.Rows, b.Cols)
+	mulInto(dst, a, b)
+	return dst
+}
+
+// mulGo is MulInto's portable kernel (dst already shaped): a row's columns
+// go in register blocks of 4, the b.Cols%4 tail one at a time.
+//
+//nnwc:hotpath
+func mulGo(dst, a, b *Matrix) {
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow, crow := a.Row(i), dst.Row(i)
@@ -104,7 +112,6 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 			crow[j] = s
 		}
 	}
-	return dst
 }
 
 // MulTransInto computes dst = a·bᵀ without allocating — the batched layer

@@ -13,7 +13,9 @@ package mat
 // sweep of the reduction axis: their accumulators stay in registers, every
 // operand load feeds several of them, and each output is stored once. No
 // cache tiling: every weight matrix trained or served here (≤ 24×24) already
-// sits in L1.
+// sits in L1. On amd64 with AVX the exported kernels dispatch to
+// kernels_amd64.s, one output element per lane; the Go kernels here are
+// the portable path and the reference the tests hold the assembly to.
 
 // MulTransBiasInto computes dst[i][j] = bias[j] + Σₖ a[i][k]·b[j][k] — the
 // batched affine layer transform (samples × features)·(outputs × features)ᵀ
@@ -21,15 +23,22 @@ package mat
 // the per-sample perceptron loop. bias may be nil for a plain a·bᵀ. dst must
 // not alias a or b; it is reshaped to a.Rows×b.Rows. Returns dst.
 //
-// Rows go in pairs × 4 outputs (8 accumulators) and the b.Rows%4 tail
-// outputs 2 × 1; an odd last row runs 1 × 4, then DotSeed.
-//
 //nnwc:hotpath
 func MulTransBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 	if a.Cols != b.Cols || (bias != nil && len(bias) != b.Rows) {
 		panic(ErrShape)
 	}
 	dst.Reshape(a.Rows, b.Rows)
+	mulTransBiasInto(dst, a, b, bias)
+	return dst
+}
+
+// mulTransBiasGo is MulTransBiasInto's portable kernel (dst already
+// shaped). Rows go in pairs × 4 outputs (8 accumulators) and the b.Rows%4
+// tail outputs 2 × 1; an odd last row runs 1 × 4, then DotSeed.
+//
+//nnwc:hotpath
+func mulTransBiasGo(dst, a, b *Matrix, bias []float64) {
 	i := 0
 	for ; i+2 <= a.Rows; i += 2 {
 		x0 := a.Row(i)
@@ -95,7 +104,6 @@ func MulTransBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 			c[j] = DotSeed(s, x, b.Row(j))
 		}
 	}
-	return dst
 }
 
 // GradAccumInto accumulates one batch of layer gradients: for every sample
@@ -109,16 +117,22 @@ func MulTransBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 // bit-for-bit. dw and db are accumulated into, not overwritten. delta is
 // batch×outputs, in is batch×inputs, dw outputs×inputs, db len outputs.
 //
-// The loops are interchanged: each dw cell is loaded once, carried in a
-// register across the whole r sweep, and stored once. Outputs go in pairs
-// × 4 inputs (8 accumulators); an odd last output pairs with itself, and
-// the inputs%4 tail runs 2 × 1.
-//
 //nnwc:hotpath
 func GradAccumInto(dw *Matrix, db []float64, delta, in *Matrix, scale float64) {
 	if delta.Rows != in.Rows || dw.Rows != delta.Cols || dw.Cols != in.Cols || len(db) != delta.Cols {
 		panic(ErrShape)
 	}
+	gradAccumInto(dw, db, delta, in, scale)
+}
+
+// gradAccumGo is GradAccumInto's portable kernel. The loops are
+// interchanged: each dw cell is loaded once, carried in a register across
+// the whole r sweep, and stored once. Outputs go in pairs × 4 inputs (8
+// accumulators); an odd last output pairs with itself, and the inputs%4
+// tail runs 2 × 1.
+//
+//nnwc:hotpath
+func gradAccumGo(dw *Matrix, db []float64, delta, in *Matrix, scale float64) {
 	dd, xd := delta.Data, in.Data
 	outs, ins, n := delta.Cols, in.Cols, delta.Rows*delta.Cols
 	for o := 0; o < outs; o += 2 {

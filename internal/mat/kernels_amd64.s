@@ -1,0 +1,294 @@
+#include "textflag.h"
+
+// AVX kernels behind MulTransBiasInto, MulInto and GradAccumInto. Each lane
+// of a YMM register holds a different output element and performs exactly
+// the Go kernel's operations on it, in the same order: a separate VMULPD
+// and VADDPD per term (no FMA), one accumulator per output, ascending
+// reduction index. So every lane carries the Go kernel's bits (DESIGN.md
+// §13). Partial blocks run under a lane mask: masked loads read nothing
+// and masked stores write nothing outside the valid lanes.
+
+// laneMask: the mask of the first c lanes is the 4 words at +32-8c.
+DATA laneMask<>+0(SB)/8, $-1
+DATA laneMask<>+8(SB)/8, $-1
+DATA laneMask<>+16(SB)/8, $-1
+DATA laneMask<>+24(SB)/8, $-1
+DATA laneMask<>+32(SB)/8, $0
+DATA laneMask<>+40(SB)/8, $0
+DATA laneMask<>+48(SB)/8, $0
+DATA laneMask<>+56(SB)/8, $0
+GLOBL laneMask<>(SB), RODATA, $64
+
+// LANEMASK loads into y the mask of the first n lanes, 0 <= n <= 4; it
+// clobbers n and tab.
+#define LANEMASK(n, tab, y) \
+	NEGQ    n; \
+	LEAQ    laneMask<>+32(SB), tab; \
+	VMOVUPD (tab)(n*8), y
+
+// ROW adds a·w to acc: a broadcast from src, w in Y4.
+#define ROW(src, acc, t) \
+	VBROADCASTSD src, t; \
+	VMULPD       Y4, t, t; \
+	VADDPD       t, acc, acc
+
+// ROWSKIP is ROW with MulInto's exact-zero skip: the product is ANDed with
+// the mask a != 0 (NEQ_UQ, so a NaN a is kept). A skipped term adds +0,
+// which leaves the accumulator unchanged: it starts at +0 and, rounding to
+// nearest, never becomes −0.
+#define ROWSKIP(src, acc, t, m) \
+	VBROADCASTSD src, t; \
+	VCMPPD       $4, Y10, t, m; \
+	VMULPD       Y4, t, t; \
+	VANDPD       m, t, t; \
+	VADDPD       t, acc, acc
+
+// func mulRowsAVX(dst *float64, dstRow int, a *float64, rows, k int, w *float64, wRow int, seed *[4]float64, lanes int, skipZero bool)
+//
+// For every row i < rows and lane l < lanes it computes
+// dst[i·dstRow+l] = seed[l] + Σₖ a[i·k+kk]·w[kk·wRow+l], ascending kk,
+// skipping exact-zero a terms when skipZero is set. Rows go 4 at a time
+// (4 accumulators), then one at a time.
+TEXT ·mulRowsAVX(SB), NOSPLIT, $0-73
+	MOVQ    lanes+64(FP), AX
+	LANEMASK(AX, CX, Y9)
+	MOVQ    seed+56(FP), AX
+	VMOVUPD (AX), Y8
+	VXORPD  Y10, Y10, Y10
+	MOVQ    dst+0(FP), DI
+	MOVQ    dstRow+8(FP), R8
+	SHLQ    $3, R8
+	MOVQ    a+16(FP), SI
+	MOVQ    rows+24(FP), BX
+	MOVQ    k+32(FP), DX
+	MOVQ    DX, R10
+	SHLQ    $3, R10              // a's row stride in bytes
+	LEAQ    (R10)(R10*2), R11
+	MOVQ    w+40(FP), R12
+	MOVQ    wRow+48(FP), R13
+	SHLQ    $3, R13
+
+block4:
+	CMPQ    BX, $4
+	JLT     single
+	VMOVAPD Y8, Y0
+	VMOVAPD Y8, Y1
+	VMOVAPD Y8, Y2
+	VMOVAPD Y8, Y3
+	MOVQ    SI, AX
+	MOVQ    R12, R9
+	MOVQ    DX, CX
+	TESTQ   CX, CX
+	JZ      store4
+	CMPB    skipZero+72(FP), $0
+	JNE     loop4skip
+
+loop4:
+	VMASKMOVPD (R9), Y9, Y4
+	ROW((AX), Y0, Y5)
+	ROW((AX)(R10*1), Y1, Y6)
+	ROW((AX)(R10*2), Y2, Y7)
+	ROW((AX)(R11*1), Y3, Y5)
+	ADDQ       $8, AX
+	ADDQ       R13, R9
+	DECQ       CX
+	JNZ        loop4
+	JMP        store4
+
+loop4skip:
+	VMASKMOVPD (R9), Y9, Y4
+	ROWSKIP((AX), Y0, Y5, Y11)
+	ROWSKIP((AX)(R10*1), Y1, Y6, Y12)
+	ROWSKIP((AX)(R10*2), Y2, Y7, Y13)
+	ROWSKIP((AX)(R11*1), Y3, Y5, Y11)
+	ADDQ       $8, AX
+	ADDQ       R13, R9
+	DECQ       CX
+	JNZ        loop4skip
+
+store4:
+	VMASKMOVPD Y0, Y9, (DI)
+	VMASKMOVPD Y1, Y9, (DI)(R8*1)
+	VMASKMOVPD Y2, Y9, (DI)(R8*2)
+	LEAQ       (DI)(R8*2), AX
+	VMASKMOVPD Y3, Y9, (AX)(R8*1)
+	LEAQ       (SI)(R10*4), SI
+	LEAQ       (DI)(R8*4), DI
+	SUBQ       $4, BX
+	JMP        block4
+
+single:
+	TESTQ   BX, BX
+	JZ      done
+	VMOVAPD Y8, Y0
+	MOVQ    SI, AX
+	MOVQ    R12, R9
+	MOVQ    DX, CX
+	TESTQ   CX, CX
+	JZ      store1
+	CMPB    skipZero+72(FP), $0
+	JNE     loop1skip
+
+loop1:
+	VMASKMOVPD (R9), Y9, Y4
+	ROW((AX), Y0, Y5)
+	ADDQ       $8, AX
+	ADDQ       R13, R9
+	DECQ       CX
+	JNZ        loop1
+	JMP        store1
+
+loop1skip:
+	VMASKMOVPD (R9), Y9, Y4
+	ROWSKIP((AX), Y0, Y5, Y11)
+	ADDQ       $8, AX
+	ADDQ       R13, R9
+	DECQ       CX
+	JNZ        loop1skip
+
+store1:
+	VMASKMOVPD Y0, Y9, (DI)
+	ADDQ       R10, SI
+	ADDQ       R8, DI
+	DECQ       BX
+	JMP        single
+
+done:
+	VZEROUPPER // the caller's SSE code would otherwise pay a state transition
+	RET
+
+// GRADX adds scale·(d·x) to acc: x in Y9, d broadcast from dsrc, scale
+// in Y8.
+#define GRADX(dsrc, acc) \
+	VBROADCASTSD dsrc, Y10; \
+	VMULPD       Y9, Y10, Y10; \
+	VMULPD       Y8, Y10, Y10; \
+	VADDPD       Y10, acc, acc
+
+// GRAD is GRADX with x loaded from xsrc under mask m.
+#define GRAD(xsrc, dsrc, m, acc) \
+	VMASKMOVPD xsrc, m, Y9; \
+	GRADX(dsrc, acc)
+
+// func gradAccumAVX(dw *float64, dwStep int, d *float64, dStep int, x *float64, xStep int, rows, dRow, xRow int, scale float64, l0, l1, l2, l3 int)
+//
+// Runs 4 accumulators over rows r ascending. Accumulator a holds the la
+// lanes of dw at dw+a·dwStep and adds scale·(d·x), d = d[a·dStep+r·dRow]
+// broadcast and x the la lanes at x+a·xStep+r·xRow. A block of 4 outputs ×
+// 4 inputs has dStep 1, xStep 0; one output × 16 inputs has dStep 0,
+// xStep 4. Steps and row strides are in elements.
+TEXT ·gradAccumAVX(SB), NOSPLIT, $0-112
+	MOVQ l0+80(FP), AX
+	LANEMASK(AX, CX, Y4)
+	MOVQ l1+88(FP), AX
+	LANEMASK(AX, CX, Y5)
+	MOVQ l2+96(FP), AX
+	LANEMASK(AX, CX, Y6)
+	MOVQ l3+104(FP), AX
+	LANEMASK(AX, CX, Y7)
+	VBROADCASTSD scale+72(FP), Y8
+	MOVQ dw+0(FP), DI
+	MOVQ dwStep+8(FP), BX
+	SHLQ $3, BX
+	LEAQ (DI)(BX*2), AX
+	VMASKMOVPD (DI), Y4, Y0
+	VMASKMOVPD (DI)(BX*1), Y5, Y1
+	VMASKMOVPD (AX), Y6, Y2
+	VMASKMOVPD (AX)(BX*1), Y7, Y3
+	MOVQ d+16(FP), SI
+	MOVQ dStep+24(FP), R8
+	SHLQ $3, R8
+	LEAQ (R8)(R8*2), R9
+	MOVQ x+32(FP), DX
+	MOVQ xStep+40(FP), R10
+	SHLQ $3, R10
+	LEAQ (R10)(R10*2), R11
+	MOVQ rows+48(FP), CX
+	MOVQ dRow+56(FP), R12
+	SHLQ $3, R12
+	MOVQ xRow+64(FP), R13
+	SHLQ $3, R13
+	TESTQ CX, CX
+	JZ   gradstore
+	TESTQ R10, R10
+	JZ   gradloop4x4
+
+gradloop:
+	GRAD((DX), (SI), Y4, Y0)
+	GRAD((DX)(R10*1), (SI)(R8*1), Y5, Y1)
+	GRAD((DX)(R10*2), (SI)(R8*2), Y6, Y2)
+	GRAD((DX)(R11*1), (SI)(R9*1), Y7, Y3)
+	ADDQ R12, SI
+	ADDQ R13, DX
+	DECQ CX
+	JNZ  gradloop
+	JMP  gradstore
+
+gradloop4x4: // xStep 0: the 4 accumulators share one x load
+	VMASKMOVPD (DX), Y4, Y9
+	GRADX((SI), Y0)
+	GRADX((SI)(R8*1), Y1)
+	GRADX((SI)(R8*2), Y2)
+	GRADX((SI)(R9*1), Y3)
+	ADDQ R12, SI
+	ADDQ R13, DX
+	DECQ CX
+	JNZ  gradloop4x4
+
+gradstore:
+	LEAQ       (DI)(BX*2), AX
+	VMASKMOVPD Y0, Y4, (DI)
+	VMASKMOVPD Y1, Y5, (DI)(BX*1)
+	VMASKMOVPD Y2, Y6, (AX)
+	VMASKMOVPD Y3, Y7, (AX)(BX*1)
+	VZEROUPPER
+	RET
+
+// BIAS adds scale·d to acc, d the lanes at dsrc under mask m.
+#define BIAS(dsrc, m, acc) \
+	VMASKMOVPD dsrc, m, Y9; \
+	VMULPD     Y8, Y9, Y9; \
+	VADDPD     Y9, acc, acc
+
+// func biasAccumAVX(db *float64, d *float64, rows, dRow int, scale float64, l0, l1, l2, l3 int)
+//
+// db[i] += scale·d[r·dRow+i] over rows r ascending, for the 16 consecutive
+// outputs i in 4 accumulators of la lanes each. dRow is in elements.
+TEXT ·biasAccumAVX(SB), NOSPLIT, $0-72
+	MOVQ l0+40(FP), AX
+	LANEMASK(AX, CX, Y4)
+	MOVQ l1+48(FP), AX
+	LANEMASK(AX, CX, Y5)
+	MOVQ l2+56(FP), AX
+	LANEMASK(AX, CX, Y6)
+	MOVQ l3+64(FP), AX
+	LANEMASK(AX, CX, Y7)
+	VBROADCASTSD scale+32(FP), Y8
+	MOVQ db+0(FP), DI
+	VMASKMOVPD (DI), Y4, Y0
+	VMASKMOVPD 32(DI), Y5, Y1
+	VMASKMOVPD 64(DI), Y6, Y2
+	VMASKMOVPD 96(DI), Y7, Y3
+	MOVQ d+8(FP), SI
+	MOVQ rows+16(FP), CX
+	MOVQ dRow+24(FP), R8
+	SHLQ $3, R8
+	TESTQ CX, CX
+	JZ   biasstore
+
+biasloop:
+	BIAS((SI), Y4, Y0)
+	BIAS(32(SI), Y5, Y1)
+	BIAS(64(SI), Y6, Y2)
+	BIAS(96(SI), Y7, Y3)
+	ADDQ R8, SI
+	DECQ CX
+	JNZ  biasloop
+
+biasstore:
+	VMASKMOVPD Y0, Y4, (DI)
+	VMASKMOVPD Y1, Y5, 32(DI)
+	VMASKMOVPD Y2, Y6, 64(DI)
+	VMASKMOVPD Y3, Y7, 96(DI)
+	VZEROUPPER
+	RET

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"nnwc/internal/mat"
@@ -178,5 +180,32 @@ func BenchmarkForwardBatch64x4x16x5(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.ForwardBatch(X, &ws)
+	}
+}
+
+// BenchmarkForwardBatchRows times a batched forward pass over perfbench's
+// three served shapes at the row counts a request batch spans. The 1- and
+// 4-row cases run below MulTransBiasInto's AVX row gate, 16 and 64 above
+// it (DESIGN.md §13).
+func BenchmarkForwardBatchRows(b *testing.B) {
+	for _, sizes := range [][]int{{4, 16, 5}, {4, 8, 5}, {4, 24, 24, 5}} {
+		src := rng.New(1)
+		net := NewNetwork(sizes, Logistic{Alpha: 1}, Identity{})
+		XavierInit{}.Init(net, src)
+		for _, rows := range []int{1, 4, 16, 64} {
+			X := mat.New(rows, sizes[0])
+			for i := range X.Data {
+				X.Data[i] = src.Uniform(-1, 1)
+			}
+			shape := strings.ReplaceAll(strings.Trim(fmt.Sprint(sizes), "[]"), " ", "-")
+			b.Run(fmt.Sprintf("%s/rows=%d", shape, rows), func(b *testing.B) {
+				var ws BatchWorkspace
+				net.ForwardBatch(X, &ws)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					net.ForwardBatch(X, &ws)
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"nnwc/internal/cpuid"
+)
 
 // logisticAVX2 is the AVX2+FMA logistic kernel (logistic_amd64.s). It
 // writes out[:n] = 1/(1+exp(negAlpha·pre[:n])) for the largest n ≤
@@ -9,40 +13,18 @@ import "math"
 //go:noescape
 func logisticAVX2(negAlpha float64, pre, out []float64) int
 
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax uint32)
-
 // logisticProbe holds the self-check's inputs. The first ten are values
 // where math.Exp's FMA and non-FMA branches give different logistics
 // (TestLogisticProbeDiscriminates); the last two sit at the ends of the
 // kernel's range.
 var logisticProbe = [...]float64{-7.99, -3.35, -1.22, -0.49, -0.01, 0.19, 0.51, 0.85, 1.01, 1.26, -7.09782712893384e+02, 700}
 
-// hasAVX2FMA reports whether the CPU and OS support the kernel's
-// instructions: AVX2 and FMA, with the YMM state enabled.
-var hasAVX2FMA = cpuHasAVX2FMA()
-
 // useLogisticKernel is decided once: the CPU must support the kernel, and
 // the kernel must reproduce the scalar logistic bit for bit on the probe.
 // The self-check is what ties the kernel to math.Exp's avxfma branch:
 // under GODEBUG=cpu.fma=off math.Exp takes its non-FMA branch while CPUID
 // still reports FMA.
-var useLogisticKernel = hasAVX2FMA && logisticSelfCheck()
-
-func cpuHasAVX2FMA() bool {
-	const (
-		fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28 // CPUID.1:ECX
-		avx2              = 1 << 5                    // CPUID.(7,0):EBX
-		xmmYmm            = 6                         // XCR0: XMM and YMM state enabled
-	)
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ecx1&(fma|osxsave|avx) == fma|osxsave|avx && ebx7&avx2 != 0 && xgetbv()&xmmYmm == xmmYmm
-}
+var useLogisticKernel = cpuid.AVX2FMA && logisticSelfCheck()
 
 func logisticSelfCheck() bool {
 	var out [len(logisticProbe)]float64

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"nnwc/internal/cpuid"
 	"nnwc/internal/rng"
 )
 
@@ -91,18 +92,18 @@ func TestLogisticProbeDiscriminates(t *testing.T) {
 // when the CPU supports it and math.Exp takes the branch it replicates.
 func TestLogisticKernelSelection(t *testing.T) {
 	onFMA := mathExpOnFMABranch()
-	if want := hasAVX2FMA && onFMA; useLogisticKernel != want {
+	if want := cpuid.AVX2FMA && onFMA; useLogisticKernel != want {
 		t.Fatalf("kernel selected = %v, want %v (AVX2+FMA %v, math.Exp on its FMA branch %v)",
-			useLogisticKernel, want, hasAVX2FMA, onFMA)
+			useLogisticKernel, want, cpuid.AVX2FMA, onFMA)
 	}
-	t.Logf("kernel selected = %v (AVX2+FMA %v, math.Exp on its FMA branch %v)", useLogisticKernel, hasAVX2FMA, onFMA)
+	t.Logf("kernel selected = %v (AVX2+FMA %v, math.Exp on its FMA branch %v)", useLogisticKernel, cpuid.AVX2FMA, onFMA)
 }
 
 // TestLogisticKernelMatchesFMABranch runs the kernel directly, selected or
 // not, against the transcribed avxfma branch across its whole range, and
 // checks it stops before the first block holding an out-of-range lane.
 func TestLogisticKernelMatchesFMABranch(t *testing.T) {
-	if !hasAVX2FMA {
+	if !cpuid.AVX2FMA {
 		t.Skip("CPU lacks AVX2+FMA")
 	}
 	src := rng.New(42)
