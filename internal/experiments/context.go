@@ -101,13 +101,27 @@ func NewQuick(out io.Writer, outDir string) *Context {
 // Dataset collects (or returns the cached) sample set.
 func (c *Context) Dataset() (*workload.Dataset, error) {
 	if c.dataset == nil {
-		ds, err := threetier.Collect(c.Sweep, c.Sys, c.Seed)
+		ds, err := c.collect(c.Trace, c.Sweep.Configs(), c.Sweep.Replicates, c.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: collecting dataset: %w", err)
 		}
 		c.dataset = ds
 	}
 	return c.dataset, nil
+}
+
+// collect simulates each configuration `replicates` times (minimum 1) and
+// traces it on tr as one threetier.collect event: configs, replicates,
+// simulated seconds (warm-up plus measurement, over all runs) and wall ms.
+func (c *Context) collect(tr *obs.Trace, configs []threetier.Config, replicates int, seed uint64) (*workload.Dataset, error) {
+	timer := tr.StartTimer()
+	ds, err := threetier.CollectConfigs(configs, replicates, c.Sys, seed)
+	if err == nil && tr.Enabled() {
+		runs := len(configs) * max(replicates, 1)
+		timer.Emit("threetier.collect", obs.Int("configs", len(configs)), obs.Int("replicates", max(replicates, 1)),
+			obs.Float("simulated_s", float64(runs)*(c.Sys.WarmupTime+c.Sys.MeasureTime)))
+	}
+	return ds, err
 }
 
 // workers resolves the context's parallelism bound.

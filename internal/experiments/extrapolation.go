@@ -85,11 +85,11 @@ func (c *Context) extrapolationWorkload() error {
 	testSpec := spec
 	testSpec.InjectionRates = []float64{600, 640}
 
-	trainDS, err := threetier.Collect(spec, c.Sys, c.Seed+77)
+	trainDS, err := c.collect(c.Trace, spec.Configs(), spec.Replicates, c.Seed+77)
 	if err != nil {
 		return err
 	}
-	testDS, err := threetier.Collect(testSpec, c.Sys, c.Seed+78)
+	testDS, err := c.collect(c.Trace, testSpec.Configs(), testSpec.Replicates, c.Seed+78)
 	if err != nil {
 		return err
 	}

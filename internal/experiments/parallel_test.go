@@ -2,9 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"nnwc/internal/obs"
+	"nnwc/internal/sched"
 )
 
 // runTable2At runs the Table-2 cross-validation experiment at the given
@@ -43,5 +48,77 @@ func TestRunTable2BitIdenticalAcrossWorkerCounts(t *testing.T) {
 		if csv != refCSV {
 			t.Fatalf("workers=%d table2.csv differs from workers=1", w)
 		}
+	}
+}
+
+// traceTable2At runs the Table-2 experiment with a trace at the given
+// worker count, for the fan-outs and for sample collection alike, and
+// returns the raw JSONL trace.
+func traceTable2At(t *testing.T, workers int) []byte {
+	t.Helper()
+	defer sched.SetWorkers(0)
+	sched.SetWorkers(workers)
+	var trace bytes.Buffer
+	c := NewQuick(io.Discard, t.TempDir())
+	c.Sys.WarmupTime = 2
+	c.Sys.MeasureTime = 8
+	c.Workers = workers
+	c.Trace = obs.NewTrace(obs.NewWriterSink(&trace))
+	if err := c.RunTable2(); err != nil {
+		t.Fatal(err)
+	}
+	return trace.Bytes()
+}
+
+// The dataset collection shows in the experiments trace as one
+// threetier.collect event whose deterministic fields describe the
+// campaign, whose wall time sits under the volatile "ms" key, and which
+// `nnwc runs show` lists; the canonical trace is the same at one worker
+// and at two.
+func TestTable2TraceHoldsCollectEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment integration test")
+	}
+	raw := traceTable2At(t, 1)
+	var collects []map[string]any
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var ev map[string]any
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev["ev"] == "threetier.collect" {
+			collects = append(collects, ev)
+		}
+	}
+	if len(collects) != 1 {
+		t.Fatalf("%d threetier.collect events, want 1", len(collects))
+	}
+	ev := collects[0]
+	// NewQuick's sweep: 2 rates × 2 mfg × 4 web × 3 default = 48 configs,
+	// one replicate each, 2 s warm-up + 8 s measurement per run.
+	if ev["configs"] != 48.0 || ev["replicates"] != 1.0 || ev["simulated_s"] != 480.0 {
+		t.Fatalf("collect event %v, want configs 48, replicates 1, simulated_s 480", ev)
+	}
+	if ms, ok := ev["ms"].(float64); !ok || ms <= 0 {
+		t.Fatalf("collect event %v has no positive wall time under ms", ev)
+	}
+	sum, err := obs.SummarizeTrace(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.ByName["threetier.collect"] != 1 {
+		t.Fatalf("trace summary counts %d threetier.collect events, want 1", sum.ByName["threetier.collect"])
+	}
+
+	ref, err := obs.CanonicalizeJSONL(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := obs.CanonicalizeJSONL(traceTable2At(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, ref) {
+		t.Fatal("canonical table2 trace at workers=2 differs from workers=1")
 	}
 }

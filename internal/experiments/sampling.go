@@ -6,6 +6,7 @@ import (
 
 	"nnwc/internal/core"
 	"nnwc/internal/doe"
+	"nnwc/internal/obs"
 	"nnwc/internal/sched"
 	"nnwc/internal/threetier"
 	"nnwc/internal/workload"
@@ -34,7 +35,7 @@ func (c *Context) RunSampling() error {
 	if err != nil {
 		return err
 	}
-	probeDS, err := c.collectDesign(probePts, dims, c.Seed+501)
+	probeDS, err := c.collectDesign(c.Trace, probePts, dims, c.Seed+501)
 	if err != nil {
 		return err
 	}
@@ -70,13 +71,15 @@ func (c *Context) RunSampling() error {
 		samples int
 		err     float64
 	}
+	// Cells trace their collections into slots replayed in cell order.
+	fork := c.Trace.Fork(len(jobs))
 	rows, err := sched.Map(c.workers(), len(jobs), func(i int) (row, error) {
 		j := jobs[i]
 		pts, err := j.design.Points(j.budget, len(dims))
 		if err != nil {
 			return row{}, err
 		}
-		trainDS, err := c.collectDesign(pts, dims, c.Seed+600+uint64(j.budget))
+		trainDS, err := c.collectDesign(fork.Slot(i), pts, dims, c.Seed+600+uint64(j.budget))
 		if err != nil {
 			return row{}, err
 		}
@@ -92,6 +95,7 @@ func (c *Context) RunSampling() error {
 		}
 		return row{j.design.Name(), j.budget, trainDS.Len(), ev.MeanHMRE()}, nil
 	})
+	fork.Join()
 	if err != nil {
 		return err
 	}
@@ -113,8 +117,8 @@ func (c *Context) RunSampling() error {
 }
 
 // collectDesign scales unit-cube points into configurations and simulates
-// them.
-func (c *Context) collectDesign(points [][]float64, dims []doe.Dimension, seed uint64) (*workload.Dataset, error) {
+// them, tracing the collection on tr.
+func (c *Context) collectDesign(tr *obs.Trace, points [][]float64, dims []doe.Dimension, seed uint64) (*workload.Dataset, error) {
 	scaled, err := doe.Scale(points, dims)
 	if err != nil {
 		return nil, err
@@ -127,5 +131,5 @@ func (c *Context) collectDesign(points [][]float64, dims []doe.Dimension, seed u
 		}
 		configs[i] = cfg
 	}
-	return threetier.CollectConfigs(configs, 1, c.Sys, seed)
+	return c.collect(tr, configs, 1, seed)
 }

@@ -225,38 +225,53 @@ func (f *Fork) Join() {
 	}
 }
 
+// Timer measures one region for the event that reports it. Obtain with
+// StartTimer, finish with Emit. The zero Timer is inert.
+type Timer struct {
+	tr    *Trace
+	start time.Time
+}
+
+// StartTimer starts timing a region. On a disabled trace it returns an
+// inert Timer and reads no clock.
+func (t *Trace) StartTimer() Timer {
+	if !t.Enabled() {
+		return Timer{}
+	}
+	return Timer{tr: t, start: time.Now()}
+}
+
+// Emit records the event with fields and then the region's wall time under
+// the volatile "ms" key, which CanonicalizeJSONL strips.
+func (tm Timer) Emit(name string, fields ...Field) {
+	if tm.tr != nil {
+		tm.tr.Emit(name, append(fields, Float("ms", float64(time.Since(tm.start))/float64(time.Millisecond)))...)
+	}
+}
+
 // Span measures one scheduled task: wall time plus worker attribution.
 // Obtain with StartSpan, finish with End. The zero Span is inert.
 type Span struct {
-	tr     *Trace
+	timer  Timer
 	scope  string
 	task   int
 	worker int
-	start  time.Time
 }
 
 // StartSpan starts timing task `task` of the named scope, executed by
 // `worker`. On a disabled trace it returns an inert span and reads no
 // clock.
 func (t *Trace) StartSpan(scope string, task, worker int) Span {
-	if !t.Enabled() {
-		return Span{}
-	}
-	return Span{tr: t, scope: scope, task: task, worker: worker, start: time.Now()}
+	return Span{timer: t.StartTimer(), scope: scope, task: task, worker: worker}
 }
 
 // End emits the span event: {"ev":"span","scope":...,"task":...,
 // "worker":...,"ms":...}. "ms" and "worker" are volatile keys stripped by
 // CanonicalizeJSONL.
 func (s Span) End() {
-	if s.tr == nil {
-		return
+	if s.timer.tr != nil {
+		s.timer.Emit("span", String("scope", s.scope), Int("task", s.task), Int("worker", s.worker))
 	}
-	s.tr.Emit("span",
-		String("scope", s.scope),
-		Int("task", s.task),
-		Int("worker", s.worker),
-		Float("ms", float64(time.Since(s.start))/float64(time.Millisecond)))
 }
 
 // volatileKeys are the wall-clock and scheduling artifacts a trace may

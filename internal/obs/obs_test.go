@@ -82,6 +82,8 @@ func TestNilTraceIsInert(t *testing.T) {
 
 	span := tr.StartSpan("scope", 0, 0)
 	span.End() // must not panic
+
+	tr.StartTimer().Emit("z", Int("a", 1)) // must not panic
 }
 
 func TestWriterSinkLines(t *testing.T) {
@@ -155,6 +157,19 @@ func TestSpanEmission(t *testing.T) {
 	}
 	if e.Fields[3].num < 0 {
 		t.Fatalf("span duration negative: %g", e.Fields[3].num)
+	}
+}
+
+func TestTimerEmission(t *testing.T) {
+	sink := &collectSink{}
+	tr := NewTraceNoTime(sink)
+	tr.StartTimer().Emit("threetier.collect", Int("configs", 8))
+	if len(sink.events) != 1 || sink.events[0].Name != "threetier.collect" {
+		t.Fatalf("got %+v, want one threetier.collect event", sink.events)
+	}
+	f := sink.events[0].Fields
+	if len(f) != 2 || f[0].Key != "configs" || f[0].i != 8 || f[1].Key != "ms" || f[1].num < 0 {
+		t.Fatalf("timer fields %+v, want configs 8 then a non-negative ms", f)
 	}
 }
 

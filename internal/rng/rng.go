@@ -121,9 +121,11 @@ func (r *Source) Norm() float64 {
 	}
 	v = r.Float64()
 	mag := math.Sqrt(-2 * math.Log(u))
-	r.spare = mag * math.Sin(2*math.Pi*v)
+	// One Sincos gives the bits of separate Sin and Cos calls (DESIGN §7).
+	sin, cos := math.Sincos(2 * math.Pi * v)
+	r.spare = mag * sin
 	r.hasSpare = true
-	return mag * math.Cos(2*math.Pi*v)
+	return mag * cos
 }
 
 // NormMeanStd returns a normal variate with the given mean and standard

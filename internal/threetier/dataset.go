@@ -84,12 +84,18 @@ func CollectConfigs(configs []Config, replicates int, sys SystemParams, seed uin
 	for i := range srcs {
 		srcs[i] = master.Split()
 	}
-	ys, err := sched.Map(sched.Workers(0), len(configs), func(i int) ([]float64, error) {
-		cfg := configs[i]
+	// Each worker reuses one Simulator's storage across its configurations.
+	// (A sync.Pool need not keep its items, and under -race it drops some.)
+	workers := sched.Workers(0)
+	sims := make([]*Simulator, workers) // apart: no shared cache lines
+	for w := range sims {
+		sims[w] = new(Simulator)
+	}
+	ys, err := sched.MapWorker(workers, len(configs), func(i, w int) ([]float64, error) {
+		cfg, sim := configs[i], sims[w]
 		acc := make([]float64, len(IndicatorNames()))
 		for rep := 0; rep < replicates; rep++ {
-			sim, err := NewSimulator(cfg, sys, srcs[i*replicates+rep])
-			if err != nil {
+			if err := sim.reset(cfg, sys, srcs[i*replicates+rep]); err != nil {
 				return nil, fmt.Errorf("threetier: collecting %+v: %w", cfg, err)
 			}
 			m, err := sim.Run()

@@ -205,6 +205,39 @@ func TestCollectMatchesParentDigest(t *testing.T) {
 	}
 }
 
+// TestCollectAllocsIndependentOfSimulatedTime extends
+// TestRunAllocsIndependentOfSimulatedTime to the fan-out: each worker
+// reuses one simulator's slab, heap and queues across configurations, so a
+// sweep simulated four times longer may allocate only a few dozen more
+// times (storage regrowth), at one worker and at two.
+func TestCollectAllocsIndependentOfSimulatedTime(t *testing.T) {
+	spec := SweepSpec{
+		InjectionRates: []float64{480, 640},
+		MfgThreads:     []int{8, 24},
+		WebThreads:     []int{8, 28},
+		DefaultThreads: []int{2},
+		Replicates:     1,
+	}
+	defer sched.SetWorkers(0)
+	for _, w := range []int{1, 2} {
+		sched.SetWorkers(w)
+		allocs := func(measure float64) float64 {
+			sys := DefaultSystemParams()
+			sys.WarmupTime, sys.MeasureTime = 1, measure
+			return testing.AllocsPerRun(3, func() {
+				if _, err := Collect(spec, sys, 1); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := allocs(1), allocs(4)
+		t.Logf("workers=%d: %.0f allocations at MeasureTime 1, %.0f at 4", w, short, long)
+		if long-short > 48 {
+			t.Fatalf("workers=%d: Collect allocates %.0f times at MeasureTime 1 but %.0f at 4: collection allocates per event", w, short, long)
+		}
+	}
+}
+
 // BenchmarkCollect times one collection campaign of perfbench's shape: the
 // 3×3×6×6 sweep over 1 s warm-up and 2 s measurement windows.
 func BenchmarkCollect(b *testing.B) {

@@ -1,8 +1,10 @@
 package threetier
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"nnwc/internal/rng"
 	"nnwc/internal/stats"
@@ -96,67 +98,82 @@ const (
 	evStageDone
 )
 
+// An event is two words that hold no pointers. The high half of tag is the
+// schedule order seq, the FIFO tie-break for equal times; being unique, it
+// keeps comparisons off the low half, the payload. Event times are never
+// negative or NaN, so (time, tag) orders as one 128-bit integer.
 type event struct {
-	time float64
-	seq  int64 // FIFO tie-break for determinism
-	kind eventKind
-	req  *request
+	tag  uint64 // seq<<32 | request<<2 | kind; arrivals carry request 0
+	time uint64 // math.Float64bits of the event time
 }
 
-// eventHeap is a binary min-heap on (time, seq). push and pop repeat
-// container/heap's Push and Pop step for step, so the backing array holds
-// the same events in the same slots: censoredOf sums over that array in
-// slot order, and a different layout would change the dataset's bits.
+// Run fails before seq or a request index outgrows its field of tag.
+const maxSeq, maxRequests = 1<<32 - 1, 1 << 30
+
+func (e event) kind() eventKind { return eventKind(e.tag & 3) }
+func (e event) req() int32      { return int32(uint32(e.tag) >> 2) }
+
+// before is 1 if a orders before b, else 0: the borrow of a − b, branch-free.
+func (a event) before(b event) uint64 {
+	_, borrow := bits.Sub64(a.tag, b.tag, 0)
+	_, borrow = bits.Sub64(a.time, b.time, borrow)
+	return borrow
+}
+
+// eventHeap is a binary min-heap of events. It keeps every event in the
+// slot container/heap's Push and Pop would: censoredOf sums over the array
+// in slot order, and a different layout would change the dataset's bits.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	//lint:waive floateq -- event heap needs an exact time tie-break for a deterministic total order
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) peekTime() float64 { return h[0].time }
-
-// push appends e and sifts it up (heap.Push).
+// push appends e and sifts it up, moving a hole where heap.Push swaps.
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
 	q := *h
-	for j := len(q) - 1; ; {
+	j := len(q) - 1
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if i == j || !q.less(j, i) {
+		if e.before(q[i]) == 0 {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		q[j] = q[i]
 		j = i
 	}
+	q[j] = e
 }
 
-// pop removes and returns the earliest event (heap.Pop): swap the root with
-// the last slot, sift the new root down over the rest, shrink by one.
+// pop removes and returns the earliest event. heap.Pop swaps the last event
+// x down the path of smaller children while a child orders before it; pop
+// moves the root's hole down that path to the bottom, then back up while x
+// orders before the hole's parent. Keys are unique and rise along the path,
+// so both leave every event in the same slot.
 //
 //nnwc:hotpath
 func (h *eventHeap) pop() event {
 	q := *h
 	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	for i := 0; ; {
+	top, x := q[0], q[n]
+	i := 0
+	for {
 		j := 2*i + 1 // left child
-		if j >= n {
+		if r := j + 1; r < n {
+			j += int(q[r].before(q[j]))
+		} else if j >= n {
 			break
 		}
-		if r := j + 1; r < n && q.less(r, j) {
-			j = r
-		}
-		if !q.less(j, i) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
+		q[i] = q[j]
 		i = j
 	}
+	for i > 0 {
+		p := (i - 1) / 2 // parent
+		if x.before(q[p]) == 0 {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
 	*h = q[:n]
-	return q[n]
+	return top
 }
 
 type request struct {
@@ -172,33 +189,28 @@ type request struct {
 type pool struct {
 	threads int
 	busy    int
-	queue   []*request
+	queue   []int32 // waiting requests' slab indices, from head on
 	head    int
 
 	// accounting
 	busyIntegral  float64
 	queueIntegral float64
-	lastUpdate    float64
-}
-
-func (p *pool) advance(now float64) {
-	dt := now - p.lastUpdate
-	p.busyIntegral += float64(p.busy) * dt
-	p.queueIntegral += float64(p.qlen()) * dt
-	p.lastUpdate = now
 }
 
 func (p *pool) qlen() int { return len(p.queue) - p.head }
 
-func (p *pool) push(r *request) { p.queue = append(p.queue, r) }
+func (p *pool) push(r int32) { p.queue = append(p.queue, r) }
 
-func (p *pool) pop() *request {
+// pop dequeues the oldest waiter. The queue rewinds when empty and compacts
+// in place once its consumed prefix outgrows its waiters.
+func (p *pool) pop() int32 {
 	r := p.queue[p.head]
-	p.queue[p.head] = nil
 	p.head++
-	if p.head > 1024 && p.head*2 > len(p.queue) {
-		p.queue = append([]*request(nil), p.queue[p.head:]...)
-		p.head = 0
+	switch {
+	case p.head == len(p.queue):
+		p.queue, p.head = p.queue[:0], 0
+	case p.head >= 32 && p.head*2 > len(p.queue):
+		p.queue, p.head = p.queue[:copy(p.queue, p.queue[p.head:])], 0
 	}
 	return r
 }
@@ -217,12 +229,13 @@ type Simulator struct {
 
 	now    float64
 	events eventHeap
-	seq    int64
-	// free holds completed requests for reuse. A completed request is in
-	// no heap slot and no queue, so reusing it changes no result.
-	free []*request
+	seq    uint64
+	// reqs is the request slab that events and queues index. free lists
+	// completed requests, which are in no heap slot and no queue, for reuse.
+	reqs []request
+	free []int32
 
-	pools         [NumPools]*pool
+	pools         [NumPools]pool
 	busyCPU       int // requests currently in their CPU phase
 	dbOutstanding int
 
@@ -243,40 +256,58 @@ type Simulator struct {
 // NewSimulator builds a simulator for the given configuration, system
 // parameters, and random source.
 func NewSimulator(cfg Config, sys SystemParams, src *rng.Source) (*Simulator, error) {
-	if err := cfg.Validate(); err != nil {
+	s := new(Simulator)
+	if err := s.reset(cfg, sys, src); err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// reset makes s a new simulator for cfg that keeps the storage the old one
+// grew: request slab, free list, event heap, pool queues and times table.
+func (s *Simulator) reset(cfg Config, sys SystemParams, src *rng.Source) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if sys.Cores < 1 {
-		return nil, fmt.Errorf("threetier: need at least one core, got %d", sys.Cores)
+		return fmt.Errorf("threetier: need at least one core, got %d", sys.Cores)
 	}
 	if err := sys.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	s := &Simulator{
+	old := *s
+	if old.reqs == nil { // new: start at sizes most configurations need
+		old.reqs, old.free, old.events = make([]request, 0, 256), make([]int32, 0, 256), make(eventHeap, 0, 64)
+	}
+	*s = Simulator{
 		cfg:      cfg,
 		sys:      sys,
 		profiles: profiles(),
 		src:      src,
+		events:   old.events[:0],
+		reqs:     old.reqs[:0],
+		free:     old.free[:0],
 	}
 	for c := range s.profiles {
 		if sys.Mix != nil {
 			s.profiles[c].mix = sys.Mix[c]
 		}
-		stages := s.profiles[c].stages
-		s.times[c] = make([]stageTimes, len(stages))
-		for i, st := range stages {
-			s.times[c][i] = stageTimes{
+		times := old.times[c][:0]
+		for _, st := range s.profiles[c].stages {
+			times = append(times, stageTimes{
 				cpu: newLognormal(st.cpuMean, sys.CPUVariation),
 				db:  newLognormal(st.dbMean, sys.DBVariation),
-			}
+			})
 		}
+		s.times[c] = times
 	}
-	s.pools[MfgPool] = &pool{threads: cfg.MfgThreads}
-	s.pools[WebPool] = &pool{threads: cfg.WebThreads}
-	s.pools[DefaultPool] = &pool{threads: cfg.DefaultThreads}
+	threads := [NumPools]int{MfgPool: cfg.MfgThreads, WebPool: cfg.WebThreads, DefaultPool: cfg.DefaultThreads}
+	for p := range s.pools {
+		s.pools[p] = pool{threads: threads[p], queue: old.pools[p].queue[:0]}
+	}
 	s.windowStart = sys.WarmupTime
 	s.windowEnd = sys.WarmupTime + sys.MeasureTime
-	return s, nil
+	return nil
 }
 
 // Run executes the simulation: warm-up, measurement window, then a bounded
@@ -287,43 +318,53 @@ func (s *Simulator) Run() (*Metrics, error) {
 	// staggered first submission per virtual user in closed loop.
 	switch s.cfg.Mode {
 	case OpenLoop:
-		s.schedule(s.src.Exp(s.cfg.InjectionRate), evArrival, nil)
+		s.schedule(s.src.Exp(s.cfg.InjectionRate), evArrival, 0)
 	case ClosedLoop:
 		for u := 0; u < s.cfg.Users; u++ {
-			s.schedule(s.src.Exp(1/s.cfg.ThinkTime), evArrival, nil)
+			s.schedule(s.src.Exp(1/s.cfg.ThinkTime), evArrival, 0)
 		}
 	}
 	drainLimit := s.windowEnd + s.sys.MeasureTime*0.5
 
 	for len(s.events) > 0 {
-		if s.events.peekTime() > drainLimit {
+		if math.Float64frombits(s.events[0].time) > drainLimit {
 			break
 		}
+		// An event schedules at most two more and makes at most one request.
+		if s.seq > maxSeq-2 || len(s.reqs) >= maxRequests {
+			return nil, errors.New("threetier: run outgrew 2^32 events or 2^30 requests")
+		}
 		e := s.events.pop()
-		s.advanceClocks(e.time)
-		s.now = e.time
-		switch e.kind {
+		now := math.Float64frombits(e.time)
+		s.advanceClocks(now)
+		s.now = now
+		switch e.kind() {
 		case evArrival:
 			s.onArrival()
 		case evCPUDone:
-			s.onCPUDone(e.req)
+			s.onCPUDone(e.req())
 		case evStageDone:
-			s.onStageDone(e.req)
+			s.onStageDone(e.req())
 		}
 	}
 
 	return s.collect(drainLimit), nil
 }
 
+// advanceClocks integrates the pools' busy threads and queue lengths from
+// the last event, at s.now, to now.
 func (s *Simulator) advanceClocks(now float64) {
-	for _, p := range s.pools {
-		p.advance(now)
+	dt := now - s.now
+	for i := range s.pools {
+		p := &s.pools[i]
+		p.busyIntegral += float64(p.busy) * dt
+		p.queueIntegral += float64(p.qlen()) * dt
 	}
 }
 
-func (s *Simulator) schedule(at float64, kind eventKind, r *request) {
+func (s *Simulator) schedule(at float64, kind eventKind, r int32) {
 	s.seq++
-	s.events.push(event{time: at, seq: s.seq, kind: kind, req: r})
+	s.events.push(event{tag: s.seq<<32 | uint64(r)<<2 | uint64(kind), time: math.Float64bits(at)})
 }
 
 func (s *Simulator) onArrival() {
@@ -331,32 +372,33 @@ func (s *Simulator) onArrival() {
 	// submission is scheduled when this user's transaction finishes. Load
 	// generation stops at the end of the measurement window either way.
 	if s.cfg.Mode == OpenLoop && s.now < s.windowEnd {
-		s.schedule(s.now+s.src.Exp(s.cfg.InjectionRate), evArrival, nil)
+		s.schedule(s.now+s.src.Exp(s.cfg.InjectionRate), evArrival, 0)
 	}
 	if s.cfg.Mode == ClosedLoop && s.now >= s.windowEnd {
 		return // the user retires instead of submitting
 	}
-	r := s.newRequest(s.sampleClass())
+	ri := s.newRequest(s.sampleClass())
 	if s.now >= s.windowStart && s.now < s.windowEnd {
-		r.measured = true
+		s.reqs[ri].measured = true
 		s.arrivals++
 	}
 	s.inFlight++
-	s.enqueue(r)
+	s.enqueue(ri)
 }
 
-// newRequest returns a request of class c arriving now, reusing a
-// completed one when the free list has one.
-func (s *Simulator) newRequest(c Class) *request {
-	var r *request
+// newRequest returns the slab index of a request of class c arriving now,
+// reusing a completed one's slot when the free list has one.
+func (s *Simulator) newRequest(c Class) int32 {
+	var ri int32
 	if n := len(s.free); n > 0 {
-		r = s.free[n-1]
+		ri = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		r = new(request)
+		ri = int32(len(s.reqs))
+		s.reqs = append(s.reqs, request{})
 	}
-	*r = request{class: c, arrival: s.now}
-	return r
+	s.reqs[ri] = request{class: c, arrival: s.now}
+	return ri
 }
 
 func (s *Simulator) sampleClass() Class {
@@ -371,34 +413,36 @@ func (s *Simulator) sampleClass() Class {
 	return Class(NumClasses - 1)
 }
 
-// enqueue places r at its current stage's pool, starting service
+// enqueue places request ri at its current stage's pool, starting service
 // immediately when a thread is free. A full wait queue rejects the
 // transaction outright (admission control), which both matches production
 // application servers and keeps saturated configurations' indicators
 // finite.
-func (s *Simulator) enqueue(r *request) {
+func (s *Simulator) enqueue(ri int32) {
+	r := &s.reqs[ri]
 	r.queuedAt = s.now
 	st := s.profiles[r.class].stages[r.stageIdx]
-	p := s.pools[st.pool]
+	p := &s.pools[st.pool]
 	switch {
 	case p.busy < p.threads:
 		p.busy++
-		s.startCPU(r)
+		s.startCPU(ri)
 	case s.sys.QueueCap > 0 && p.qlen() >= s.sys.QueueCap:
 		s.inFlight--
 		if r.measured {
 			s.rejected[r.class]++
 		}
-		s.free = append(s.free, r)
+		s.free = append(s.free, ri)
 		s.userDone()
 	default:
-		p.push(r)
+		p.push(ri)
 	}
 }
 
 // startCPU samples the CPU-phase duration under the current contention and
 // schedules its completion. The thread is already held.
-func (s *Simulator) startCPU(r *request) {
+func (s *Simulator) startCPU(ri int32) {
+	r := &s.reqs[ri]
 	r.heldAt = s.now
 	if r.measured {
 		st := s.profiles[r.class].stages[r.stageIdx]
@@ -407,7 +451,7 @@ func (s *Simulator) startCPU(r *request) {
 	s.busyCPU++
 	base := s.sampleTime(s.times[r.class][r.stageIdx].cpu)
 	slow := s.cpuSlowdown()
-	s.schedule(s.now+base*slow, evCPUDone, r)
+	s.schedule(s.now+base*slow, evCPUDone, ri)
 }
 
 // cpuSlowdown models processor sharing across cores plus the per-thread
@@ -428,11 +472,12 @@ func (s *Simulator) threadStretch() float64 {
 	return 1 + s.sys.ThreadOverhead*float64(total)
 }
 
-func (s *Simulator) onCPUDone(r *request) {
+func (s *Simulator) onCPUDone(ri int32) {
 	s.busyCPU--
+	r := &s.reqs[ri]
 	st := s.profiles[r.class].stages[r.stageIdx]
 	if st.dbMean <= 0 {
-		s.onStageDone(r)
+		s.onStageDone(ri)
 		return
 	}
 	// Database call made while holding the worker thread.
@@ -442,10 +487,11 @@ func (s *Simulator) onCPUDone(r *request) {
 	}
 	s.dbOutstanding++
 	d := s.sampleTime(s.times[r.class][r.stageIdx].db) * stretch
-	s.schedule(s.now+d, evStageDone, r)
+	s.schedule(s.now+d, evStageDone, ri)
 }
 
-func (s *Simulator) onStageDone(r *request) {
+func (s *Simulator) onStageDone(ri int32) {
+	r := &s.reqs[ri]
 	st := s.profiles[r.class].stages[r.stageIdx]
 	if st.dbMean > 0 {
 		s.dbOutstanding--
@@ -454,17 +500,16 @@ func (s *Simulator) onStageDone(r *request) {
 		s.svcSum[r.class][st.pool] += s.now - r.heldAt
 	}
 	// Release the worker thread; hand it to the next waiter if any.
-	p := s.pools[st.pool]
+	p := &s.pools[st.pool]
 	if p.qlen() > 0 {
-		next := p.pop()
-		s.startCPU(next)
+		s.startCPU(p.pop())
 	} else {
 		p.busy--
 	}
 
 	r.stageIdx++
 	if r.stageIdx < len(s.profiles[r.class].stages) {
-		s.enqueue(r)
+		s.enqueue(ri)
 		return
 	}
 	// Transaction complete.
@@ -480,7 +525,7 @@ func (s *Simulator) onStageDone(r *request) {
 			s.effective[r.class]++
 		}
 	}
-	s.free = append(s.free, r)
+	s.free = append(s.free, ri)
 	s.userDone()
 }
 
@@ -490,7 +535,7 @@ func (s *Simulator) userDone() {
 	if s.cfg.Mode != ClosedLoop {
 		return
 	}
-	s.schedule(s.now+s.src.Exp(1/s.cfg.ThinkTime), evArrival, nil)
+	s.schedule(s.now+s.src.Exp(1/s.cfg.ThinkTime), evArrival, 0)
 }
 
 // lognormal is a service-time distribution with a given mean and
@@ -559,8 +604,9 @@ func (s *Simulator) collect(drainEnd float64) *Metrics {
 	m.EffectiveTPS = float64(effTotal) / s.sys.MeasureTime
 	m.OfferedTPS = float64(s.arrivals) / s.sys.MeasureTime
 	window := drainEnd
-	for i, p := range s.pools {
-		p.advance(drainEnd)
+	s.advanceClocks(drainEnd)
+	for i := range s.pools {
+		p := &s.pools[i]
 		m.PoolUtilization[i] = p.busyIntegral / (float64(p.threads) * window)
 		m.MeanQueueLen[i] = p.queueIntegral / window
 	}
@@ -573,24 +619,24 @@ type censoredStats struct {
 }
 
 // censoredOf walks the remaining events and queues for measured requests of
-// class c that never completed.
+// class c that never completed. A live request sits in exactly one heap
+// slot or one queue slot, and arrivals carry none, so none counts twice.
 func (s *Simulator) censoredOf(c Class, horizon float64) censoredStats {
 	var out censoredStats
-	seen := map[*request]bool{}
-	add := func(r *request) {
-		if r == nil || !r.measured || r.class != c || seen[r] {
-			return
+	add := func(ri int32) {
+		if r := &s.reqs[ri]; r.measured && r.class == c {
+			out.count++
+			out.rtSum += horizon - r.arrival
 		}
-		seen[r] = true
-		out.count++
-		out.rtSum += horizon - r.arrival
 	}
 	for _, e := range s.events {
-		add(e.req)
+		if e.kind() != evArrival {
+			add(e.req())
+		}
 	}
-	for _, p := range s.pools {
-		for i := p.head; i < len(p.queue); i++ {
-			add(p.queue[i])
+	for i := range s.pools {
+		for _, ri := range s.pools[i].queue[s.pools[i].head:] {
+			add(ri)
 		}
 	}
 	return out

@@ -1,10 +1,17 @@
 package threetier
 
 import (
+	"container/heap"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"nnwc/internal/queueing"
+	"nnwc/internal/rng"
 )
 
 // testParams returns fast simulation windows for unit tests.
@@ -360,6 +367,158 @@ func TestRunAllocsIndependentOfSimulatedTime(t *testing.T) {
 	short, long := allocs(2), allocs(8)
 	if long-short > 48 {
 		t.Fatalf("Run allocates %.0f times at MeasureTime 2 but %.0f at 8: the event loop allocates per event", short, long)
+	}
+}
+
+// metricsDigest hashes every measured field of m bit for bit, samples
+// included: SHA-256 over the little-endian math.Float64bits of each value.
+func metricsDigest(m *Metrics) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	put(m.ResponseTimes[:]...)
+	for c := 0; c < NumClasses; c++ {
+		put(float64(m.Completed[c]), float64(m.Rejected[c]), float64(m.Censored[c]))
+		put(m.Samples[c]...)
+		put(m.MeanPoolWait[c][:]...)
+		put(m.MeanPoolService[c][:]...)
+	}
+	put(m.EffectiveTPS, m.OfferedTPS)
+	put(m.PoolUtilization[:]...)
+	put(m.MeanQueueLen[:]...)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestRunMatchesParentDigest pins every Metrics field, not only the
+// dataset's indicators, to the bits of the pointer-based simulator with
+// the container/heap event queue: utilizations, queue lengths, per-pool
+// breakdowns and response-time samples, in open loop (rejecting and
+// censoring), with fixed service times, and in closed loop.
+func TestRunMatchesParentDigest(t *testing.T) {
+	base := DefaultSystemParams()
+	base.WarmupTime, base.MeasureTime = 1, 4
+	base.CollectSamples = true
+	censor, fixed := base, base
+	censor.QueueCap = 0
+	fixed.CPUVariation, fixed.DBVariation = 0, 0
+	saturated := Config{InjectionRate: 640, MfgThreads: 8, WebThreads: 8, DefaultThreads: 2}
+	cases := []struct {
+		name string
+		cfg  Config
+		sys  SystemParams
+		want string
+	}{
+		{"reject", saturated, base, "77974d4c2fe40a902b640ed5cded1ce8482693975b2c57358457f1fb54c30e69"},
+		{"censor", saturated, censor, "18814f65a8a8cf91ad373c695431fd58c65b8682b6817679c0d3cd4ef6f5462e"},
+		{"fixed", Config{InjectionRate: 560, MfgThreads: 16, WebThreads: 18, DefaultThreads: 8}, fixed, "e4d09f17e36a61321293afce41ab9e357c057ebe663f89d0942dca7a2486f5cd"},
+		{"closed", Config{Mode: ClosedLoop, Users: 300, ThinkTime: 0.5, MfgThreads: 16, WebThreads: 18, DefaultThreads: 8}, base, "129bdcee78d566f8fd16d99d2ed11c7675eb823eea536aebef9fafff33b6d968"},
+	}
+	for _, tc := range cases {
+		m, err := Run(tc.cfg, tc.sys, 2006)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := metricsDigest(m); got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// refHeap is the container/heap queue the event heap replaced, ordering
+// events by float time and then by seq.
+type refHeap []event
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	ti, tj := math.Float64frombits(h[i].time), math.Float64frombits(h[j].time)
+	if ti != tj {
+		return ti < tj
+	}
+	return h[i].tag>>32 < h[j].tag>>32
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// TestEventHeapMatchesContainerHeap drives eventHeap and container/heap
+// through the same random pushes and pops, with times drawn from a few
+// values so that ties fall to seq, and requires the same event out of
+// every pop and the same event in every slot after every operation.
+func TestEventHeapMatchesContainerHeap(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var got eventHeap
+	var want refHeap
+	var seq uint64
+	for op := 0; op < 200_000; op++ {
+		if len(got) > 0 && r.Intn(5) < 2+len(got)/200 {
+			if g, w := got.pop(), heap.Pop(&want).(event); g != w {
+				t.Fatalf("op %d: pop %+v, container/heap pops %+v", op, g, w)
+			}
+		} else {
+			seq++
+			at := float64(r.Intn(64)) * 0.25
+			e := event{tag: seq<<32 | uint64(r.Intn(1<<30))<<2 | uint64(r.Intn(3)), time: math.Float64bits(at)}
+			got.push(e)
+			heap.Push(&want, e)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("op %d: slot %d holds %+v, container/heap holds %+v", op, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestCensoredRequestsInOneSlot backs censoredOf's sum without a dedupe:
+// at the end of a censoring (QueueCap 0) run, every request index left in
+// the event heap or a pool queue appears there once.
+func TestCensoredRequestsInOneSlot(t *testing.T) {
+	sys := DefaultSystemParams()
+	sys.WarmupTime, sys.MeasureTime = 1, 4
+	sys.QueueCap = 0
+	cfg := Config{InjectionRate: 640, MfgThreads: 8, WebThreads: 8, DefaultThreads: 2}
+	sim, err := NewSimulator(cfg, sys, rng.New(2006))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int32]string{}
+	note := func(ri int32, where string) {
+		if prev, ok := seen[ri]; ok {
+			t.Fatalf("request %d is in %s and in %s", ri, prev, where)
+		}
+		seen[ri] = where
+	}
+	for i, e := range sim.events {
+		if e.kind() != evArrival {
+			note(e.req(), fmt.Sprintf("heap slot %d", i))
+		}
+	}
+	for p := range sim.pools {
+		q := &sim.pools[p]
+		for i, ri := range q.queue[q.head:] {
+			note(ri, fmt.Sprintf("%v queue slot %d", Pool(p), i))
+		}
+	}
+	var censored int
+	for _, n := range m.Censored {
+		censored += n
+	}
+	if censored == 0 || len(seen) < censored {
+		t.Fatalf("%d requests left in flight, %d censored: want some censored, all of them in flight", len(seen), censored)
 	}
 }
 
