@@ -416,6 +416,18 @@ func (c *Coordinator) seeLocked(worker string) {
 	}
 }
 
+// tellLocked records that worker has been told Done. The last worker Wait
+// waits for closes allTold. Must hold mu.
+func (c *Coordinator) tellLocked(worker string) {
+	if c.untold[worker] {
+		delete(c.untold, worker)
+		if len(c.untold) == 0 {
+			close(c.allTold)
+			c.untold = nil
+		}
+	}
+}
+
 // reclaimLocked requeues the unresolved indexes of expired leases. Must
 // hold mu. Indexes are gathered across all expired leases and re-sharded
 // in sorted order so requeue order never depends on map iteration.
@@ -498,13 +510,7 @@ func (c *Coordinator) leaseLocked(worker string) leaseReply {
 	now := time.Now()
 	c.reclaimLocked(now)
 	if c.remaining == 0 {
-		if c.untold[worker] {
-			delete(c.untold, worker)
-			if len(c.untold) == 0 {
-				close(c.allTold)
-				c.untold = nil
-			}
-		}
+		c.tellLocked(worker)
 		return leaseReply{Done: true}
 	}
 	if len(c.pending) == 0 {
@@ -547,6 +553,14 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Under mu, so the results of one lease are absorbed in turn.
+	absorbWorkerMetrics(req.Worker, req.Metrics)
+	// A Done reply tells a worker that exits on it.
+	defer func() {
+		if c.remaining == 0 && req.ExitsOnDone {
+			c.tellLocked(req.Worker)
+		}
+	}()
 	if c.resolved[req.Index] {
 		// Idempotent index-addressed store: the first delivery won. The
 		// payloads are deterministic, so the loser carried the same bits.

@@ -25,7 +25,7 @@
 //
 //	GET  /dist/job             → Spec (kind, seed, task count, config, artifact hashes)
 //	POST /dist/lease           {"worker":id,"metrics":{...}} → {"lease_id","lo","hi"} | {"done":true} | {"retry_ms":n,"held":true}
-//	POST /dist/result          {"lease_id","worker","index","payload"|"error","events"} → {"done","duplicate"}
+//	POST /dist/result          {"lease_id","worker","index","payload"|"error","events","metrics","exits_on_done"} → {"done","duplicate"}
 //	GET  /dist/artifact/{sha}  → artifact bytes (verified by the worker)
 //	GET  /dist/progress        → {"completed","failed","total","workers","elapsed_sec"}
 //	GET  /metrics              → Prometheus text, including federated per-worker histograms
@@ -37,7 +37,8 @@
 // both ways: workers buffer their per-task obs events and ship them on
 // /dist/result (merged by the coordinator into one deterministic cluster
 // trace), and push cumulative histogram snapshots on every /dist/lease
-// renewal (federated into cluster-wide /metrics series).
+// renewal and /dist/result (federated into cluster-wide /metrics series).
+// A worker exits on the first reply that says done, lease or result.
 //
 // Completed indexes journal to an optional state file, so a restarted
 // coordinator (same spec fingerprint) skips them — resumable runs.
@@ -195,6 +196,12 @@ type resultRequest struct {
 	// events plus the worker's closing dist_task span. The coordinator
 	// splices them into the merged cluster trace in task-index order.
 	Events string `json:"events,omitempty"`
+	// Metrics are the worker's snapshots, as on leaseRequest: a worker
+	// that exits on a Done result reply makes no lease request after it.
+	Metrics map[string]metrics.HistogramSnapshot `json:"metrics,omitempty"`
+	// ExitsOnDone: the worker exits when this reply says Done, so the
+	// reply tells it. Older workers hear Done on their next lease request.
+	ExitsOnDone bool `json:"exits_on_done,omitempty"`
 }
 
 type resultReply struct {

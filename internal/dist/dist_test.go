@@ -175,6 +175,107 @@ func TestCoordinatorTwoWorkersCompleteInOrder(t *testing.T) {
 	}
 }
 
+// TestDoneResultReplyEndsWorker: in a 2-worker job, the worker whose
+// result completes the job hears Done on that result's reply and exits
+// without another lease request, and the coordinator counts it as told:
+// Wait returns at once, not after LingerAfterDone.
+func TestDoneResultReplyEndsWorker(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorConfig{Spec: toySpec(6), LeaseSize: 1, PollInterval: 5 * time.Millisecond, LingerAfterDone: 30 * time.Second})
+	// A proxy in front of the coordinator notes which workers a result
+	// reply told Done, and every lease request those workers make after.
+	var mu sync.Mutex
+	toldByResult, leasesAfter := map[string]bool{}, map[string]int{}
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		worker := r.Header.Get(httpx.HeaderWorker)
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, r)
+		var rr resultReply
+		mu.Lock()
+		switch r.URL.Path {
+		case "/dist/lease":
+			if toldByResult[worker] {
+				leasesAfter[worker]++
+			}
+		case "/dist/result":
+			if json.Unmarshal(rec.Body.Bytes(), &rr) == nil && rr.Done {
+				toldByResult[worker] = true
+			}
+		}
+		mu.Unlock()
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	}))
+	defer proxy.Close()
+
+	runners := map[string]Runner{"toy": afterSeen(c, 2, toyRunner)}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		w := newTestWorker(t, proxy.URL, runners)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = w.Run(context.Background())
+		}(i)
+	}
+	start := time.Now()
+	if _, err := c.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("Wait took %s: the worker told Done on its result reply was not counted as told", elapsed)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(toldByResult) != 1 {
+		t.Fatalf("result replies told %d workers Done, want the one that delivered the last result", len(toldByResult))
+	}
+	for worker := range toldByResult {
+		if n := leasesAfter[worker]; n != 0 {
+			t.Fatalf("worker %s made %d lease request(s) after its result reply said Done", worker, n)
+		}
+	}
+}
+
+// TestDoneResultReplyLeavesOlderWorkerUntold: a result request without
+// exits_on_done, as older workers send, is answered Done but does not
+// count its worker as told; Wait waits for that worker's next lease.
+func TestDoneResultReplyLeavesOlderWorkerUntold(t *testing.T) {
+	c := newTestCoordinator(t, CoordinatorConfig{Spec: toySpec(1), LingerAfterDone: 30 * time.Second})
+	base := "http://" + c.Addr()
+	client := &http.Client{Timeout: 5 * time.Second}
+	var lr leaseReply
+	postJSONT(t, client, base+"/dist/lease", leaseRequest{Worker: "old"}, &lr)
+	payload, _ := toyRunner(context.Background(), nil, toySpec(1), 0)
+	var rr resultReply
+	postJSONT(t, client, base+"/dist/result", resultRequest{LeaseID: lr.LeaseID, Worker: "old", Index: 0, Payload: payload}, &rr)
+	if !rr.Done {
+		t.Fatalf("last result answered %+v, want done", rr)
+	}
+	c.mu.Lock()
+	untold := c.untold["old"]
+	c.mu.Unlock()
+	if !untold {
+		t.Fatal("a worker that does not exit on a result reply was counted as told Done")
+	}
+	postJSONT(t, client, base+"/dist/lease", leaseRequest{Worker: "old"}, &lr)
+	if !lr.Done {
+		t.Fatalf("lease after the last result answered %+v, want done", lr)
+	}
+	if _, err := c.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTaskErrorReportsLowestIndex(t *testing.T) {
 	c := newTestCoordinator(t, CoordinatorConfig{Spec: toySpec(6), LeaseSize: 2})
 	runner := func(ctx context.Context, env Env, spec Spec, index int) (json.RawMessage, error) {

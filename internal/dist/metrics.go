@@ -53,17 +53,23 @@ var (
 // absorbWorkerMetrics folds one worker's snapshot push into the
 // federated series. A bounds mismatch (version skew across the cluster)
 // drops that series rather than failing the lease — federation is
-// best-effort observability, never liveness.
+// best-effort observability, never liveness. A snapshot counting fewer
+// observations than the worker's cell is older (two results of one lease
+// can arrive out of order) and is dropped too.
 func absorbWorkerMetrics(worker string, snaps map[string]metrics.HistogramSnapshot) {
 	if worker == "" || len(snaps) == 0 {
 		return
 	}
 	for role, snap := range snaps { // cells are keyed, not ordered: iteration order is irrelevant
+		var vec *metrics.HistogramVec
 		switch role {
 		case MetricTaskMS:
-			_ = fedTaskMS.SetSnapshot(snap, worker)
+			vec = fedTaskMS
 		case MetricArtifactMS:
-			_ = fedArtifactMS.SetSnapshot(snap, worker)
+			vec = fedArtifactMS
+		}
+		if vec != nil && snap.Count >= vec.CellSnapshot(worker).Count {
+			_ = vec.SetSnapshot(snap, worker)
 		}
 	}
 }

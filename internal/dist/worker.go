@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nnwc/internal/httpx"
@@ -160,7 +161,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 }
 
 // metricSnapshots gathers the worker's cumulative histogram snapshots for
-// a lease-request push. Empty series are omitted.
+// a lease- or result-request push. Empty series are omitted.
 func (w *Worker) metricSnapshots() map[string]metrics.HistogramSnapshot {
 	snaps := make(map[string]metrics.HistogramSnapshot, 2)
 	if s := w.taskHist.Snapshot(); s.Count > 0 {
@@ -242,7 +243,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	w.jobID = spec.JobID // stamped as X-NNWC-Run on every request from here on
 	w.logf("dist: worker %s: job %q, %d tasks, coordinator %s", w.cfg.ID, spec.Kind, spec.NumTasks, w.cfg.Coordinator)
 
-	for {
+	for done := false; !done; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -255,8 +256,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		switch {
 		case rep.Done:
-			w.logf("dist: worker %s: job complete", w.cfg.ID)
-			return nil
+			done = true
 		case rep.Held: // the coordinator already waited; ask again at once
 		case rep.LeaseID == 0:
 			wait := time.Duration(rep.RetryMS) * time.Millisecond
@@ -271,20 +271,25 @@ func (w *Worker) Run(ctx context.Context) error {
 			case <-timer.C:
 			}
 		default:
-			if err := w.runLease(ctx, runner, spec, rep); err != nil {
+			// A result reply that says Done ends the job too, with no lease
+			// round trip to hear it again.
+			if done, err = w.runLease(ctx, runner, spec, rep); err != nil {
 				return err
 			}
 		}
 	}
+	w.logf("dist: worker %s: job complete", w.cfg.ID)
+	return nil
 }
 
 // runLease computes every index in [rep.Lo, rep.Hi) and streams each
-// result back as it lands. Tasks inside the lease may run concurrently
-// (Parallelism); payloads are index-seeded so the results are identical
-// either way.
-func (w *Worker) runLease(ctx context.Context, runner Runner, spec Spec, rep leaseReply) error {
+// result back as it lands, and reports whether a result reply said the
+// job is done. Tasks inside the lease may run concurrently (Parallelism);
+// payloads are index-seeded so the results are identical either way.
+func (w *Worker) runLease(ctx context.Context, runner Runner, spec Spec, rep leaseReply) (bool, error) {
 	n := rep.Hi - rep.Lo
-	return sched.ForEachWorker(sched.Workers(w.cfg.Parallelism), n, func(i, _ int) error {
+	var done atomic.Bool
+	err := sched.ForEachWorker(sched.Workers(w.cfg.Parallelism), n, func(i, _ int) error {
 		idx := rep.Lo + i
 		// Each task gets its own buffered trace: the runner emits its
 		// deterministic events through the context, the worker closes the
@@ -305,11 +310,13 @@ func (w *Worker) runLease(ctx context.Context, runner Runner, spec Spec, rep lea
 		w.taskHist.Observe(ms)
 		workerTasksTotal.Inc()
 		res := resultRequest{
-			LeaseID:   rep.LeaseID,
-			Worker:    w.cfg.ID,
-			Index:     idx,
-			ElapsedMS: ms,
-			Events:    events.String(),
+			LeaseID:     rep.LeaseID,
+			Worker:      w.cfg.ID,
+			Index:       idx,
+			ElapsedMS:   ms,
+			Events:      events.String(),
+			Metrics:     w.metricSnapshots(),
+			ExitsOnDone: true,
 		}
 		if err != nil {
 			// Deterministic task failure: report it, don't retry it.
@@ -323,8 +330,12 @@ func (w *Worker) runLease(ctx context.Context, runner Runner, spec Spec, rep lea
 		}); err != nil {
 			return fmt.Errorf("dist: worker %s: delivering task %d: %w", w.cfg.ID, idx, err)
 		}
+		if rr.Done {
+			done.Store(true)
+		}
 		return nil
 	})
+	return done.Load(), err
 }
 
 // ArtifactPath implements Env: fetch-once, hash-verify, cache on disk.

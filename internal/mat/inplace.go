@@ -77,36 +77,20 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// mulGo is MulInto's portable kernel (dst already shaped): a row's columns
-// go in register blocks of 4, the b.Cols%4 tail one at a time.
+// mulGo is MulInto's portable kernel (dst already shaped) and its
+// definition: every cell from +0 plus a[i][k]·b[k][j] in ascending k,
+// skipping exact-zero a[i][k] (so 0·Inf never reaches a cell).
 //
 //nnwc:hotpath
 func mulGo(dst, a, b *Matrix) {
-	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow, crow := a.Row(i), dst.Row(i)
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			var s0, s1, s2, s3 float64
-			for k, av := range arow {
-				//lint:waive floateq -- exact-zero sparsity skip in the inner product; FP-safe
-				if av == 0 {
-					continue
-				}
-				w := b.Data[k*n+j : k*n+j+4 : k*n+j+4]
-				s0 += av * w[0]
-				s1 += av * w[1]
-				s2 += av * w[2]
-				s3 += av * w[3]
-			}
-			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
+		for j := range crow {
 			var s float64
 			for k, av := range arow {
 				//lint:waive floateq -- exact-zero sparsity skip in the inner product; FP-safe
 				if av != 0 {
-					s += av * b.Data[k*n+j]
+					s += av * b.Data[k*b.Cols+j]
 				}
 			}
 			crow[j] = s

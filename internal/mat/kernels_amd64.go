@@ -18,7 +18,7 @@ const (
 	// mulTransBiasMinRows is the row count from which MulTransBiasInto
 	// takes the AVX kernel; below it, building the Wᵀ tiles costs more
 	// than the lanes save (DESIGN.md §13, BenchmarkForwardBatchRows).
-	mulTransBiasMinRows = 8
+	mulTransBiasMinRows = 4
 	// maxTileK bounds the inputs of a Wᵀ tile, which lives on the stack;
 	// wider layers take the Go kernel.
 	maxTileK = 64

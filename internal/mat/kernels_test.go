@@ -25,11 +25,10 @@ func randMatrix(src *rng.Source, rows, cols int) *Matrix {
 	return m
 }
 
-// kernelShapes straddle every register block and unroll boundary: m runs
-// 1…9 (every 2- and 4-row block tail, on both sides of MulTransBiasInto's
-// row gate), 16, and a Table 2 fold's training sizes (259 odd, 260 even); n
-// runs 1…9 so every n%4 tail and odd output count appears; k covers the
-// 4x-unrolled dot's tails.
+// kernelShapes straddle every register block boundary: m runs 1…9 (every
+// 4-row block tail, on both sides of MulTransBiasInto's row gate), 16, and
+// a Table 2 fold's training sizes (259 odd, 260 even); n runs 1…9 so every
+// n%4 tail and odd output count appears; k runs across the 4-wide tiles.
 var kernelShapes = func() (shapes []struct{ m, n, k int }) {
 	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 259, 260} {
 		for n := 1; n <= 9; n++ {
@@ -51,7 +50,9 @@ type kernelImpl struct {
 
 // kernelImpls holds the exported kernels, which dispatch to the assembly
 // where it is selected, and the portable Go kernels, which every host runs
-// here. kernels_amd64_test.go adds the assembly without the row gate.
+// here. The Go kernels are also the references, so their own cases only
+// run every shape and special value through them. kernels_amd64_test.go
+// adds the assembly without the row gate.
 var kernelImpls = []kernelImpl{
 	{"dispatch", MulTransBiasInto, MulInto, GradAccumInto},
 	{"go", func(dst, a, b *Matrix, bias []float64) *Matrix {
@@ -131,54 +132,24 @@ func TestAXPYMatchesNaive(t *testing.T) {
 	}
 }
 
-// refMulTransBias is the per-sample perceptron loop MulTransBiasInto must
-// reproduce: every cell starts from its bias (+0 when bias is nil) and adds
-// a[i][k]·b[j][k] in ascending k.
+// refMulTransBias, refMul and refGradAccum run the portable Go kernels:
+// the naive loops (bias-first ascending k; ascending k skipping exact-zero
+// a[i][k]; ascending r, o, j with scale·(d·x)) that define every
+// implementation's bits.
 func refMulTransBias(a, b *Matrix, bias []float64) *Matrix {
 	c := New(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Rows; j++ {
-			var s float64
-			if bias != nil {
-				s = bias[j]
-			}
-			c.Set(i, j, naiveDotSeed(s, a.Row(i), b.Row(j)))
-		}
-	}
+	mulTransBiasGo(c, a, b, bias)
 	return c
 }
 
-// refMul is the ascending-k product MulInto must reproduce, including its
-// skip of exact-zero a[i][k] terms (so 0·Inf never reaches a cell).
 func refMul(a, b *Matrix) *Matrix {
 	c := New(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			var s float64
-			for k := 0; k < a.Cols; k++ {
-				if av := a.At(i, k); av != 0 {
-					s += av * b.At(k, j)
-				}
-			}
-			c.Set(i, j, s)
-		}
-	}
+	mulGo(c, a, b)
 	return c
 }
 
-// refGradAccum is the per-sample backprop accumulation GradAccumInto must
-// reproduce: ascending r, then o, then j, with the expression scale·(d·x).
 func refGradAccum(dw *Matrix, db []float64, delta, in *Matrix, scale float64) {
-	for r := 0; r < delta.Rows; r++ {
-		xrow := in.Row(r)
-		for o, d := range delta.Row(r) {
-			db[o] += scale * d
-			row := dw.Row(o)
-			for j, xv := range xrow {
-				row[j] += scale * (d * xv)
-			}
-		}
-	}
+	gradAccumGo(dw, db, delta, in, scale)
 }
 
 // specialShapes put the last row and column both inside a full register

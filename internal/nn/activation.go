@@ -157,7 +157,8 @@ func EvalRow(act Activation, pre, out []float64) {
 
 // ScaleByDeriv multiplies dst[i] by act.Deriv(pre[i], y[i]) — the
 // back-propagation step that folds the activation derivative into a delta
-// row — with the same once-per-row devirtualization as EvalRow.
+// row — with the same once-per-row devirtualization as EvalRow. The
+// Logistic case runs four lanes at a time on amd64 hosts with AVX.
 //
 //nnwc:hotpath
 func ScaleByDeriv(act Activation, pre, y, dst []float64) {
@@ -166,9 +167,7 @@ func ScaleByDeriv(act Activation, pre, y, dst []float64) {
 	case Identity:
 		// Deriv is 1 everywhere.
 	case Logistic:
-		for i := range dst {
-			dst[i] *= a.Deriv(pre[i], y[i])
-		}
+		scaleByLogisticDeriv(a.Alpha, y, dst)
 	case Tanh:
 		for i := range dst {
 			dst[i] *= Tanh{}.Deriv(pre[i], y[i])

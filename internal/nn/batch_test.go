@@ -184,9 +184,9 @@ func BenchmarkForwardBatch64x4x16x5(b *testing.B) {
 }
 
 // BenchmarkForwardBatchRows times a batched forward pass over perfbench's
-// three served shapes at the row counts a request batch spans. The 1- and
-// 4-row cases run below MulTransBiasInto's AVX row gate, 16 and 64 above
-// it (DESIGN.md §13).
+// three served shapes at the row counts a request batch spans. The 1-row
+// case runs below MulTransBiasInto's AVX row gate, 4 at it, 16 and 64
+// above it (DESIGN.md §13).
 func BenchmarkForwardBatchRows(b *testing.B) {
 	for _, sizes := range [][]int{{4, 16, 5}, {4, 8, 5}, {4, 24, 24, 5}} {
 		src := rng.New(1)

@@ -13,6 +13,13 @@ import (
 //go:noescape
 func logisticAVX2(negAlpha float64, pre, out []float64) int
 
+// logisticDerivAVX is the AVX kernel of the logistic derivative sweep
+// (logistic_amd64.s). It scales dst[:n] by (α·y)·(1−y) for the largest
+// n ≤ len(dst)&^3 whose 4-element blocks hold no NaN, and returns n.
+//
+//go:noescape
+func logisticDerivAVX(alpha float64, y, dst []float64) int
+
 // logisticProbe holds the self-check's inputs. The first ten are values
 // where math.Exp's FMA and non-FMA branches give different logistics
 // (TestLogisticProbeDiscriminates); the last two sit at the ends of the
@@ -52,5 +59,21 @@ func logisticRow(alpha float64, pre, out []float64) {
 	}
 	for i := n; i < len(pre); i++ {
 		out[i] = 1 / (1 + math.Exp(-alpha*pre[i]))
+	}
+}
+
+// scaleByLogisticDeriv multiplies dst[i] by α·y[i]·(1−y[i]), Logistic.Deriv's
+// expression. Blocks of four go through the AVX kernel, which computes it
+// lane for lane; the len%4 tail, and the rest of the row from the first
+// block with a NaN, run the scalar loop.
+//
+//nnwc:hotpath
+func scaleByLogisticDeriv(alpha float64, y, dst []float64) {
+	n := 0
+	if cpuid.AVX {
+		n = logisticDerivAVX(alpha, y[:len(dst)], dst)
+	}
+	for i := n; i < len(dst); i++ {
+		dst[i] *= alpha * y[i] * (1 - y[i])
 	}
 }

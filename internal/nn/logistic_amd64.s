@@ -112,3 +112,43 @@ done:
 	VZEROUPPER // the caller's SSE code would otherwise pay a state transition
 	MOVQ AX, ret+56(FP)
 	RET
+
+// func logisticDerivAVX(alpha float64, y, dst []float64) int
+//
+// dst[i] *= (alpha·y[i])·(1−y[i]) for i < len(dst)&^3, the scalar
+// expression lane for lane: VMULPD and VSUBPD round as MULSD and SUBSD do,
+// and no product is fused. It stops before the first block where y or dst
+// holds a NaN, returning how many elements it wrote. Without NaN inputs at
+// most one operand of each product is NaN (0·Inf makes the default NaN),
+// so the operand order, which picks the payload of two NaNs, cannot change
+// a result bit; ±Inf lanes are computed here.
+TEXT ·logisticDerivAVX(SB), NOSPLIT, $0-64
+	MOVQ y_base+8(FP), SI
+	MOVQ dst_base+32(FP), DI
+	MOVQ dst_len+40(FP), CX
+	ANDQ $~3, CX
+	XORQ AX, AX
+	VBROADCASTSD alpha+0(FP), Y4
+	VBROADCASTSD logisticdata<>+8(SB), Y5 // 1.0
+
+derivloop:
+	CMPQ      AX, CX
+	JGE       derivdone
+	VMOVUPD   (SI)(AX*8), Y0
+	VMOVUPD   (DI)(AX*8), Y1
+	VCMPPD    $3, Y1, Y0, Y2 // unordered: y or dst is NaN
+	VMOVMSKPD Y2, DX
+	TESTQ     DX, DX
+	JNE       derivdone
+	VMULPD    Y0, Y4, Y2 // α·y
+	VSUBPD    Y0, Y5, Y3 // 1−y
+	VMULPD    Y3, Y2, Y2
+	VMULPD    Y2, Y1, Y1
+	VMOVUPD   Y1, (DI)(AX*8)
+	ADDQ      $4, AX
+	JMP       derivloop
+
+derivdone:
+	VZEROUPPER
+	MOVQ AX, ret+56(FP)
+	RET

@@ -141,3 +141,36 @@ func TestLogisticKernelMatchesFMABranch(t *testing.T) {
 		}
 	}
 }
+
+// TestLogisticDerivKernelStopsAtNaN runs the derivative kernel directly: it
+// takes every block of a NaN-free row, ±Inf lanes included, and stops
+// before the first block where y or dst holds a NaN.
+func TestLogisticDerivKernelStopsAtNaN(t *testing.T) {
+	if !cpuid.AVX {
+		t.Skip("CPU lacks AVX")
+	}
+	for n := 0; n <= 11; n++ {
+		y, dst := make([]float64, n), make([]float64, n)
+		for i := range y {
+			y[i], dst[i] = derivSpecials[i%9], derivSpecials[(i+4)%9]
+		}
+		if got := logisticDerivAVX(1.7, y, dst); got != n&^3 {
+			t.Fatalf("n=%d NaN-free: kernel wrote %d elements, want %d", n, got, n&^3)
+		}
+	}
+	for _, nan := range derivSpecials[9:] {
+		for pos := 0; pos < 11; pos++ {
+			for _, inY := range []bool{true, false} {
+				y, dst := make([]float64, 11), make([]float64, 11)
+				if inY {
+					y[pos] = nan
+				} else {
+					dst[pos] = nan
+				}
+				if got, want := logisticDerivAVX(1.7, y, dst), pos&^3; got != want {
+					t.Fatalf("NaN %#x at %d (in y: %v): kernel wrote %d elements, want %d", math.Float64bits(nan), pos, inY, got, want)
+				}
+			}
+		}
+	}
+}

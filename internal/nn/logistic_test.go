@@ -74,6 +74,52 @@ func TestEvalRowLogisticMatchesScalar(t *testing.T) {
 	}
 }
 
+// derivSpecials are special y or dst lanes for the derivative sweep: signed
+// zeros, subnormals, ±1, infinities, then NaNs with three payloads. Two
+// NaN operands of one product are the only inputs whose result bits could
+// depend on operand order.
+var derivSpecials = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, 1, -1, math.Inf(1), math.Inf(-1),
+	math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000123),
+}
+
+// TestScaleByDerivLogisticMatchesScalar pins ScaleByDeriv's logistic,
+// vectorized or not, to the scalar loop dst[i] *= α·y[i]·(1−y[i]) bit for
+// bit, NaN payloads included: every length 0…67, α ≠ 1 among the slopes,
+// y in [0, 1], and special lanes in y, in dst, and in both.
+func TestScaleByDerivLogisticMatchesScalar(t *testing.T) {
+	src := rng.New(43)
+	special := func(i int) float64 { return derivSpecials[i%len(derivSpecials)] }
+	for _, alpha := range []float64{1.7, -0.3, 1, 0, math.Inf(1), math.NaN()} {
+		l := Logistic{Alpha: alpha}
+		for n := 0; n <= 67; n++ {
+			for variant := 0; variant < 4; variant++ {
+				y, dst := make([]float64, n), make([]float64, n)
+				for i := range y {
+					y[i], dst[i] = src.Uniform(0, 1), src.Norm()
+					if variant&1 != 0 && i%5 == 2 {
+						y[i] = special(i + variant)
+					}
+					if variant&2 != 0 && i%3 == 1 {
+						dst[i] = special(i)
+					}
+				}
+				want := append([]float64(nil), dst...)
+				for i := range want {
+					want[i] *= l.Deriv(0, y[i])
+				}
+				ScaleByDeriv(l, y, y, dst)
+				for i := range want {
+					if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("α=%v n=%d variant %d [%d] y=%v: ScaleByDeriv %v (%#x), scalar %v (%#x)",
+							alpha, n, variant, i, y[i], dst[i], math.Float64bits(dst[i]), want[i], math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkLogisticRow times the logistic over one hidden layer of a
 // Table 2 fold: 259 training rows × 16 hidden units.
 func BenchmarkLogisticRow(b *testing.B) {
@@ -97,4 +143,20 @@ func BenchmarkLogisticRow(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkScaleByDerivLogistic times the logistic derivative sweep over
+// one hidden layer of a Table 2 fold: 259 training rows × 16 hidden units.
+func BenchmarkScaleByDerivLogistic(b *testing.B) {
+	src := rng.New(1)
+	y, delta := make([]float64, 259*16), make([]float64, 259*16)
+	for i := range y {
+		y[i], delta[i] = src.Uniform(0, 1), src.Norm()
+	}
+	dst := make([]float64, len(y))
+	var act Activation = Logistic{Alpha: 1}
+	for i := 0; i < b.N; i++ {
+		copy(dst, delta) // repeated scaling would sink into slow subnormals
+		ScaleByDeriv(act, y, y, dst)
+	}
 }

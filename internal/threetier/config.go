@@ -272,51 +272,50 @@ func (sp SystemParams) Validate() error {
 	return nil
 }
 
-// profiles returns the transaction-class table. The demands are calibrated
-// so that, at the paper's reference injection rate of 560 tx/s, the web
-// pool needs roughly 14–18 threads and the mfg pool roughly 10–16 — the
-// regions the paper's figures explore.
-func profiles() [NumClasses]classProfile {
-	return [NumClasses]classProfile{
-		// Manufacturing orders are submitted through the web front end
-		// before the manufacturing domain processes them, so a starved web
-		// pool raises manufacturing response time too (the slope of
-		// Figure 4) while the default queue stays irrelevant to it (the
-		// parallel part of Figure 4).
-		Manufacturing: {
-			mix: 0.25,
-			stages: []stage{
-				{pool: WebPool, cpuMean: 0.003, dbMean: 0.005},
-				{pool: MfgPool, cpuMean: 0.010, dbMean: 0.030},
-				{pool: MfgPool, cpuMean: 0.005, dbMean: 0.012},
-			},
-			deadline: 0.140,
+// classProfiles is the transaction-class table, built once: its stages
+// slices are shared by every simulator and never written. The demands are
+// calibrated so that, at the paper's reference injection rate of 560 tx/s,
+// the web pool needs roughly 14–18 threads and the mfg pool roughly 10–16 —
+// the regions the paper's figures explore.
+var classProfiles = [NumClasses]classProfile{
+	// Manufacturing orders are submitted through the web front end
+	// before the manufacturing domain processes them, so a starved web
+	// pool raises manufacturing response time too (the slope of
+	// Figure 4) while the default queue stays irrelevant to it (the
+	// parallel part of Figure 4).
+	Manufacturing: {
+		mix: 0.25,
+		stages: []stage{
+			{pool: WebPool, cpuMean: 0.003, dbMean: 0.005},
+			{pool: MfgPool, cpuMean: 0.010, dbMean: 0.030},
+			{pool: MfgPool, cpuMean: 0.005, dbMean: 0.012},
 		},
-		DealerPurchase: {
-			mix: 0.25,
-			stages: []stage{
-				{pool: WebPool, cpuMean: 0.006, dbMean: 0.020},
-				{pool: DefaultPool, cpuMean: 0.004, dbMean: 0.010},
-			},
-			deadline: 0.080,
+		deadline: 0.140,
+	},
+	DealerPurchase: {
+		mix: 0.25,
+		stages: []stage{
+			{pool: WebPool, cpuMean: 0.006, dbMean: 0.020},
+			{pool: DefaultPool, cpuMean: 0.004, dbMean: 0.010},
 		},
-		DealerManage: {
-			mix: 0.20,
-			stages: []stage{
-				{pool: WebPool, cpuMean: 0.005, dbMean: 0.015},
-				{pool: DefaultPool, cpuMean: 0.003, dbMean: 0.008},
-			},
-			deadline: 0.060,
+		deadline: 0.080,
+	},
+	DealerManage: {
+		mix: 0.20,
+		stages: []stage{
+			{pool: WebPool, cpuMean: 0.005, dbMean: 0.015},
+			{pool: DefaultPool, cpuMean: 0.003, dbMean: 0.008},
 		},
-		DealerBrowse: {
-			mix: 0.30,
-			stages: []stage{
-				{pool: WebPool, cpuMean: 0.004, dbMean: 0.025},
-				{pool: DefaultPool, cpuMean: 0.002, dbMean: 0.004},
-			},
-			deadline: 0.065,
+		deadline: 0.060,
+	},
+	DealerBrowse: {
+		mix: 0.30,
+		stages: []stage{
+			{pool: WebPool, cpuMean: 0.004, dbMean: 0.025},
+			{pool: DefaultPool, cpuMean: 0.002, dbMean: 0.004},
 		},
-	}
+		deadline: 0.065,
+	},
 }
 
 // IndicatorNames returns the five performance-indicator names in the

@@ -222,8 +222,8 @@ type Simulator struct {
 	profiles [NumClasses]classProfile
 	// times holds each stage's CPU and database service-time
 	// distributions, derived once from profiles and the variation knobs.
-	// The stages slices themselves are never written: profiles() may
-	// share them between concurrent simulators.
+	// The stages slices themselves are never written: every simulator
+	// shares classProfiles' slices.
 	times [NumClasses][]stageTimes
 	src   *rng.Source
 
@@ -282,7 +282,7 @@ func (s *Simulator) reset(cfg Config, sys SystemParams, src *rng.Source) error {
 	*s = Simulator{
 		cfg:      cfg,
 		sys:      sys,
-		profiles: profiles(),
+		profiles: classProfiles,
 		src:      src,
 		events:   old.events[:0],
 		reqs:     old.reqs[:0],

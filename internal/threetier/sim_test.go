@@ -82,7 +82,7 @@ func TestClassAndPoolStrings(t *testing.T) {
 
 func TestProfilesMixSumsToOne(t *testing.T) {
 	var sum float64
-	for _, p := range profiles() {
+	for _, p := range classProfiles {
 		sum += p.mix
 		if len(p.stages) == 0 {
 			t.Fatal("class with no stages")
@@ -151,7 +151,7 @@ func TestLowLoadResponseApproxServiceTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	stretch := 1 + sys.ThreadOverhead*24
-	for c, prof := range profiles() {
+	for c, prof := range classProfiles {
 		var base float64
 		for _, st := range prof.stages {
 			base += st.cpuMean + st.dbMean
@@ -310,7 +310,7 @@ func TestSimulatorMatchesAnalyticMM_C(t *testing.T) {
 	}
 
 	// Offered load at the web pool: every class's first stage.
-	profs := profiles()
+	profs := classProfiles
 	var webHold, webRate float64
 	for _, p := range profs {
 		st := p.stages[0]
@@ -370,6 +370,27 @@ func TestRunAllocsIndependentOfSimulatedTime(t *testing.T) {
 	}
 }
 
+// TestSimulatorResetAllocs pins Simulator.reset, once the simulator's
+// storage has grown, to zero allocations: every reset shares the class
+// table's stages instead of building them anew for each configuration.
+func TestSimulatorResetAllocs(t *testing.T) {
+	cfg := Config{InjectionRate: 560, MfgThreads: 16, WebThreads: 18, DefaultThreads: 8}
+	sys := DefaultSystemParams()
+	src := rng.New(1)
+	s, err := NewSimulator(cfg, sys, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := s.reset(cfg, sys, src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Simulator.reset allocates %.0f times per configuration, want 0", allocs)
+	}
+}
+
 // metricsDigest hashes every measured field of m bit for bit, samples
 // included: SHA-256 over the little-endian math.Float64bits of each value.
 func metricsDigest(m *Metrics) string {
@@ -408,23 +429,28 @@ func TestRunMatchesParentDigest(t *testing.T) {
 	fixed.CPUVariation, fixed.DBVariation = 0, 0
 	saturated := Config{InjectionRate: 640, MfgThreads: 8, WebThreads: 8, DefaultThreads: 2}
 	cases := []struct {
-		name string
-		cfg  Config
-		sys  SystemParams
-		want string
+		name          string
+		cfg           Config
+		sys           SystemParams
+		want, want386 string
 	}{
-		{"reject", saturated, base, "77974d4c2fe40a902b640ed5cded1ce8482693975b2c57358457f1fb54c30e69"},
-		{"censor", saturated, censor, "18814f65a8a8cf91ad373c695431fd58c65b8682b6817679c0d3cd4ef6f5462e"},
-		{"fixed", Config{InjectionRate: 560, MfgThreads: 16, WebThreads: 18, DefaultThreads: 8}, fixed, "e4d09f17e36a61321293afce41ab9e357c057ebe663f89d0942dca7a2486f5cd"},
-		{"closed", Config{Mode: ClosedLoop, Users: 300, ThinkTime: 0.5, MfgThreads: 16, WebThreads: 18, DefaultThreads: 8}, base, "129bdcee78d566f8fd16d99d2ed11c7675eb823eea536aebef9fafff33b6d968"},
+		{"reject", saturated, base, "77974d4c2fe40a902b640ed5cded1ce8482693975b2c57358457f1fb54c30e69",
+			"629e598acc2a553d4696a22cc104c3c02dd68c2c369393bfa15f268f783a4b11"},
+		{"censor", saturated, censor, "18814f65a8a8cf91ad373c695431fd58c65b8682b6817679c0d3cd4ef6f5462e",
+			"33dba02065f2254ca02ffa5988646e3de162cebf52e16333a8d71a343c371929"},
+		// Fixed service times draw no lognormal, so no math.Exp or math.Log.
+		{"fixed", Config{InjectionRate: 560, MfgThreads: 16, WebThreads: 18, DefaultThreads: 8}, fixed, "e4d09f17e36a61321293afce41ab9e357c057ebe663f89d0942dca7a2486f5cd",
+			"e4d09f17e36a61321293afce41ab9e357c057ebe663f89d0942dca7a2486f5cd"},
+		{"closed", Config{Mode: ClosedLoop, Users: 300, ThinkTime: 0.5, MfgThreads: 16, WebThreads: 18, DefaultThreads: 8}, base, "129bdcee78d566f8fd16d99d2ed11c7675eb823eea536aebef9fafff33b6d968",
+			"6b3e1e36a7e10b9099925c87b0001f750e4f3cf90db1f77f478cc1959117a1c2"},
 	}
 	for _, tc := range cases {
 		m, err := Run(tc.cfg, tc.sys, 2006)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := metricsDigest(m); got != tc.want {
-			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+		if got, want := metricsDigest(m), archDigest(t, tc.want, tc.want386); got != want {
+			t.Errorf("%s: digest %s, want %s", tc.name, got, want)
 		}
 	}
 }
@@ -541,7 +567,7 @@ func TestRejectionMatchesMMCKBlocking(t *testing.T) {
 	}
 
 	// Aggregate mean holding time of the web pool's first-stage visits.
-	profs := profiles()
+	profs := classProfiles
 	var hold float64
 	for _, p := range profs {
 		st := p.stages[0]
@@ -724,7 +750,7 @@ func TestBreakdownServiceMatchesDemandAtLowLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	stretch := 1 + sys.ThreadOverhead*48
-	for c, prof := range profiles() {
+	for c, prof := range classProfiles {
 		perPool := map[Pool]float64{}
 		for _, st := range prof.stages {
 			perPool[st.pool] += (st.cpuMean + st.dbMean) * stretch

@@ -156,20 +156,23 @@ func BackpropBatch(net *nn.Network, X, Y *mat.Matrix, scale float64, ws *Workspa
 	lastLayer := net.Layers[last]
 	pred := acts[last+1]
 
-	// Output-layer deltas and total loss, sample by sample in row order,
-	// then one derivative sweep over the flat delta matrix (element-wise, so
-	// flattening the per-row calls changes no rounding).
-	delta := ws.delta.Reshape(batch, lastLayer.Outputs)
-	var total float64
-	for r := 0; r < batch; r++ {
-		prow, yrow, drow := pred.Row(r), Y.Row(r), delta.Row(r)
-		var loss float64
-		for i := range drow {
-			diff := prow[i] - yrow[i]
-			loss += 0.5 * diff * diff
-			drow[i] = diff
+	// Output-layer deltas and loss in one walk over the flat matrices, in
+	// the per-row order: a row's loss sums from +0, then joins the total.
+	// Then one derivative sweep over the flat delta matrix.
+	outs := lastLayer.Outputs
+	delta := ws.delta.Reshape(batch, outs)
+	pd := pred.Data[:batch*outs]
+	yd, dd := Y.Data[:len(pd)], delta.Data[:len(pd)]
+	var total, loss float64
+	col := 0
+	for i, p := range pd {
+		diff := p - yd[i]
+		loss += 0.5 * diff * diff
+		dd[i] = diff
+		if col++; col == outs {
+			total += loss
+			loss, col = 0, 0
 		}
-		total += loss
 	}
 	nn.ScaleByDeriv(lastLayer.Act, pres[last].Data, pred.Data, delta.Data)
 

@@ -92,7 +92,10 @@ func NewRPROP() *RPROP {
 	return &RPROP{EtaPlus: 1.2, EtaMinus: 0.5, StepInit: 0.1, StepMin: 1e-6, StepMax: 50}
 }
 
-// Step implements Optimizer. g must be a full-batch gradient.
+// Step implements Optimizer. g must be a full-batch gradient. By the sign
+// of grad·prev a weight grows its step and moves (> 0), shrinks its step
+// and stays (< 0), or moves by its step (zero or NaN); bit masks pick the
+// outcome, so a gradient that flips sign costs no mispredicted branch.
 func (r *RPROP) Step(net *nn.Network, g *Gradients) {
 	p := net.Params()
 	if r.step == nil {
@@ -102,22 +105,18 @@ func (r *RPROP) Step(net *nn.Network, g *Gradients) {
 			r.step[i] = r.StepInit
 		}
 	}
+	p = p[:len(g.Flat)]
+	step, prev := r.step[:len(p)], r.prev[:len(p)]
+	etaPlus, etaMinus, stepMin, stepMax := r.EtaPlus, r.EtaMinus, r.StepMin, r.StepMax
 	for i, grad := range g.Flat {
-		sign := grad * r.prev[i]
-		switch {
-		case sign > 0:
-			r.step[i] = math.Min(r.step[i]*r.EtaPlus, r.StepMax)
-			p[i] -= sgn(grad) * r.step[i]
-			r.prev[i] = grad
-		case sign < 0:
-			r.step[i] = math.Max(r.step[i]*r.EtaMinus, r.StepMin)
-			// iRPROP−: do not move, forget the gradient so the next
-			// iteration takes a fresh step.
-			r.prev[i] = 0
-		default:
-			p[i] -= sgn(grad) * r.step[i]
-			r.prev[i] = grad
-		}
+		sign := grad * prev[i]
+		grow, shrink := mask(sign > 0), mask(sign < 0)
+		s := step[i]
+		s = pick(grow, clampMin(s*etaPlus, stepMax), pick(shrink, clampMax(s*etaMinus, stepMin), s))
+		step[i] = s
+		// iRPROP−: a shrunk weight stays and forgets its gradient.
+		p[i] = pick(shrink, p[i], p[i]-sgn(grad)*s)
+		prev[i] = math.Float64frombits(^shrink & math.Float64bits(grad))
 	}
 }
 
@@ -132,14 +131,47 @@ func (r *RPROP) Clone() Optimizer {
 // Name implements Optimizer.
 func (r *RPROP) Name() string { return "rprop" }
 
+// sgn returns 1 for x > 0, −1 for x < 0, and +0 for ±0 and NaN.
 func sgn(x float64) float64 {
-	switch {
-	case x > 0:
-		return 1
-	case x < 0:
-		return -1
+	return math.Float64frombits((math.Float64bits(x)&(1<<63) | math.Float64bits(1)) & (mask(x > 0) | mask(x < 0)))
+}
+
+// clampMin and clampMax are math.Min and math.Max, inlined. The builtins
+// agree with them unless an operand is NaN (only NaN hyperparameters make
+// one): then math.Min gives −Inf if an operand is −Inf, math.Max +Inf if
+// one is +Inf, and both math.NaN() otherwise.
+func clampMin(x, y float64) float64 {
+	if m := min(x, y); !math.IsNaN(m) {
+		return m
 	}
-	return 0
+	if x < -math.MaxFloat64 || y < -math.MaxFloat64 {
+		return math.Inf(-1)
+	}
+	return math.NaN()
+}
+
+func clampMax(x, y float64) float64 {
+	if m := max(x, y); !math.IsNaN(m) {
+		return m
+	}
+	if x > math.MaxFloat64 || y > math.MaxFloat64 {
+		return math.Inf(1)
+	}
+	return math.NaN()
+}
+
+// mask returns all ones when c holds and zero otherwise, without a branch.
+func mask(c bool) uint64 {
+	var m uint64
+	if c {
+		m = 1
+	}
+	return -m
+}
+
+// pick returns the bits of a where m is all ones and of b where it is zero.
+func pick(m uint64, a, b float64) float64 {
+	return math.Float64frombits(m&math.Float64bits(a) | ^m&math.Float64bits(b))
 }
 
 // Adam is the adaptive-moment optimizer (Kingma & Ba). Included for
