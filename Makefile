@@ -59,12 +59,14 @@ bench-smoke:
 
 # Real measurement runs of the hot paths. The training kernels (DESIGN.md §6
 # and §13): the mat kernels beside their portable Go versions, the served
-# forward pass by batch size, backprop, the epoch and a Table 2 fold, the
-# logistic, its derivative sweep, and the RPROP step. The
+# forward pass by batch size, backprop, the epoch and a Table 2 fold's
+# training, the whole warm fold with its split, fit and evaluation
+# (BenchmarkCrossValidateFold), the logistic, its derivative sweep, and the
+# RPROP step. The
 # simulator (DESIGN.md §7): one sample campaign of perfbench's sweep
 # (BenchmarkCollect) and one long single run (BenchmarkSimulation).
 bench:
-	$(GO) test -run '^$$' -bench 'FoldKernels|Forward|Backprop|Epoch|LogisticRow|ScaleByDeriv|RPROPStep' -benchmem -benchtime 2s ./internal/mat ./internal/nn ./internal/train
+	$(GO) test -run '^$$' -bench 'FoldKernels|Forward|Backprop|Epoch|CrossValidateFold|LogisticRow|ScaleByDeriv|RPROPStep' -benchmem -benchtime 2s ./internal/mat ./internal/nn ./internal/train ./internal/core
 	$(GO) test -run '^$$' -bench 'Collect|Simulation' -benchmem -benchtime 2s ./internal/threetier
 
 # The repository's benchmark (see perfbench/README.md and BENCHMARK.json):

@@ -193,9 +193,9 @@ func isSyncPoolType(t types.Type) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Pool"
 }
 
-// isPoolLikeType reports whether t is sync.Pool or a struct wrapping one
-// (like sched.Pool[T]), so typed pool wrappers get the same Get/Put
-// discipline as the raw type.
+// isPoolLikeType reports whether t is sync.Pool, a struct wrapping one,
+// or the scheduler's free list sched.Pool[T], so typed pools get the same
+// Get/Put discipline as the raw type.
 func isPoolLikeType(t types.Type) bool {
 	if isSyncPoolType(t) {
 		return true
@@ -203,6 +203,9 @@ func isPoolLikeType(t types.Type) bool {
 	named := namedOrPtr(t)
 	if named == nil {
 		return false
+	}
+	if obj := named.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "nnwc/internal/sched" && obj.Name() == "Pool" {
+		return true
 	}
 	st, ok := named.Underlying().(*types.Struct)
 	if !ok {

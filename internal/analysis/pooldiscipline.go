@@ -7,9 +7,9 @@ import (
 	"nnwc/internal/analysis/cfg"
 )
 
-// PoolDisciplineAnalyzer enforces Get/Put pairing for sync.Pool and the
-// typed wrappers built on it (sched.Pool[T]), protecting the zero-alloc
-// PredictWorkspace and batch-kernel workspaces:
+// PoolDisciplineAnalyzer enforces Get/Put pairing for sync.Pool, typed
+// wrappers built on it, and the scheduler's free list (sched.Pool[T]),
+// protecting the zero-alloc PredictWorkspace and batch-kernel workspaces:
 //
 //   - every CFG path from a pool Get to function exit must pass a Put of
 //     the same value (a `defer pool.Put(v)` covers every path), unless

@@ -21,6 +21,24 @@ type Trial struct {
 	Errors []float64 // per indicator, as fractions (0.03 = 3%)
 }
 
+// Emit emits fold f's "fold" event: its stop reason and per-indicator
+// errors. Local and distributed folds emit it alike, so a merged cluster
+// trace reads like a local one.
+func (t Trial) Emit(tr *obs.Trace, f int) {
+	if !tr.Enabled() {
+		return
+	}
+	fields := make([]obs.Field, 0, 3+len(t.Errors))
+	fields = append(fields,
+		obs.Int("fold", f),
+		obs.String("stop_reason", string(t.Model.TrainResult.Reason)),
+		obs.Float("mean_hmre", stats.MeanSkipNaN(t.Errors)))
+	for j, e := range t.Errors {
+		fields = append(fields, obs.Float("hmre_"+t.Val.TargetNames[j], e))
+	}
+	tr.Emit("fold", fields...)
+}
+
 // CVResult is the material behind the paper's Table 2: per-trial,
 // per-indicator validation errors plus their averages.
 type CVResult struct {
@@ -59,12 +77,7 @@ func CrossValidate(ds *workload.Dataset, cfg Config, k int, seed uint64) (*CVRes
 // finish, so the result is bit-identical across worker counts — including
 // the serial path the seed-reference test pins.
 func CrossValidateWorkers(ds *workload.Dataset, cfg Config, k int, seed uint64, workers int) (*CVResult, error) {
-	if ds == nil || ds.Len() == 0 {
-		return nil, fmt.Errorf("core: cross-validation needs a non-empty dataset")
-	}
-	shuffled := ds.Clone()
-	shuffled.Shuffle(rng.New(seed))
-	folds, err := shuffled.KFold(k)
+	split, err := NewCVSplit(ds, k, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -87,22 +100,14 @@ func CrossValidateWorkers(ds *workload.Dataset, cfg Config, k int, seed uint64, 
 		slot := fork.Slot(f)
 		span := slot.StartSpan("cv-fold", f, w)
 		defer span.End()
-		trial, err := cvTrial(shuffled, folds, cfg, seed, f, slot)
+		foldCfg := cfg
+		foldCfg.Trace = slot
+		trial, err := split.Fold(foldCfg, f)
 		if err != nil {
 			return err
 		}
 		trials[f] = trial
-		if slot.Enabled() {
-			fields := make([]obs.Field, 0, 3+len(trial.Errors))
-			fields = append(fields,
-				obs.Int("fold", f),
-				obs.String("stop_reason", string(trial.Model.TrainResult.Reason)),
-				obs.Float("mean_hmre", stats.MeanSkipNaN(trial.Errors)))
-			for j, e := range trial.Errors {
-				fields = append(fields, obs.Float("hmre_"+targetNames[j], e))
-			}
-			slot.Emit("fold", fields...)
-		}
+		trial.Emit(slot, f)
 		return nil
 	})
 	fork.Join()
@@ -121,16 +126,41 @@ func CrossValidateWorkers(ds *workload.Dataset, cfg Config, k int, seed uint64, 
 	return res, nil
 }
 
-// cvTrial trains and evaluates fold f against the pre-shuffled dataset:
+// CVSplit is the shuffled dataset and fold index sets of one k-fold
+// cross-validation. It is read-only once built, so any number of folds,
+// local or distributed, may train on one split at once.
+type CVSplit struct {
+	shuffled *workload.Dataset
+	folds    [][]int
+	seed     uint64
+}
+
+// NewCVSplit shuffles a clone of ds with seed and cuts it into k folds: the
+// split every fold of CrossValidateWorkers(ds, _, k, seed, _) runs on.
+func NewCVSplit(ds *workload.Dataset, k int, seed uint64) (*CVSplit, error) {
+	if ds == nil || ds.Len() == 0 {
+		return nil, fmt.Errorf("core: cross-validation needs a non-empty dataset")
+	}
+	shuffled := ds.Clone()
+	shuffled.Shuffle(rng.New(seed))
+	folds, err := shuffled.KFold(k)
+	if err != nil {
+		return nil, err
+	}
+	return &CVSplit{shuffled: shuffled, folds: folds, seed: seed}, nil
+}
+
+// Fold trains and evaluates fold f of the split, tracing into cfg.Trace:
 // the per-fold unit both the local scheduler and the distributed plane
-// execute. The fold's seed derives only from (seed, f), so the trial is
-// location-independent.
-func cvTrial(shuffled *workload.Dataset, folds [][]int, cfg Config, seed uint64, f int, slot *obs.Trace) (Trial, error) {
-	trainSet, valSet := shuffled.TrainValidation(folds, f)
-	trialCfg := cfg
-	trialCfg.Seed = sched.FoldSeed(seed, f)
-	trialCfg.Trace = slot
-	model, err := Fit(trainSet, trialCfg)
+// execute. The fold's seed derives only from (seed, f), so its Errors are
+// bit-identical wherever it runs.
+func (s *CVSplit) Fold(cfg Config, f int) (Trial, error) {
+	if f < 0 || f >= len(s.folds) {
+		return Trial{}, fmt.Errorf("core: fold %d out of range [0,%d)", f, len(s.folds))
+	}
+	trainSet, valSet := s.shuffled.TrainValidation(s.folds, f)
+	cfg.Seed = sched.FoldSeed(s.seed, f)
+	model, err := Fit(trainSet, cfg)
 	if err != nil {
 		return Trial{}, fmt.Errorf("core: trial %d: %w", f+1, err)
 	}
@@ -143,23 +173,14 @@ func cvTrial(shuffled *workload.Dataset, folds [][]int, cfg Config, seed uint64,
 
 // CrossValidateFold computes fold `fold` of the k-fold protocol in
 // isolation: the same shuffle, fold split, per-fold seed, training and
-// evaluation CrossValidateWorkers performs for that fold. This is the
-// task unit the distributed experiment plane ships to workers — its
-// Errors are bit-identical to fold `fold`'s slot in a local run.
+// evaluation CrossValidateWorkers performs for that fold, bit for bit.
+// Callers running many folds of one split build it once (NewCVSplit).
 func CrossValidateFold(ds *workload.Dataset, cfg Config, k int, seed uint64, fold int) (Trial, error) {
-	if ds == nil || ds.Len() == 0 {
-		return Trial{}, fmt.Errorf("core: cross-validation needs a non-empty dataset")
-	}
-	shuffled := ds.Clone()
-	shuffled.Shuffle(rng.New(seed))
-	folds, err := shuffled.KFold(k)
+	split, err := NewCVSplit(ds, k, seed)
 	if err != nil {
 		return Trial{}, err
 	}
-	if fold < 0 || fold >= k {
-		return Trial{}, fmt.Errorf("core: fold %d out of range [0,%d)", fold, k)
-	}
-	return cvTrial(shuffled, folds, cfg, seed, fold, nil)
+	return split.Fold(cfg, fold)
 }
 
 // ReduceTrials assembles a CVResult from per-fold trials, averaging each

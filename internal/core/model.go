@@ -246,8 +246,10 @@ func fitWithValidation(ds, val *workload.Dataset, cfg Config) (*NNModel, error) 
 	if cfg.Trace != nil {
 		tc.Trace = cfg.Trace
 	}
-	trainer, err := train.New(tc, src.Split())
-	if err != nil {
+	trainer := trainerPool.Get()
+	defer trainerPool.Put(trainer)
+	defer trainer.Release()
+	if err := trainer.Reset(tc, src.Split()); err != nil {
 		return nil, err
 	}
 	res, err := trainer.Fit(m.Net, xs, ys, valX, valY)
@@ -257,6 +259,10 @@ func fitWithValidation(ds, val *workload.Dataset, cfg Config) (*NNModel, error) 
 	m.TrainResult = res
 	return m, nil
 }
+
+// trainerPool keeps warm trainers: a fit at a shape seen before (every
+// fold after the first) reuses one's buffers.
+var trainerPool = sched.NewPool(func() *train.Trainer { return &train.Trainer{} })
 
 // Predict maps one configuration to predicted indicators in native units.
 func (m *NNModel) Predict(x []float64) []float64 {

@@ -23,6 +23,14 @@ type artifactCache struct {
 	datasets  map[string]*workload.Dataset
 	models    map[string]*core.NNModel
 	baselines map[string]*importanceBaseline
+	splits    map[string]cvSplit // the latest crossval split per dataset hash
+}
+
+// cvSplit is one crossval job's fold split, keyed by its (seed, k).
+type cvSplit struct {
+	seed  uint64
+	k     int
+	split *core.CVSplit
 }
 
 // importanceBaseline caches sensitivity.Baseline per (model, dataset)
@@ -36,6 +44,7 @@ var sharedCache = &artifactCache{
 	datasets:  make(map[string]*workload.Dataset),
 	models:    make(map[string]*core.NNModel),
 	baselines: make(map[string]*importanceBaseline),
+	splits:    make(map[string]cvSplit),
 }
 
 func artifactSHA(spec dist.Spec, role string) (string, error) {
@@ -46,74 +55,95 @@ func artifactSHA(spec dist.Spec, role string) (string, error) {
 	return sha, nil
 }
 
+// memo returns m[key], building it on a miss. mu guards only the map: a
+// slow build (fetch and parse) cannot serialize unrelated tasks, and the
+// publish re-checks the map so every caller shares the first-stored value.
+func memo[T any](c *artifactCache, m map[string]T, key string, build func() (T, error)) (T, error) {
+	c.mu.Lock()
+	v, ok := m[key]
+	c.mu.Unlock()
+	if ok {
+		return v, nil
+	}
+	v, err := build()
+	if err != nil {
+		return v, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if existing, ok := m[key]; ok {
+		return existing, nil
+	}
+	m[key] = v
+	return v, nil
+}
+
 // dataset resolves and parses the job's dataset artifact, memoized by
 // content hash. The returned dataset is shared — clone before mutating.
-// mu guards only the map: the artifact fetch and CSV parse run unlocked
-// so a slow resolution cannot serialize unrelated tasks, and the
-// publish re-checks the map so every caller shares the first-stored
-// parse (racing parsers discard their copy).
 func (c *artifactCache) dataset(ctx context.Context, env dist.Env, spec dist.Spec) (*workload.Dataset, error) {
 	sha, err := artifactSHA(spec, RoleDataset)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if ds, ok := c.datasets[sha]; ok {
-		c.mu.Unlock()
+	return memo(c, c.datasets, sha, func() (*workload.Dataset, error) {
+		path, err := env.ArtifactPath(ctx, sha)
+		if err != nil {
+			return nil, err
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		ds, err := workload.ReadCSV(f)
+		if err != nil {
+			return nil, fmt.Errorf("jobs: parsing dataset %s: %w", sha, err)
+		}
 		return ds, nil
-	}
-	c.mu.Unlock()
-	path, err := env.ArtifactPath(ctx, sha)
+	})
+}
+
+// split returns the crossval job's shuffled dataset and fold split, built
+// once per (dataset, seed, k) instead of once per fold. Only the latest
+// split of each dataset is kept, so a worker serving job after job holds
+// one split per dataset.
+func (c *artifactCache) split(ctx context.Context, env dist.Env, spec dist.Spec, k int) (*core.CVSplit, error) {
+	ds, err := c.dataset(ctx, env, spec)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	ds, err := workload.ReadCSV(f)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: parsing dataset %s: %w", sha, err)
-	}
+	sha := spec.Artifacts[RoleDataset]
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if existing, ok := c.datasets[sha]; ok {
-		return existing, nil
+	if s, ok := c.splits[sha]; ok && s.seed == spec.Seed && s.k == k {
+		return s.split, nil
 	}
-	c.datasets[sha] = ds
-	return ds, nil
+	split, err := core.NewCVSplit(ds, k, spec.Seed)
+	if err != nil {
+		return nil, err
+	}
+	c.splits[sha] = cvSplit{seed: spec.Seed, k: k, split: split}
+	return split, nil
 }
 
 // model resolves and parses the job's model artifact, memoized by content
-// hash. Models are read-only through Predict, so sharing is safe. Locking
-// follows dataset: map access under mu, fetch and parse outside it.
+// hash. Models are read-only through Predict, so sharing is safe.
 func (c *artifactCache) model(ctx context.Context, env dist.Env, spec dist.Spec) (*core.NNModel, error) {
 	sha, err := artifactSHA(spec, RoleModel)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if m, ok := c.models[sha]; ok {
-		c.mu.Unlock()
+	return memo(c, c.models, sha, func() (*core.NNModel, error) {
+		path, err := env.ArtifactPath(ctx, sha)
+		if err != nil {
+			return nil, err
+		}
+		m, err := core.LoadModelFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("jobs: loading model %s: %w", sha, err)
+		}
 		return m, nil
-	}
-	c.mu.Unlock()
-	path, err := env.ArtifactPath(ctx, sha)
-	if err != nil {
-		return nil, err
-	}
-	m, err := core.LoadModelFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: loading model %s: %w", sha, err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if existing, ok := c.models[sha]; ok {
-		return existing, nil
-	}
-	c.models[sha] = m
-	return m, nil
+	})
 }
 
 // baseline resolves the importance job's model and dataset and computes

@@ -8,6 +8,8 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -32,6 +34,7 @@ func newTestCache() *artifactCache {
 		datasets:  make(map[string]*workload.Dataset),
 		models:    make(map[string]*core.NNModel),
 		baselines: make(map[string]*importanceBaseline),
+		splits:    make(map[string]cvSplit),
 	}
 }
 
@@ -111,5 +114,85 @@ func TestArtifactCacheConcurrentModel(t *testing.T) {
 		if got[i] != got[0] {
 			t.Errorf("caller %d holds a private model copy; the cache must share one load", i)
 		}
+	}
+}
+
+// TestCrossvalRunnerSplitCache pins the crossval runner's cached split:
+// every fold's payload equals core.CrossValidateFold's errors bit for bit,
+// the folds of one job share one split built once, and a job with another
+// seed on the same dataset replaces it, so the cache keeps one split per
+// dataset. Folds run concurrently, as a worker's parallel leases do.
+func TestCrossvalRunnerSplitCache(t *testing.T) {
+	path := writeParityCSV(t)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := workload.ReadCSV(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, sha = 4, "sha-split-cache"
+	env := stubEnv{path: path}
+	var prev *core.CVSplit
+	for job, seed := range []uint64{7, 11, 7} {
+		cfg, err := json.Marshal(CrossvalConfig{K: k, Hidden: "6", Epochs: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := dist.Spec{Kind: KindCrossval, Seed: seed, NumTasks: k, Config: cfg, Artifacts: map[string]string{RoleDataset: sha}}
+		mc, err := ModelConfig("6", 60, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads := make([]json.RawMessage, k)
+		errs := make([]error, k)
+		var wg sync.WaitGroup
+		for fold := 0; fold < k; fold++ {
+			wg.Add(1)
+			go func(fold int) {
+				defer wg.Done()
+				payloads[fold], errs[fold] = runCrossval(context.Background(), env, spec, fold)
+			}(fold)
+		}
+		wg.Wait()
+		for fold := 0; fold < k; fold++ {
+			if errs[fold] != nil {
+				t.Fatalf("job %d fold %d: %v", job, fold, errs[fold])
+			}
+			var got TrialResult
+			if err := json.Unmarshal(payloads[fold], &got); err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.CrossValidateFold(ds, mc, k, seed, fold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, w := range want.Errors {
+				if math.Float64bits(got.Errors[j]) != math.Float64bits(w) {
+					t.Fatalf("job %d (seed %d) fold %d indicator %d: runner %.17g, CrossValidateFold %.17g", job, seed, fold, j, got.Errors[j], w)
+				}
+			}
+		}
+		// The splits map is keyed by dataset alone: the entry is this
+		// job's split, and the previous job's is gone.
+		sharedCache.mu.Lock()
+		entry := sharedCache.splits[sha]
+		sharedCache.mu.Unlock()
+		if entry.seed != seed || entry.k != k {
+			t.Fatalf("job %d: the dataset's split is (seed %d, k %d), want this job's (seed %d, k %d)", job, entry.seed, entry.k, seed, k)
+		}
+		if entry.split == prev {
+			t.Fatalf("job %d (seed %d) reused the previous job's split", job, seed)
+		}
+		again, err := sharedCache.split(context.Background(), env, spec, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != entry.split {
+			t.Fatalf("job %d: a further fold of the same job rebuilt the split", job)
+		}
+		prev = entry.split
 	}
 }

@@ -252,19 +252,22 @@ func CoordinateSelect(ctx context.Context, opt Options, dataPath string, candida
 }
 
 // loadHashedDataset reads the coordinator-local dataset once, fingerprints
-// those bytes — the content address workers fetch it by — and parses the
-// same bytes, so the spec's hash always names the data the coordinator
-// reduces with.
+// those bytes — the content address workers fetch it by — and takes the
+// parse of the same bytes from the artifact cache, so the spec's hash
+// always names the data the coordinator reduces with.
 func loadHashedDataset(path string) (*workload.Dataset, string, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, "", err
 	}
-	ds, err := workload.ReadCSV(bytes.NewReader(raw))
+	sha := obs.HashBytes(raw)
+	ds, err := memo(sharedCache, sharedCache.datasets, sha, func() (*workload.Dataset, error) {
+		return workload.ReadCSV(bytes.NewReader(raw))
+	})
 	if err != nil {
 		return nil, "", fmt.Errorf("jobs: parsing dataset %s: %w", path, err)
 	}
-	return ds, obs.HashBytes(raw), nil
+	return ds, sha, nil
 }
 
 // loadHashedModel is loadHashedDataset for a persisted model.

@@ -252,32 +252,20 @@ func runCrossval(ctx context.Context, env dist.Env, spec dist.Spec, index int) (
 	if err := decodeConfig(spec, &cfg); err != nil {
 		return nil, err
 	}
-	ds, err := sharedCache.dataset(ctx, env, spec)
-	if err != nil {
-		return nil, err
-	}
 	mc, err := ModelConfig(cfg.Hidden, cfg.Epochs, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
-	trial, err := core.CrossValidateFold(ds, mc, cfg.K, spec.Seed, index)
+	split, err := sharedCache.split(ctx, env, spec, cfg.K)
 	if err != nil {
 		return nil, err
 	}
-	// Emit the same "fold" event a local cross-validation's fold slot
-	// emits, field for field, so merged cluster traces read like local
-	// ones. Every field derives from (spec, index) — deterministic.
-	if tr := obs.TraceFromContext(ctx); tr.Enabled() {
-		fields := make([]obs.Field, 0, 3+len(trial.Errors))
-		fields = append(fields,
-			obs.Int("fold", index),
-			obs.String("stop_reason", string(trial.Model.TrainResult.Reason)),
-			obs.Float("mean_hmre", stats.MeanSkipNaN(trial.Errors)))
-		for j, e := range trial.Errors {
-			fields = append(fields, obs.Float("hmre_"+ds.TargetNames[j], e))
-		}
-		tr.Emit("fold", fields...)
+	trial, err := split.Fold(mc, index)
+	if err != nil {
+		return nil, err
 	}
+	// Every field of the fold event derives from (spec, index): deterministic.
+	trial.Emit(obs.TraceFromContext(ctx), index)
 	return json.Marshal(TrialResult{Errors: dist.Floats(trial.Errors)})
 }
 

@@ -1,8 +1,8 @@
 // Package sched is the deterministic task scheduler behind the experiment
 // plane: bounded worker pools for embarrassingly parallel outer loops
 // (cross-validation folds, ensemble members, sweep cells, surface-grid
-// rows), per-task seed derivation, and sync.Pool-backed reusable
-// workspaces.
+// rows), per-task seed derivation, and bounded free lists of reusable
+// workspaces (Pool) that, unlike a sync.Pool, never drop what they hold.
 //
 // Determinism is the design constraint everything else bends around. Tasks
 // are identified by index, every task's random stream is derived from
@@ -199,20 +199,34 @@ func RunWorkers(workers int, fn func(worker int)) {
 	wg.Wait()
 }
 
-// Pool is a typed sync.Pool of reusable per-task scratch objects (training
-// and prediction workspaces). Values must be safe to reuse after a reset
-// by their owner; the pool itself never touches them.
+// Pool is a bounded free list of reusable per-task scratch objects
+// (training and prediction workspaces). Unlike a sync.Pool it never drops a
+// value at GC or under -race, so warmed paths stay allocation-free. Values
+// must be safe to reuse after a reset by their owner.
 type Pool[T any] struct {
-	p sync.Pool
+	free chan *T // up to 2×GOMAXPROCS: one per running fan-out task, plus slack
+	newT func() *T
 }
 
-// NewPool returns a Pool that allocates fresh values with newT.
+// NewPool returns a Pool that builds fresh values with newT.
 func NewPool[T any](newT func() *T) *Pool[T] {
-	return &Pool[T]{p: sync.Pool{New: func() any { return newT() }}}
+	return &Pool[T]{free: make(chan *T, 2*runtime.GOMAXPROCS(0)), newT: newT}
 }
 
-// Get retrieves a pooled value or allocates a new one.
-func (p *Pool[T]) Get() *T { return p.p.Get().(*T) }
+// Get takes a kept value or builds a new one.
+func (p *Pool[T]) Get() *T {
+	select {
+	case v := <-p.free:
+		return v
+	default:
+		return p.newT()
+	}
+}
 
-// Put returns v to the pool.
-func (p *Pool[T]) Put(v *T) { p.p.Put(v) }
+// Put keeps v for a later Get unless the list is full.
+func (p *Pool[T]) Put(v *T) {
+	select {
+	case p.free <- v:
+	default:
+	}
+}

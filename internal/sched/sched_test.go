@@ -176,13 +176,36 @@ func TestPoolReusesValues(t *testing.T) {
 	s := p.Get()
 	s.buf = make([]float64, 100)
 	p.Put(s)
+	runtime.GC() // a sync.Pool may drop its items here; the free list keeps them
 	s2 := p.Get()
-	// sync.Pool gives no hard guarantee, but with no GC between Put and
-	// Get the same object comes back on every platform we run on.
 	if s2 != s {
-		t.Skip("pool did not reuse (GC ran); nothing to assert")
+		t.Fatal("pool dropped a kept value")
 	}
 	if len(s2.buf) != 100 {
 		t.Fatal("pooled scratch lost its buffer")
+	}
+}
+
+// TestPoolIsBounded pins the free list's size: it keeps 2×GOMAXPROCS
+// values and drops the rest, so a burst of Puts cannot grow it.
+func TestPoolIsBounded(t *testing.T) {
+	var allocs int64
+	p := NewPool(func() *int {
+		atomic.AddInt64(&allocs, 1)
+		return new(int)
+	})
+	n := 2*runtime.GOMAXPROCS(0) + 3
+	held := make([]*int, n)
+	for i := range held {
+		held[i] = p.Get()
+	}
+	for _, v := range held {
+		p.Put(v)
+	}
+	for i := range held {
+		held[i] = p.Get()
+	}
+	if got, want := atomic.LoadInt64(&allocs), int64(n+3); got != want {
+		t.Fatalf("%d values built, want %d: the list must keep exactly 2×GOMAXPROCS", got, want)
 	}
 }

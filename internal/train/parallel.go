@@ -33,12 +33,11 @@ func numBlocks(n int) int {
 
 // parallelScratch holds the per-block gradient accumulators and per-worker
 // workspaces for parallel batch epochs, allocated lazily on the first
-// parallel epoch and reused for the rest of the run.
+// parallel epoch and reused until a fit changes the topology.
 type parallelScratch struct {
-	blocks  []*Gradients // one accumulator per sample block
-	losses  []float64    // per-block summed sample loss
-	wss     []Workspace  // one forward/backward workspace per worker
-	nparams int          // shape guard for Trainer reuse across topologies
+	blocks []*Gradients // one accumulator per sample block
+	losses []float64    // per-block summed sample loss
+	wss    []Workspace  // one forward/backward workspace per worker
 }
 
 // parallelBatch accumulates the full-batch mean gradient across worker
@@ -54,13 +53,12 @@ func (t *Trainer) parallelBatch(net *nn.Network, X, Y *mat.Matrix, out *Gradient
 	}
 
 	sc := &t.parallel
-	if sc.nparams != net.NumParams() || len(sc.blocks) < nb {
+	if len(sc.blocks) < nb {
 		sc.blocks = make([]*Gradients, nb)
 		for b := range sc.blocks {
 			sc.blocks[b] = NewGradients(net)
 		}
 		sc.losses = make([]float64, nb)
-		sc.nparams = net.NumParams()
 	}
 	if len(sc.wss) < workers {
 		sc.wss = make([]Workspace, workers)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"nnwc/internal/mat"
 	"nnwc/internal/nn"
@@ -133,8 +134,8 @@ type Result struct {
 	History   []HistoryPoint
 }
 
-// Trainer trains a network on paired rows. The zero value is not usable;
-// construct with New.
+// Trainer trains a network on paired rows. Construct with New, or Reset a
+// zero or used Trainer: Fit keeps the buffers below for the next fit.
 type Trainer struct {
 	cfg Config
 	src *rng.Source
@@ -142,6 +143,8 @@ type Trainer struct {
 	ws       Workspace       // batched forward/backward buffers (serial + validation)
 	X, Y     mat.Matrix      // contiguous copies of the training rows
 	VX, VY   mat.Matrix      // contiguous copies of the validation rows
+	sizes    []int           // the topology grad and parallel are shaped for
+	grad     *Gradients      // the batch gradient
 	parallel parallelScratch // block-sharded accumulators for Workers > 1
 
 	prevParams []float64 // pre-step parameter snapshot for step-norm telemetry
@@ -150,15 +153,26 @@ type Trainer struct {
 // New returns a Trainer with the given configuration and random source
 // (used for online-mode shuffling).
 func New(cfg Config, src *rng.Source) (*Trainer, error) {
+	t := &Trainer{}
+	if err := t.Reset(cfg, src); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Reset points t at a new run with cfg and src, keeping its buffers: the
+// next Fit trains bit for bit as a new Trainer's would, since Fit sizes and
+// overwrites every buffer a result depends on.
+func (t *Trainer) Reset(cfg Config, src *rng.Source) error {
 	if cfg.Optimizer == nil {
-		return nil, errors.New("train: Config.Optimizer is required")
+		return errors.New("train: Config.Optimizer is required")
 	}
 	if cfg.MaxEpochs <= 0 {
-		return nil, errors.New("train: Config.MaxEpochs must be positive")
+		return errors.New("train: Config.MaxEpochs must be positive")
 	}
 	if cfg.Mode == Online {
 		if _, isRPROP := cfg.Optimizer.(*RPROP); isRPROP {
-			return nil, errors.New("train: RPROP requires Batch mode")
+			return errors.New("train: RPROP requires Batch mode")
 		}
 	}
 	if src == nil {
@@ -167,8 +181,14 @@ func New(cfg Config, src *rng.Source) (*Trainer, error) {
 	// Take a private optimizer: stateful optimizers carry per-run slices,
 	// and one Config value may drive many concurrent trainers.
 	cfg.Optimizer = cfg.Optimizer.Clone()
-	return &Trainer{cfg: cfg, src: src}, nil
+	t.cfg, t.src = cfg, src
+	return nil
 }
+
+// Release drops t's references to the run's trace and random source, so a
+// pooled trainer holds no caller object between fits. Reset it before the
+// next Fit.
+func (t *Trainer) Release() { t.cfg.Trace, t.src = nil, nil }
 
 // Fit trains net on (xs, ys). valX/valY may be nil; when provided they
 // drive early stopping and validation telemetry. Fit mutates net in place
@@ -198,24 +218,29 @@ func (t *Trainer) Fit(net *nn.Network, xs, ys [][]float64, valX, valY [][]float6
 		t.VY.CopyRows(valY)
 	}
 
-	sampleGrad := NewGradients(net)
-	batchGrad := NewGradients(net)
-	order := make([]int, len(xs))
-	for i := range order {
-		order[i] = i
+	if sizes := net.Sizes(); !slices.Equal(sizes, t.sizes) {
+		t.sizes, t.grad, t.parallel = sizes, NewGradients(net), parallelScratch{}
+	}
+	batchGrad := t.grad
+	var sampleGrad *Gradients
+	var order []int
+	if t.cfg.Mode == Online {
+		sampleGrad, order = NewGradients(net), make([]int, len(xs))
+		for i := range order {
+			order[i] = i
+		}
 	}
 	n := len(xs)
 	invN := 1 / float64(n)
-
-	res := Result{ValLoss: math.NaN()}
-	best := math.Inf(1)
-	bestEpoch := 0
-	var bestParams []float64
 
 	every := t.cfg.RecordEvery
 	if every <= 0 {
 		every = 1
 	}
+	res := Result{ValLoss: math.NaN(), History: make([]HistoryPoint, 0, t.cfg.MaxEpochs/every+1)}
+	best := math.Inf(1)
+	bestEpoch := 0
+	var bestParams []float64
 	// onCadence decides both history recording and trace emission: every
 	// k-th epoch, plus the epoch training stops for any reason — max
 	// epochs, threshold, early stopping, or divergence — so the last state
