@@ -12,7 +12,7 @@
 //	nnwc surface   -model model.json -output 4 [-fixed 560,0,16,0] [-xi 1] [-yi 3] [-xrange 2:16:8] [-yrange 8:24:9] [-workers N]
 //	nnwc recommend -model model.json [-maximize 4] [-bounds 140,80,60,65,inf]
 //	nnwc compare   -data data.csv [-k 5] [-workers N]
-//	nnwc serve     -model model.json | -models web=a.json,db=b.json [-addr :8080] [-max-batch 64] [-max-wait 2ms] [-workers N] [-auto-promote]
+//	nnwc serve     -model model.json | -models web=a.json,db=b.json [-addr :8080] [-max-batch 64] [-workers N] [-timeout 5s] [-auto-promote]
 //	nnwc fleet     list|deploy|promote|rollback [-addr URL] [-model T] [-path P] [-canary]
 //	nnwc runs      list|show|diff|timeline|tail [-dir runs] [-addr URL] [id...]
 //

@@ -28,13 +28,12 @@ func cmdServe(args []string) error {
 	defaultTenant := fs.String("default-tenant", "", "tenant serving requests that name no model (default: the only tenant, when one is configured)")
 	addr := fs.String("addr", ":8080", "listen address")
 	maxBatch := fs.Int("max-batch", 64, "max rows coalesced into one forward call (1 disables coalescing)")
-	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "max extra latency spent gathering a batch")
-	timeout := fs.Duration("timeout", 5*time.Second, "per-request prediction timeout")
+	timeout := fs.Duration("timeout", 5*time.Second, "how long a prediction may wait in its batch domain's queue")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent inference workers per batch domain")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "batches per batch domain that run at once; later requests queue and coalesce")
 	warm := fs.Int("warm", 8, "max model versions kept loaded in the registry LRU")
 	maxInflight := fs.Int("max-inflight", 0, "per-tenant in-flight request budget; beyond it requests shed with 429 (0 = uncapped)")
-	latencyBudget := fs.Duration("latency-budget", 0, "per-request latency budget; requests that cannot finish inside it shed with 429 (0 = off)")
+	latencyBudget := fs.Duration("latency-budget", 0, "queue-wait budget; requests that cannot be served inside it shed with 429 (0 = off)")
 	promoteHMRE := fs.Float64("promote-hmre", 0.10, "auto-promote a canary whose rolling live-traffic HMRE stays at or below this")
 	demoteHMRE := fs.Float64("demote-hmre", 0.25, "auto-rollback a live model whose rolling HMRE exceeds this")
 	minObs := fs.Int("min-observations", 32, "observations a rolling window needs before the canary policy acts")
@@ -59,7 +58,6 @@ func cmdServe(args []string) error {
 		DefaultTenant:  *defaultTenant,
 		WarmModels:     *warm,
 		MaxBatch:       *maxBatch,
-		MaxWait:        *maxWait,
 		RequestTimeout: *timeout,
 		Workers:        *workers,
 		MaxInflight:    *maxInflight,
@@ -113,8 +111,8 @@ func cmdServeRun(obsf *obsFlags, cfg serve.Config, drainDur time.Duration) error
 	tenants := srv.Registry().Tenants()
 	sort.Strings(tenants)
 	obsf.setConfig("tenants", strings.Join(tenants, ","))
-	obsf.infof("nnwc serve: %d model(s) [%s] on http://%s (batch<=%d, wait<=%s, %d workers)\n",
-		len(tenants), strings.Join(tenants, ", "), srv.Addr(), cfg.MaxBatch, cfg.MaxWait, cfg.Workers)
+	obsf.infof("nnwc serve: %d model(s) [%s] on http://%s (batch<=%d rows, %d batches at once per shape)\n",
+		len(tenants), strings.Join(tenants, ", "), srv.Addr(), cfg.MaxBatch, cfg.Workers)
 	obsf.infof("nnwc serve: SIGHUP reloads every tenant's artifact, SIGINT/SIGTERM drains and exits\n")
 
 	serveErr := make(chan error, 1)

@@ -13,10 +13,8 @@ import (
 
 	"nnwc/internal/core"
 	"nnwc/internal/dist/jobs"
-	"nnwc/internal/obs"
 	"nnwc/internal/plot"
 	"nnwc/internal/recommend"
-	"nnwc/internal/rng"
 	"nnwc/internal/sched"
 	"nnwc/internal/surface"
 	"nnwc/internal/threetier"
@@ -585,50 +583,9 @@ func cmdCompareRun(obsf *obsFlags, data string, k int, hidden string, epochs int
 	obsf.setSeed(seed)
 	obsf.setWorkers(sched.Workers(workers))
 	obsf.setConfig("k", k)
-	fams, err := jobs.CompareFamilies(hidden, epochs)
+	means, err := jobs.Compare(ds, k, hidden, epochs, seed, workers, obsf.trace())
 	if err != nil {
 		return err
-	}
-
-	shuffled := ds.Clone()
-	shuffled.Shuffle(rng.New(seed))
-	folds, err := shuffled.KFold(k)
-	if err != nil {
-		return err
-	}
-	// Every (family, fold) cell fits independently; fan the grid out and
-	// reduce each family's folds in ascending order afterwards. Cell spans
-	// buffer per index and replay in order, keeping the trace deterministic.
-	fork := obsf.trace().Fork(len(fams) * k)
-	cells, err := sched.MapWorker(workers, len(fams)*k, func(idx, w int) (float64, error) {
-		fi, f := idx/k, idx%k
-		slot := fork.Slot(idx)
-		span := slot.StartSpan("compare-cell", idx, w)
-		defer span.End()
-		mean, err := jobs.CompareCell(shuffled, folds, fams, k, seed, idx)
-		if err != nil {
-			return 0, err
-		}
-		if slot.Enabled() {
-			slot.Emit("compare_cell",
-				obs.String("family", fams[fi].Name),
-				obs.Int("fold", f),
-				obs.Float("mean_hmre", mean),
-			)
-		}
-		return mean, nil
-	})
-	fork.Join()
-	if err != nil {
-		return err
-	}
-	means := make([]jobs.FamilyMean, len(fams))
-	for fi, fm := range fams {
-		var errSum float64
-		for f := 0; f < k; f++ {
-			errSum += cells[fi*k+f]
-		}
-		means[fi] = jobs.FamilyMean{Name: fm.Name, Mean: errSum / float64(k)}
 	}
 	printFamilyMeans(obsf, means)
 	return nil

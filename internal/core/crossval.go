@@ -150,6 +150,12 @@ func NewCVSplit(ds *workload.Dataset, k int, seed uint64) (*CVSplit, error) {
 	return &CVSplit{shuffled: shuffled, folds: folds, seed: seed}, nil
 }
 
+// TrainValidation returns fold f's training set (every other fold) and
+// validation set (fold f), in split order.
+func (s *CVSplit) TrainValidation(f int) (train, val *workload.Dataset) {
+	return s.shuffled.TrainValidation(s.folds, f)
+}
+
 // Fold trains and evaluates fold f of the split, tracing into cfg.Trace:
 // the per-fold unit both the local scheduler and the distributed plane
 // execute. The fold's seed derives only from (seed, f), so its Errors are
@@ -158,7 +164,7 @@ func (s *CVSplit) Fold(cfg Config, f int) (Trial, error) {
 	if f < 0 || f >= len(s.folds) {
 		return Trial{}, fmt.Errorf("core: fold %d out of range [0,%d)", f, len(s.folds))
 	}
-	trainSet, valSet := s.shuffled.TrainValidation(s.folds, f)
+	trainSet, valSet := s.TrainValidation(f)
 	cfg.Seed = sched.FoldSeed(s.seed, f)
 	model, err := Fit(trainSet, cfg)
 	if err != nil {

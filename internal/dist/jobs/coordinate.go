@@ -138,19 +138,15 @@ func CoordinateCompare(ctx context.Context, opt Options, dataPath string, k int,
 	if err != nil {
 		return nil, stats, err
 	}
-	out := make([]FamilyMean, len(fams))
-	for fi, fam := range fams {
-		var errSum float64
-		for f := 0; f < k; f++ {
-			var cell CellResult
-			if err := decodePayload(payloads, fi*k+f, &cell); err != nil {
-				return nil, stats, err
-			}
-			errSum += float64(cell.Mean)
+	cells := make([]float64, len(fams)*k)
+	for i := range cells {
+		var cell CellResult
+		if err := decodePayload(payloads, i, &cell); err != nil {
+			return nil, stats, err
 		}
-		out[fi] = FamilyMean{Name: fam.Name, Mean: errSum / float64(k)}
+		cells[i] = float64(cell.Mean)
 	}
-	return out, stats, nil
+	return familyMeans(fams, k, cells), stats, nil
 }
 
 // CoordinateSurface distributes a §5 response-surface sweep: one task per

@@ -25,7 +25,7 @@ import (
 	"nnwc/internal/nn"
 	"nnwc/internal/obs"
 	"nnwc/internal/poly"
-	"nnwc/internal/rng"
+	"nnwc/internal/sched"
 	"nnwc/internal/stats"
 	"nnwc/internal/train"
 	"nnwc/internal/workload"
@@ -128,15 +128,15 @@ func CompareFamilies(hidden string, epochs int) ([]Family, error) {
 }
 
 // CompareCell fits and scores one (family, fold) cell of the comparison
-// grid against the pre-shuffled dataset and its fold split: idx/k selects
-// the family, idx%k the held-out fold, and the fit seed is seed+fold —
-// exactly the cell the local MapWorker loop computes.
-func CompareCell(shuffled *workload.Dataset, folds [][]int, fams []Family, k int, seed uint64, idx int) (float64, error) {
+// grid on split, a k-fold split: idx/k selects the family, idx%k the
+// held-out fold, and the fit seed is seed+fold — the cell Compare and the
+// distributed compare runner both compute.
+func CompareCell(split *core.CVSplit, fams []Family, k int, seed uint64, idx int) (float64, error) {
 	if idx < 0 || idx >= len(fams)*k {
 		return 0, fmt.Errorf("jobs: compare cell %d out of range [0,%d)", idx, len(fams)*k)
 	}
 	fi, f := idx/k, idx%k
-	trainSet, valSet := shuffled.TrainValidation(folds, f)
+	trainSet, valSet := split.TrainValidation(f)
 	model, err := fams[fi].Fit(trainSet, seed+uint64(f))
 	if err != nil {
 		return 0, fmt.Errorf("%s fold %d: %w", fams[fi].Name, f+1, err)
@@ -146,6 +146,64 @@ func CompareCell(shuffled *workload.Dataset, folds [][]int, fams []Family, k int
 		return 0, err
 	}
 	return stats.MeanSkipNaN(ev.HMRE), nil
+}
+
+// Compare runs the §4 model-family comparison in process: every (family,
+// fold) cell of one k-fold split of ds fans out over up to workers
+// goroutines, and each family's cells reduce in ascending fold order, as
+// CoordinateCompare reduces the same cells computed remotely. Cell spans
+// and events buffer per index and replay in order into tr, keeping the
+// trace deterministic.
+func Compare(ds *workload.Dataset, k int, hidden string, epochs int, seed uint64, workers int, tr *obs.Trace) ([]FamilyMean, error) {
+	fams, err := CompareFamilies(hidden, epochs)
+	if err != nil {
+		return nil, err
+	}
+	split, err := core.NewCVSplit(ds, k, seed)
+	if err != nil {
+		return nil, err
+	}
+	fork := tr.Fork(len(fams) * k)
+	cells, err := sched.MapWorker(workers, len(fams)*k, func(idx, w int) (float64, error) {
+		slot := fork.Slot(idx)
+		span := slot.StartSpan("compare-cell", idx, w)
+		defer span.End()
+		mean, err := CompareCell(split, fams, k, seed, idx)
+		if err != nil {
+			return 0, err
+		}
+		emitCompareCell(slot, fams, k, idx, mean)
+		return mean, nil
+	})
+	fork.Join()
+	if err != nil {
+		return nil, err
+	}
+	return familyMeans(fams, k, cells), nil
+}
+
+// emitCompareCell records one cell's result.
+func emitCompareCell(tr *obs.Trace, fams []Family, k, idx int, mean float64) {
+	if tr.Enabled() {
+		tr.Emit("compare_cell",
+			obs.String("family", fams[idx/k].Name),
+			obs.Int("fold", idx%k),
+			obs.Float("mean_hmre", mean))
+	}
+}
+
+// familyMeans averages each family's k fold cells, summed in ascending
+// fold order.
+func familyMeans(fams []Family, k int, cells []float64) []FamilyMean {
+	out := make([]FamilyMean, len(fams))
+	for fi, fam := range fams {
+		var errSum float64
+		for f := 0; f < k; f++ {
+			errSum += cells[fi*k+f]
+		}
+		out[fi] = FamilyMean{Name: fam.Name, Mean: errSum / float64(k)}
+	}
+	return out
 }
 
 // Per-kind wire configs (Spec.Config payloads). Primitives only: the
@@ -274,30 +332,19 @@ func runCompare(ctx context.Context, env dist.Env, spec dist.Spec, index int) (j
 	if err := decodeConfig(spec, &cfg); err != nil {
 		return nil, err
 	}
-	ds, err := sharedCache.dataset(ctx, env, spec)
-	if err != nil {
-		return nil, err
-	}
 	fams, err := CompareFamilies(cfg.Hidden, cfg.Epochs)
 	if err != nil {
 		return nil, err
 	}
-	shuffled := ds.Clone()
-	shuffled.Shuffle(rng.New(spec.Seed))
-	folds, err := shuffled.KFold(cfg.K)
+	split, err := sharedCache.split(ctx, env, spec, cfg.K)
 	if err != nil {
 		return nil, err
 	}
-	mean, err := CompareCell(shuffled, folds, fams, cfg.K, spec.Seed, index)
+	mean, err := CompareCell(split, fams, cfg.K, spec.Seed, index)
 	if err != nil {
 		return nil, err
 	}
-	if tr := obs.TraceFromContext(ctx); tr.Enabled() {
-		tr.Emit("compare_cell",
-			obs.String("family", fams[index/cfg.K].Name),
-			obs.Int("fold", index%cfg.K),
-			obs.Float("mean_hmre", mean))
-	}
+	emitCompareCell(obs.TraceFromContext(ctx), fams, cfg.K, index, mean)
 	return json.Marshal(CellResult{Mean: dist.Float(mean)})
 }
 

@@ -241,6 +241,58 @@ func TestDistCrossvalParity(t *testing.T) {
 	}
 }
 
+// TestDistCompareParity: a coordinator and two worker processes reproduce
+// the in-process §4 family comparison (what `nnwc compare` prints) bit for
+// bit — every family's mean over its fold cells, reduced in the same
+// order from cells computed on one cached split per worker.
+func TestDistCompareParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process parity test")
+	}
+	const (
+		k      = 4
+		hidden = "6"
+		epochs = 200
+		seed   = 7
+	)
+	csvPath := writeParityCSV(t)
+	f, err := os.Open(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := workload.ReadCSV(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := Compare(ds, k, hidden, epochs, seed, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{
+		Addr:      "127.0.0.1:0",
+		JobID:     "compare-parity-test",
+		LeaseSize: 1,
+		OnStart: func(addr string) {
+			spawnWorker(t, addr)
+			spawnWorker(t, addr)
+		},
+	}
+	distributed, _, err := CoordinateCompare(context.Background(), opt, csvPath, k, hidden, epochs, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(distributed) != len(local) {
+		t.Fatalf("%d families distributed, %d local", len(distributed), len(local))
+	}
+	for i, want := range local {
+		got := distributed[i]
+		if got.Name != want.Name || math.Float64bits(got.Mean) != math.Float64bits(want.Mean) {
+			t.Fatalf("family %d: distributed %s %.17g, local %s %.17g", i, got.Name, got.Mean, want.Name, want.Mean)
+		}
+	}
+}
+
 // TestDistCrossvalKillAndRestartWorker kills a worker process mid-run and
 // replaces it; the reassigned tasks must still land on the serial bits.
 func TestDistCrossvalKillAndRestartWorker(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"nnwc/internal/obs"
 	"nnwc/internal/poly"
 	"nnwc/internal/preprocess"
-	"nnwc/internal/rng"
 	"nnwc/internal/sched"
 	"nnwc/internal/stats"
 	"nnwc/internal/workload"
@@ -98,9 +97,7 @@ func (c *Context) RunBaseline() error {
 	if err != nil {
 		return err
 	}
-	shuffled := ds.Clone()
-	shuffled.Shuffle(rng.New(c.Seed + 1))
-	folds, err := shuffled.KFold(c.Folds)
+	split, err := core.NewCVSplit(ds, c.Folds, c.Seed+1)
 	if err != nil {
 		return err
 	}
@@ -117,7 +114,7 @@ func (c *Context) RunBaseline() error {
 		slot := fork.Slot(idx)
 		span := slot.StartSpan("baseline-cell", idx, w)
 		defer span.End()
-		trainSet, valSet := shuffled.TrainValidation(folds, f)
+		trainSet, valSet := split.TrainValidation(f)
 		model, err := fams[fi].fit(trainSet, c.Seed+uint64(f))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: baseline %s fold %d: %w", fams[fi].name, f+1, err)

@@ -1,27 +1,24 @@
 // Package batch is the fleet's request micro-batcher: concurrent predict
-// requests are gathered into batched forward calls, and — the fleet's key
-// property — requests are coalesced *across tenants that share a network
-// shape*. Every tenant whose model has the same topology key feeds one
-// shape group with its own queue and gather workers, so eight lightly
-// loaded tenants fill batches as well as one heavily loaded tenant: one
-// channel rendezvous, one workspace acquisition, and one scheduler wakeup
-// per gathered super-batch instead of per tenant. A request travels as one
-// job carrying all its rows and one reply channel; the run callback groups
-// the gathered jobs by instance (weights differ per tenant) and pushes each
+// requests are gathered into batched forward calls, coalesced *across
+// tenants that share a network shape*: every tenant whose model has the
+// same topology key feeds one shape group. A request travels as one job
+// carrying all its rows and one reply channel; the run callback groups a
+// batch's jobs by instance (weights differ per tenant) and pushes each
 // instance's rows through one call of the batched forward spine.
 //
-// MaxBatch bounds the rows of one super-batch: a request with more rows is
-// split into MaxBatch-row jobs, and a queued job that would overflow the
-// batch being gathered opens the worker's next batch instead. Gathering is
-// greedy first — whatever is already queued joins immediately — then one
-// cooperative yield lets runnable submitters enqueue, and only a lone row
-// on an idle queue waits out MaxWait for company. QueueDepth bounds the
-// rows waiting in a shape group: a request that would overfill it sheds
-// instead of blocking (ErrOverloaded), and the serve plane turns that into
-// 429s, which is the queue-depth half of admission control. An empty queue
-// admits any request whole, so one with more rows than QueueDepth is
-// served on an idle group rather than refused with a 429 that no retry
-// could clear.
+// The batcher owns no goroutines: a batch runs on the goroutine of its
+// first request. A request that finds fewer than Workers batches of its
+// group running runs its own job at once; otherwise it queues. A runner
+// that finishes while jobs are queued hands the run to the oldest queued
+// job's goroutine through that job's reply channel, and that batch holds
+// its own job first, then the queued jobs that fit, up to MaxBatch rows.
+//
+// A request with more than MaxBatch rows is split into MaxBatch-row jobs.
+// QueueDepth bounds the rows waiting in a shape group: a request that
+// would overfill a non-empty queue sheds (ErrOverloaded), which the serve
+// plane turns into 429s. An empty queue admits any request whole, so one
+// with more rows than QueueDepth is served rather than refused with a 429
+// that no retry could clear.
 package batch
 
 import (
@@ -45,8 +42,8 @@ var ErrOverloaded = errors.New("serve: prediction queue is full")
 
 // Job is one request's configuration vectors (at most MaxBatch of them)
 // waiting for inference, tagged with the immutable instance that must
-// serve them. Reply is buffered so a worker never blocks on a caller that
-// gave up.
+// serve them. Reply is buffered, and every job receives exactly one
+// message on it, so a runner never blocks on a caller that gave up.
 type Job struct {
 	Inst  *registry.Instance
 	Xs    [][]float64
@@ -57,18 +54,18 @@ type Job struct {
 type Result struct {
 	Ys  [][]float64
 	Err error
+	// run hands the receiving job the group's next batch instead of an
+	// answer.
+	run bool
 }
 
 // Config parameterizes a Batcher. Zero values get serve defaults.
 type Config struct {
-	// MaxBatch bounds the rows gathered into one super-batch (default 64).
+	// MaxBatch bounds the rows gathered into one batch (default 64).
 	MaxBatch int
-	// MaxWait bounds the extra latency a lone row pays waiting for
-	// batch-mates (default 0: gather only what is queued).
-	MaxWait time.Duration
 	// QueueDepth bounds the rows queued in each shape group (default 1024).
 	QueueDepth int
-	// Workers is the number of gather-and-infer loops per shape group
+	// Workers bounds the batches of one shape group that run at once
 	// (default GOMAXPROCS).
 	Workers int
 }
@@ -76,9 +73,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxWait < 0 {
-		c.MaxWait = 0
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
@@ -92,52 +86,45 @@ func (c Config) withDefaults() Config {
 // Batcher owns the shape groups. Groups are created on demand when the
 // first instance with a new topology key submits.
 type Batcher struct {
-	cfg      Config
-	run      func(batch []Job)
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-	mu       sync.Mutex
-	groups   map[string]*group
-	sheds    atomic.Uint64
+	cfg     Config
+	run     func(batch []Job)
+	stopped atomic.Bool
+	running sync.WaitGroup // one count per running batch
+	mu      sync.Mutex
+	groups  map[string]*group
+	sheds   atomic.Uint64
 }
 
+// group is one shape's queue. Jobs queue only while Workers batches run,
+// and a finishing runner hands its run on while any job is queued, so a
+// non-empty queue always has a runner that will reach it.
 type group struct {
-	// jobs blocks no sender but an oversize request's: each job holds at
-	// least one row, and queued counts a job's rows from before it is sent
-	// until after it is received. Admission keeps queued at or below
-	// QueueDepth, the channel's capacity, except while an oversize request
-	// admitted onto an empty queue is counted, and every other request
-	// sheds then.
-	jobs   chan Job
-	queued atomic.Int64
+	mu      sync.Mutex
+	queue   []Job // oldest first; a nil Reply marks a job whose caller gave up
+	rows    int   // rows in queue, given-up jobs included
+	running int
+	free    [][]Job // batch buffers, at most Workers of them
 }
 
 // New builds a Batcher over the given inference callback. run receives a
-// gathered super-batch — possibly spanning several instances of one shape
-// — must answer every job's Reply, and must not retain the slice.
+// gathered batch — possibly spanning several instances of one shape —
+// must answer every job's Reply, and must not retain the slice.
 func New(cfg Config, run func(batch []Job)) *Batcher {
 	return &Batcher{
 		cfg:    cfg.withDefaults(),
 		run:    run,
-		stop:   make(chan struct{}),
 		groups: make(map[string]*group),
 	}
 }
 
-// group returns the shape group for key, creating it (and starting its
-// workers) on first use.
+// group returns the shape group for key, creating it on first use.
 func (b *Batcher) group(key string) *group {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	g, ok := b.groups[key]
 	if !ok {
-		g = &group{jobs: make(chan Job, b.cfg.QueueDepth)}
+		g = &group{}
 		b.groups[key] = g
-		b.wg.Add(b.cfg.Workers)
-		for w := 0; w < b.cfg.Workers; w++ {
-			go b.loop(g)
-		}
 	}
 	return g
 }
@@ -152,189 +139,240 @@ func (b *Batcher) GroupCount() int {
 // Sheds reports how many requests were refused on a full queue.
 func (b *Batcher) Sheds() uint64 { return b.sheds.Load() }
 
-// Submit queues the rows of xs for inst's shape group and waits for their
-// results (or ctx). The request travels as MaxBatch-row jobs, usually
-// one, and batches mix jobs from every tenant sharing the shape — that is
-// the point. A request that would overfill a non-empty queue sheds whole
-// with ErrOverloaded rather than blocking.
-func (b *Batcher) Submit(ctx context.Context, inst *registry.Instance, xs [][]float64) ([][]float64, error) {
-	select {
-	case <-b.stop:
-		return nil, ErrDraining
-	default:
+// Queued reports the rows waiting in every shape group's queue, those of
+// callers that gave up included.
+func (b *Batcher) Queued() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, g := range b.groups {
+		g.mu.Lock()
+		n += g.rows
+		g.mu.Unlock()
 	}
+	return n
+}
+
+// Submit runs the rows of xs through inst's shape group and returns their
+// predictions. A request that would overfill a non-empty queue sheds whole
+// with ErrOverloaded. Only a job that queues waits, at most timeout (when
+// positive) or until ctx ends; a job that runs its own batch finishes it.
+func (b *Batcher) Submit(ctx context.Context, inst *registry.Instance, xs [][]float64, timeout time.Duration) ([][]float64, error) {
 	if len(xs) == 0 {
 		return [][]float64{}, nil
 	}
+	var stack [1]Job
+	jobs := stack[:0]
+	for lo := 0; lo < len(xs); lo += b.cfg.MaxBatch {
+		hi := min(lo+b.cfg.MaxBatch, len(xs))
+		jobs = append(jobs, Job{Inst: inst, Xs: xs[lo:hi:hi], Reply: make(chan Result, 1)})
+	}
 	g := b.group(inst.Shape)
-	n := int64(len(xs))
-	if was := g.queued.Add(n) - n; was > 0 && was+n > int64(b.cfg.QueueDepth) {
-		g.queued.Add(-n)
+	g.mu.Lock()
+	if b.stopped.Load() {
+		g.mu.Unlock()
+		return nil, ErrDraining
+	}
+	if g.rows > 0 && g.rows+len(xs) > b.cfg.QueueDepth {
+		g.mu.Unlock()
 		b.sheds.Add(1)
 		return nil, ErrOverloaded
 	}
-	var stack [1]chan Result
-	replies := stack[:0]
-	for lo := 0; lo < len(xs); lo += b.cfg.MaxBatch {
-		hi := min(lo+b.cfg.MaxBatch, len(xs))
-		j := Job{Inst: inst, Xs: xs[lo:hi:hi], Reply: make(chan Result, 1)}
-		if err := b.send(ctx, g, j); err != nil {
-			g.queued.Add(-int64(len(xs) - lo))
-			return nil, err
-		}
-		replies = append(replies, j.Reply)
+	var batch []Job
+	queued := jobs
+	if g.running < b.cfg.Workers {
+		g.running++
+		b.running.Add(1)
+		batch, queued = b.gather(g, jobs[0]), jobs[1:]
 	}
+	for _, j := range queued {
+		g.push(j)
+	}
+	g.mu.Unlock()
+	if batch != nil {
+		b.execute(g, batch)
+	}
+
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
 	var out [][]float64
-	for i, reply := range replies {
-		ys, err := wait(ctx, reply)
+	for k := 0; k < len(jobs); {
+		res, err := b.await(ctx, g, jobs[k:], &timer, timeout)
 		switch {
 		case err != nil:
 			return nil, err
-		case i == 0:
+		case res.run:
+			// Handed the run: jobs[k] leads the batch, and its answer is
+			// waiting once the batch is done.
+			g.mu.Lock()
+			batch := b.gather(g, jobs[k])
+			g.mu.Unlock()
+			b.execute(g, batch)
+			continue
+		case res.Err != nil:
+			b.withdraw(g, jobs[k+1:])
+			return nil, res.Err
+		case k == 0:
 			// Capped, so that appending a later job's rows copies them out
 			// of the memory the batch shares.
-			out = ys[:len(ys):len(ys)]
+			out = res.Ys[:len(res.Ys):len(res.Ys)]
 		default:
-			out = append(out, ys...)
+			out = append(out, res.Ys...)
 		}
+		k++
 	}
 	return out, nil
 }
 
-// send queues j on g. Only an oversize request's jobs can find the queue
-// full (see group.jobs); they wait for the workers, ctx or shutdown.
-func (b *Batcher) send(ctx context.Context, g *group, j Job) error {
-	select {
-	case g.jobs <- j:
-		return nil
-	default:
-	}
-	select {
-	case g.jobs <- j:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-b.stop:
-		return ErrDraining
-	}
-}
-
-// wait returns one job's predictions, or ctx's error if it ends first.
-func wait(ctx context.Context, reply chan Result) ([][]float64, error) {
+// await returns the message for jobs[0], the first of a request's jobs
+// still unanswered. An answer already there is taken at once; otherwise
+// the request's deadline timer is armed, the first time it waits, and a
+// request whose ctx or deadline ends first withdraws every job in jobs.
+func (b *Batcher) await(ctx context.Context, g *group, jobs []Job, timer **time.Timer, timeout time.Duration) (Result, error) {
+	reply := jobs[0].Reply
 	select {
 	case res := <-reply:
-		return res.Ys, res.Err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+		return res, nil
+	default:
 	}
-}
-
-// receive takes a job off g's queue, releasing its rows' share of
-// QueueDepth.
-func (g *group) receive(j Job) Job {
-	g.queued.Add(-int64(len(j.Xs)))
-	return j
-}
-
-func (b *Batcher) loop(g *group) {
-	defer b.wg.Done()
-	// One reusable batch buffer per worker: run must finish with the
-	// slice before returning, so gather can reuse it without allocating
-	// MaxBatch headers per batch.
-	buf := make([]Job, 0, b.cfg.MaxBatch)
-	// next is a received job that did not fit the previous batch; it
-	// opens this worker's next one.
-	var next Job
-	for {
-		first := next
-		if first.Reply == nil {
-			select {
-			case <-b.stop:
-				b.drain(g)
-				return
-			case j := <-g.jobs:
-				first = g.receive(j)
-			}
+	var deadline <-chan time.Time
+	if timeout > 0 {
+		if *timer == nil {
+			*timer = time.NewTimer(timeout)
 		}
-		var batch []Job
-		batch, next = b.gather(g, buf[:0], first)
-		b.run(batch)
+		deadline = (*timer).C
 	}
+	err := context.DeadlineExceeded
+	select {
+	case res := <-reply:
+		return res, nil
+	case <-ctx.Done():
+		err = ctx.Err()
+	case <-deadline:
+	}
+	b.withdraw(g, jobs)
+	return Result{}, err
 }
 
-// drain answers whatever is still queued after stop with ErrDraining. By
-// the time stop closes, the HTTP server has already drained its handlers,
-// so this is a defensive backstop, not the normal path.
-func (b *Batcher) drain(g *group) {
-	for {
-		select {
-		case j := <-g.jobs:
-			j.Reply <- Result{Err: ErrDraining}
-		default:
+// gather assembles a batch led by first from the queued jobs that fit
+// beside it, oldest first, dropping those whose callers gave up. g must be
+// locked and one of its running slots taken for the batch.
+func (b *Batcher) gather(g *group, first Job) []Job {
+	var batch []Job
+	if n := len(g.free); n > 0 {
+		batch, g.free = g.free[n-1], g.free[:n-1]
+	} else {
+		batch = make([]Job, 0, b.cfg.MaxBatch)
+	}
+	batch = append(batch, first)
+	rows := len(first.Xs)
+	for len(g.queue) > 0 {
+		j := g.queue[0]
+		if j.Reply != nil && rows+len(j.Xs) > b.cfg.MaxBatch {
+			break
+		}
+		g.pop()
+		if j.Reply != nil {
+			batch = append(batch, j)
+			rows += len(j.Xs)
+		}
+	}
+	return batch
+}
+
+// execute runs a gathered batch on the calling goroutine, then hands its
+// running slot on or gives it back.
+func (b *Batcher) execute(g *group, batch []Job) {
+	b.run(batch)
+	clear(batch)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.free = append(g.free, batch[:0])
+	//lint:waive lockhold -- a queued job's Reply is buffered and has had no message yet, so the send cannot block; it must happen under g.mu so that withdraw sees the job either queued or handed
+	b.release(g)
+}
+
+// release gives up a running slot of g, which must be locked: the oldest
+// queued job whose caller still waits is handed the run, or, when none
+// is, the slot frees. Jobs whose callers gave up are dropped on the way.
+func (b *Batcher) release(g *group) {
+	for len(g.queue) > 0 {
+		if j := g.pop(); j.Reply != nil {
+			j.Reply <- Result{run: true}
 			return
 		}
 	}
+	g.running--
+	b.running.Done()
 }
 
-// gather assembles a super-batch of at most MaxBatch rows around the
-// first job, and returns it with the received job that would have
-// overflowed it, if any. Batches form from backlog: everything already
-// queued joins greedily, then one cooperative yield lets submitters that
-// are already runnable enqueue before the batch closes. A batch that found
-// company runs immediately; only a lone row on an idle queue is held, up
-// to MaxWait, for near-simultaneous arrivals.
-func (b *Batcher) gather(g *group, batch []Job, first Job) ([]Job, Job) {
-	batch = append(batch, first)
-	rows := len(first.Xs)
-	var next Job
-	batch, rows, next = b.greedy(g, batch, rows)
-	if next.Reply == nil && rows < b.cfg.MaxBatch {
-		runtime.Gosched()
-		batch, rows, next = b.greedy(g, batch, rows)
-	}
-	if next.Reply != nil || rows > 1 || b.cfg.MaxWait <= 0 {
-		return batch, next
-	}
-	timer := time.NewTimer(b.cfg.MaxWait)
-	defer timer.Stop()
-	select {
-	case j := <-g.jobs:
-		if batch, rows, next = b.add(batch, rows, g.receive(j)); next.Reply == nil {
-			batch, _, next = b.greedy(g, batch, rows)
+// withdraw takes back the jobs of a caller that stops waiting. Queued jobs
+// are marked given up; their rows count against QueueDepth until a runner
+// drops them. A job that was handed the run passes it on; any other job is
+// in a running batch, whose answer lands in its buffered reply unread.
+func (b *Batcher) withdraw(g *group, jobs []Job) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	handed := 0
+next:
+	for _, j := range jobs {
+		for i := range g.queue {
+			if g.queue[i].Reply == j.Reply {
+				g.queue[i].Reply = nil
+				continue next
+			}
 		}
-	case <-timer.C:
-	case <-b.stop:
-	}
-	return batch, next
-}
-
-// greedy drains whatever is queued right now into batch, up to MaxBatch
-// rows.
-func (b *Batcher) greedy(g *group, batch []Job, rows int) ([]Job, int, Job) {
-	var next Job
-	for rows < b.cfg.MaxBatch && next.Reply == nil {
 		select {
-		case j := <-g.jobs:
-			batch, rows, next = b.add(batch, rows, g.receive(j))
+		case res := <-j.Reply:
+			if res.run {
+				handed++
+			}
 		default:
-			return batch, rows, next
 		}
 	}
-	return batch, rows, next
-}
-
-// add appends j to a batch holding rows rows, or hands j back as the next
-// batch's first job when it does not fit.
-func (b *Batcher) add(batch []Job, rows int, j Job) ([]Job, int, Job) {
-	if rows+len(j.Xs) > b.cfg.MaxBatch {
-		return batch, rows, j
+	for ; handed > 0; handed-- {
+		//lint:waive lockhold -- a queued job's Reply is buffered and has had no message yet, so the send cannot block; it must happen under g.mu so that withdraw sees the job either queued or handed
+		b.release(g)
 	}
-	return append(batch, j), rows + len(j.Xs), Job{}
 }
 
-// Shutdown stops the workers of every group and waits for them;
-// idempotent.
+// push queues j at the back of g.
+func (g *group) push(j Job) {
+	g.queue = append(g.queue, j)
+	g.rows += len(j.Xs)
+}
+
+// pop takes the oldest job off g's queue, releasing its rows' share of
+// QueueDepth.
+func (g *group) pop() Job {
+	j := g.queue[0]
+	g.queue[0] = Job{}
+	g.queue = g.queue[1:]
+	g.rows -= len(j.Xs)
+	return j
+}
+
+// Shutdown answers every queued job with ErrDraining, refuses later
+// submits, and waits for the running batches; idempotent. By the time it
+// is called, the HTTP server has already drained its handlers, so the
+// queue is normally empty.
 func (b *Batcher) Shutdown() {
-	b.stopOnce.Do(func() { close(b.stop) })
-	b.wg.Wait()
+	b.stopped.Store(true)
+	b.mu.Lock()
+	for _, g := range b.groups {
+		g.mu.Lock()
+		for len(g.queue) > 0 {
+			if j := g.pop(); j.Reply != nil {
+				//lint:waive lockhold -- a queued job's Reply is buffered and has had no message yet, so the send cannot block
+				j.Reply <- Result{Err: ErrDraining}
+			}
+		}
+		g.mu.Unlock()
+	}
+	b.mu.Unlock()
+	b.running.Wait()
 }

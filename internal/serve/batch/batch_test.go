@@ -42,13 +42,40 @@ func echo(batch []Job) {
 	}
 }
 
+// holdFirst wraps a run callback so that the first batch signals entered
+// and waits for release: requests sent meanwhile queue behind a busy
+// runner, whatever the scheduler does.
+func holdFirst(run func([]Job)) (held func([]Job), entered, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	return func(batch []Job) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		run(batch)
+	}, entered, release
+}
+
+// waitQueued polls until b holds rows queued rows.
+func waitQueued(t *testing.T, b *Batcher, rows int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for b.Queued() != rows {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d rows queued, want %d", b.Queued(), rows)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestCrossTenantSharedShapeGroup: two tenants with the same shape land in
 // one group and their queued rows coalesce into one super-batch; a tenant
 // with a different shape gets its own group.
 func TestCrossTenantSharedShapeGroup(t *testing.T) {
 	e := &echoRun{}
-	// One worker and a huge MaxWait would stall; workers=1, no wait.
-	b := New(Config{MaxBatch: 16, MaxWait: 0, Workers: 1}, e.run)
+	run, entered, release := holdFirst(e.run)
+	b := New(Config{MaxBatch: 16, Workers: 1}, run)
 	defer b.Shutdown()
 
 	a := inst("a", 1, "2-8-2")
@@ -57,15 +84,11 @@ func TestCrossTenantSharedShapeGroup(t *testing.T) {
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	submit := func(target *registry.Instance, i int) {
 		wg.Add(1)
-		target := a
-		if i%2 == 1 {
-			target = c
-		}
-		go func(target *registry.Instance, i int) {
+		go func() {
 			defer wg.Done()
-			ys, err := b.Submit(ctx, target, [][]float64{{float64(i), 0}})
+			ys, err := b.Submit(ctx, target, [][]float64{{float64(i), 0}}, 0)
 			if err != nil {
 				t.Error(err)
 				return
@@ -73,10 +96,23 @@ func TestCrossTenantSharedShapeGroup(t *testing.T) {
 			if ys[0][0] != float64(i) {
 				t.Errorf("row %d echoed %v", i, ys[0])
 			}
-		}(target, i)
+		}()
 	}
+	// The first request holds the group's only runner while the other
+	// seven queue behind it.
+	submit(a, 0)
+	<-entered
+	for i := 1; i < 8; i++ {
+		target := a
+		if i%2 == 1 {
+			target = c
+		}
+		submit(target, i)
+	}
+	waitQueued(t, b, 7)
+	close(release)
 	wg.Wait()
-	if _, err := b.Submit(ctx, d, [][]float64{{9, 9}}); err != nil {
+	if _, err := b.Submit(ctx, d, [][]float64{{9, 9}}, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -116,7 +152,7 @@ func TestGatherHonorsMaxBatch(t *testing.T) {
 	var mu sync.Mutex
 	var sizes []int
 	release := make(chan struct{})
-	b := New(Config{MaxBatch: 4, MaxWait: 50 * time.Millisecond, Workers: 1, QueueDepth: 64},
+	b := New(Config{MaxBatch: 4, Workers: 1, QueueDepth: 64},
 		func(batch []Job) {
 			<-release
 			rows := 0
@@ -148,7 +184,7 @@ func TestGatherHonorsMaxBatch(t *testing.T) {
 		wg.Add(1)
 		go func(xs [][]float64) {
 			defer wg.Done()
-			ys, err := b.Submit(ctx, a, xs)
+			ys, err := b.Submit(ctx, a, xs, 0)
 			if err != nil {
 				t.Error(err)
 				return
@@ -200,11 +236,11 @@ func TestShedOnFullQueue(t *testing.T) {
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
-			_, err := b.Submit(ctx, a, [][]float64{{1}})
+			_, err := b.Submit(ctx, a, [][]float64{{1}}, 0)
 			done <- err
 		}()
 	}
-	// With one blocked worker and depth 2, at most 1 (in worker) + 2
+	// With one blocked runner and depth 2, at most 1 (running) + 2
 	// (queued) submissions can be in flight; the rest must shed promptly.
 	deadline := time.After(500 * time.Millisecond)
 	shed := 0
@@ -218,7 +254,7 @@ func TestShedOnFullQueue(t *testing.T) {
 			}
 		case <-deadline:
 			if shed >= 5 {
-				return // the non-shed submissions are still blocked on the worker; fine
+				return // the non-shed submissions are still blocked on the runner; fine
 			}
 			t.Fatalf("only %d rows shed before deadline", shed)
 		}
@@ -249,17 +285,17 @@ func TestQueueDepthCountsRows(t *testing.T) {
 	rows := func(n int) [][]float64 { return make([][]float64, n) }
 	first := make(chan error, 1)
 	go func() {
-		_, err := b.Submit(context.Background(), a, rows(2))
+		_, err := b.Submit(context.Background(), a, rows(2), 0)
 		first <- err
 	}()
-	<-running // the worker holds the first request; the queue is empty
+	<-running // the first request holds the runner; the queue is empty
 	// A caller that has given up leaves its rows queued.
 	gone, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.Submit(gone, a, rows(4)); !errors.Is(err, context.Canceled) {
+	if _, err := b.Submit(gone, a, rows(4), 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("4 rows into an empty depth-4 queue: %v, want them queued", err)
 	}
-	if _, err := b.Submit(gone, a, rows(1)); !errors.Is(err, ErrOverloaded) {
+	if _, err := b.Submit(gone, a, rows(1), 0); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("a fifth queued row: %v, want ErrOverloaded", err)
 	}
 	if b.Sheds() != 1 {
@@ -296,12 +332,12 @@ func TestOversizeRequestOnEmptyQueue(t *testing.T) {
 	}
 	a := inst("a", 1, "s")
 
-	// Five one-row jobs for a two-slot queue: the sender waits for the
-	// worker instead of shedding.
+	// Five one-row jobs on a depth-2 queue: admitted whole, and run one
+	// batch after another on the sender's goroutine.
 	small := New(Config{MaxBatch: 1, Workers: 1, QueueDepth: 2}, echo)
 	defer small.Shutdown()
 	xs := rows(5)
-	ys, err := small.Submit(context.Background(), a, xs)
+	ys, err := small.Submit(context.Background(), a, xs, 0)
 	if err != nil {
 		t.Fatalf("QueueDepth+3 rows on an idle group: %v", err)
 	}
@@ -319,10 +355,10 @@ func TestOversizeRequestOnEmptyQueue(t *testing.T) {
 	defer func() { unblock(); b.Shutdown() }()
 	first := make(chan error, 1)
 	go func() {
-		_, err := b.Submit(context.Background(), a, rows(1))
+		_, err := b.Submit(context.Background(), a, rows(1), 0)
 		first <- err
 	}()
-	<-running // the worker holds the first request; the queue is empty
+	<-running // the first request holds the runner; the queue is empty
 	type result struct {
 		ys  [][]float64
 		err error
@@ -330,17 +366,15 @@ func TestOversizeRequestOnEmptyQueue(t *testing.T) {
 	oversize := make(chan result, 1)
 	xs = rows(5)
 	go func() {
-		ys, err := b.Submit(context.Background(), a, xs)
+		ys, err := b.Submit(context.Background(), a, xs, 0)
 		oversize <- result{ys, err}
 	}()
 	// Once the oversize request is queued, a one-row request sheds; one
 	// that was wrongly admitted would end with its cancelled context.
-	for b.group(a.Shape).queued.Load() != 5 {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, b, 5)
 	gone, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.Submit(gone, a, rows(1)); !errors.Is(err, ErrOverloaded) {
+	if _, err := b.Submit(gone, a, rows(1), 0); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("one row beside a queued oversize request: %v, want ErrOverloaded", err)
 	}
 	unblock()
@@ -359,11 +393,170 @@ func TestOversizeRequestOnEmptyQueue(t *testing.T) {
 func TestShutdownDrainsQueue(t *testing.T) {
 	b := New(Config{MaxBatch: 4, Workers: 1}, echo)
 	a := inst("a", 1, "s")
-	if _, err := b.Submit(context.Background(), a, [][]float64{{1}}); err != nil {
+	if _, err := b.Submit(context.Background(), a, [][]float64{{1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	b.Shutdown()
-	if _, err := b.Submit(context.Background(), a, [][]float64{{1}}); !errors.Is(err, ErrDraining) {
+	if _, err := b.Submit(context.Background(), a, [][]float64{{1}}, 0); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after shutdown = %v, want ErrDraining", err)
+	}
+}
+
+// idle reports whether g runs no batch and queues no row.
+func idle(g *group) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.running == 0 && g.rows == 0 && len(g.queue) == 0
+}
+
+// TestQueuedDeadlineNeverStrandsGroup: requests whose deadline expires in
+// the queue return context.DeadlineExceeded, their rows count against
+// QueueDepth until the runner drops them, and the group then serves the
+// next request on its caller's goroutine.
+func TestQueuedDeadlineNeverStrandsGroup(t *testing.T) {
+	var mu sync.Mutex
+	served := 0
+	run, entered, release := holdFirst(func(batch []Job) {
+		mu.Lock()
+		served += len(batch)
+		mu.Unlock()
+		echo(batch)
+	})
+	b := New(Config{MaxBatch: 4, Workers: 1, QueueDepth: 8}, run)
+	defer b.Shutdown()
+	a := inst("a", 1, "s")
+	first := make(chan error, 1)
+	go func() {
+		_, err := b.Submit(context.Background(), a, [][]float64{{1}}, 0)
+		first <- err
+	}()
+	<-entered
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := b.Submit(context.Background(), a, [][]float64{{2}, {3}}, 5*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("queued past its deadline: %v, want context.DeadlineExceeded", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := b.Queued(); got != 6 {
+		t.Fatalf("%d rows queued after the callers gave up, want 6 until a runner drops them", got)
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if g := b.group(a.Shape); !idle(g) {
+		t.Fatal("group still busy after its only runner finished")
+	}
+	ys, err := b.Submit(context.Background(), a, [][]float64{{4}}, time.Nanosecond)
+	if err != nil || ys[0][0] != 4 {
+		t.Fatalf("next request on the idle group: %v %v", ys, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if served != 2 {
+		t.Fatalf("%d jobs ran, want 2: given-up jobs are dropped, not run", served)
+	}
+}
+
+// TestHandedRunPassesOn: a caller that gives up after being handed the
+// run passes it to the next queued job instead of stranding the group,
+// and gives the slot back when no job waits.
+func TestHandedRunPassesOn(t *testing.T) {
+	b := New(Config{MaxBatch: 4, Workers: 1}, echo)
+	defer b.Shutdown()
+	g := b.group("s")
+	job := func(v float64) Job {
+		return Job{Inst: inst("a", 1, "s"), Xs: [][]float64{{v}}, Reply: make(chan Result, 1)}
+	}
+	x, y := job(1), job(2)
+
+	// A runner holds the group's only slot while x and y queue.
+	g.mu.Lock()
+	g.running++
+	b.running.Add(1)
+	g.push(x)
+	g.push(y)
+	b.release(g) // the runner finishes: x is handed the run
+	g.mu.Unlock()
+
+	b.withdraw(g, []Job{x}) // x's deadline fires before it reads its reply
+	res := <-y.Reply
+	if !res.run {
+		t.Fatalf("y got %+v, want the run x gave up", res)
+	}
+	g.mu.Lock()
+	batch := b.gather(g, y)
+	g.mu.Unlock()
+	b.execute(g, batch)
+	if res := <-y.Reply; res.Err != nil || res.Ys[0][0] != 2 {
+		t.Fatalf("y's own batch answered %+v", res)
+	}
+	if !idle(g) {
+		t.Fatal("slot not given back after the last queued job ran")
+	}
+
+	// Handed the run with nothing else queued, a caller that gives up
+	// frees the slot.
+	z := job(3)
+	g.mu.Lock()
+	g.running++
+	b.running.Add(1)
+	g.push(z)
+	b.release(g)
+	g.mu.Unlock()
+	b.withdraw(g, []Job{z})
+	if !idle(g) {
+		t.Fatal("slot stranded by a caller that gave up its handed run")
+	}
+}
+
+// TestDeadlineChurnNeverStrandsGroup: many requests whose deadlines expire
+// while queued, while gathered into a batch or just as they are handed the
+// run leave the group idle once they return, and Shutdown then returns.
+func TestDeadlineChurnNeverStrandsGroup(t *testing.T) {
+	b := New(Config{MaxBatch: 3, Workers: 1, QueueDepth: 64}, func(batch []Job) {
+		time.Sleep(50 * time.Microsecond)
+		echo(batch)
+	})
+	a := inst("a", 1, "s")
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				xs := make([][]float64, 1+(c+i)%5) // 4- and 5-row requests travel as two jobs
+				for k := range xs {
+					xs[k] = []float64{float64(k)}
+				}
+				timeout := time.Duration(10+(c*31+i*17)%200) * time.Microsecond
+				ys, err := b.Submit(context.Background(), a, xs, timeout)
+				switch {
+				case errors.Is(err, context.DeadlineExceeded), errors.Is(err, ErrOverloaded):
+				case err != nil:
+					t.Error(err)
+					return
+				case len(ys) != len(xs) || ys[len(xs)-1][0] != xs[len(xs)-1][0]:
+					t.Errorf("%d rows answered %v", len(xs), ys)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !idle(b.group(a.Shape)) {
+		t.Fatal("group left busy after every caller returned")
+	}
+	done := make(chan struct{})
+	go func() { b.Shutdown(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown waits on a stranded batch")
 	}
 }

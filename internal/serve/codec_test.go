@@ -236,18 +236,27 @@ func TestNonFinitePredictionIs500(t *testing.T) {
 }
 
 // TestBatchedRequestsGetTheirOwnRows: requests of 1 to 20 rows from two
-// tenants sharing a shape coalesce (and split, past MaxBatch) in one batch
-// group, and each request gets back its own rows, in order, bit-identical
-// to its instance's PredictAll on that request alone.
+// tenants sharing a shape queue behind a busy runner, coalesce (and split,
+// past MaxBatch) in one batch group, and each request gets back its own
+// rows, in order, bit-identical to its instance's PredictAll on that
+// request alone.
 func TestBatchedRequestsGetTheirOwnRows(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := newTestServer(t, Config{
 		Models:   map[string]string{"web": writeTestModel(t, dir, 30), "db": writeTestModel(t, dir, 31)},
 		MaxBatch: 8,
-		MaxWait:  5 * time.Millisecond,
 		Workers:  1,
 	})
+	entered, release := holdLive(s, "web", "db")
 	ctx := context.Background()
+	// A one-row request holds the group's only runner while the others
+	// queue.
+	blocker := make(chan error, 1)
+	go func() {
+		_, err := s.PredictRef(ctx, "web", []float64{0, 0})
+		blocker <- err
+	}()
+	<-entered
 	var wg sync.WaitGroup
 	const requests = 40
 	errs := make([]error, requests)
@@ -264,7 +273,7 @@ func TestBatchedRequestsGetTheirOwnRows(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ys, err := s.batcher.Submit(ctx, inst, xs)
+			ys, err := s.batcher.Submit(ctx, inst, xs, 0)
 			if err != nil {
 				errs[i] = err
 				return
@@ -282,18 +291,25 @@ func TestBatchedRequestsGetTheirOwnRows(t *testing.T) {
 			}
 		}()
 	}
+	const queued = requests / 20 * (20 * 21 / 2)
+	waitQueued(t, s, queued)
+	close(release)
 	wg.Wait()
+	if err := <-blocker; err != nil {
+		t.Fatal(err)
+	}
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A request travels as ceil(rows/MaxBatch) jobs: 72 for these 40.
+	// A request travels as ceil(rows/MaxBatch) jobs: 72 for these 40, and
+	// the blocker's one.
 	batches, rows := s.metrics.batchStats()
-	if batches >= 72 {
-		t.Fatalf("%d forward calls for 72 jobs: no coalescing", batches)
+	if batches >= 73 {
+		t.Fatalf("%d forward calls for 73 jobs: no coalescing", batches)
 	}
-	if want := uint64(requests/20) * (20 * 21 / 2); rows != want {
+	if want := uint64(queued + 1); rows != want {
 		t.Fatalf("rows inferred %d, want %d", rows, want)
 	}
 }
@@ -301,7 +317,7 @@ func TestBatchedRequestsGetTheirOwnRows(t *testing.T) {
 // predictAllocsPin is allocations per /predict through Handler() on an
 // httptest recorder, request and recorder included, for a 1-row and a
 // 16-row body.
-var predictAllocsPin = map[string]float64{"1-row": 36, "16-row": 51}
+var predictAllocsPin = map[string]float64{"1-row": 31, "16-row": 46}
 
 // TestPredictHandlerAllocs pins the allocations of one served prediction.
 func TestPredictHandlerAllocs(t *testing.T) {

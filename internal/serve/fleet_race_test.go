@@ -43,7 +43,6 @@ func TestFleetRaceNoTornModels(t *testing.T) {
 
 	s, err := New(Config{
 		Models:  map[string]string{"web": livePath},
-		MaxWait: 200 * time.Microsecond,
 		Workers: 2,
 	})
 	if err != nil {

@@ -30,7 +30,7 @@
 //
 // Models can also be hot-reloaded with SIGHUP (wired in cmd/nnwc).
 // Shutdown drains: readiness flips immediately, in-flight requests finish,
-// then the inference workers stop.
+// then the batcher refuses new work.
 package serve
 
 import (
@@ -43,6 +43,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -77,11 +78,8 @@ type Config struct {
 	// MaxBatch bounds the rows gathered into one forward call (default
 	// 64). 1 disables coalescing — every request is its own forward call.
 	MaxBatch int
-	// MaxWait bounds the extra latency a request can pay waiting for
-	// batch-mates (default 2ms). 0 means gather only what is already
-	// queued.
-	MaxWait time.Duration
-	// RequestTimeout bounds one prediction end to end (default 5s).
+	// RequestTimeout bounds how long a prediction waits in its batch
+	// domain's queue (default 5s); one that runs at once is not timed.
 	RequestTimeout time.Duration
 	// ReadTimeout, WriteTimeout and IdleTimeout bound the listener's
 	// per-connection I/O (reading one full request, writing one full
@@ -92,8 +90,8 @@ type Config struct {
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 	IdleTimeout  time.Duration
-	// Workers is the number of gather-and-infer loops per batch domain
-	// (default GOMAXPROCS).
+	// Workers bounds the batches of one batch domain that run at once
+	// (default GOMAXPROCS); requests beyond them queue and coalesce.
 	Workers int
 	// QueueDepth is each batch domain's pending-row buffer (default 1024).
 	// A full queue sheds new rows with 429 — the queue-depth half of
@@ -102,9 +100,10 @@ type Config struct {
 	// MaxInflight caps concurrently handled predict requests per tenant;
 	// beyond it requests shed with 429 (default 0: uncapped).
 	MaxInflight int
-	// LatencyBudget, when set, bounds one prediction tighter than
-	// RequestTimeout; a request that cannot finish inside the budget is
-	// shed with 429 so queue pressure relieves itself (default 0: off).
+	// LatencyBudget, when set, bounds a queued prediction's wait tighter
+	// than RequestTimeout; a request that cannot be served inside the
+	// budget is shed with 429 so queue pressure relieves itself (default
+	// 0: off).
 	LatencyBudget time.Duration
 	// MaxBodyBytes caps a request body (default 1 MiB).
 	MaxBodyBytes int64
@@ -150,13 +149,14 @@ type Server struct {
 	ln       net.Listener
 	draining atomic.Bool
 	serveErr chan error
+	// mirrors counts shadow inferences still running (see runBatch).
+	mirrors sync.WaitGroup
 }
 
 // New builds a Server: the registry, deployment controller, router and
-// cross-tenant batcher are wired together, every configured model is
-// registered and deployed live, and the inference workers start. The HTTP
-// listener is not opened until Start; Handler can be mounted elsewhere
-// (tests, embedding).
+// cross-tenant batcher are wired together, and every configured model is
+// registered and deployed live. The HTTP listener is not opened until
+// Start; Handler can be mounted elsewhere (tests, embedding).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -172,7 +172,6 @@ func New(cfg Config) (*Server, error) {
 	s.ctl = deploy.New(s.reg, cfg.Deploy, s.onFleetEvent)
 	s.batcher = batch.New(batch.Config{
 		MaxBatch:   cfg.MaxBatch,
-		MaxWait:    cfg.MaxWait,
 		QueueDepth: cfg.QueueDepth,
 		Workers:    cfg.Workers,
 	}, s.runBatch)
@@ -438,7 +437,7 @@ func (s *Server) PredictRef(ctx context.Context, ref string, x []float64) ([]flo
 	if len(x) != inst.InputDim {
 		return nil, fmt.Errorf("serve: model %s expects %d features, got %d", inst.Ref(), inst.InputDim, len(x))
 	}
-	ys, err := s.batcher.Submit(ctx, inst, [][]float64{x})
+	ys, err := s.batcher.Submit(ctx, inst, [][]float64{x}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -447,8 +446,9 @@ func (s *Server) PredictRef(ctx context.Context, ref string, x []float64) ([]flo
 
 // Shutdown drains and stops the server: readiness flips to 503 first (load
 // balancers stop routing), the HTTP server stops accepting and waits for
-// in-flight handlers within ctx, then the inference workers stop. Requests
-// in flight at call time complete normally.
+// in-flight handlers within ctx, then the batcher refuses new work and
+// waits for its running batches and their shadow inferences. Requests in
+// flight at call time complete normally.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	var err error
@@ -462,6 +462,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	s.batcher.Shutdown()
+	s.mirrors.Wait()
 	return err
 }
 
@@ -471,8 +472,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // job order, and each instance takes one batched forward call whose
 // output rows go back to their jobs. After
 // replies fan out, live rows whose tenant has a staged shadow are
-// mirrored: the shadow predicts the same rows and the divergence between
-// the answers feeds the canary's comparison window.
+// mirrored on a goroutine of their own, so that the handler running the
+// batch does not hold its response for it: the shadow predicts the same
+// rows and the divergence feeds the canary's comparison window.
 func (s *Server) runBatch(jobs []batch.Job) {
 	rows := 0
 	for _, j := range jobs {
@@ -509,8 +511,18 @@ func (s *Server) runBatch(jobs []batch.Job) {
 			}
 			o.Reply <- res
 		}
-		if err == nil {
-			s.mirror(j.Inst, xs, outs)
+		if err != nil {
+			continue
+		}
+		// Pinned-version traffic is not mirrored.
+		if d := s.ctl.Deployment(j.Inst.Tenant); d != nil && d.Live() == j.Inst {
+			if sh := d.Shadow(); sh != nil {
+				s.mirrors.Add(1)
+				go func() {
+					defer s.mirrors.Done()
+					s.mirror(d, sh, xs, outs)
+				}()
+			}
 		}
 	}
 }
@@ -525,18 +537,10 @@ func servesAny(jobs []batch.Job, inst *registry.Instance) bool {
 	return false
 }
 
-// mirror runs a staged shadow over rows its live sibling just served and
+// mirror runs d's shadow sh over rows its live model just served and
 // records prediction divergence. Replies have already been sent — shadow
 // inference never adds latency to the live path.
-func (s *Server) mirror(inst *registry.Instance, xs, liveOuts [][]float64) {
-	d := s.ctl.Deployment(inst.Tenant)
-	if d == nil || d.Live() != inst {
-		return // pinned-version traffic is not mirrored
-	}
-	sh := d.Shadow()
-	if sh == nil {
-		return
-	}
+func (s *Server) mirror(d *deploy.Deployment, sh *registry.Instance, xs, liveOuts [][]float64) {
 	shOuts, err := predictSafely(sh, xs)
 	if err != nil {
 		s.metrics.observeError("shadow_panic")
@@ -547,7 +551,7 @@ func (s *Server) mirror(inst *registry.Instance, xs, liveOuts [][]float64) {
 	}
 	st := d.Status()
 	if !math.IsNaN(st.Divergence) {
-		s.metrics.divergence.Observe(st.Divergence, inst.Tenant)
+		s.metrics.divergence.Observe(st.Divergence, sh.Tenant)
 	}
 }
 
@@ -817,16 +821,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission control, latency half: the request must finish inside its
-	// latency budget (when configured) or be shed.
+	// Admission control, latency half: a request that queues must be
+	// served inside its latency budget (when configured) or be shed.
 	timeout := s.cfg.RequestTimeout
 	budgeted := s.cfg.LatencyBudget > 0 && s.cfg.LatencyBudget < timeout
 	if budgeted {
 		timeout = s.cfg.LatencyBudget
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	preds, err := s.batcher.Submit(ctx, inst, rows)
+	preds, err := s.batcher.Submit(r.Context(), inst, rows, timeout)
 	switch {
 	case err == nil:
 	case errors.Is(err, context.DeadlineExceeded) && budgeted:

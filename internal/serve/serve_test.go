@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -129,7 +131,7 @@ func getFleet(t *testing.T, url string) FleetStatus {
 func TestServeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTestModel(t, dir, 1)
-	s, ts := newTestServer(t, Config{ModelPath: path, MaxBatch: 8, MaxWait: time.Millisecond})
+	s, ts := newTestServer(t, Config{ModelPath: path, MaxBatch: 8})
 
 	model, err := core.LoadModelFile(path)
 	if err != nil {
@@ -250,32 +252,80 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// heldPredictor holds the first batch any of its copies serves until
+// release closes, after signalling entered: requests sent meanwhile queue
+// behind a busy runner, whatever the scheduler does.
+type heldPredictor struct {
+	core.BatchPredictor
+	once             *sync.Once
+	entered, release chan struct{}
+}
+
+func (p *heldPredictor) PredictAll(xs [][]float64) [][]float64 {
+	p.once.Do(func() {
+		close(p.entered)
+		<-p.release
+	})
+	return p.BatchPredictor.PredictAll(xs)
+}
+
+// holdLive wraps the live predictors of tenants, before any traffic flows,
+// so that the first batch any of them serves waits for release.
+func holdLive(s *Server, tenants ...string) (entered, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
+	once := new(sync.Once)
+	for _, tenant := range tenants {
+		live := s.ctl.Deployment(tenant).Live()
+		live.Pred = &heldPredictor{BatchPredictor: live.Pred, once: once, entered: entered, release: release}
+	}
+	return entered, release
+}
+
+// waitQueued polls until s's batcher holds rows queued rows.
+func waitQueued(t *testing.T, s *Server, rows int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.batcher.Queued() != rows {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d rows queued, want %d", s.batcher.Queued(), rows)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestCoalescerBatchesConcurrentRequests drives many concurrent requests
-// through a server configured with a generous gather window and asserts
-// they were answered in fewer forward calls than requests — the
-// micro-batcher actually coalesced.
+// at a server whose only runner is busy and asserts they were answered in
+// fewer forward calls than requests — the micro-batcher actually
+// coalesced.
 func TestCoalescerBatchesConcurrentRequests(t *testing.T) {
 	path := writeTestModel(t, t.TempDir(), 4)
 	s, ts := newTestServer(t, Config{
 		ModelPath: path,
 		MaxBatch:  16,
-		MaxWait:   100 * time.Millisecond,
 		Workers:   1,
 	})
+	entered, release := holdLive(s, DefaultSingleTenant)
 
 	const n = 16
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	post := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			resp, _, raw := postPredict(t, ts.URL, PredictRequest{X: []float64{float64(i % 5), 1}})
 			if resp.StatusCode != http.StatusOK {
 				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, raw)
 			}
-		}(i)
+		}()
 	}
+	post(0)
+	<-entered
+	for i := 1; i < n; i++ {
+		post(i)
+	}
+	waitQueued(t, s, n-1)
+	close(release)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -303,29 +353,36 @@ func TestCrossTenantCoalescing(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Models:   models,
 		MaxBatch: 32,
-		MaxWait:  100 * time.Millisecond,
 		Workers:  1,
 	})
+	entered, release := holdLive(s, "web", "db")
 
 	const perTenant = 8
 	var wg sync.WaitGroup
 	errs := make([]error, 2*perTenant)
-	for i := 0; i < perTenant; i++ {
-		for k, tenant := range []string{"web", "db"} {
-			wg.Add(1)
-			go func(slot int, tenant string) {
-				defer wg.Done()
-				resp, pr, raw := postPredict(t, ts.URL, PredictRequest{Model: tenant, X: []float64{1, 1}})
-				if resp.StatusCode != http.StatusOK {
-					errs[slot] = fmt.Errorf("%s: status %d: %s", tenant, resp.StatusCode, raw)
-					return
-				}
-				if !strings.HasPrefix(pr.Model.Ref, tenant+"@") {
-					errs[slot] = fmt.Errorf("asked %s, answered by %s", tenant, pr.Model.Ref)
-				}
-			}(i*2+k, tenant)
-		}
+	post := func(slot int, tenant string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, pr, raw := postPredict(t, ts.URL, PredictRequest{Model: tenant, X: []float64{1, 1}})
+			if resp.StatusCode != http.StatusOK {
+				errs[slot] = fmt.Errorf("%s: status %d: %s", tenant, resp.StatusCode, raw)
+				return
+			}
+			if !strings.HasPrefix(pr.Model.Ref, tenant+"@") {
+				errs[slot] = fmt.Errorf("asked %s, answered by %s", tenant, pr.Model.Ref)
+			}
+		}()
 	}
+	// The first request holds the shared batch domain's only runner while
+	// both tenants' other requests queue behind it.
+	post(0, "web")
+	<-entered
+	for slot := 1; slot < 2*perTenant; slot++ {
+		post(slot, []string{"web", "db"}[slot%2])
+	}
+	waitQueued(t, s, 2*perTenant-1)
+	close(release)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -352,8 +409,7 @@ func TestFleetLifecycle(t *testing.T) {
 	pathA := writeTestModel(t, dir, 20)
 	pathB := writeTestModel(t, dir, 21)
 	_, ts := newTestServer(t, Config{
-		Models:  map[string]string{"web": pathA},
-		MaxWait: time.Millisecond,
+		Models: map[string]string{"web": pathA},
 	})
 
 	// Stage B as a canary.
@@ -450,7 +506,7 @@ func slowDownLive(s *Server, tenant string, delay time.Duration) {
 // refused.
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	path := writeTestModel(t, t.TempDir(), 5)
-	s, err := New(Config{ModelPath: path, Addr: "127.0.0.1:0", MaxWait: time.Millisecond})
+	s, err := New(Config{ModelPath: path, Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +565,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 // forever after drains.
 func TestWaitReturnsAfterShutdown(t *testing.T) {
 	path := writeTestModel(t, t.TempDir(), 9)
-	s, err := New(Config{ModelPath: path, Addr: "127.0.0.1:0", MaxWait: time.Millisecond})
+	s, err := New(Config{ModelPath: path, Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +598,6 @@ func TestInflightBudgetSheds(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		ModelPath:   path,
 		MaxInflight: 1,
-		MaxWait:     time.Millisecond,
 	})
 	slowDownLive(s, DefaultSingleTenant, 50*time.Millisecond)
 
@@ -588,7 +643,7 @@ func TestInflightBudgetSheds(t *testing.T) {
 func TestHotReloadAtomicity(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTestModel(t, dir, 6)
-	s, ts := newTestServer(t, Config{ModelPath: path, MaxWait: time.Millisecond})
+	s, ts := newTestServer(t, Config{ModelPath: path})
 
 	// Two alternating artifacts with identical schema, different weights.
 	modelA := trainTestModel(t, 6)
@@ -666,7 +721,7 @@ func TestHotReloadAtomicity(t *testing.T) {
 // TestMetricsSchema pins the names and shape of the /metrics exposition.
 func TestMetricsSchema(t *testing.T) {
 	path := writeTestModel(t, t.TempDir(), 7)
-	_, ts := newTestServer(t, Config{ModelPath: path, MaxWait: time.Millisecond})
+	_, ts := newTestServer(t, Config{ModelPath: path})
 
 	for i := 0; i < 3; i++ {
 		resp, _, _ := postPredict(t, ts.URL, PredictRequest{X: []float64{1, 2}})
@@ -756,5 +811,123 @@ func TestHealthAndReadiness(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readyz while draining = %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestQueuedRequestDeadlines: while the batch domain's only runner is
+// busy, a queued request is shed with a 429 once its latency budget has
+// passed, or answered 504 once RequestTimeout has; the held request then
+// completes and the domain serves the next request at once.
+func TestQueuedRequestDeadlines(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		code   int
+		series func(s *Server) uint64
+	}{
+		{"latency-budget", Config{LatencyBudget: 20 * time.Millisecond}, http.StatusTooManyRequests,
+			func(s *Server) uint64 { return s.metrics.tenantShed.Value(DefaultSingleTenant, "latency_budget") }},
+		{"timeout", Config{RequestTimeout: 20 * time.Millisecond}, http.StatusGatewayTimeout,
+			func(s *Server) uint64 { return s.metrics.errors.Value("timeout") }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.ModelPath = writeTestModel(t, t.TempDir(), 12)
+			cfg.Workers = 1
+			s, ts := newTestServer(t, cfg)
+			entered, release := holdLive(s, DefaultSingleTenant)
+			held := make(chan int, 1)
+			go func() {
+				resp, err := testClient.Post(ts.URL+"/predict", "application/json", strings.NewReader(`{"x":[1,1]}`))
+				if err != nil {
+					held <- -1
+					return
+				}
+				resp.Body.Close()
+				held <- resp.StatusCode
+			}()
+			<-entered
+			resp, _, raw := postPredict(t, ts.URL, PredictRequest{X: []float64{2, 1}})
+			if resp.StatusCode != c.code {
+				t.Fatalf("queued past its deadline: status %d (%s), want %d", resp.StatusCode, raw, c.code)
+			}
+			if got := c.series(s); got != 1 {
+				t.Fatalf("%s counted %d times, want 1", c.name, got)
+			}
+			close(release)
+			if code := <-held; code != http.StatusOK {
+				t.Fatalf("held request: status %d, want 200", code)
+			}
+			if resp, _, raw := postPredict(t, ts.URL, PredictRequest{X: []float64{3, 1}}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("next request: status %d (%s), want 200", resp.StatusCode, raw)
+			}
+		})
+	}
+}
+
+// TestShutdownLeavesNoGoroutines: a server that served live, pinned and
+// mirrored canary traffic over real connections leaves the goroutine
+// count where it found it once the client's idle connections close and
+// Shutdown returns.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	dir := t.TempDir()
+	pathA, pathB := writeTestModel(t, dir, 40), writeTestModel(t, dir, 41)
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr, Timeout: 10 * time.Second}
+	baseline := runtime.NumGoroutine()
+
+	s, err := New(Config{Models: map[string]string{"web": pathA}, Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ctl.Deploy("web", pathB, true); err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + s.Addr() + "/predict"
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				body := fmt.Sprintf(`{"model":%q,"instances":[[%d,1],[1,%d]]}`, []string{"web", "web@v1"}[i%2], i%5, c)
+				resp, err := client.Post(url, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// Close the client side first: http.Server.Shutdown waits up to 5 s
+	// for a connection the transport dialed but never sent a request on,
+	// and one such dial may still land after this.
+	tr.CloseIdleConnections()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Shutdown, %d before the server started:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
