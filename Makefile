@@ -58,7 +58,8 @@ bench-smoke:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
 
 # Real measurement runs of the hot paths. The training kernels (DESIGN.md §6
-# and §13): the mat kernels beside their portable Go versions, the served
+# and §13): the mat kernels beside their portable Go versions, each width
+# of assembly and each vectorized logistic the host runs, the served
 # forward pass by batch size, backprop, the epoch and a Table 2 fold's
 # training, the whole warm fold with its split, fit and evaluation
 # (BenchmarkCrossValidateFold), the logistic, its derivative sweep, and the
@@ -66,7 +67,7 @@ bench-smoke:
 # simulator (DESIGN.md §7): one sample campaign of perfbench's sweep
 # (BenchmarkCollect) and one long single run (BenchmarkSimulation).
 bench:
-	$(GO) test -run '^$$' -bench 'FoldKernels|Forward|Backprop|Epoch|CrossValidateFold|LogisticRow|ScaleByDeriv|RPROPStep' -benchmem -benchtime 2s ./internal/mat ./internal/nn ./internal/train ./internal/core
+	$(GO) test -run '^$$' -bench 'FoldKernel|Forward|Backprop|Epoch|CrossValidateFold|LogisticRow|LogisticKernels|ScaleByDeriv|RPROPStep' -benchmem -benchtime 2s ./internal/mat ./internal/nn ./internal/train ./internal/core
 	$(GO) test -run '^$$' -bench 'Collect|Simulation' -benchmem -benchtime 2s ./internal/threetier
 
 # The repository's benchmark (see perfbench/README.md and BENCHMARK.json):

@@ -24,7 +24,6 @@ import (
 	"nnwc/internal/preprocess"
 	"nnwc/internal/rng"
 	"nnwc/internal/sched"
-	"nnwc/internal/stats"
 	"nnwc/internal/train"
 	"nnwc/internal/workload"
 )
@@ -194,9 +193,17 @@ func fitWithValidation(ds, val *workload.Dataset, cfg Config) (*NNModel, error) 
 	}
 	m.FeatureMin = make([]float64, ds.NumFeatures())
 	m.FeatureMax = make([]float64, ds.NumFeatures())
-	for j := range m.FeatureMin {
-		col := ds.FeatureColumn(j)
-		m.FeatureMin[j], m.FeatureMax[j] = stats.Min(col), stats.Max(col)
+	copy(m.FeatureMin, ds.Samples[0].X)
+	copy(m.FeatureMax, ds.Samples[0].X)
+	for _, s := range ds.Samples[1:] {
+		for j, v := range s.X {
+			if v < m.FeatureMin[j] {
+				m.FeatureMin[j] = v
+			}
+			if v > m.FeatureMax[j] {
+				m.FeatureMax[j] = v
+			}
+		}
 	}
 
 	// §3.1 pre-processing.
@@ -223,16 +230,9 @@ func fitWithValidation(ds, val *workload.Dataset, cfg Config) (*NNModel, error) 
 	if err := m.YScaler.Fit(ds.Ys()); err != nil {
 		return nil, fmt.Errorf("core: fitting output scaler: %w", err)
 	}
-	xs := preprocess.TransformAll(m.XScaler, ds.Xs())
-	ys := preprocess.TransformAll(m.YScaler, ds.Ys())
-
-	var valX, valY [][]float64
-	if val != nil {
-		if val.NumFeatures() != ds.NumFeatures() || val.NumTargets() != ds.NumTargets() {
-			return nil, errors.New("core: validation dataset schema differs from training")
-		}
-		valX = preprocess.TransformAll(m.XScaler, val.Xs())
-		valY = preprocess.TransformAll(m.YScaler, val.Ys())
+	hasVal := val != nil && val.Len() > 0
+	if val != nil && (val.NumFeatures() != ds.NumFeatures() || val.NumTargets() != ds.NumTargets()) {
+		return nil, errors.New("core: validation dataset schema differs from training")
 	}
 
 	// Topology: n → hidden… → m (§3.2).
@@ -252,12 +252,27 @@ func fitWithValidation(ds, val *workload.Dataset, cfg Config) (*NNModel, error) 
 	if err := trainer.Reset(tc, src.Split()); err != nil {
 		return nil, err
 	}
-	res, err := trainer.Fit(m.Net, xs, ys, valX, valY)
+	m.standardizeInto(&trainer.X, &trainer.Y, ds)
+	if hasVal {
+		m.standardizeInto(&trainer.VX, &trainer.VY, val)
+	}
+	res, err := trainer.FitStaged(m.Net, hasVal)
 	if err != nil {
 		return nil, fmt.Errorf("core: training: %w", err)
 	}
 	m.TrainResult = res
 	return m, nil
+}
+
+// standardizeInto writes every sample of ds, through m's scalers, into
+// the rows of X and Y.
+func (m *NNModel) standardizeInto(X, Y *mat.Matrix, ds *workload.Dataset) {
+	X.Reshape(ds.Len(), ds.NumFeatures())
+	Y.Reshape(ds.Len(), ds.NumTargets())
+	for i, s := range ds.Samples {
+		preprocess.TransformInto(m.XScaler, X.Row(i), s.X)
+		preprocess.TransformInto(m.YScaler, Y.Row(i), s.Y)
+	}
 }
 
 // trainerPool keeps warm trainers: a fit at a shape seen before (every

@@ -5,4 +5,6 @@ package cpuid
 
 // AVX: CPUID shows AVX and OSXSAVE, and XGETBV shows the XMM and YMM state
 // enabled (the OS saves the YMM registers). AVX2FMA also needs AVX2 and FMA.
-var AVX, AVX2FMA = probe()
+// AVX512 needs AVX, AVX512F and AVX512DQ, and XGETBV showing the opmask and
+// ZMM state enabled as well.
+var AVX, AVX2FMA, AVX512 = probe()

@@ -2,4 +2,4 @@
 
 package cpuid
 
-func probe() (avx, avx2FMA bool) { return false, false }
+func probe() (avx, avx2FMA, avx512 bool) { return false, false, false }

@@ -27,12 +27,16 @@ func randMatrix(src *rng.Source, rows, cols int) *Matrix {
 
 // kernelShapes straddle every register block boundary: m runs 1…9 (every
 // 4-row block tail, on both sides of MulTransBiasInto's row gate), 16, and
-// a Table 2 fold's training sizes (259 odd, 260 even); n runs 1…9 so every
-// n%4 tail and odd output count appears; k runs across the 4-wide tiles.
+// a Table 2 fold's training sizes (259 odd, 260 even); n runs 1…9 and 33 so
+// every n%4 and n%8 tail, odd output counts and a second db call of either
+// width appear; k runs across the 4- and 8-wide tiles, 4 and 6 take the
+// 8-lane transposed gradient block (6 with a last input group that
+// repeats two inputs), and 33 takes a leftover output past its first call
+// of either width.
 var kernelShapes = func() (shapes []struct{ m, n, k int }) {
 	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 259, 260} {
-		for n := 1; n <= 9; n++ {
-			for _, k := range []int{1, 3, 4, 16, 17} {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33} {
+			for _, k := range []int{1, 3, 4, 6, 16, 17, 33} {
 				shapes = append(shapes, struct{ m, n, k int }{m, n, k})
 			}
 		}
@@ -40,34 +44,33 @@ var kernelShapes = func() (shapes []struct{ m, n, k int }) {
 	return shapes
 }()
 
-// kernelImpl is one implementation of the three kernels under test.
+// kernelImpl is one implementation of the three kernels under test; its
+// cases skip, logging skip, where this host cannot run it.
 type kernelImpl struct {
 	name         string
+	skip         string
 	mulTransBias func(dst, a, b *Matrix, bias []float64) *Matrix
 	mul          func(dst, a, b *Matrix) *Matrix
 	gradAccum    func(dw *Matrix, db []float64, delta, in *Matrix, scale float64)
 }
 
 // kernelImpls holds the exported kernels, which dispatch to the assembly
-// where it is selected, and the portable Go kernels, which every host runs
-// here. The Go kernels are also the references, so their own cases only
-// run every shape and special value through them. kernels_amd64_test.go
-// adds the assembly without the row gate.
+// where it is selected. The portable Go kernels are the references every
+// case compares with; kernels_amd64_test.go adds each width of assembly
+// without the row gate.
 var kernelImpls = []kernelImpl{
-	{"dispatch", MulTransBiasInto, MulInto, GradAccumInto},
-	{"go", func(dst, a, b *Matrix, bias []float64) *Matrix {
-		mulTransBiasGo(dst.Reshape(a.Rows, b.Rows), a, b, bias)
-		return dst
-	}, func(dst, a, b *Matrix) *Matrix {
-		mulGo(dst.Reshape(a.Rows, b.Cols), a, b)
-		return dst
-	}, gradAccumGo},
+	{"dispatch", "", MulTransBiasInto, MulInto, GradAccumInto},
 }
 
 // forEachImpl runs f as a subtest per kernel implementation.
 func forEachImpl(t *testing.T, f func(t *testing.T, impl kernelImpl)) {
 	for _, impl := range kernelImpls {
-		t.Run(impl.name, func(t *testing.T) { f(t, impl) })
+		t.Run(impl.name, func(t *testing.T) {
+			if impl.skip != "" {
+				t.Skip(impl.skip)
+			}
+			f(t, impl)
+		})
 	}
 }
 

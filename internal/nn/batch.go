@@ -17,21 +17,24 @@ type BatchWorkspace struct {
 	actsAll []*mat.Matrix // [input, acts...] assembled per call
 }
 
-// ensure sizes the workspace for a batch of the given row count through net.
-func (ws *BatchWorkspace) ensure(n *Network, batch int) {
-	if len(ws.acts) != len(n.Layers) {
-		ws.acts = make([]*mat.Matrix, len(n.Layers))
-		ws.pres = make([]*mat.Matrix, len(n.Layers))
+// ensure sizes the workspace for a batch of the given row count through net
+// and returns its layer outputs and pre-activations, one per layer. A
+// workspace keeps every matrix it has made, so alternating topologies of
+// different depths reuse them instead of starting over.
+func (ws *BatchWorkspace) ensure(n *Network, batch int) (acts, pres []*mat.Matrix) {
+	for len(ws.acts) < len(n.Layers) {
+		ws.acts = append(ws.acts, &mat.Matrix{})
+		ws.pres = append(ws.pres, &mat.Matrix{})
+	}
+	if len(ws.actsAll) <= len(n.Layers) {
 		ws.actsAll = make([]*mat.Matrix, len(n.Layers)+1)
-		for i := range ws.acts {
-			ws.acts[i] = &mat.Matrix{}
-			ws.pres[i] = &mat.Matrix{}
-		}
 	}
+	acts, pres = ws.acts[:len(n.Layers)], ws.pres[:len(n.Layers)]
 	for i, l := range n.Layers {
-		ws.acts[i].Reshape(batch, l.Outputs)
-		ws.pres[i].Reshape(batch, l.Outputs)
+		acts[i].Reshape(batch, l.Outputs)
+		pres[i].Reshape(batch, l.Outputs)
 	}
+	return acts, pres
 }
 
 // ForwardTraceBatch runs the network on every row of X (one sample per
@@ -49,21 +52,22 @@ func (n *Network) ForwardTraceBatch(X *mat.Matrix, ws *BatchWorkspace) (acts, pr
 	if X.Cols != n.InputDim() {
 		panic(fmt.Sprintf("nn: batch has %d columns, network expects %d inputs", X.Cols, n.InputDim()))
 	}
-	ws.ensure(n, X.Rows)
-	ws.actsAll[0] = X
+	outs, pres := ws.ensure(n, X.Rows)
+	acts = ws.actsAll[:len(n.Layers)+1]
+	acts[0] = X
 	in := X
 	for i, l := range n.Layers {
-		out, pre := ws.acts[i], ws.pres[i]
+		out, pre := outs[i], pres[i]
 		// One register-blocked affine kernel for the whole batch, then the activation
 		// over the flat backing array — the row-major flattening visits
 		// elements in the same per-row ascending order as the per-sample
 		// path, so both stay bit-identical to forwardInto.
 		mat.MulTransBiasInto(pre, in, l.W, l.B)
 		EvalRow(l.Act, pre.Data, out.Data)
-		ws.actsAll[i+1] = out
+		acts[i+1] = out
 		in = out
 	}
-	return ws.actsAll, ws.pres
+	return acts, pres
 }
 
 // ForwardBatch runs the network on every row of X and returns the output

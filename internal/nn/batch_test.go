@@ -86,6 +86,45 @@ func TestForwardBatchReusesWorkspace(t *testing.T) {
 	}
 }
 
+// TestForwardBatchMixedDepthsZeroAlloc alternates a 4-16-5 and a 4-24-24-5
+// network on one workspace, as a pooled serve workspace sees on a fleet of
+// mixed depths: once both have run, neither allocates, and each still
+// matches its per-sample forward pass.
+func TestForwardBatchMixedDepthsZeroAlloc(t *testing.T) {
+	src := rng.New(35)
+	shallow := NewNetwork([]int{4, 16, 5}, Logistic{Alpha: 1}, Identity{})
+	deep := NewNetwork([]int{4, 24, 24, 5}, Logistic{Alpha: 1}, Identity{})
+	XavierInit{}.Init(shallow, src)
+	XavierInit{}.Init(deep, src)
+	X := mat.New(8, 4)
+	for i := range X.Data {
+		X.Data[i] = src.Uniform(-1, 1)
+	}
+	var ws BatchWorkspace
+	pair := func() {
+		shallow.ForwardBatch(X, &ws)
+		deep.ForwardBatch(X, &ws)
+	}
+	pair() // warm the buffers
+	if allocs := testing.AllocsPerRun(50, pair); allocs != 0 {
+		t.Fatalf("alternating depths on one workspace allocates %v objects per pair", allocs)
+	}
+	for _, net := range []*Network{shallow, deep, shallow} {
+		acts, pres := net.ForwardTraceBatch(X, &ws)
+		if len(acts) != len(net.Layers)+1 || len(pres) != len(net.Layers) {
+			t.Fatalf("%d-layer trace lengths %d/%d", len(net.Layers), len(acts), len(pres))
+		}
+		out := acts[len(acts)-1]
+		for r := 0; r < X.Rows; r++ {
+			for j, want := range net.Forward(X.Row(r)) {
+				if out.At(r, j) != want {
+					t.Fatalf("%d-layer row %d output %d: batch %v, per-sample %v", len(net.Layers), r, j, out.At(r, j), want)
+				}
+			}
+		}
+	}
+}
+
 func TestForwardBatchGrowsWithBatchSize(t *testing.T) {
 	src := rng.New(34)
 	net := NewNetwork([]int{2, 4, 1}, Tanh{}, Identity{})

@@ -13,6 +13,14 @@ import (
 //go:noescape
 func logisticAVX2(negAlpha float64, pre, out []float64) int
 
+// logisticAVX512 is logisticAVX2 eight lanes wide (logistic_amd64.s), the
+// len%8 tail included under an opmask. It writes out[:n] for the largest n
+// that is len(pre) or a multiple of 8 whose 8-element blocks are all in
+// range, and returns n.
+//
+//go:noescape
+func logisticAVX512(negAlpha float64, pre, out []float64) int
+
 // logisticDerivAVX is the AVX kernel of the logistic derivative sweep
 // (logistic_amd64.s). It scales dst[:n] by (α·y)·(1−y) for the largest
 // n ≤ len(dst)&^3 whose 4-element blocks hold no NaN, and returns n.
@@ -26,16 +34,20 @@ func logisticDerivAVX(alpha float64, y, dst []float64) int
 // kernel's range.
 var logisticProbe = [...]float64{-7.99, -3.35, -1.22, -0.49, -0.01, 0.19, 0.51, 0.85, 1.01, 1.26, -7.09782712893384e+02, 700}
 
-// useLogisticKernel is decided once: the CPU must support the kernel, and
-// the kernel must reproduce the scalar logistic bit for bit on the probe.
-// The self-check is what ties the kernel to math.Exp's avxfma branch:
-// under GODEBUG=cpu.fma=off math.Exp takes its non-FMA branch while CPUID
-// still reports FMA.
-var useLogisticKernel = cpuid.AVX2FMA && logisticSelfCheck()
+// useLogisticZMM and useLogisticKernel are decided once: the CPU must
+// support the kernel, and the kernel must reproduce the scalar logistic bit
+// for bit on the probe. The self-check is what ties the kernels to
+// math.Exp's avxfma branch: under GODEBUG=cpu.fma=off math.Exp takes its
+// non-FMA branch while CPUID still reports FMA. The 8-lane kernel runs
+// where it is selected, else the 4-lane one.
+var (
+	useLogisticZMM    = cpuid.AVX512 && logisticSelfCheck(logisticAVX512)
+	useLogisticKernel = cpuid.AVX2FMA && logisticSelfCheck(logisticAVX2)
+)
 
-func logisticSelfCheck() bool {
+func logisticSelfCheck(kernel func(negAlpha float64, pre, out []float64) int) bool {
 	var out [len(logisticProbe)]float64
-	if logisticAVX2(-1, logisticProbe[:], out[:]) != len(out) {
+	if kernel(-1, logisticProbe[:], out[:]) != len(out) {
 		return false
 	}
 	for i, v := range logisticProbe {
@@ -46,15 +58,18 @@ func logisticSelfCheck() bool {
 	return true
 }
 
-// logisticRow writes out[i] = 1/(1+exp(−α·pre[i])). Blocks of four go
-// through the kernel when it is enabled; the len%4 tail, and the rest of
-// the row from the first block with an out-of-range lane, run the scalar
-// loop, whose bits the kernel reproduces.
+// logisticRow writes out[i] = 1/(1+exp(−α·pre[i])). The row goes through
+// the selected kernel; the rest of it from the first block with an
+// out-of-range lane, and with the 4-lane kernel the len%4 tail, run the
+// scalar loop, whose bits the kernels reproduce.
 //
 //nnwc:hotpath
 func logisticRow(alpha float64, pre, out []float64) {
 	n := 0
-	if useLogisticKernel {
+	switch {
+	case useLogisticZMM:
+		n = logisticAVX512(-alpha, pre, out[:len(pre)])
+	case useLogisticKernel:
 		n = logisticAVX2(-alpha, pre, out[:len(pre)])
 	}
 	for i := n; i < len(pre); i++ {

@@ -113,6 +113,108 @@ done:
 	MOVQ AX, ret+56(FP)
 	RET
 
+// func logisticAVX512(negAlpha float64, pre, out []float64) int
+//
+// logisticAVX2 eight lanes per ZMM register, lane for lane the same
+// operations, with VRNDSCALEPD $0 (round to nearest even) for VROUNDPD $0.
+// It writes out[i] for every i < len(pre), the len%8 tail in a last block
+// under an opmask, and returns how many it wrote: len(pre), or the start
+// of the first block holding a valid lane whose x is NaN or outside
+// [-700, Overflow]; the caller finishes the row from there. It keeps to
+// Z0–Z15, whose upper halves VZEROUPPER clears on return. It does not
+// clear Z16–Z31: with constants left there, the scalar code after each
+// call ran slower, and a served one-row prediction cost ~6% more CPU.
+TEXT ·logisticAVX512(SB), NOSPLIT, $0-64
+	MOVQ pre_base+8(FP), SI
+	MOVQ pre_len+16(FP), R8
+	MOVQ out_base+32(FP), DI
+	XORQ AX, AX
+	VBROADCASTSD negAlpha+0(FP), Z4
+	VBROADCASTSD logisticdata<>+72(SB), Z5
+	VBROADCASTSD logisticdata<>+80(SB), Z6
+	VBROADCASTSD logisticdata<>+88(SB), Z7
+	VBROADCASTSD logisticdata<>+96(SB), Z8
+	VBROADCASTSD logisticdata<>+56(SB), Z9
+	VBROADCASTSD logisticdata<>+48(SB), Z10
+	VBROADCASTSD logisticdata<>+40(SB), Z11
+	VBROADCASTSD logisticdata<>+32(SB), Z12
+	VBROADCASTSD logisticdata<>+24(SB), Z13
+	VBROADCASTSD logisticdata<>+0(SB), Z14
+	VBROADCASTSD logisticdata<>+8(SB), Z15
+
+zloop:
+	MOVQ R8, CX
+	SUBQ AX, CX // elements left
+	JLE  zdone
+	MOVL $0xff, BX
+	CMPQ CX, $8
+	JGE  zblock
+	MOVL $1, BX // a tail of CX < 8 elements: the first CX lanes
+	SHLL CX, BX
+	DECL BX
+
+zblock:
+	KMOVB     BX, K1
+	VMOVUPD.Z (SI)(AX*8), K1, Z1
+	VMULPD    Z1, Z4, Z0 // x = negAlpha·v
+
+	// Range check on the valid lanes: -700 <= x <= Overflow, both ordered
+	// (false for NaN).
+	VBROADCASTSD logisticdata<>+104(SB), Z2
+	VCMPPD       $0x1d, Z2, Z0, K1, K2 // x >= -700
+	VBROADCASTSD logisticdata<>+112(SB), Z3
+	VCMPPD       $0x12, Z3, Z0, K2, K2 // x <= Overflow
+	KXORB        K1, K2, K2
+	KORTESTB     K2, K2
+	JNZ          zdone
+
+	// k = round-to-nearest-even(LOG2E·x), as CVTSD2SL under the default MXCSR.
+	VMULPD       Z5, Z0, Z1
+	VRNDSCALEPD  $0, Z1, Z1
+	VFNMADD231PD Z6, Z1, Z0 // x -= k·LN2U
+	VFNMADD231PD Z7, Z1, Z0 // x -= k·LN2L
+	// reduce argument
+	VMULPD Z8, Z0, Z0
+	// Taylor series evaluation
+	VBROADCASTSD logisticdata<>+64(SB), Z2
+	VFMADD213PD  Z9, Z0, Z2
+	VFMADD213PD  Z10, Z0, Z2
+	VFMADD213PD  Z11, Z0, Z2
+	VFMADD213PD  Z12, Z0, Z2
+	VFMADD213PD  Z13, Z0, Z2
+	VFMADD213PD  Z14, Z0, Z2
+	VFMADD213PD  Z15, Z0, Z2
+	VMULPD       Z2, Z0, Z0
+	VBROADCASTSD logisticdata<>+16(SB), Z3
+	VADDPD       Z3, Z0, Z2
+	VMULPD       Z2, Z0, Z0
+	VADDPD       Z3, Z0, Z2
+	VMULPD       Z2, Z0, Z0
+	VADDPD       Z3, Z0, Z2
+	VMULPD       Z2, Z0, Z0
+	VADDPD       Z3, Z0, Z2
+	VFMADD213PD  Z15, Z2, Z0
+
+	// return fr * 2**exponent; k = 1024 builds +Inf, as archExp's overflow exit does.
+	VBROADCASTSD logisticdata<>+120(SB), Z3
+	VADDPD       Z3, Z1, Z1
+	VPSLLQ       $52, Z1, Z1
+	VMULPD       Z1, Z0, Z0
+
+	// 1/(1+exp(x))
+	VADDPD  Z15, Z0, Z0
+	VDIVPD  Z0, Z15, Z0
+	VMOVUPD Z0, K1, (DI)(AX*8)
+	ADDQ    $8, AX
+	JMP     zloop
+
+zdone:
+	CMPQ    AX, R8
+	CMOVQGT R8, AX // a written tail block ends at len(pre)
+	VZEROUPPER
+	MOVQ    AX, ret+56(FP)
+	RET
+
 // func logisticDerivAVX(alpha float64, y, dst []float64) int
 //
 // dst[i] *= (alpha·y[i])·(1−y[i]) for i < len(dst)&^3, the scalar

@@ -88,27 +88,80 @@ func TestLogisticProbeDiscriminates(t *testing.T) {
 	}
 }
 
-// TestLogisticKernelSelection checks the gate: the kernel runs exactly
-// when the CPU supports it and math.Exp takes the branch it replicates.
+// logisticKernels are the vectorized logistics: each with its lane count,
+// whether it finishes the len%lanes tail itself, and the probe result that
+// lets the host run it.
+var logisticKernels = []struct {
+	name   string
+	kernel func(negAlpha float64, pre, out []float64) int
+	lanes  int
+	tail   bool
+	ok     bool
+	skip   string
+}{
+	{"avx2", logisticAVX2, 4, false, cpuid.AVX2FMA, "CPU lacks AVX2+FMA"},
+	{"avx512", logisticAVX512, 8, true, cpuid.AVX512, "CPU lacks AVX512F/AVX512DQ or the OS does not save the opmask and ZMM state"},
+}
+
+func init() {
+	onFMA := mathExpOnFMABranch()
+	for _, k := range logisticKernels {
+		impl := logisticImpl{name: k.name, row: func(alpha float64, pre, out []float64) {
+			for i := k.kernel(-alpha, pre, out[:len(pre)]); i < len(pre); i++ {
+				out[i] = 1 / (1 + math.Exp(-alpha*pre[i]))
+			}
+		}}
+		switch {
+		case !k.ok:
+			impl.skip = k.skip
+		case !onFMA:
+			impl.skip = "math.Exp is off its FMA branch, which the kernel replicates"
+		}
+		logisticImpls = append(logisticImpls, impl)
+	}
+}
+
+// TestLogisticKernelSelection checks the gate: each kernel is selected
+// exactly when the CPU supports it and math.Exp takes the branch it
+// replicates, and EvalRow runs the 8-lane one where both are.
 func TestLogisticKernelSelection(t *testing.T) {
 	onFMA := mathExpOnFMABranch()
 	if want := cpuid.AVX2FMA && onFMA; useLogisticKernel != want {
-		t.Fatalf("kernel selected = %v, want %v (AVX2+FMA %v, math.Exp on its FMA branch %v)",
+		t.Fatalf("AVX2 kernel selected = %v, want %v (AVX2+FMA %v, math.Exp on its FMA branch %v)",
 			useLogisticKernel, want, cpuid.AVX2FMA, onFMA)
 	}
-	t.Logf("kernel selected = %v (AVX2+FMA %v, math.Exp on its FMA branch %v)", useLogisticKernel, cpuid.AVX2FMA, onFMA)
+	if want := cpuid.AVX512 && onFMA; useLogisticZMM != want {
+		t.Fatalf("AVX-512 kernel selected = %v, want %v (AVX512 %v, math.Exp on its FMA branch %v)",
+			useLogisticZMM, want, cpuid.AVX512, onFMA)
+	}
+	kernel := "scalar"
+	switch {
+	case useLogisticZMM:
+		kernel = "AVX512"
+	case useLogisticKernel:
+		kernel = "AVX2FMA"
+	}
+	t.Logf("logistic kernel selected: %s (AVX2+FMA %v, AVX512 %v, math.Exp on its FMA branch %v)", kernel, cpuid.AVX2FMA, cpuid.AVX512, onFMA)
 }
 
-// TestLogisticKernelMatchesFMABranch runs the kernel directly, selected or
-// not, against the transcribed avxfma branch across its whole range, and
-// checks it stops before the first block holding an out-of-range lane.
+// TestLogisticKernelMatchesFMABranch runs each kernel directly, selected
+// or not, against the transcribed avxfma branch across its whole range,
+// and checks it stops before the first block holding an out-of-range lane.
 func TestLogisticKernelMatchesFMABranch(t *testing.T) {
-	if !cpuid.AVX2FMA {
-		t.Skip("CPU lacks AVX2+FMA")
+	for _, k := range logisticKernels {
+		t.Run(k.name, func(t *testing.T) {
+			if !k.ok {
+				t.Skip(k.skip)
+			}
+			testLogisticKernelMatchesFMABranch(t, k.kernel, k.lanes, k.tail)
+		})
 	}
+}
+
+func testLogisticKernelMatchesFMABranch(t *testing.T, kernel func(negAlpha float64, pre, out []float64) int, lanes int, tail bool) {
 	src := rng.New(42)
 	for _, alpha := range []float64{1, 0.5, 2, -1} {
-		pre := make([]float64, 4096)
+		pre := make([]float64, 4096+5)
 		for i := range pre {
 			x := src.Uniform(-700, expOverflow)
 			if i%4 == 1 {
@@ -120,11 +173,16 @@ func TestLogisticKernelMatchesFMABranch(t *testing.T) {
 			pre[i] = x / -alpha
 		}
 		copy(pre[4:], logisticSpecials[:8])
+		copy(pre[len(pre)-8:], logisticSpecials[:8])
 		out := make([]float64, len(pre))
-		if n := logisticAVX2(-alpha, pre, out); n != len(pre) {
-			t.Fatalf("α=%v: kernel wrote %d of %d in-range elements", alpha, n, len(pre))
+		want := len(pre)
+		if !tail {
+			want &^= lanes - 1
 		}
-		for i, v := range pre {
+		if n := kernel(-alpha, pre, out); n != want {
+			t.Fatalf("α=%v: kernel wrote %d of %d in-range elements, want %d", alpha, n, len(pre), want)
+		}
+		for i, v := range pre[:want] {
 			if want := 1 / (1 + archExpFMA(-alpha*v)); math.Float64bits(out[i]) != math.Float64bits(want) {
 				t.Fatalf("α=%v v=%v: kernel %v, FMA branch %v", alpha, v, out[i], want)
 			}
@@ -135,7 +193,7 @@ func TestLogisticKernelMatchesFMABranch(t *testing.T) {
 		for pos := 0; pos < 11; pos++ {
 			pre := make([]float64, 11)
 			pre[pos] = -bad
-			if n, want := logisticAVX2(-1, pre, out), pos&^3; n != want {
+			if n, want := kernel(-1, pre, out), pos&^(lanes-1); n != want {
 				t.Fatalf("x=%v at %d: kernel wrote %d elements, want %d", bad, pos, n, want)
 			}
 		}
@@ -172,5 +230,34 @@ func TestLogisticDerivKernelStopsAtNaN(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkLogisticKernels times each kernel this host runs over one
+// hidden layer of a Table 2 fold, 259 training rows × 16 hidden units:
+// in one call, and row by row as perfbench's nn.activation probe calls it.
+func BenchmarkLogisticKernels(b *testing.B) {
+	src := rng.New(1)
+	pre := make([]float64, 259*16)
+	for i := range pre {
+		pre[i] = 2 * src.Norm()
+	}
+	out := make([]float64, len(pre))
+	for _, k := range logisticKernels {
+		if !k.ok {
+			continue
+		}
+		b.Run("layer/"+k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.kernel(-1, pre, out)
+			}
+		})
+		b.Run("rows/"+k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < len(pre); r += 16 {
+					k.kernel(-1, pre[r:r+16], out[r:r+16])
+				}
+			}
+		})
 	}
 }

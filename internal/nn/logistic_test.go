@@ -24,11 +24,38 @@ var logisticSpecials = []float64{
 	math.Inf(1), math.Inf(-1), math.NaN(),
 }
 
+// logisticImpl is one way a row reaches the logistic; its cases skip,
+// logging skip, where this host cannot run it.
+type logisticImpl struct {
+	name string
+	skip string
+	row  func(alpha float64, pre, out []float64)
+}
+
+// logisticImpls holds EvalRow, which dispatches to the kernel where one is
+// selected; logistic_amd64_test.go adds each kernel, finished by the
+// scalar loop as logisticRow finishes it.
+var logisticImpls = []logisticImpl{
+	{name: "EvalRow", row: func(alpha float64, pre, out []float64) { EvalRow(Logistic{Alpha: alpha}, pre, out) }},
+}
+
 // TestEvalRowLogisticMatchesScalar pins EvalRow's logistic, vectorized or
-// not, to the scalar 1/(1+math.Exp(−α·v)) bit for bit.
+// not, and each kernel's rows to the scalar 1/(1+math.Exp(−α·v)) bit for
+// bit.
 func TestEvalRowLogisticMatchesScalar(t *testing.T) {
+	for _, impl := range logisticImpls {
+		t.Run(impl.name, func(t *testing.T) {
+			if impl.skip != "" {
+				t.Skip(impl.skip)
+			}
+			testLogisticRowMatchesScalar(t, impl.row)
+		})
+	}
+}
+
+func testLogisticRowMatchesScalar(t *testing.T, logisticRow func(alpha float64, pre, out []float64)) {
 	src := rng.New(41)
-	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 259 * 16}
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 259 * 16}
 	for _, alpha := range []float64{1, 0.5, 2, -1, 0} {
 		l := Logistic{Alpha: alpha}
 		// fromX returns the v with −α·v == x exactly (α is a power of two).
@@ -62,10 +89,10 @@ func TestEvalRowLogisticMatchesScalar(t *testing.T) {
 			})
 			for _, row := range rows {
 				got := make([]float64, n)
-				EvalRow(l, row, got)
+				logisticRow(alpha, row, got)
 				for i, v := range row {
 					if want := l.Eval(v); math.Float64bits(got[i]) != math.Float64bits(want) {
-						t.Fatalf("α=%v n=%d v=%v: EvalRow %v (%#x), scalar %v (%#x)",
+						t.Fatalf("α=%v n=%d v=%v: row %v (%#x), scalar %v (%#x)",
 							alpha, n, v, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
 					}
 				}

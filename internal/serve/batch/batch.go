@@ -92,7 +92,6 @@ type Batcher struct {
 	running sync.WaitGroup // one count per running batch
 	mu      sync.Mutex
 	groups  map[string]*group
-	sheds   atomic.Uint64
 }
 
 // group is one shape's queue. Jobs queue only while Workers batches run,
@@ -136,9 +135,6 @@ func (b *Batcher) GroupCount() int {
 	return len(b.groups)
 }
 
-// Sheds reports how many requests were refused on a full queue.
-func (b *Batcher) Sheds() uint64 { return b.sheds.Load() }
-
 // Queued reports the rows waiting in every shape group's queue, those of
 // callers that gave up included.
 func (b *Batcher) Queued() int {
@@ -175,7 +171,6 @@ func (b *Batcher) Submit(ctx context.Context, inst *registry.Instance, xs [][]fl
 	}
 	if g.rows > 0 && g.rows+len(xs) > b.cfg.QueueDepth {
 		g.mu.Unlock()
-		b.sheds.Add(1)
 		return nil, ErrOverloaded
 	}
 	var batch []Job

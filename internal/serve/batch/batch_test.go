@@ -262,9 +262,6 @@ func TestShedOnFullQueue(t *testing.T) {
 	if shed < 5 {
 		t.Fatalf("shed %d rows, want >= 5", shed)
 	}
-	if b.Sheds() == 0 {
-		t.Fatal("shed counter not incremented")
-	}
 }
 
 // TestQueueDepthCountsRows: QueueDepth bounds queued rows, not requests,
@@ -297,9 +294,6 @@ func TestQueueDepthCountsRows(t *testing.T) {
 	}
 	if _, err := b.Submit(gone, a, rows(1), 0); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("a fifth queued row: %v, want ErrOverloaded", err)
-	}
-	if b.Sheds() != 1 {
-		t.Fatalf("sheds = %d, want 1", b.Sheds())
 	}
 	unblock()
 	if err := <-first; err != nil {

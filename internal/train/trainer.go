@@ -141,8 +141,8 @@ type Trainer struct {
 	src *rng.Source
 
 	ws       Workspace       // batched forward/backward buffers (serial + validation)
-	X, Y     mat.Matrix      // contiguous copies of the training rows
-	VX, VY   mat.Matrix      // contiguous copies of the validation rows
+	X, Y     mat.Matrix      // the training rows, copied by Fit or staged for FitStaged
+	VX, VY   mat.Matrix      // the validation rows, likewise
 	sizes    []int           // the topology grad and parallel are shaped for
 	grad     *Gradients      // the batch gradient
 	parallel parallelScratch // block-sharded accumulators for Workers > 1
@@ -207,16 +207,28 @@ func (t *Trainer) Fit(net *nn.Network, xs, ys [][]float64, valX, valY [][]float6
 	if hasVal && len(valX) != len(valY) {
 		return Result{}, errors.New("train: validation rows mismatch")
 	}
-	t.cfg.Optimizer.Reset()
-
-	// One contiguous copy of the dataset up front; every epoch after this
-	// runs against preallocated matrices and workspaces.
 	t.X.CopyRows(xs)
 	t.Y.CopyRows(ys)
 	if hasVal {
 		t.VX.CopyRows(valX)
 		t.VY.CopyRows(valY)
 	}
+	return t.FitStaged(net, hasVal)
+}
+
+// FitStaged trains net as Fit does on the rows already in t.X and t.Y,
+// validating on t.VX and t.VY when val is set. A caller that transforms
+// its samples anyway writes them straight into those matrices (Reshape,
+// then fill each row) and skips Fit's row copy.
+func (t *Trainer) FitStaged(net *nn.Network, hasVal bool) (Result, error) {
+	if t.X.Rows == 0 || t.X.Rows != t.Y.Rows || t.X.Cols != net.InputDim() || t.Y.Cols != net.OutputDim() {
+		return Result{}, fmt.Errorf("train: staged rows (%dx%d, %dx%d) do not match network (%d,%d)",
+			t.X.Rows, t.X.Cols, t.Y.Rows, t.Y.Cols, net.InputDim(), net.OutputDim())
+	}
+	if hasVal && (t.VX.Rows == 0 || t.VX.Rows != t.VY.Rows) {
+		return Result{}, errors.New("train: validation rows mismatch")
+	}
+	t.cfg.Optimizer.Reset()
 
 	if sizes := net.Sizes(); !slices.Equal(sizes, t.sizes) {
 		t.sizes, t.grad, t.parallel = sizes, NewGradients(net), parallelScratch{}
@@ -225,12 +237,12 @@ func (t *Trainer) Fit(net *nn.Network, xs, ys [][]float64, valX, valY [][]float6
 	var sampleGrad *Gradients
 	var order []int
 	if t.cfg.Mode == Online {
-		sampleGrad, order = NewGradients(net), make([]int, len(xs))
+		sampleGrad, order = NewGradients(net), make([]int, t.X.Rows)
 		for i := range order {
 			order[i] = i
 		}
 	}
-	n := len(xs)
+	n := t.X.Rows
 	invN := 1 / float64(n)
 
 	every := t.cfg.RecordEvery
@@ -250,9 +262,13 @@ func (t *Trainer) Fit(net *nn.Network, xs, ys [][]float64, valX, valY [][]float6
 	}
 
 	if t.cfg.Trace.Enabled() {
+		valSamples := 0
+		if hasVal {
+			valSamples = t.VX.Rows
+		}
 		t.cfg.Trace.Emit("fit_start",
 			obs.Int("samples", n),
-			obs.Int("val_samples", len(valX)),
+			obs.Int("val_samples", valSamples),
 			obs.Int("params", len(net.Params())),
 			obs.Int("max_epochs", t.cfg.MaxEpochs),
 			obs.String("mode", t.cfg.Mode.String()),
@@ -274,7 +290,7 @@ func (t *Trainer) Fit(net *nn.Network, xs, ys [][]float64, valX, valY [][]float6
 		case Online:
 			t.src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			for _, i := range order {
-				trainLoss += Backprop(net, xs[i], ys[i], sampleGrad)
+				trainLoss += Backprop(net, t.X.Row(i), t.Y.Row(i), sampleGrad)
 				applyWeightDecay(net, sampleGrad, t.cfg.WeightDecay)
 				t.cfg.Optimizer.Step(net, sampleGrad)
 			}

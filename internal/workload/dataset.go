@@ -76,12 +76,21 @@ func (d *Dataset) MustAppend(s Sample) {
 	}
 }
 
-// Clone returns a deep copy of the dataset.
+// Clone returns a deep copy of the dataset. The copied rows share two
+// backing arrays, one for X and one for Y, each row capped at its length,
+// so an append to one row copies it instead of overwriting the next.
 func (d *Dataset) Clone() *Dataset {
 	c := NewDataset(d.FeatureNames, d.TargetNames)
 	c.Samples = make([]Sample, len(d.Samples))
+	nx, ny := 0, 0
+	for _, s := range d.Samples {
+		nx, ny = nx+len(s.X), ny+len(s.Y)
+	}
+	xs, ys := make([]float64, 0, nx), make([]float64, 0, ny)
 	for i, s := range d.Samples {
-		c.Samples[i] = s.Clone()
+		x, y := len(xs), len(ys)
+		xs, ys = append(xs, s.X...), append(ys, s.Y...)
+		c.Samples[i] = Sample{X: xs[x:len(xs):len(xs)], Y: ys[y:len(ys):len(ys)]}
 	}
 	return c
 }
@@ -168,6 +177,9 @@ func (d *Dataset) KFold(k int) ([][]int, error) {
 		return nil, fmt.Errorf("workload: k=%d exceeds %d samples", k, len(d.Samples))
 	}
 	folds := make([][]int, k)
+	for f := range folds {
+		folds[f] = make([]int, 0, (len(d.Samples)-f+k-1)/k)
+	}
 	for i := range d.Samples {
 		folds[i%k] = append(folds[i%k], i)
 	}
@@ -178,7 +190,7 @@ func (d *Dataset) KFold(k int) ([][]int, error) {
 // set (all folds but f) and the validation set (fold f), as the paper's
 // k-fold protocol prescribes (§3.3).
 func (d *Dataset) TrainValidation(folds [][]int, f int) (train, val *Dataset) {
-	var trainIdx []int
+	trainIdx := make([]int, 0, len(d.Samples)-len(folds[f]))
 	for i, fold := range folds {
 		if i == f {
 			continue
