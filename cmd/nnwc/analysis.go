@@ -45,7 +45,7 @@ func cmdImportance(args []string) error {
 				return err
 			}
 		} else {
-			model, err := loadModel(*modelPath)
+			model, err := core.LoadModelFile(*modelPath)
 			if err != nil {
 				return err
 			}
@@ -123,7 +123,7 @@ func cmdSelect(args []string) error {
 			if err != nil {
 				return err
 			}
-			base, err := modelConfig("16", *epochs, *seed)
+			base, err := jobs.ModelConfig("16", *epochs, *seed)
 			if err != nil {
 				return err
 			}

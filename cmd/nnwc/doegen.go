@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"nnwc/internal/doe"
+	"nnwc/internal/experiments"
 	"nnwc/internal/threetier"
 )
 
@@ -27,14 +28,14 @@ func parseBound(s string) (lo, hi float64, err error) {
 
 // cmdDoegen generates a dataset from a space-filling experiment design
 // instead of a rectangular sweep — often far more sample-efficient (see
-// `cmd/experiments -run sampling`).
+// `nnwc reproduce -run sampling`).
 func cmdDoegen(args []string) error {
 	fs := flag.NewFlagSet("doegen", flag.ExitOnError)
 	out := fs.String("out", "data.csv", "output CSV path")
 	design := fs.String("design", "lhs", "experiment design: lhs | random | factorial")
 	n := fs.Int("n", 64, "sample budget (levels^4 for factorial)")
 	levels := fs.Int("levels", 3, "levels per dimension (factorial only)")
-	seed := fs.Uint64("seed", 2006, "design + simulation seed")
+	seed := fs.Uint64("seed", experiments.DefaultSeed, "design + simulation seed")
 	rate := fs.String("rate", "440:640", "injection-rate range lo:hi")
 	def := fs.String("default", "2:24", "default-thread range lo:hi")
 	mfg := fs.String("mfg", "8:24", "mfg-thread range lo:hi")

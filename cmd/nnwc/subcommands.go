@@ -13,6 +13,7 @@ import (
 
 	"nnwc/internal/core"
 	"nnwc/internal/dist/jobs"
+	"nnwc/internal/experiments"
 	"nnwc/internal/plot"
 	"nnwc/internal/recommend"
 	"nnwc/internal/sched"
@@ -45,6 +46,15 @@ func parseFloats(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// joinNums renders vs as "a,b,c", the form parseFloats and parseInts read.
+func joinNums[T int | float64](vs []T) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = fmt.Sprint(v)
+	}
+	return strings.Join(parts, ",")
 }
 
 func parseInts(s string) ([]int, error) {
@@ -104,10 +114,6 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return err
 }
 
-func loadModel(path string) (*core.NNModel, error) {
-	return core.LoadModelFile(path)
-}
-
 // fmtPct renders a fractional error as a percentage, or "n/a" when the
 // metric is undefined (NaN) — an undefined indicator must be visible, not
 // reported as 0% error.
@@ -126,23 +132,19 @@ func warnUndefined(undefined []string) {
 	}
 }
 
-// modelConfig delegates to the jobs package so the local CLI path and a
-// distributed worker derive identical configs from identical flag values.
-func modelConfig(hidden string, epochs int, seed uint64) (core.Config, error) {
-	return jobs.ModelConfig(hidden, epochs, seed)
-}
-
 func cmdDatagen(args []string) error {
 	fs := flag.NewFlagSet("datagen", flag.ExitOnError)
 	out := fs.String("out", "data.csv", "output CSV path")
-	seed := fs.Uint64("seed", 2006, "simulation seed")
-	rates := fs.String("rates", "480,560,640", "injection rates")
-	mfg := fs.String("mfg", "8,16,24", "mfg thread counts")
-	web := fs.String("web", "8,12,14,16,18,20,24", "web thread counts")
-	def := fs.String("default", "2,4,6,8,12,16", "default thread counts")
-	reps := fs.Int("replicates", 1, "replicates per configuration")
-	warm := fs.Float64("warmup", 20, "simulated warm-up seconds")
-	window := fs.Float64("window", 80, "simulated measurement seconds")
+	// The defaults are the campaign Table 2 is built from.
+	sweep, sys := threetier.DefaultSweep(), threetier.DefaultSystemParams()
+	seed := fs.Uint64("seed", experiments.DefaultSeed, "simulation seed")
+	rates := fs.String("rates", joinNums(sweep.InjectionRates), "injection rates")
+	mfg := fs.String("mfg", joinNums(sweep.MfgThreads), "mfg thread counts")
+	web := fs.String("web", joinNums(sweep.WebThreads), "web thread counts")
+	def := fs.String("default", joinNums(sweep.DefaultThreads), "default thread counts")
+	reps := fs.Int("replicates", sweep.Replicates, "replicates per configuration")
+	warm := fs.Float64("warmup", sys.WarmupTime, "simulated warm-up seconds")
+	window := fs.Float64("window", sys.MeasureTime, "simulated measurement seconds")
 	obsf := addObsFlags(fs)
 	fs.Parse(args)
 	if err := obsf.start(args); err != nil {
@@ -163,7 +165,6 @@ func cmdDatagen(args []string) error {
 		if spec.DefaultThreads, err = parseInts(*def); err != nil {
 			return err
 		}
-		sys := threetier.DefaultSystemParams()
 		sys.WarmupTime, sys.MeasureTime = *warm, *window
 
 		obsf.setSeed(*seed)
@@ -206,7 +207,7 @@ func cmdTrain(args []string) error {
 		obsf.setSeed(*seed)
 		obsf.setConfig("hidden", *hidden)
 		obsf.setConfig("epochs", *epochs)
-		cfg, err := modelConfig(*hidden, *epochs, *seed)
+		cfg, err := jobs.ModelConfig(*hidden, *epochs, *seed)
 		if err != nil {
 			return err
 		}
@@ -238,24 +239,32 @@ func cmdTrain(args []string) error {
 }
 
 func cmdCrossval(args []string) error {
+	_, err := crossval(args)
+	return err
+}
+
+// crossval runs the crossval subcommand and returns the result it printed
+// (nil in worker mode).
+func crossval(args []string) (*core.CVResult, error) {
 	fs := flag.NewFlagSet("crossval", flag.ExitOnError)
 	data := fs.String("data", "data.csv", "sample CSV")
 	k := fs.Int("k", 5, "number of folds")
 	hidden := fs.String("hidden", "16", "hidden layer sizes")
 	epochs := fs.Int("epochs", 2000, "max training epochs")
-	seed := fs.Uint64("seed", 99, "shuffle/init seed")
+	seed := fs.Uint64("seed", experiments.DefaultSplitSeed, "fold split seed (each fold's init seed derives from it)")
 	workers := workersFlag(fs)
 	df := addDistFlags(fs)
 	obsf := addObsFlags(fs)
 	fs.Parse(args)
 	if err := df.validate(); err != nil {
-		return err
+		return nil, err
 	}
 	sched.SetWorkers(*workers)
 	if err := obsf.start(args); err != nil {
-		return err
+		return nil, err
 	}
-	return obsf.finish(func() error {
+	var cv *core.CVResult
+	err := obsf.finish(func() error {
 		if df.isWorker() {
 			return df.runWorker(obsf, *workers)
 		}
@@ -265,7 +274,6 @@ func cmdCrossval(args []string) error {
 		obsf.setConfig("hidden", *hidden)
 		obsf.setConfig("epochs", *epochs)
 		obsf.setConfig("k", *k)
-		var cv *core.CVResult
 		if df.isCoordinator() {
 			ctx, cancel := signalContext()
 			defer cancel()
@@ -279,7 +287,7 @@ func cmdCrossval(args []string) error {
 			if err != nil {
 				return err
 			}
-			cfg, err := modelConfig(*hidden, *epochs, *seed)
+			cfg, err := jobs.ModelConfig(*hidden, *epochs, *seed)
 			if err != nil {
 				return err
 			}
@@ -293,6 +301,7 @@ func cmdCrossval(args []string) error {
 		printCVResult(cv)
 		return nil
 	}())
+	return cv, err
 }
 
 // printCVResult renders the Table 2 trial/average grid — one printer for
@@ -339,7 +348,7 @@ func cmdPredict(args []string) error {
 	xStr := fs.String("x", "", "configuration vector, comma separated")
 	fs.Parse(args)
 
-	model, err := loadModel(*modelPath)
+	model, err := core.LoadModelFile(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -383,7 +392,7 @@ func cmdSurface(args []string) error {
 		if df.isWorker() {
 			return df.runWorker(obsf, *workers)
 		}
-		model, err := loadModel(*modelPath)
+		model, err := core.LoadModelFile(*modelPath)
 		if err != nil {
 			return err
 		}
@@ -455,7 +464,7 @@ func cmdRecommend(args []string) error {
 
 func cmdRecommendRun(obsf *obsFlags, modelPath string, maximizeV int, boundsStr, lo, hi string, seedV uint64, paretoV bool) error {
 	maximize, seed, pareto := &maximizeV, &seedV, &paretoV
-	model, err := loadModel(modelPath)
+	model, err := core.LoadModelFile(modelPath)
 	if err != nil {
 		return err
 	}
@@ -531,7 +540,7 @@ func cmdCompare(args []string) error {
 	k := fs.Int("k", 5, "folds")
 	hidden := fs.String("hidden", "16", "MLP hidden sizes")
 	epochs := fs.Int("epochs", 2000, "MLP training epochs")
-	seed := fs.Uint64("seed", 99, "seed")
+	seed := fs.Uint64("seed", experiments.DefaultSplitSeed, "fold split seed")
 	workers := workersFlag(fs)
 	df := addDistFlags(fs)
 	obsf := addObsFlags(fs)

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"nnwc/internal/core"
+	"nnwc/internal/experiments"
 )
 
 func TestParseFloats(t *testing.T) {
@@ -112,11 +116,55 @@ func TestEndToEndCLIFlow(t *testing.T) {
 	}
 }
 
+// TestCLIMatchesReproduction pins that datagen followed by crossval, at
+// crossval's default seed, computes the reproduction's Table 2 bit for bit
+// (here on the -quick campaign).
+func TestCLIMatchesReproduction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test")
+	}
+	data := filepath.Join(t.TempDir(), "quick.csv")
+	if err := cmdDatagen([]string{
+		"-out", data, "-rates", "480,560", "-mfg", "8,16", "-web", "10,14,18,22", "-default", "2,6,10",
+		"-warmup", "4", "-window", "16",
+	}); err != nil {
+		t.Fatalf("datagen: %v", err)
+	}
+	got, err := crossval([]string{"-data", data, "-epochs", "400"})
+	if err != nil {
+		t.Fatalf("crossval: %v", err)
+	}
+	want, err := experiments.NewQuick(io.Discard, t.TempDir()).CrossValidation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Averages) != len(want.Averages) {
+		t.Fatalf("CLI averages %v, reproduction %v", got.Averages, want.Averages)
+	}
+	for j := range want.Averages {
+		if math.Float64bits(got.Averages[j]) != math.Float64bits(want.Averages[j]) {
+			t.Fatalf("average %d: CLI %v, reproduction %v", j, got.Averages[j], want.Averages[j])
+		}
+	}
+}
+
+func TestReproduce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test")
+	}
+	if err := cmdReproduce([]string{"-quick", "-run", "table2", "-out", t.TempDir(), "-quiet"}); err != nil {
+		t.Fatalf("reproduce: %v", err)
+	}
+	if err := cmdReproduce([]string{"-run", "table2,nope"}); err == nil {
+		t.Fatal("unknown experiment id accepted")
+	}
+}
+
 func TestLoadErrors(t *testing.T) {
 	if _, err := loadDataset("/nonexistent/x.csv"); err == nil {
 		t.Fatal("missing dataset accepted")
 	}
-	if _, err := loadModel("/nonexistent/m.json"); err == nil {
+	if _, err := core.LoadModelFile("/nonexistent/m.json"); err == nil {
 		t.Fatal("missing model accepted")
 	}
 }

@@ -97,7 +97,7 @@ func (c *Context) RunBaseline() error {
 	if err != nil {
 		return err
 	}
-	split, err := core.NewCVSplit(ds, c.Folds, c.Seed+1)
+	split, err := core.NewCVSplit(ds, c.Folds, c.splitSeed())
 	if err != nil {
 		return err
 	}

@@ -33,6 +33,18 @@ func quickTrain() *train.Config {
 	return &tc
 }
 
+const (
+	// DefaultSeed is a reproduction's master seed: the paper's year; any
+	// constant works.
+	DefaultSeed = 2006
+	// DefaultSplitSeed is the seed Table 2's folds are split with at the
+	// default master seed (see splitSeed). The fold init seeds derive from
+	// it, so `nnwc crossval` defaults to it to rebuild Table 2.
+	DefaultSplitSeed = DefaultSeed + splitSeedOffset
+
+	splitSeedOffset = 1
+)
+
 // Context carries the shared state of an experiment run: the sample
 // campaign, the model configuration, deterministic seeds, and caches so
 // that the expensive dataset collection and cross-validation happen once
@@ -69,7 +81,7 @@ func New(out io.Writer, outDir string) *Context {
 	return &Context{
 		Out:    out,
 		OutDir: outDir,
-		Seed:   2006, // the paper's year; any constant works
+		Seed:   DefaultSeed,
 		Sys:    threetier.DefaultSystemParams(),
 		Sweep:  threetier.DefaultSweep(),
 		Model: core.Config{
@@ -124,6 +136,10 @@ func (c *Context) collect(tr *obs.Trace, configs []threetier.Config, replicates 
 	return ds, err
 }
 
+// splitSeed is the seed the cross-validation folds are split with, in
+// CrossValidation and the baseline comparison alike.
+func (c *Context) splitSeed() uint64 { return c.Seed + splitSeedOffset }
+
 // workers resolves the context's parallelism bound.
 func (c *Context) workers() int { return sched.Workers(c.Workers) }
 
@@ -137,7 +153,7 @@ func (c *Context) CrossValidation() (*core.CVResult, error) {
 		}
 		cfg := c.Model
 		cfg.Trace = c.Trace
-		cv, err := core.CrossValidateWorkers(ds, cfg, c.Folds, c.Seed+1, c.Workers)
+		cv, err := core.CrossValidateWorkers(ds, cfg, c.Folds, c.splitSeed(), c.Workers)
 		if err != nil {
 			return nil, err
 		}

@@ -32,7 +32,7 @@ var tasksTotal = metrics.Default().Counter("nnwc_sched_tasks_total",
 var defaultWorkers atomic.Int64
 
 // SetWorkers sets the process-wide default parallelism (the -workers flag
-// of cmd/nnwc and cmd/experiments lands here). n <= 0 restores the
+// of cmd/nnwc's subcommands lands here). n <= 0 restores the
 // GOMAXPROCS default. Worker counts never affect results, only wall-clock.
 func SetWorkers(n int) {
 	if n < 0 {
