@@ -399,7 +399,7 @@ func BenchmarkSurfaceEvaluation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := surface.Evaluate(model, sl, 4, 5); err != nil {
+		if _, err := surface.EvaluateWorkers(model, sl, 4, 5, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,10 +12,13 @@ import (
 
 	"nnwc/internal/dist"
 	"nnwc/internal/dist/jobs"
+	"nnwc/internal/obs"
+	"nnwc/internal/sched"
 )
 
-// distFlags bundles the distributed-execution flags the experiment
-// subcommands (crossval, compare, surface, importance, select) share:
+// experimentFlags bundles the flags the experiment subcommands
+// (crossval, compare, surface, importance, select) share — -workers, the
+// observability flags, and the distributed-execution flags:
 //
 //   - -coordinator ADDR shards the experiment over HTTP: the process
 //     serves the job on ADDR, workers pull leases, and the reduced result
@@ -24,8 +27,10 @@ import (
 //     URL; all job kinds are served regardless of which subcommand
 //     launched the worker.
 //
-// Neither flag set means the subcommand runs locally, as always.
-type distFlags struct {
+// Neither flag set means the subcommand runs its job in process.
+type experimentFlags struct {
+	obsf        *obsFlags
+	workers     *int
 	coordinator *string
 	worker      *string
 	state       *string
@@ -34,27 +39,49 @@ type distFlags struct {
 	cache       *string
 }
 
-// addDistFlags registers the -coordinator/-worker flag family on fs.
-func addDistFlags(fs *flag.FlagSet) *distFlags {
-	df := &distFlags{}
-	df.coordinator = fs.String("coordinator", "", "coordinate this experiment over HTTP on ADDR (e.g. :9000); workers connect with -worker")
-	df.worker = fs.String("worker", "", "run as a worker for the coordinator at URL (host:port accepted) instead of running the experiment")
-	df.state = fs.String("dist-state", "", "coordinator journal for resumable runs (default: <run dir>/"+dist.StateFileName+" when -trace is on)")
-	df.leaseSize = fs.Int("dist-lease", 0, "tasks per work lease (0 = auto)")
-	df.leaseTTL = fs.Duration("dist-lease-ttl", 0, "lease time-to-live before tasks are reassigned (0 = 60s default)")
-	df.cache = fs.String("dist-cache", "", "worker-side artifact cache directory (default: a fresh temp dir)")
-	return df
+// addExperimentFlags registers the experiment flag family on fs.
+func addExperimentFlags(fs *flag.FlagSet) *experimentFlags {
+	x := &experimentFlags{workers: workersFlag(fs)}
+	x.coordinator = fs.String("coordinator", "", "coordinate this experiment over HTTP on ADDR (e.g. :9000); workers connect with -worker")
+	x.worker = fs.String("worker", "", "run as a worker for the coordinator at URL (host:port accepted) instead of running the experiment")
+	x.state = fs.String("dist-state", "", "coordinator journal for resumable runs (default: <run dir>/"+dist.StateFileName+" when -trace is on)")
+	x.leaseSize = fs.Int("dist-lease", 0, "tasks per work lease (0 = auto)")
+	x.leaseTTL = fs.Duration("dist-lease-ttl", 0, "lease time-to-live before tasks are reassigned (0 = 60s default)")
+	x.cache = fs.String("dist-cache", "", "worker-side artifact cache directory (default: a fresh temp dir)")
+	x.obsf = addObsFlags(fs)
+	return x
 }
 
-func (df *distFlags) isWorker() bool      { return *df.worker != "" }
-func (df *distFlags) isCoordinator() bool { return *df.coordinator != "" }
-
-// validate rejects contradictory modes before any work starts.
-func (df *distFlags) validate() error {
-	if df.isWorker() && df.isCoordinator() {
+// run runs an experiment subcommand after flag parsing: as a worker for
+// another coordinator when -worker is set, otherwise body, which builds
+// the subcommand's job, runs it with execute and prints the result.
+func (x *experimentFlags) run(args []string, body func() error) error {
+	if *x.worker != "" && *x.coordinator != "" {
 		return fmt.Errorf("-coordinator and -worker are mutually exclusive")
 	}
-	return nil
+	sched.SetWorkers(*x.workers)
+	if err := x.obsf.start(args); err != nil {
+		return err
+	}
+	if *x.worker != "" {
+		return x.obsf.finish(x.runWorker())
+	}
+	x.obsf.setWorkers(sched.Workers(*x.workers))
+	return x.obsf.finish(body())
+}
+
+// execute runs job in process, or as the coordinator of worker processes
+// when -coordinator is set; the result is bit-identical either way.
+func execute[O any](x *experimentFlags, job jobs.Job[O]) (O, error) {
+	ctx, cancel := signalContext()
+	defer cancel()
+	ctx = obs.ContextWithTrace(ctx, x.obsf.trace())
+	var ex jobs.Executor = jobs.Local{Workers: *x.workers}
+	if *x.coordinator != "" {
+		ex = x.options()
+	}
+	out, _, err := jobs.Execute(ctx, ex, job)
+	return out, err
 }
 
 // signalContext is a context canceled by SIGINT/SIGTERM, so a Ctrl-C'd
@@ -65,14 +92,14 @@ func signalContext() (context.Context, context.CancelFunc) {
 
 // runWorker drives one worker process to job completion. The subcommand's
 // -workers flag bounds in-lease task parallelism.
-func (df *distFlags) runWorker(obsf *obsFlags, workers int) error {
+func (x *experimentFlags) runWorker() error {
 	ctx, cancel := signalContext()
 	defer cancel()
 	w, err := jobs.NewWorker(dist.WorkerConfig{
-		Coordinator: *df.worker,
-		CacheDir:    *df.cache,
-		Parallelism: workers,
-		Logf:        obsf.infof,
+		Coordinator: *x.worker,
+		CacheDir:    *x.cache,
+		Parallelism: *x.workers,
+		Logf:        x.obsf.infof,
 	})
 	if err != nil {
 		return err
@@ -84,15 +111,15 @@ func (df *distFlags) runWorker(obsf *obsFlags, workers int) error {
 // the observability context: progress lines go through -quiet, and a
 // traced run defaults its resume journal into the run directory so
 // `nnwc runs show` can report distributed progress.
-func (df *distFlags) options(obsf *obsFlags) jobs.Options {
+func (x *experimentFlags) options() jobs.Options {
 	opt := jobs.Options{
-		Addr:      *df.coordinator,
-		LeaseSize: *df.leaseSize,
-		LeaseTTL:  *df.leaseTTL,
-		StateFile: *df.state,
-		Logf:      obsf.infof,
+		Addr:      *x.coordinator,
+		LeaseSize: *x.leaseSize,
+		LeaseTTL:  *x.leaseTTL,
+		StateFile: *x.state,
+		Logf:      x.obsf.infof,
 	}
-	if dir := obsf.runDir(); dir != "" {
+	if dir := x.obsf.runDir(); dir != "" {
 		opt.JobID = filepath.Base(dir)
 		if opt.StateFile == "" {
 			opt.StateFile = filepath.Join(dir, dist.StateFileName)

@@ -16,7 +16,6 @@ import (
 	"nnwc/internal/experiments"
 	"nnwc/internal/plot"
 	"nnwc/internal/recommend"
-	"nnwc/internal/sched"
 	"nnwc/internal/surface"
 	"nnwc/internal/threetier"
 	"nnwc/internal/workload"
@@ -252,55 +251,26 @@ func crossval(args []string) (*core.CVResult, error) {
 	hidden := fs.String("hidden", "16", "hidden layer sizes")
 	epochs := fs.Int("epochs", 2000, "max training epochs")
 	seed := fs.Uint64("seed", experiments.DefaultSplitSeed, "fold split seed (each fold's init seed derives from it)")
-	workers := workersFlag(fs)
-	df := addDistFlags(fs)
-	obsf := addObsFlags(fs)
+	x := addExperimentFlags(fs)
 	fs.Parse(args)
-	if err := df.validate(); err != nil {
-		return nil, err
-	}
-	sched.SetWorkers(*workers)
-	if err := obsf.start(args); err != nil {
-		return nil, err
-	}
 	var cv *core.CVResult
-	err := obsf.finish(func() error {
-		if df.isWorker() {
-			return df.runWorker(obsf, *workers)
+	err := x.run(args, func() error {
+		x.obsf.setDataset(*data)
+		x.obsf.setSeed(*seed)
+		x.obsf.setConfig("hidden", *hidden)
+		x.obsf.setConfig("epochs", *epochs)
+		x.obsf.setConfig("k", *k)
+		job, err := jobs.CrossvalJob(*data, jobs.CrossvalConfig{K: *k, Hidden: *hidden, Epochs: *epochs}, *seed)
+		if err != nil {
+			return err
 		}
-		obsf.setDataset(*data)
-		obsf.setSeed(*seed)
-		obsf.setWorkers(sched.Workers(*workers))
-		obsf.setConfig("hidden", *hidden)
-		obsf.setConfig("epochs", *epochs)
-		obsf.setConfig("k", *k)
-		if df.isCoordinator() {
-			ctx, cancel := signalContext()
-			defer cancel()
-			var err error
-			cv, _, err = jobs.CoordinateCrossval(ctx, df.options(obsf), *data, *k, *hidden, *epochs, *seed)
-			if err != nil {
-				return err
-			}
-		} else {
-			ds, err := loadDataset(*data)
-			if err != nil {
-				return err
-			}
-			cfg, err := jobs.ModelConfig(*hidden, *epochs, *seed)
-			if err != nil {
-				return err
-			}
-			cfg.Trace = obsf.trace()
-			cv, err = core.CrossValidateWorkers(ds, cfg, *k, *seed, *workers)
-			if err != nil {
-				return err
-			}
+		if cv, err = execute(x, job); err != nil {
+			return err
 		}
-		obsf.metric("overall_error", cv.OverallError())
+		x.obsf.metric("overall_error", cv.OverallError())
 		printCVResult(cv)
 		return nil
-	}())
+	})
 	return cv, err
 }
 
@@ -377,28 +347,11 @@ func cmdSurface(args []string) error {
 	xr := fs.String("xrange", "2:16:8", "x grid lo:hi:n")
 	yr := fs.String("yrange", "8:24:9", "y grid lo:hi:n")
 	csvOut := fs.String("csv", "", "optional CSV output path")
-	workers := workersFlag(fs)
-	df := addDistFlags(fs)
-	obsf := addObsFlags(fs)
+	x := addExperimentFlags(fs)
 	fs.Parse(args)
-	if err := df.validate(); err != nil {
-		return err
-	}
-	sched.SetWorkers(*workers)
-	if err := obsf.start(args); err != nil {
-		return err
-	}
-	return obsf.finish(func() error {
-		if df.isWorker() {
-			return df.runWorker(obsf, *workers)
-		}
-		model, err := core.LoadModelFile(*modelPath)
-		if err != nil {
-			return err
-		}
-		obsf.setWorkers(sched.Workers(*workers))
-		obsf.setConfig("model", *modelPath)
-		obsf.setConfig("output", *output)
+	return x.run(args, func() error {
+		x.obsf.setConfig("model", *modelPath)
+		x.obsf.setConfig("output", *output)
 		fixedVec, err := parseFloats(*fixed)
 		if err != nil {
 			return err
@@ -412,14 +365,17 @@ func cmdSurface(args []string) error {
 			return err
 		}
 		sl := surface.Slice{Fixed: fixedVec, XIndex: *xi, YIndex: *yi, XValues: xs, YValues: ys, Output: *output}
-		var grid *surface.Grid
-		if df.isCoordinator() {
-			ctx, cancel := signalContext()
-			defer cancel()
-			grid, _, err = jobs.CoordinateSurface(ctx, df.options(obsf), *modelPath, sl)
-		} else {
-			grid, err = surface.EvaluateTraced(model, sl, model.InputDim(), model.OutputDim(), *workers, obsf.trace())
+		job, err := jobs.SurfaceJob(*modelPath, sl)
+		if err != nil {
+			return err
 		}
+		grid, err := execute(x, job)
+		if err != nil {
+			return err
+		}
+		// The job validated the slice against the model, so the axis and
+		// output indices name real features and indicators.
+		model, err := core.LoadModelFile(*modelPath)
 		if err != nil {
 			return err
 		}
@@ -442,7 +398,7 @@ func cmdSurface(args []string) error {
 			})
 		}
 		return nil
-	}())
+	})
 }
 
 func cmdRecommend(args []string) error {
@@ -462,15 +418,18 @@ func cmdRecommend(args []string) error {
 	return obsf.finish(cmdRecommendRun(obsf, *modelPath, *maximize, *boundsStr, *lo, *hi, *seed, *pareto))
 }
 
-func cmdRecommendRun(obsf *obsFlags, modelPath string, maximizeV int, boundsStr, lo, hi string, seedV uint64, paretoV bool) error {
-	maximize, seed, pareto := &maximizeV, &seedV, &paretoV
+func cmdRecommendRun(obsf *obsFlags, modelPath string, maximize int, boundsStr, lo, hi string, seed uint64, pareto bool) error {
 	model, err := core.LoadModelFile(modelPath)
 	if err != nil {
 		return err
 	}
-	obsf.setSeed(*seed)
+	obsf.setSeed(seed)
 	obsf.setConfig("model", modelPath)
-	obsf.setConfig("maximize", *maximize)
+	obsf.setConfig("maximize", maximize)
+	if maximize < 0 || maximize >= model.OutputDim() {
+		return fmt.Errorf("-maximize %d: model has indicators 0..%d (%s)",
+			maximize, model.OutputDim()-1, strings.Join(model.TargetNames, ","))
+	}
 	bounds, err := parseFloats(boundsStr)
 	if err != nil {
 		return err
@@ -483,21 +442,25 @@ func cmdRecommendRun(obsf *obsFlags, modelPath string, maximizeV int, boundsStr,
 	if err != nil {
 		return err
 	}
+	if len(loV) != model.InputDim() || len(hiV) != model.InputDim() {
+		return fmt.Errorf("-lo and -hi need %d values each (%s), got %d and %d",
+			model.InputDim(), strings.Join(model.FeatureNames, ","), len(loV), len(hiV))
+	}
 	integers := make([]bool, len(loV))
 	for i, name := range model.FeatureNames {
 		integers[i] = strings.Contains(name, "threads")
 	}
 	space := recommend.Space{Lo: loV, Hi: hiV, Integer: integers}
-	if *pareto {
+	if pareto {
 		objs := make([]recommend.Objective, model.OutputDim())
 		for j := range objs {
-			if j == *maximize {
+			if j == maximize {
 				objs[j] = recommend.Maximize
 			} else {
 				objs[j] = recommend.Minimize
 			}
 		}
-		front, err := recommend.ParetoFront(model, space, objs, recommend.Options{Seed: *seed})
+		front, err := recommend.ParetoFront(model, space, objs, recommend.Options{Seed: seed})
 		if err != nil {
 			return err
 		}
@@ -518,7 +481,7 @@ func cmdRecommendRun(obsf *obsFlags, modelPath string, maximizeV int, boundsStr,
 		}
 		return nil
 	}
-	res, err := recommend.Search(model, space, recommend.SLAScore(*maximize, bounds), recommend.Options{Seed: *seed})
+	res, err := recommend.Search(model, space, recommend.SLAScore(maximize, bounds), recommend.Options{Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -541,61 +504,25 @@ func cmdCompare(args []string) error {
 	hidden := fs.String("hidden", "16", "MLP hidden sizes")
 	epochs := fs.Int("epochs", 2000, "MLP training epochs")
 	seed := fs.Uint64("seed", experiments.DefaultSplitSeed, "fold split seed")
-	workers := workersFlag(fs)
-	df := addDistFlags(fs)
-	obsf := addObsFlags(fs)
+	x := addExperimentFlags(fs)
 	fs.Parse(args)
-	if err := df.validate(); err != nil {
-		return err
-	}
-	sched.SetWorkers(*workers)
-	if err := obsf.start(args); err != nil {
-		return err
-	}
-	return obsf.finish(func() error {
-		if df.isWorker() {
-			return df.runWorker(obsf, *workers)
+	return x.run(args, func() error {
+		x.obsf.setDataset(*data)
+		x.obsf.setSeed(*seed)
+		x.obsf.setConfig("k", *k)
+		job, err := jobs.CompareJob(*data, jobs.CompareConfig{K: *k, Hidden: *hidden, Epochs: *epochs}, *seed)
+		if err != nil {
+			return err
 		}
-		if df.isCoordinator() {
-			obsf.setDataset(*data)
-			obsf.setSeed(*seed)
-			obsf.setConfig("k", *k)
-			ctx, cancel := signalContext()
-			defer cancel()
-			means, _, err := jobs.CoordinateCompare(ctx, df.options(obsf), *data, *k, *hidden, *epochs, *seed)
-			if err != nil {
-				return err
-			}
-			printFamilyMeans(obsf, means)
-			return nil
+		means, err := execute(x, job)
+		if err != nil {
+			return err
 		}
-		return cmdCompareRun(obsf, *data, *k, *hidden, *epochs, *seed, *workers)
-	}())
-}
-
-// printFamilyMeans renders the §4 family table and records its metrics —
-// one printer for the local and distributed comparison paths.
-func printFamilyMeans(obsf *obsFlags, means []jobs.FamilyMean) {
-	fmt.Printf("%-12s %12s\n", "model", "mean HMRE")
-	for _, fm := range means {
-		fmt.Printf("%-12s %11.2f%%\n", fm.Name, fm.Mean*100)
-		obsf.metric("hmre_"+fm.Name, fm.Mean)
-	}
-}
-
-func cmdCompareRun(obsf *obsFlags, data string, k int, hidden string, epochs int, seed uint64, workers int) error {
-	ds, err := loadDataset(data)
-	if err != nil {
-		return err
-	}
-	obsf.setDataset(data)
-	obsf.setSeed(seed)
-	obsf.setWorkers(sched.Workers(workers))
-	obsf.setConfig("k", k)
-	means, err := jobs.Compare(ds, k, hidden, epochs, seed, workers, obsf.trace())
-	if err != nil {
-		return err
-	}
-	printFamilyMeans(obsf, means)
-	return nil
+		fmt.Printf("%-12s %12s\n", "model", "mean HMRE")
+		for _, fm := range means {
+			fmt.Printf("%-12s %11.2f%%\n", fm.Name, fm.Mean*100)
+			x.obsf.metric("hmre_"+fm.Name, fm.Mean)
+		}
+		return nil
+	})
 }

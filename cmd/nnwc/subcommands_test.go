@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"nnwc/internal/core"
+	"nnwc/internal/dist/jobs"
 	"nnwc/internal/experiments"
+	"nnwc/internal/workload"
 )
 
 func TestParseFloats(t *testing.T) {
@@ -289,5 +291,41 @@ func TestSimulateJSON(t *testing.T) {
 	}
 	if err := cmdSimulate([]string{"-x", "300,8,16,18", "-warmup", "1", "-window", "5", "-json"}); err != nil {
 		t.Fatalf("simulate -json: %v", err)
+	}
+}
+
+// TestRecommendRejectsMismatchedInput pins clean errors, not panics, for
+// -lo/-hi vectors whose length is not the model's feature count and for a
+// -maximize index past its indicators.
+func TestRecommendRejectsMismatchedInput(t *testing.T) {
+	ds := workload.NewDataset(
+		[]string{"injection_rate", "mfg_threads", "web_threads", "default_threads"},
+		[]string{"a", "b", "c", "d", "e"})
+	for i := 0; i < 8; i++ {
+		x := []float64{480 + float64(i%2)*80, float64(2 + i), 12, float64(4 + i%3)}
+		ds.MustAppend(workload.Sample{X: x, Y: []float64{x[1], x[2], x[3], x[0] / 100, x[1] + x[3]}})
+	}
+	cfg, err := jobs.ModelConfig("3", 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.Fit(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := filepath.Join(t.TempDir(), "m.json")
+	if err := m.SaveFile(model); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-lo", "560,2", "-hi", "560,16"},
+		{"-lo", "560,2,8,8", "-hi", "560,16,24"},
+		{"-maximize", "9"},
+		{"-maximize", "-1"},
+		{"-maximize", "9", "-pareto"},
+	} {
+		if err := cmdRecommend(append([]string{"-model", model}, args...)); err == nil {
+			t.Errorf("recommend %v accepted", args)
+		}
 	}
 }

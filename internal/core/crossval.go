@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -21,10 +22,10 @@ type Trial struct {
 	Errors []float64 // per indicator, as fractions (0.03 = 3%)
 }
 
-// Emit emits fold f's "fold" event: its stop reason and per-indicator
+// emit emits fold f's "fold" event: its stop reason and per-indicator
 // errors. Local and distributed folds emit it alike, so a merged cluster
 // trace reads like a local one.
-func (t Trial) Emit(tr *obs.Trace, f int) {
+func (t Trial) emit(tr *obs.Trace, f int) {
 	if !tr.Enabled() {
 		return
 	}
@@ -71,57 +72,77 @@ func CrossValidate(ds *workload.Dataset, cfg Config, k int, seed uint64) (*CVRes
 // hand-tuned the node count and termination threshold on the first trial
 // and reused them for the rest — here cfg plays that role for every trial.
 //
-// Folds train concurrently on up to `workers` goroutines (<= 0 means the
-// scheduler default). Each trial's seed derives from (seed, fold index)
-// and the per-indicator averages reduce in fold order after all folds
-// finish, so the result is bit-identical across worker counts — including
-// the serial path the seed-reference test pins.
+// It runs CrossvalKind in process on up to `workers` goroutines (<= 0
+// means the scheduler default), tracing into cfg.Trace. Each trial's seed
+// derives from (seed, fold index) and the per-indicator averages reduce in
+// fold order after all folds finish, so the result is bit-identical across
+// worker counts — including the serial path the seed-reference test pins.
 func CrossValidateWorkers(ds *workload.Dataset, cfg Config, k int, seed uint64, workers int) (*CVResult, error) {
+	kind, err := CrossvalKind(ds, cfg, k, seed)
+	if err != nil {
+		return nil, err
+	}
+	return sched.Execute(obs.ContextWithTrace(context.TODO(), cfg.Trace), workers, kind)
+}
+
+// crossvalKind is k-fold cross-validation as a sched.Kind: one task per
+// fold of one shared split.
+type crossvalKind struct {
+	split *CVSplit
+	cfg   Config
+	names []string
+}
+
+// CrossvalKind is the k-fold cross-validation of ds as a sched.Kind: task
+// f trains and scores fold f of one shuffled split, and Reduce averages
+// the trials in fold order. A fold traces its fit only when cfg.Trace is
+// set, into the task's trace; the "fold" event goes there either way.
+func CrossvalKind(ds *workload.Dataset, cfg Config, k int, seed uint64) (sched.Kind[Trial, *CVResult], error) {
 	split, err := NewCVSplit(ds, k, seed)
 	if err != nil {
 		return nil, err
 	}
+	return &crossvalKind{split: split, cfg: cfg, names: append([]string(nil), ds.TargetNames...)}, nil
+}
 
-	targetNames := append([]string(nil), ds.TargetNames...)
-	trials := make([]Trial, k)
-	if cfg.Trace.Enabled() {
-		cfg.Trace.Emit("cv_start",
-			obs.Int("folds", k),
-			obs.Int("samples", ds.Len()),
-			obs.Int("targets", ds.NumTargets()),
+func (c *crossvalKind) Scope() string { return "cv-fold" }
+func (c *crossvalKind) Tasks() int    { return len(c.split.folds) }
+
+// Start emits cv_start.
+func (c *crossvalKind) Start(ctx context.Context) {
+	if tr := obs.TraceFromContext(ctx); tr.Enabled() {
+		tr.Emit("cv_start",
+			obs.Int("folds", c.Tasks()),
+			obs.Int("samples", c.split.shuffled.Len()),
+			obs.Int("targets", len(c.names)),
 		)
 	}
-	// Folds run concurrently, so their trace events would interleave
-	// nondeterministically; the fork buffers each fold's events in a
-	// per-fold slot and Join replays them in fold order — the trace-side
-	// analogue of the in-order error reduction below.
-	fork := cfg.Trace.Fork(k)
-	err = sched.ForEachWorker(sched.Workers(workers), k, func(f, w int) error {
-		slot := fork.Slot(f)
-		span := slot.StartSpan("cv-fold", f, w)
-		defer span.End()
-		foldCfg := cfg
-		foldCfg.Trace = slot
-		trial, err := split.Fold(foldCfg, f)
-		if err != nil {
-			return err
-		}
-		trials[f] = trial
-		trial.Emit(slot, f)
-		return nil
-	})
-	fork.Join()
-	if err != nil {
-		return nil, err
+}
+
+func (c *crossvalKind) Run(ctx context.Context, f int) (Trial, error) {
+	tr := obs.TraceFromContext(ctx)
+	cfg := c.cfg
+	if cfg.Trace != nil {
+		cfg.Trace = tr
 	}
-	res := ReduceTrials(targetNames, trials)
-	if cfg.Trace.Enabled() {
+	trial, err := c.split.Fold(cfg, f)
+	if err != nil {
+		return Trial{}, err
+	}
+	trial.emit(tr, f)
+	return trial, nil
+}
+
+// Reduce averages the trials in fold order and emits cv_summary.
+func (c *crossvalKind) Reduce(ctx context.Context, trials []Trial) (*CVResult, error) {
+	res := reduceTrials(c.names, trials)
+	if tr := obs.TraceFromContext(ctx); tr.Enabled() {
 		fields := make([]obs.Field, 0, 1+len(res.Averages))
 		fields = append(fields, obs.Float("overall_error", res.OverallError()))
 		for j, a := range res.Averages {
 			fields = append(fields, obs.Float("avg_hmre_"+res.TargetNames[j], a))
 		}
-		cfg.Trace.Emit("cv_summary", fields...)
+		tr.Emit("cv_summary", fields...)
 	}
 	return res, nil
 }
@@ -189,12 +210,12 @@ func CrossValidateFold(ds *workload.Dataset, cfg Config, k int, seed uint64, fol
 	return split.Fold(cfg, fold)
 }
 
-// ReduceTrials assembles a CVResult from per-fold trials, averaging each
+// reduceTrials assembles a CVResult from per-fold trials, averaging each
 // indicator in ascending fold order — the same floating-point summation
 // order as the historical serial loop, whatever computed the folds (local
 // workers or remote machines). Undefined (NaN) trials are left out of an
 // indicator's average rather than poisoning it.
-func ReduceTrials(targetNames []string, trials []Trial) *CVResult {
+func reduceTrials(targetNames []string, trials []Trial) *CVResult {
 	res := &CVResult{
 		TargetNames: targetNames,
 		Trials:      trials,

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
 	"nnwc/internal/obs"
+	"nnwc/internal/sched"
 	"nnwc/internal/workload"
 )
 
@@ -25,52 +27,89 @@ type SelectionResult struct {
 
 // SelectNodeCount automates the §3.2 choice the paper made by hand ("the
 // MLP node count and the termination threshold were manually tuned for the
-// first trial"): every candidate hidden-layer layout is scored by k-fold
-// cross-validation and the lowest-error one wins. Ties in error (within
-// 2% relative) break toward fewer parameters, honoring §3.3's preference
-// for flexible, loosely fitted models.
+// first trial"): it runs SelectKind in process, tracing into base.Trace.
 func SelectNodeCount(ds *workload.Dataset, base Config, candidates [][]int, k int, seed uint64) (*SelectionResult, error) {
+	kind, err := SelectKind(ds, base, candidates, k, seed)
+	if err != nil {
+		return nil, err
+	}
+	return sched.Execute(obs.ContextWithTrace(context.TODO(), base.Trace), 0, kind)
+}
+
+// selectKind is topology selection as a sched.Kind: one task per
+// candidate hidden layout.
+type selectKind struct {
+	ds         *workload.Dataset
+	base       Config
+	candidates [][]int
+	k          int
+	seed       uint64
+}
+
+// SelectKind is topology selection as a sched.Kind: task i scores
+// candidates[i] by k-fold cross-validation of ds with base's config and
+// seed, so a score does not depend on what else is scored or where, and
+// Reduce picks the lowest error, ties (within 2% relative) breaking toward
+// fewer parameters — §3.3's preference for flexible, loosely fitted
+// models. A candidate traces its cross-validation only when base.Trace is
+// set, into the task's trace; the select_candidate event goes there
+// either way.
+func SelectKind(ds *workload.Dataset, base Config, candidates [][]int, k int, seed uint64) (sched.Kind[NodeCountResult, *SelectionResult], error) {
 	if len(candidates) == 0 {
 		return nil, errors.New("core: no candidate topologies")
 	}
-	res := &SelectionResult{}
-	for _, hidden := range candidates {
-		cand, err := ScoreTopology(ds, base, hidden, k, seed)
-		if err != nil {
-			return nil, err
-		}
-		res.Candidates = append(res.Candidates, cand)
-		if base.Trace.Enabled() {
-			base.Trace.Emit("select_candidate",
-				obs.String("hidden", fmt.Sprint(hidden)),
-				obs.Int("params", cand.Params),
-				obs.Float("error", cand.Error),
-			)
-		}
-	}
-	res.Best = PickBest(res.Candidates)
-	return res, nil
+	return &selectKind{ds: ds, base: base, candidates: candidates, k: k, seed: seed}, nil
 }
 
-// ScoreTopology scores one candidate hidden layout by k-fold
-// cross-validation — the per-candidate unit the distributed experiment
-// plane ships to workers. Every candidate uses the same base config and
-// seed, so scores are independent of what else is being scored or where.
-func ScoreTopology(ds *workload.Dataset, base Config, hidden []int, k int, seed uint64) (NodeCountResult, error) {
+func (s *selectKind) Scope() string { return "select-candidate" }
+func (s *selectKind) Tasks() int    { return len(s.candidates) }
+
+func (s *selectKind) Run(ctx context.Context, i int) (NodeCountResult, error) {
+	hidden := s.candidates[i]
 	if len(hidden) == 0 {
 		return NodeCountResult{}, errors.New("core: empty hidden layout in candidates")
 	}
-	cfg := base
+	tr := obs.TraceFromContext(ctx)
+	cfg := s.base
 	cfg.Hidden = hidden
-	cv, err := CrossValidate(ds, cfg, k, seed)
+	if cfg.Trace != nil {
+		cfg.Trace = tr
+	}
+	cv, err := CrossValidate(s.ds, cfg, s.k, s.seed)
 	if err != nil {
 		return NodeCountResult{}, fmt.Errorf("core: scoring topology %v: %w", hidden, err)
 	}
-	return NodeCountResult{
-		Hidden: append([]int(nil), hidden...),
+	cand := NodeCountResult{
 		Error:  cv.OverallError(),
-		Params: CountParams(ds.NumFeatures(), hidden, ds.NumTargets()),
-	}, nil
+		Params: CountParams(s.ds.NumFeatures(), hidden, s.ds.NumTargets()),
+	}
+	if tr.Enabled() {
+		tr.Emit("select_candidate",
+			obs.Int("candidate", i),
+			obs.String("hidden", fmt.Sprint(hidden)),
+			obs.Int("params", cand.Params),
+			obs.Float("error", cand.Error),
+		)
+	}
+	return cand, nil
+}
+
+// Reduce names each score by its layout and picks the best. Candidate
+// order matters only for exact ties, and results arrive in declared order.
+func (s *selectKind) Reduce(_ context.Context, cands []NodeCountResult) (*SelectionResult, error) {
+	for i := range cands {
+		cands[i].Hidden = append([]int(nil), s.candidates[i]...)
+	}
+	best := cands[0]
+	for _, c := range cands[1:] {
+		switch {
+		case c.Error < best.Error*0.98:
+			best = c
+		case c.Error <= best.Error*1.02 && c.Params < best.Params:
+			best = c
+		}
+	}
+	return &SelectionResult{Best: best, Candidates: cands}, nil
 }
 
 // CountParams is the trainable-parameter count of a topology.
@@ -82,23 +121,4 @@ func CountParams(in int, hidden []int, out int) int {
 		prev = h
 	}
 	return params + prev*out + out
-}
-
-// PickBest applies the selection rule to scored candidates: lowest error
-// wins, with ties in error (within 2% relative) breaking toward fewer
-// parameters — §3.3's preference for flexible, loosely fitted models.
-// Candidate order matters only for exact ties, so callers must pass
-// candidates in their declared order (the distributed reducer does: its
-// results are index-addressed).
-func PickBest(candidates []NodeCountResult) NodeCountResult {
-	best := candidates[0]
-	for _, c := range candidates[1:] {
-		switch {
-		case c.Error < best.Error*0.98:
-			best = c
-		case c.Error <= best.Error*1.02 && c.Params < best.Params:
-			best = c
-		}
-	}
-	return best
 }

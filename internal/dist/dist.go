@@ -1,7 +1,9 @@
 // Package dist is the distributed experiment plane: a coordinator/worker
-// protocol over HTTP that shards sched-scheduled task sets (CV folds,
+// protocol over HTTP that shards index-parallel task sets (CV folds,
 // compare cells, surface-grid rows, importance features, topology
-// candidates) across processes and machines.
+// candidates) across processes and machines. It knows tasks only as a
+// Spec, an index and a payload; internal/dist/jobs binds the experiment
+// kinds (sched.Kind values) to it with one generic Runner.
 //
 // The design leans entirely on the determinism the scheduler already
 // guarantees: every task is identified by its index, every task's seed

@@ -8,43 +8,33 @@ import (
 
 	"nnwc/internal/core"
 	"nnwc/internal/dist"
-	"nnwc/internal/sensitivity"
-	"nnwc/internal/surface"
 	"nnwc/internal/workload"
 )
 
-// artifactCache memoizes the parsed form of fetched artifacts per process:
-// every task in a lease (and every lease of a job) shares one dataset and
-// one model. Content addressing makes entries immutable, so the cache
-// never invalidates; consumers must Clone before mutating (the fold and
-// cell units already do).
+// artifactCache memoizes the parsed form of artifacts per process, by
+// content hash, and the kind a worker opened for its current job: every
+// task of a job runs on one kind, so its shared state (a fold split, an
+// importance baseline) is built once per job, not once per task. Content
+// addressing makes entries immutable, so the cache never invalidates;
+// consumers must Clone before mutating (the kinds already do).
 type artifactCache struct {
-	mu        sync.Mutex
-	datasets  map[string]*workload.Dataset
-	models    map[string]*core.NNModel
-	baselines map[string]*importanceBaseline
-	splits    map[string]cvSplit // the latest crossval split per dataset hash
+	mu       sync.Mutex
+	datasets map[string]*workload.Dataset
+	models   map[string]*core.NNModel
+	latest   *openJob // the kind of the latest job a worker ran here
 }
 
-// cvSplit is one crossval job's fold split, keyed by its (seed, k).
-type cvSplit struct {
-	seed  uint64
-	k     int
-	split *core.CVSplit
-}
-
-// importanceBaseline caches sensitivity.Baseline per (model, dataset)
-// pair — every feature task rescoring against it recomputes nothing.
-type importanceBaseline struct {
-	base   []float64
-	actual [][]float64
+// openJob is one job's kind, opened once.
+type openJob struct {
+	fingerprint string
+	once        sync.Once
+	kind        opened
+	err         error
 }
 
 var sharedCache = &artifactCache{
-	datasets:  make(map[string]*workload.Dataset),
-	models:    make(map[string]*core.NNModel),
-	baselines: make(map[string]*importanceBaseline),
-	splits:    make(map[string]cvSplit),
+	datasets: make(map[string]*workload.Dataset),
+	models:   make(map[string]*core.NNModel),
 }
 
 func artifactSHA(spec dist.Spec, role string) (string, error) {
@@ -103,29 +93,6 @@ func (c *artifactCache) dataset(ctx context.Context, env dist.Env, spec dist.Spe
 	})
 }
 
-// split returns the crossval job's shuffled dataset and fold split, built
-// once per (dataset, seed, k) instead of once per fold. Only the latest
-// split of each dataset is kept, so a worker serving job after job holds
-// one split per dataset.
-func (c *artifactCache) split(ctx context.Context, env dist.Env, spec dist.Spec, k int) (*core.CVSplit, error) {
-	ds, err := c.dataset(ctx, env, spec)
-	if err != nil {
-		return nil, err
-	}
-	sha := spec.Artifacts[RoleDataset]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s, ok := c.splits[sha]; ok && s.seed == spec.Seed && s.k == k {
-		return s.split, nil
-	}
-	split, err := core.NewCVSplit(ds, k, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	c.splits[sha] = cvSplit{seed: spec.Seed, k: k, split: split}
-	return split, nil
-}
-
 // model resolves and parses the job's model artifact, memoized by content
 // hash. Models are read-only through Predict, so sharing is safe.
 func (c *artifactCache) model(ctx context.Context, env dist.Env, spec dist.Spec) (*core.NNModel, error) {
@@ -146,52 +113,25 @@ func (c *artifactCache) model(ctx context.Context, env dist.Env, spec dist.Spec)
 	})
 }
 
-// baseline resolves the importance job's model and dataset and computes
-// (or recalls) the unpermuted-RMSE baseline every feature task scores
-// against. Keyed by the (model, dataset) hash pair, so a job's N feature
-// tasks run one baseline pass, not N.
-func (c *artifactCache) baseline(ctx context.Context, env dist.Env, spec dist.Spec) (*core.NNModel, *workload.Dataset, []float64, [][]float64, error) {
-	model, err := c.model(ctx, env, spec)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	ds, err := c.dataset(ctx, env, spec)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	key := spec.Artifacts[RoleModel] + "/" + spec.Artifacts[RoleDataset]
+// job returns spec's kind, opened on the first call for the job and
+// shared by every later task of it (a worker serves one job at a time, so
+// only the latest job's kind is kept). A failed open is not kept.
+func (c *artifactCache) job(ctx context.Context, env dist.Env, spec dist.Spec) (opened, error) {
+	fp := spec.Fingerprint()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b, ok := c.baselines[key]; ok {
-		return model, ds, b.base, b.actual, nil
+	j := c.latest
+	if j == nil || j.fingerprint != fp {
+		j = &openJob{fingerprint: fp}
+		c.latest = j
 	}
-	base, actual, err := sensitivity.Baseline(model, ds)
-	if err != nil {
-		return nil, nil, nil, nil, err
+	c.mu.Unlock()
+	j.once.Do(func() { j.kind, j.err = open(ctx, source{env: env, spec: spec}) })
+	if j.err != nil {
+		c.mu.Lock()
+		if c.latest == j {
+			c.latest = nil
+		}
+		c.mu.Unlock()
 	}
-	c.baselines[key] = &importanceBaseline{base: base, actual: actual}
-	return model, ds, base, actual, nil
-}
-
-// probeSurfaceRow reconstructs the surface slice from the wire config and
-// evaluates grid row `index` — the same row EvaluateTraced would fill.
-func probeSurfaceRow(model *core.NNModel, cfg SurfaceConfig, index int) ([]float64, error) {
-	sl := surface.Slice{
-		Fixed:   cfg.Fixed,
-		XIndex:  cfg.XIndex,
-		YIndex:  cfg.YIndex,
-		XValues: cfg.XValues,
-		YValues: cfg.YValues,
-		Output:  cfg.Output,
-	}
-	if err := sl.Validate(model.InputDim(), model.OutputDim()); err != nil {
-		return nil, err
-	}
-	return surface.ProbeRow(model, sl, model.InputDim(), index)
-}
-
-// scoreImportanceFeature scores one feature with the same options the
-// local PermutationImportance loop derives from the CLI flags.
-func scoreImportanceFeature(model *core.NNModel, ds *workload.Dataset, base []float64, actual [][]float64, index, repeats int, seed uint64) []float64 {
-	return sensitivity.ScoreFeature(model, ds, base, actual, index, sensitivity.Options{Repeats: repeats, Seed: seed})
+	return j.kind, j.err
 }

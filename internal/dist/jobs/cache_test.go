@@ -31,10 +31,8 @@ func (e stubEnv) ArtifactPath(ctx context.Context, sha string) (string, error) {
 
 func newTestCache() *artifactCache {
 	return &artifactCache{
-		datasets:  make(map[string]*workload.Dataset),
-		models:    make(map[string]*core.NNModel),
-		baselines: make(map[string]*importanceBaseline),
-		splits:    make(map[string]cvSplit),
+		datasets: make(map[string]*workload.Dataset),
+		models:   make(map[string]*core.NNModel),
 	}
 }
 
@@ -117,11 +115,12 @@ func TestArtifactCacheConcurrentModel(t *testing.T) {
 	}
 }
 
-// TestCrossvalRunnerSplitCache pins the crossval runner's cached split:
-// every fold's payload equals core.CrossValidateFold's errors bit for bit,
-// the folds of one job share one split built once, and a job with another
-// seed on the same dataset replaces it, so the cache keeps one split per
-// dataset. Folds run concurrently, as a worker's parallel leases do.
+// TestCrossvalRunnerSplitCache pins the worker's per-job kind: every
+// fold's payload equals core.CrossValidateFold's errors bit for bit, the
+// folds of one job run on one opened kind (so one split, built once), and
+// the next job on the same dataset, even one with the seed of an earlier
+// job, opens its own, so the cache keeps one job's kind. Folds run
+// concurrently, as a worker's parallel leases do.
 func TestCrossvalRunnerSplitCache(t *testing.T) {
 	path := writeParityCSV(t)
 	f, err := os.Open(path)
@@ -135,7 +134,10 @@ func TestCrossvalRunnerSplitCache(t *testing.T) {
 	}
 	const k, sha = 4, "sha-split-cache"
 	env := stubEnv{path: path}
-	var prev *core.CVSplit
+	kindOf := func(j *openJob) any {
+		return j.kind.(wire[core.Trial, TrialResult, *core.CVResult]).kind
+	}
+	var prev *openJob
 	for job, seed := range []uint64{7, 11, 7} {
 		cfg, err := json.Marshal(CrossvalConfig{K: k, Hidden: "6", Epochs: 60})
 		if err != nil {
@@ -153,7 +155,7 @@ func TestCrossvalRunnerSplitCache(t *testing.T) {
 			wg.Add(1)
 			go func(fold int) {
 				defer wg.Done()
-				payloads[fold], errs[fold] = runCrossval(context.Background(), env, spec, fold)
+				payloads[fold], errs[fold] = run(context.Background(), env, spec, fold)
 			}(fold)
 		}
 		wg.Wait()
@@ -175,24 +177,23 @@ func TestCrossvalRunnerSplitCache(t *testing.T) {
 				}
 			}
 		}
-		// The splits map is keyed by dataset alone: the entry is this
-		// job's split, and the previous job's is gone.
+		// The cache holds this job's kind, and the previous job's is gone.
 		sharedCache.mu.Lock()
-		entry := sharedCache.splits[sha]
+		entry := sharedCache.latest
 		sharedCache.mu.Unlock()
-		if entry.seed != seed || entry.k != k {
-			t.Fatalf("job %d: the dataset's split is (seed %d, k %d), want this job's (seed %d, k %d)", job, entry.seed, entry.k, seed, k)
+		if entry == nil || entry.fingerprint != spec.Fingerprint() {
+			t.Fatalf("job %d: the cached kind is not this job's", job)
 		}
-		if entry.split == prev {
-			t.Fatalf("job %d (seed %d) reused the previous job's split", job, seed)
+		if entry == prev || (prev != nil && kindOf(entry) == kindOf(prev)) {
+			t.Fatalf("job %d (seed %d) reused the previous job's kind", job, seed)
 		}
-		again, err := sharedCache.split(context.Background(), env, spec, k)
+		again, err := sharedCache.job(context.Background(), env, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again != entry.split {
-			t.Fatalf("job %d: a further fold of the same job rebuilt the split", job)
+		if again.(wire[core.Trial, TrialResult, *core.CVResult]).kind != kindOf(entry) {
+			t.Fatalf("job %d: a further fold of the same job reopened the kind", job)
 		}
-		prev = entry.split
+		prev = entry
 	}
 }

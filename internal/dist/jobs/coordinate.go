@@ -17,6 +17,97 @@ import (
 	"nnwc/internal/workload"
 )
 
+// Job is one experiment in wire terms: the Spec a worker needs (kind,
+// seed, config, artifact hashes) and the local files the artifacts are
+// read from. O is the kind's reduced result.
+type Job[O any] struct {
+	spec  dist.Spec
+	paths map[string]string // artifact hash → local file
+}
+
+// ArtifactPath resolves the job's artifacts to their local files, so a
+// local run opens its kind through the same cache a worker does.
+func (j Job[O]) ArtifactPath(_ context.Context, sha string) (string, error) {
+	path, ok := j.paths[sha]
+	if !ok {
+		return "", fmt.Errorf("jobs: no local file for artifact %s", sha)
+	}
+	return path, nil
+}
+
+// artifact is one local file a job reads, by role.
+type artifact struct{ role, path string }
+
+// newJob marshals cfg as the spec's config and fingerprints each artifact.
+func newJob[O any](kind string, seed uint64, cfg any, arts ...artifact) (Job[O], error) {
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		return Job[O]{}, err
+	}
+	j := Job[O]{
+		spec:  dist.Spec{Kind: kind, Seed: seed, Config: raw, Artifacts: make(map[string]string, len(arts))},
+		paths: make(map[string]string, len(arts)),
+	}
+	for _, a := range arts {
+		sha, err := loadHashed(a.role, a.path)
+		if err != nil {
+			return Job[O]{}, err
+		}
+		j.spec.Artifacts[a.role] = sha
+		j.paths[sha] = a.path
+	}
+	return j, nil
+}
+
+// CrossvalJob is a k-fold cross-validation of the dataset at data: one
+// task per fold. A local run's trials carry their fold models; a
+// distributed run's carry errors only.
+func CrossvalJob(data string, cfg CrossvalConfig, seed uint64) (Job[*core.CVResult], error) {
+	return newJob[*core.CVResult](KindCrossval, seed, cfg, artifact{RoleDataset, data})
+}
+
+// CompareJob is the §4 model-family comparison on the dataset at data:
+// one task per (family, fold) cell.
+func CompareJob(data string, cfg CompareConfig, seed uint64) (Job[[]core.FamilyMean], error) {
+	return newJob[[]core.FamilyMean](KindCompare, seed, cfg, artifact{RoleDataset, data})
+}
+
+// SurfaceJob is a §5 response-surface sweep of the model at model over
+// sl: one task per grid row.
+func SurfaceJob(model string, sl surface.Slice) (Job[*surface.Grid], error) {
+	cfg := SurfaceConfig{
+		Fixed:   dist.Floats(sl.Fixed),
+		XIndex:  sl.XIndex,
+		YIndex:  sl.YIndex,
+		XValues: dist.Floats(sl.XValues),
+		YValues: dist.Floats(sl.YValues),
+		Output:  sl.Output,
+	}
+	return newJob[*surface.Grid](KindSurface, 0, cfg, artifact{RoleModel, model})
+}
+
+// ImportanceJob is permutation feature importance of the model at model
+// on the dataset at data: one task per feature.
+func ImportanceJob(model, data string, cfg ImportanceConfig, seed uint64) (Job[*sensitivity.Importance], error) {
+	return newJob[*sensitivity.Importance](KindImportance, seed, cfg, artifact{RoleModel, model}, artifact{RoleDataset, data})
+}
+
+// SelectJob is topology selection on the dataset at data: one task per
+// candidate hidden layout.
+func SelectJob(data string, cfg SelectConfig, seed uint64) (Job[*core.SelectionResult], error) {
+	return newJob[*core.SelectionResult](KindSelect, seed, cfg, artifact{RoleDataset, data})
+}
+
+// Executor runs a job's tasks: Local in this process, or Options, which
+// coordinates worker processes over the lease protocol.
+type Executor interface{ executor() }
+
+// Local runs a job in this process on up to Workers goroutines (<= 0
+// means the scheduler default).
+type Local struct{ Workers int }
+
+func (Local) executor() {}
+
 // Options parameterizes the coordinator side of a distributed experiment.
 // Zero values defer to dist.CoordinatorConfig defaults.
 type Options struct {
@@ -42,20 +133,53 @@ type Options struct {
 	OnStart func(addr string)
 }
 
-// coordinate runs one job to completion: stamp the spec with the run ID
-// and the marshaled kind config, build the coordinator, serve, wait, and
-// hand back the index-ordered payloads plus per-job stats. paths maps
-// each artifact hash to its local file.
-func coordinate(ctx context.Context, opt Options, spec dist.Spec, cfg any, paths map[string]string) ([]json.RawMessage, dist.Stats, error) {
-	var err error
-	if spec.Config, err = json.Marshal(cfg); err != nil {
+func (Options) executor() {}
+
+// Execute runs job j on ex and returns its reduced result. Both executors
+// open the job's kind from its wire form and reduce with its Reduce, and
+// workers run its Run, so the result is bit-identical either way. ctx
+// carries the run's trace: the kind's start and summary events go there,
+// and a Local run's task events too (a distributed run's go to the
+// cluster trace). The stats are zero for a Local run.
+func Execute[O any](ctx context.Context, ex Executor, j Job[O]) (O, dist.Stats, error) {
+	var (
+		out   any
+		stats dist.Stats
+		err   error
+	)
+	switch ex := ex.(type) {
+	case Local:
+		var k opened
+		if k, err = open(ctx, source{env: j, spec: j.spec, fits: obs.TraceFromContext(ctx)}); err == nil {
+			out, err = k.local(ctx, ex.Workers)
+		}
+	case Options:
+		out, stats, err = coordinate(ctx, ex, j)
+	default:
+		err = fmt.Errorf("jobs: unknown executor %T", ex)
+	}
+	if err != nil {
+		var zero O
+		return zero, stats, err
+	}
+	return out.(O), stats, nil
+}
+
+// coordinate runs one job to completion on a coordinator: open the kind
+// (which checks the config before any worker sees it), serve the spec and
+// artifacts, wait for every payload, and reduce.
+func coordinate[O any](ctx context.Context, opt Options, j Job[O]) (any, dist.Stats, error) {
+	spec := j.spec
+	k, err := open(ctx, source{env: j, spec: spec})
+	if err != nil {
 		return nil, dist.Stats{}, err
 	}
+	spec.NumTasks = k.tasks()
 	spec.JobID = opt.JobID
 	c, err := dist.NewCoordinator(dist.CoordinatorConfig{
 		Addr:             opt.Addr,
 		Spec:             spec,
-		ArtifactPaths:    paths,
+		ArtifactPaths:    j.paths,
 		LeaseSize:        opt.LeaseSize,
 		LeaseTTL:         opt.LeaseTTL,
 		StateFile:        opt.StateFile,
@@ -69,212 +193,49 @@ func coordinate(ctx context.Context, opt Options, spec dist.Spec, cfg any, paths
 	if err := c.Start(); err != nil {
 		return nil, dist.Stats{}, err
 	}
+	k.start(ctx)
 	if opt.OnStart != nil {
 		opt.OnStart(c.Addr())
 	}
 	payloads, err := c.Wait(ctx)
-	return payloads, c.CoordStats(), err
-}
-
-func decodePayload(payloads []json.RawMessage, index int, out any) error {
-	if err := json.Unmarshal(payloads[index], out); err != nil {
-		return fmt.Errorf("jobs: decoding task %d payload: %w", index, err)
+	if err != nil {
+		return nil, c.CoordStats(), err
 	}
-	return nil
+	out, err := k.reduce(ctx, payloads)
+	return out, c.CoordStats(), err
 }
 
-// CoordinateCrossval distributes one k-fold cross-validation: one task
-// per fold, reduced with core.ReduceTrials in ascending fold order — the
-// same result CrossValidateWorkers computes locally, to the bit.
+// CoordinateCrossval distributes one k-fold cross-validation: CrossvalJob
+// executed on opt.
 func CoordinateCrossval(ctx context.Context, opt Options, dataPath string, k int, hidden string, epochs int, seed uint64) (*core.CVResult, dist.Stats, error) {
-	ds, sha, err := loadHashedDataset(dataPath)
+	j, err := CrossvalJob(dataPath, CrossvalConfig{K: k, Hidden: hidden, Epochs: epochs}, seed)
 	if err != nil {
 		return nil, dist.Stats{}, err
 	}
-	// Fail on malformed -hidden before any worker does.
-	if _, err := ModelConfig(hidden, epochs, seed); err != nil {
-		return nil, dist.Stats{}, err
-	}
-	spec := dist.Spec{Kind: KindCrossval, Seed: seed, NumTasks: k, Artifacts: map[string]string{RoleDataset: sha}}
-	cfg := CrossvalConfig{K: k, Hidden: hidden, Epochs: epochs}
-	payloads, stats, err := coordinate(ctx, opt, spec, cfg, map[string]string{sha: dataPath})
-	if err != nil {
-		return nil, stats, err
-	}
-	trials := make([]core.Trial, k)
-	for f := range trials {
-		var tr TrialResult
-		if err := decodePayload(payloads, f, &tr); err != nil {
-			return nil, stats, err
-		}
-		trials[f] = core.Trial{Errors: tr.Errors}
-	}
-	targetNames := append([]string(nil), ds.TargetNames...)
-	return core.ReduceTrials(targetNames, trials), stats, nil
+	return Execute(ctx, opt, j)
 }
 
-// FamilyMean is one model family's reduced comparison score.
-type FamilyMean struct {
-	Name string
-	// Mean is the family's HMRE averaged over folds in ascending order —
-	// the same summation the local compare loop performs.
-	Mean float64
-}
-
-// CoordinateCompare distributes the §4 model-family comparison: one task
-// per (family, fold) cell, reduced per family in ascending fold order.
-func CoordinateCompare(ctx context.Context, opt Options, dataPath string, k int, hidden string, epochs int, seed uint64) ([]FamilyMean, dist.Stats, error) {
-	_, sha, err := loadHashedDataset(dataPath)
-	if err != nil {
-		return nil, dist.Stats{}, err
-	}
-	fams, err := CompareFamilies(hidden, epochs)
-	if err != nil {
-		return nil, dist.Stats{}, err
-	}
-	spec := dist.Spec{Kind: KindCompare, Seed: seed, NumTasks: len(fams) * k, Artifacts: map[string]string{RoleDataset: sha}}
-	cfg := CompareConfig{K: k, Hidden: hidden, Epochs: epochs}
-	payloads, stats, err := coordinate(ctx, opt, spec, cfg, map[string]string{sha: dataPath})
-	if err != nil {
-		return nil, stats, err
-	}
-	cells := make([]float64, len(fams)*k)
-	for i := range cells {
-		var cell CellResult
-		if err := decodePayload(payloads, i, &cell); err != nil {
-			return nil, stats, err
-		}
-		cells[i] = float64(cell.Mean)
-	}
-	return familyMeans(fams, k, cells), stats, nil
-}
-
-// CoordinateSurface distributes a §5 response-surface sweep: one task per
-// grid row (XValue), assembled into the Grid in row order.
-func CoordinateSurface(ctx context.Context, opt Options, modelPath string, sl surface.Slice) (*surface.Grid, dist.Stats, error) {
-	model, sha, err := loadHashedModel(modelPath)
-	if err != nil {
-		return nil, dist.Stats{}, err
-	}
-	if err := sl.Validate(model.InputDim(), model.OutputDim()); err != nil {
-		return nil, dist.Stats{}, err
-	}
-	spec := dist.Spec{Kind: KindSurface, NumTasks: len(sl.XValues), Artifacts: map[string]string{RoleModel: sha}}
-	cfg := SurfaceConfig{
-		Fixed:   dist.Floats(sl.Fixed),
-		XIndex:  sl.XIndex,
-		YIndex:  sl.YIndex,
-		XValues: dist.Floats(sl.XValues),
-		YValues: dist.Floats(sl.YValues),
-		Output:  sl.Output,
-	}
-	payloads, stats, err := coordinate(ctx, opt, spec, cfg, map[string]string{sha: modelPath})
-	if err != nil {
-		return nil, stats, err
-	}
-	z := make([][]float64, len(sl.XValues))
-	for i := range z {
-		var row RowResult
-		if err := decodePayload(payloads, i, &row); err != nil {
-			return nil, stats, err
-		}
-		z[i] = row.Z
-	}
-	return &surface.Grid{Slice: sl, Z: z}, stats, nil
-}
-
-// CoordinateImportance distributes permutation feature importance: one
-// task per feature, each scoring against the worker-side shared baseline.
-func CoordinateImportance(ctx context.Context, opt Options, modelPath, dataPath string, repeats int, seed uint64) (*sensitivity.Importance, dist.Stats, error) {
-	_, modelSHA, err := loadHashedModel(modelPath)
-	if err != nil {
-		return nil, dist.Stats{}, err
-	}
-	ds, dataSHA, err := loadHashedDataset(dataPath)
-	if err != nil {
-		return nil, dist.Stats{}, err
-	}
-	spec := dist.Spec{Kind: KindImportance, Seed: seed, NumTasks: ds.NumFeatures(), Artifacts: map[string]string{RoleModel: modelSHA, RoleDataset: dataSHA}}
-	cfg := ImportanceConfig{Repeats: repeats}
-	payloads, stats, err := coordinate(ctx, opt, spec, cfg, map[string]string{modelSHA: modelPath, dataSHA: dataPath})
-	if err != nil {
-		return nil, stats, err
-	}
-	im := &sensitivity.Importance{
-		FeatureNames: append([]string(nil), ds.FeatureNames...),
-		TargetNames:  append([]string(nil), ds.TargetNames...),
-		Scores:       make([][]float64, ds.NumFeatures()),
-	}
-	for i := range im.Scores {
-		var sc ScoresResult
-		if err := decodePayload(payloads, i, &sc); err != nil {
-			return nil, stats, err
-		}
-		im.Scores[i] = sc.Scores
-	}
-	return im, stats, nil
-}
-
-// CoordinateSelect distributes topology selection: one task per candidate
-// hidden layout, reduced with core.PickBest over the declared order.
-func CoordinateSelect(ctx context.Context, opt Options, dataPath string, candidates [][]int, k, epochs int, seed uint64) (*core.SelectionResult, dist.Stats, error) {
-	if len(candidates) == 0 {
-		return nil, dist.Stats{}, fmt.Errorf("jobs: no candidate topologies")
-	}
-	_, sha, err := loadHashedDataset(dataPath)
-	if err != nil {
-		return nil, dist.Stats{}, err
-	}
-	spec := dist.Spec{Kind: KindSelect, Seed: seed, NumTasks: len(candidates), Artifacts: map[string]string{RoleDataset: sha}}
-	cfg := SelectConfig{K: k, Epochs: epochs, Candidates: candidates}
-	payloads, stats, err := coordinate(ctx, opt, spec, cfg, map[string]string{sha: dataPath})
-	if err != nil {
-		return nil, stats, err
-	}
-	res := &core.SelectionResult{Candidates: make([]core.NodeCountResult, len(candidates))}
-	for i, hidden := range candidates {
-		var cand CandidateResult
-		if err := decodePayload(payloads, i, &cand); err != nil {
-			return nil, stats, err
-		}
-		res.Candidates[i] = core.NodeCountResult{
-			Hidden: append([]int(nil), hidden...),
-			Error:  float64(cand.Error),
-			Params: cand.Params,
-		}
-	}
-	res.Best = core.PickBest(res.Candidates)
-	return res, stats, nil
-}
-
-// loadHashedDataset reads the coordinator-local dataset once, fingerprints
-// those bytes — the content address workers fetch it by — and takes the
-// parse of the same bytes from the artifact cache, so the spec's hash
-// always names the data the coordinator reduces with.
-func loadHashedDataset(path string) (*workload.Dataset, string, error) {
+// loadHashed reads a local artifact once, fingerprints those bytes — the
+// content address workers fetch it by — and parses the same bytes into
+// the artifact cache, so the hash always names what the kind is opened
+// on.
+func loadHashed(role, path string) (string, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	sha := obs.HashBytes(raw)
-	ds, err := memo(sharedCache, sharedCache.datasets, sha, func() (*workload.Dataset, error) {
-		return workload.ReadCSV(bytes.NewReader(raw))
-	})
-	if err != nil {
-		return nil, "", fmt.Errorf("jobs: parsing dataset %s: %w", path, err)
+	if role == RoleModel {
+		_, err = memo(sharedCache, sharedCache.models, sha, func() (*core.NNModel, error) {
+			return core.LoadModel(bytes.NewReader(raw))
+		})
+	} else {
+		_, err = memo(sharedCache, sharedCache.datasets, sha, func() (*workload.Dataset, error) {
+			return workload.ReadCSV(bytes.NewReader(raw))
+		})
 	}
-	return ds, sha, nil
-}
-
-// loadHashedModel is loadHashedDataset for a persisted model.
-func loadHashedModel(path string) (*core.NNModel, string, error) {
-	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, "", err
+		return "", fmt.Errorf("jobs: parsing %s %s: %w", role, path, err)
 	}
-	model, err := core.LoadModel(bytes.NewReader(raw))
-	if err != nil {
-		return nil, "", err
-	}
-	return model, obs.HashBytes(raw), nil
+	return sha, nil
 }

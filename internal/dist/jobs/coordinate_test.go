@@ -15,10 +15,10 @@ import (
 
 // TestLoadHashedArtifacts pins the coordinator's single read of an
 // artifact: the hash it returns is the file's hash, and the value it parsed
-// from the same bytes equals a direct parse of the file.
+// from the same bytes into the cache equals a direct parse of the file.
 func TestLoadHashedArtifacts(t *testing.T) {
 	csvPath := writeParityCSV(t)
-	ds, sha, err := loadHashedDataset(csvPath)
+	sha, err := loadHashed(RoleDataset, csvPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +34,15 @@ func TestLoadHashedArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sharedCache.mu.Lock()
+	ds := sharedCache.datasets[sha]
+	sharedCache.mu.Unlock()
 	if !reflect.DeepEqual(ds, direct) {
 		t.Fatal("dataset parsed by the coordinator differs from a direct ReadCSV")
 	}
 
 	const modelPath = "../../core/testdata/golden_model.json"
-	model, sha, err := loadHashedModel(modelPath)
+	sha, err = loadHashed(RoleModel, modelPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +53,9 @@ func TestLoadHashedArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sharedCache.mu.Lock()
+	model := sharedCache.models[sha]
+	sharedCache.mu.Unlock()
 	if !reflect.DeepEqual(model, directModel) {
 		t.Fatal("model loaded by the coordinator differs from LoadModelFile")
 	}
@@ -95,7 +101,7 @@ func TestSelectRunnerRejectsInvalidCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := dist.Spec{Kind: KindSelect, Seed: 1, NumTasks: 1, Config: cfg, Artifacts: map[string]string{RoleDataset: sha}}
-	if _, err := runSelect(context.Background(), stubEnv{path: csvPath}, spec, 0); err == nil {
+	if _, err := run(context.Background(), stubEnv{path: csvPath}, spec, 0); err == nil {
 		t.Fatal("select runner accepted candidate [0]")
 	}
 }

@@ -1,14 +1,22 @@
-// Package jobs binds the distributed experiment plane to the experiment
-// kinds the CLI schedules locally: cross-validation folds, model-family
-// compare cells, surface-grid rows, permutation-importance features, and
-// topology-selection candidates. Each kind defines
+// Package jobs is the wire side of the experiment kinds: cross-validation
+// folds, model-family compare cells, surface-grid rows,
+// permutation-importance features and topology-selection candidates. Each
+// kind is defined once, as a sched.Kind in core, surface or sensitivity;
+// this package holds only
 //
-//   - a primitive-only config (core.Config carries interfaces, so the wire
-//     form re-derives it exactly the way cmd/nnwc does),
-//   - a worker-side Runner computing one index's payload, and
-//   - a coordinator-side Coordinate* function that builds the Spec, serves
-//     the artifacts, and reduces the index-addressed payloads in the same
-//     order as the local scheduler — bit-identical results either way.
+//   - the codecs: a primitive-only Spec.Config per kind, from which open
+//     rebuilds the kind value exactly as the CLI's flags would, and a
+//     payload per task result (dist.Float(s), so NaN HMREs and exact bits
+//     survive JSON);
+//   - the artifact cache, which parses each dataset and model once per
+//     process and opens each job's kind once per worker;
+//   - the executors: Local runs a job in process through sched.Execute,
+//     and Options coordinates worker processes over the lease protocol,
+//     whose generic runner (Runners) serves every kind.
+//
+// Both executors open the same kind and reduce with its Reduce, and a
+// worker runs the same Run, so a job's result is bit-identical wherever
+// its tasks run.
 package jobs
 
 import (
@@ -21,14 +29,11 @@ import (
 
 	"nnwc/internal/core"
 	"nnwc/internal/dist"
-	"nnwc/internal/linear"
-	"nnwc/internal/nn"
 	"nnwc/internal/obs"
-	"nnwc/internal/poly"
 	"nnwc/internal/sched"
-	"nnwc/internal/stats"
+	"nnwc/internal/sensitivity"
+	"nnwc/internal/surface"
 	"nnwc/internal/train"
-	"nnwc/internal/workload"
 )
 
 // Job kinds (Spec.Kind values).
@@ -69,9 +74,9 @@ func ParseLayout(s string) ([]int, error) {
 }
 
 // ModelConfig derives the MLP training config from the CLI's primitive
-// flags — the single definition both cmd/nnwc and the worker-side runners
-// use, so a shipped (hidden, epochs, seed) triple reconstructs the exact
-// config the local path would have built.
+// flags — the single definition both cmd/nnwc and the kind codecs use, so
+// a shipped (hidden, epochs, seed) triple reconstructs the exact config
+// the local path would have built.
 func ModelConfig(hidden string, epochs int, seed uint64) (core.Config, error) {
 	sizes, err := ParseLayout(hidden)
 	if err != nil {
@@ -84,131 +89,9 @@ func ModelConfig(hidden string, epochs int, seed uint64) (core.Config, error) {
 	return core.Config{Hidden: sizes, Train: &tc, Seed: seed}, nil
 }
 
-// Family is one model family in the §4 comparison: a name and a fitter.
-// The seed argument matters only to the stochastic families (mlp, lnn);
-// the closed-form ones ignore it.
-type Family struct {
-	Name string
-	Fit  func(tr *workload.Dataset, seed uint64) (core.Predictor, error)
-}
-
-// CompareFamilies is the §4 model-family table — the one list both
-// cmdCompareRun and the distributed compare runner draw from, so a
-// compare cell computes the same bits wherever it lands.
-func CompareFamilies(hidden string, epochs int) ([]Family, error) {
-	mlpCfg, err := ModelConfig(hidden, epochs, 0)
-	if err != nil {
-		return nil, err
-	}
-	lnnCfg := mlpCfg
-	lnnCfg.HiddenActivation = nn.LogCompress{}
-	return []Family{
-		// A whisker of ridge keeps the solve alive when a swept feature is
-		// constant in the data (a pinned parameter makes OLS singular).
-		{"linear", func(tr *workload.Dataset, _ uint64) (core.Predictor, error) {
-			return linear.Fit(tr.Xs(), tr.Ys(), linear.Options{Lambda: 1e-8})
-		}},
-		{"poly2+int", func(tr *workload.Dataset, _ uint64) (core.Predictor, error) {
-			return poly.Fit(poly.Polynomial{Degree: 2, Interactions: true}, tr.Xs(), tr.Ys(), poly.Options{Lambda: 1e-4, Standardize: true})
-		}},
-		{"log", func(tr *workload.Dataset, _ uint64) (core.Predictor, error) {
-			return poly.Fit(poly.Logarithmic{}, tr.Xs(), tr.Ys(), poly.Options{Lambda: 1e-8})
-		}},
-		{"mlp", func(tr *workload.Dataset, s uint64) (core.Predictor, error) {
-			cfg := mlpCfg
-			cfg.Seed = s
-			return core.Fit(tr, cfg)
-		}},
-		{"lnn", func(tr *workload.Dataset, s uint64) (core.Predictor, error) {
-			cfg := lnnCfg
-			cfg.Seed = s
-			return core.Fit(tr, cfg)
-		}},
-	}, nil
-}
-
-// CompareCell fits and scores one (family, fold) cell of the comparison
-// grid on split, a k-fold split: idx/k selects the family, idx%k the
-// held-out fold, and the fit seed is seed+fold — the cell Compare and the
-// distributed compare runner both compute.
-func CompareCell(split *core.CVSplit, fams []Family, k int, seed uint64, idx int) (float64, error) {
-	if idx < 0 || idx >= len(fams)*k {
-		return 0, fmt.Errorf("jobs: compare cell %d out of range [0,%d)", idx, len(fams)*k)
-	}
-	fi, f := idx/k, idx%k
-	trainSet, valSet := split.TrainValidation(f)
-	model, err := fams[fi].Fit(trainSet, seed+uint64(f))
-	if err != nil {
-		return 0, fmt.Errorf("%s fold %d: %w", fams[fi].Name, f+1, err)
-	}
-	ev, err := core.Evaluate(model, valSet)
-	if err != nil {
-		return 0, err
-	}
-	return stats.MeanSkipNaN(ev.HMRE), nil
-}
-
-// Compare runs the §4 model-family comparison in process: every (family,
-// fold) cell of one k-fold split of ds fans out over up to workers
-// goroutines, and each family's cells reduce in ascending fold order, as
-// CoordinateCompare reduces the same cells computed remotely. Cell spans
-// and events buffer per index and replay in order into tr, keeping the
-// trace deterministic.
-func Compare(ds *workload.Dataset, k int, hidden string, epochs int, seed uint64, workers int, tr *obs.Trace) ([]FamilyMean, error) {
-	fams, err := CompareFamilies(hidden, epochs)
-	if err != nil {
-		return nil, err
-	}
-	split, err := core.NewCVSplit(ds, k, seed)
-	if err != nil {
-		return nil, err
-	}
-	fork := tr.Fork(len(fams) * k)
-	cells, err := sched.MapWorker(workers, len(fams)*k, func(idx, w int) (float64, error) {
-		slot := fork.Slot(idx)
-		span := slot.StartSpan("compare-cell", idx, w)
-		defer span.End()
-		mean, err := CompareCell(split, fams, k, seed, idx)
-		if err != nil {
-			return 0, err
-		}
-		emitCompareCell(slot, fams, k, idx, mean)
-		return mean, nil
-	})
-	fork.Join()
-	if err != nil {
-		return nil, err
-	}
-	return familyMeans(fams, k, cells), nil
-}
-
-// emitCompareCell records one cell's result.
-func emitCompareCell(tr *obs.Trace, fams []Family, k, idx int, mean float64) {
-	if tr.Enabled() {
-		tr.Emit("compare_cell",
-			obs.String("family", fams[idx/k].Name),
-			obs.Int("fold", idx%k),
-			obs.Float("mean_hmre", mean))
-	}
-}
-
-// familyMeans averages each family's k fold cells, summed in ascending
-// fold order.
-func familyMeans(fams []Family, k int, cells []float64) []FamilyMean {
-	out := make([]FamilyMean, len(fams))
-	for fi, fam := range fams {
-		var errSum float64
-		for f := 0; f < k; f++ {
-			errSum += cells[fi*k+f]
-		}
-		out[fi] = FamilyMean{Name: fam.Name, Mean: errSum / float64(k)}
-	}
-	return out
-}
-
-// Per-kind wire configs (Spec.Config payloads). Primitives only: the
-// worker re-derives core.Config and surface.Slice from these the same way
-// the CLI does from its flags.
+// Per-kind wire configs (Spec.Config payloads). Primitives only: open
+// re-derives core.Config and surface.Slice from these the same way the
+// CLI does from its flags.
 
 // CrossvalConfig parameterizes a KindCrossval job; NumTasks is k.
 type CrossvalConfig struct {
@@ -248,8 +131,7 @@ type SelectConfig struct {
 	Candidates [][]int `json:"candidates"`
 }
 
-// Per-kind result payloads. Every float crosses the wire as dist.Float(s)
-// so NaN-valued HMREs and exact bits survive JSON.
+// Per-kind task payloads.
 
 // TrialResult is one cross-validation fold's payload.
 type TrialResult struct {
@@ -277,23 +159,196 @@ type CandidateResult struct {
 	Params int        `json:"params"`
 }
 
-func decodeConfig(spec dist.Spec, out any) error {
-	if err := json.Unmarshal(spec.Config, out); err != nil {
-		return fmt.Errorf("jobs: decoding %s config: %w", spec.Kind, err)
+// source is what opening a kind may read: the spec, and its artifacts
+// through the shared cache.
+type source struct {
+	env  dist.Env
+	spec dist.Spec
+	// fits, when set, traces the kind's model fits into each task's trace:
+	// the run's trace when the kind runs in this process. A worker ships
+	// only the kinds' per-task events.
+	fits *obs.Trace
+}
+
+func (s source) config(out any) error {
+	if err := json.Unmarshal(s.spec.Config, out); err != nil {
+		return fmt.Errorf("jobs: decoding %s config: %w", s.spec.Kind, err)
 	}
 	return nil
 }
 
-// Runners maps every job kind to its task implementation — what a worker
+// open rebuilds a spec's kind value: the one place each kind's wire form
+// meets its definition.
+func open(ctx context.Context, src source) (opened, error) {
+	seed := src.spec.Seed
+	switch src.spec.Kind {
+	case KindCrossval:
+		var c CrossvalConfig
+		if err := src.config(&c); err != nil {
+			return nil, err
+		}
+		mc, err := ModelConfig(c.Hidden, c.Epochs, seed)
+		if err != nil {
+			return nil, err
+		}
+		mc.Trace = src.fits
+		ds, err := sharedCache.dataset(ctx, src.env, src.spec)
+		if err != nil {
+			return nil, err
+		}
+		k, err := core.CrossvalKind(ds, mc, c.K, seed)
+		return codec(k, err,
+			func(t core.Trial) TrialResult { return TrialResult{Errors: t.Errors} },
+			func(p TrialResult) core.Trial { return core.Trial{Errors: p.Errors} })
+	case KindCompare:
+		var c CompareConfig
+		if err := src.config(&c); err != nil {
+			return nil, err
+		}
+		mc, err := ModelConfig(c.Hidden, c.Epochs, 0)
+		if err != nil {
+			return nil, err
+		}
+		ds, err := sharedCache.dataset(ctx, src.env, src.spec)
+		if err != nil {
+			return nil, err
+		}
+		k, err := core.CompareKind(ds, core.CompareFamilies(mc), c.K, seed)
+		return codec(k, err,
+			func(m float64) CellResult { return CellResult{Mean: dist.Float(m)} },
+			func(p CellResult) float64 { return float64(p.Mean) })
+	case KindSurface:
+		var c SurfaceConfig
+		if err := src.config(&c); err != nil {
+			return nil, err
+		}
+		model, err := sharedCache.model(ctx, src.env, src.spec)
+		if err != nil {
+			return nil, err
+		}
+		sl := surface.Slice{Fixed: c.Fixed, XIndex: c.XIndex, YIndex: c.YIndex, XValues: c.XValues, YValues: c.YValues, Output: c.Output}
+		k, err := surface.GridKind(model, sl, model.InputDim(), model.OutputDim())
+		return codec(k, err,
+			func(z []float64) RowResult { return RowResult{Z: z} },
+			func(p RowResult) []float64 { return p.Z })
+	case KindImportance:
+		var c ImportanceConfig
+		if err := src.config(&c); err != nil {
+			return nil, err
+		}
+		model, err := sharedCache.model(ctx, src.env, src.spec)
+		if err != nil {
+			return nil, err
+		}
+		ds, err := sharedCache.dataset(ctx, src.env, src.spec)
+		if err != nil {
+			return nil, err
+		}
+		k, err := sensitivity.ImportanceKind(model, ds, sensitivity.Options{Repeats: c.Repeats, Seed: seed})
+		return codec(k, err,
+			func(s []float64) ScoresResult { return ScoresResult{Scores: s} },
+			func(p ScoresResult) []float64 { return p.Scores })
+	case KindSelect:
+		var c SelectConfig
+		if err := src.config(&c); err != nil {
+			return nil, err
+		}
+		base, err := ModelConfig("16", c.Epochs, seed)
+		if err != nil {
+			return nil, err
+		}
+		base.Trace = src.fits
+		ds, err := sharedCache.dataset(ctx, src.env, src.spec)
+		if err != nil {
+			return nil, err
+		}
+		k, err := core.SelectKind(ds, base, c.Candidates, c.K, seed)
+		return codec(k, err,
+			func(r core.NodeCountResult) CandidateResult {
+				return CandidateResult{Error: dist.Float(r.Error), Params: r.Params}
+			},
+			func(p CandidateResult) core.NodeCountResult {
+				return core.NodeCountResult{Error: float64(p.Error), Params: p.Params}
+			})
+	}
+	return nil, fmt.Errorf("jobs: unknown job kind %q", src.spec.Kind)
+}
+
+// opened is a kind rebuilt from its spec, seen through its payload codec,
+// so the executors and the worker runner handle every kind alike.
+type opened interface {
+	tasks() int
+	start(ctx context.Context)
+	local(ctx context.Context, workers int) (any, error)
+	run(ctx context.Context, i int) (json.RawMessage, error)
+	reduce(ctx context.Context, payloads []json.RawMessage) (any, error)
+}
+
+// wire pairs a kind with the codec between its task results R and their
+// payloads P.
+type wire[R, P, O any] struct {
+	kind     sched.Kind[R, O]
+	toWire   func(R) P
+	fromWire func(P) R
+}
+
+func codec[R, P, O any](k sched.Kind[R, O], err error, toWire func(R) P, fromWire func(P) R) (opened, error) {
+	if err != nil {
+		return nil, err
+	}
+	return wire[R, P, O]{kind: k, toWire: toWire, fromWire: fromWire}, nil
+}
+
+func (w wire[R, P, O]) tasks() int                { return w.kind.Tasks() }
+func (w wire[R, P, O]) start(ctx context.Context) { sched.Start(ctx, w.kind) }
+
+func (w wire[R, P, O]) local(ctx context.Context, workers int) (any, error) {
+	return sched.Execute(ctx, workers, w.kind)
+}
+
+func (w wire[R, P, O]) run(ctx context.Context, i int) (json.RawMessage, error) {
+	r, err := w.kind.Run(ctx, i)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(w.toWire(r))
+}
+
+func (w wire[R, P, O]) reduce(ctx context.Context, payloads []json.RawMessage) (any, error) {
+	results := make([]R, len(payloads))
+	for i, raw := range payloads {
+		var p P
+		if err := json.Unmarshal(raw, &p); err != nil {
+			return nil, fmt.Errorf("jobs: decoding task %d payload: %w", i, err)
+		}
+		results[i] = w.fromWire(p)
+	}
+	return w.kind.Reduce(ctx, results)
+}
+
+// Runners maps every job kind to the generic task runner — what a worker
 // process passes to dist.WorkerConfig.Runners.
 func Runners() map[string]dist.Runner {
 	return map[string]dist.Runner{
-		KindCrossval:   runCrossval,
-		KindCompare:    runCompare,
-		KindSurface:    runSurface,
-		KindImportance: runImportance,
-		KindSelect:     runSelect,
+		KindCrossval:   run,
+		KindCompare:    run,
+		KindSurface:    run,
+		KindImportance: run,
+		KindSelect:     run,
 	}
+}
+
+// run computes one task of any kind on a worker: the job's kind is opened
+// once per worker process, and every task of the job runs on it.
+func run(ctx context.Context, env dist.Env, spec dist.Spec, index int) (json.RawMessage, error) {
+	k, err := sharedCache.job(ctx, env, spec)
+	if err != nil {
+		return nil, err
+	}
+	if index < 0 || index >= k.tasks() {
+		return nil, fmt.Errorf("jobs: %s task %d out of range [0,%d)", spec.Kind, index, k.tasks())
+	}
+	return k.run(ctx, index)
 }
 
 // NewWorker is dist.NewWorker with this package's runners pre-wired (a
@@ -303,117 +358,4 @@ func NewWorker(cfg dist.WorkerConfig) (*dist.Worker, error) {
 		cfg.Runners = Runners()
 	}
 	return dist.NewWorker(cfg)
-}
-
-func runCrossval(ctx context.Context, env dist.Env, spec dist.Spec, index int) (json.RawMessage, error) {
-	var cfg CrossvalConfig
-	if err := decodeConfig(spec, &cfg); err != nil {
-		return nil, err
-	}
-	mc, err := ModelConfig(cfg.Hidden, cfg.Epochs, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	split, err := sharedCache.split(ctx, env, spec, cfg.K)
-	if err != nil {
-		return nil, err
-	}
-	trial, err := split.Fold(mc, index)
-	if err != nil {
-		return nil, err
-	}
-	// Every field of the fold event derives from (spec, index): deterministic.
-	trial.Emit(obs.TraceFromContext(ctx), index)
-	return json.Marshal(TrialResult{Errors: dist.Floats(trial.Errors)})
-}
-
-func runCompare(ctx context.Context, env dist.Env, spec dist.Spec, index int) (json.RawMessage, error) {
-	var cfg CompareConfig
-	if err := decodeConfig(spec, &cfg); err != nil {
-		return nil, err
-	}
-	fams, err := CompareFamilies(cfg.Hidden, cfg.Epochs)
-	if err != nil {
-		return nil, err
-	}
-	split, err := sharedCache.split(ctx, env, spec, cfg.K)
-	if err != nil {
-		return nil, err
-	}
-	mean, err := CompareCell(split, fams, cfg.K, spec.Seed, index)
-	if err != nil {
-		return nil, err
-	}
-	emitCompareCell(obs.TraceFromContext(ctx), fams, cfg.K, index, mean)
-	return json.Marshal(CellResult{Mean: dist.Float(mean)})
-}
-
-func runSurface(ctx context.Context, env dist.Env, spec dist.Spec, index int) (json.RawMessage, error) {
-	var cfg SurfaceConfig
-	if err := decodeConfig(spec, &cfg); err != nil {
-		return nil, err
-	}
-	model, err := sharedCache.model(ctx, env, spec)
-	if err != nil {
-		return nil, err
-	}
-	row, err := probeSurfaceRow(model, cfg, index)
-	if err != nil {
-		return nil, err
-	}
-	if tr := obs.TraceFromContext(ctx); tr.Enabled() {
-		tr.Emit("surface_row",
-			obs.Int("row", index),
-			obs.Float("x", cfg.XValues[index]),
-			obs.Int("cols", len(row)))
-	}
-	return json.Marshal(RowResult{Z: dist.Floats(row)})
-}
-
-func runImportance(ctx context.Context, env dist.Env, spec dist.Spec, index int) (json.RawMessage, error) {
-	var cfg ImportanceConfig
-	if err := decodeConfig(spec, &cfg); err != nil {
-		return nil, err
-	}
-	model, ds, base, actual, err := sharedCache.baseline(ctx, env, spec)
-	if err != nil {
-		return nil, err
-	}
-	scores := scoreImportanceFeature(model, ds, base, actual, index, cfg.Repeats, spec.Seed)
-	if tr := obs.TraceFromContext(ctx); tr.Enabled() {
-		tr.Emit("importance_feature",
-			obs.Int("feature", index),
-			obs.String("name", ds.FeatureNames[index]),
-			obs.Float("mean_score", stats.MeanSkipNaN(scores)))
-	}
-	return json.Marshal(ScoresResult{Scores: dist.Floats(scores)})
-}
-
-func runSelect(ctx context.Context, env dist.Env, spec dist.Spec, index int) (json.RawMessage, error) {
-	var cfg SelectConfig
-	if err := decodeConfig(spec, &cfg); err != nil {
-		return nil, err
-	}
-	if index < 0 || index >= len(cfg.Candidates) {
-		return nil, fmt.Errorf("jobs: candidate %d out of range [0,%d)", index, len(cfg.Candidates))
-	}
-	ds, err := sharedCache.dataset(ctx, env, spec)
-	if err != nil {
-		return nil, err
-	}
-	base, err := ModelConfig("16", cfg.Epochs, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	cand, err := core.ScoreTopology(ds, base, cfg.Candidates[index], cfg.K, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if tr := obs.TraceFromContext(ctx); tr.Enabled() {
-		tr.Emit("select_candidate",
-			obs.Int("candidate", index),
-			obs.Float("error", cand.Error),
-			obs.Int("params", cand.Params))
-	}
-	return json.Marshal(CandidateResult{Error: dist.Float(cand.Error), Params: cand.Params})
 }

@@ -21,6 +21,7 @@ import (
 	"nnwc/internal/core"
 	"nnwc/internal/dist"
 	"nnwc/internal/rng"
+	"nnwc/internal/surface"
 	"nnwc/internal/workload"
 )
 
@@ -241,55 +242,103 @@ func TestDistCrossvalParity(t *testing.T) {
 	}
 }
 
-// TestDistCompareParity: a coordinator and two worker processes reproduce
-// the in-process §4 family comparison (what `nnwc compare` prints) bit for
-// bit — every family's mean over its fold cells, reduced in the same
-// order from cells computed on one cached split per worker.
-func TestDistCompareParity(t *testing.T) {
+// TestDistKindParity: for every job kind, a coordinator and two worker
+// processes reproduce the in-process run bit for bit — the parity that
+// follows from both executors opening the same kind, workers running its
+// Run and the coordinator reducing with its Reduce.
+func TestDistKindParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process parity test")
 	}
-	const (
-		k      = 4
-		hidden = "6"
-		epochs = 200
-		seed   = 7
-	)
 	csvPath := writeParityCSV(t)
-	f, err := os.Open(csvPath)
-	if err != nil {
-		t.Fatal(err)
+	const modelPath = "../../core/testdata/golden_model.json"
+	sl := surface.Slice{
+		Fixed:   []float64{0, 0},
+		XIndex:  0,
+		YIndex:  1,
+		XValues: surface.Linspace(-2, 2, 5),
+		YValues: surface.Linspace(-2, 2, 7),
+		Output:  1,
 	}
-	ds, err := workload.ReadCSV(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
+	// Each case runs its kind on ex and returns the result's values, whose
+	// %v rendering (shortest round-trip floats) differs on any changed bit.
+	cases := []struct {
+		name string
+		run  func(ex Executor) (any, error)
+	}{
+		{KindCrossval, func(ex Executor) (any, error) {
+			j, err := CrossvalJob(csvPath, CrossvalConfig{K: 4, Hidden: "6", Epochs: 200}, 7)
+			if err != nil {
+				return nil, err
+			}
+			cv, _, err := Execute(context.Background(), ex, j)
+			if err != nil {
+				return nil, err
+			}
+			errs := make([][]float64, len(cv.Trials))
+			for i, tr := range cv.Trials {
+				errs[i] = tr.Errors
+			}
+			return []any{cv.TargetNames, errs, cv.Averages}, nil
+		}},
+		{KindCompare, func(ex Executor) (any, error) {
+			j, err := CompareJob(csvPath, CompareConfig{K: 4, Hidden: "6", Epochs: 200}, 7)
+			if err != nil {
+				return nil, err
+			}
+			means, _, err := Execute(context.Background(), ex, j)
+			return means, err
+		}},
+		{KindSurface, func(ex Executor) (any, error) {
+			j, err := SurfaceJob(modelPath, sl)
+			if err != nil {
+				return nil, err
+			}
+			g, _, err := Execute(context.Background(), ex, j)
+			if err != nil {
+				return nil, err
+			}
+			return g.Z, nil
+		}},
+		{KindImportance, func(ex Executor) (any, error) {
+			j, err := ImportanceJob(modelPath, csvPath, ImportanceConfig{Repeats: 3}, 9)
+			if err != nil {
+				return nil, err
+			}
+			im, _, err := Execute(context.Background(), ex, j)
+			return im, err
+		}},
+		{KindSelect, func(ex Executor) (any, error) {
+			j, err := SelectJob(csvPath, SelectConfig{K: 3, Epochs: 100, Candidates: [][]int{{3}, {6}, {4, 2}}}, 13)
+			if err != nil {
+				return nil, err
+			}
+			sel, _, err := Execute(context.Background(), ex, j)
+			return sel, err
+		}},
 	}
-	local, err := Compare(ds, k, hidden, epochs, seed, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := Options{
-		Addr:      "127.0.0.1:0",
-		JobID:     "compare-parity-test",
-		LeaseSize: 1,
-		OnStart: func(addr string) {
-			spawnWorker(t, addr)
-			spawnWorker(t, addr)
-		},
-	}
-	distributed, _, err := CoordinateCompare(context.Background(), opt, csvPath, k, hidden, epochs, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(distributed) != len(local) {
-		t.Fatalf("%d families distributed, %d local", len(distributed), len(local))
-	}
-	for i, want := range local {
-		got := distributed[i]
-		if got.Name != want.Name || math.Float64bits(got.Mean) != math.Float64bits(want.Mean) {
-			t.Fatalf("family %d: distributed %s %.17g, local %s %.17g", i, got.Name, got.Mean, want.Name, want.Mean)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			local, err := c.run(Local{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			distributed, err := c.run(Options{
+				Addr:      "127.0.0.1:0",
+				JobID:     c.name + "-parity-test",
+				LeaseSize: 1,
+				OnStart: func(addr string) {
+					spawnWorker(t, addr)
+					spawnWorker(t, addr)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l, d := fmt.Sprintf("%v", local), fmt.Sprintf("%v", distributed); l != d {
+				t.Fatalf("distributed result differs from local:\nlocal       %s\ndistributed %s", l, d)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package sched is the deterministic task scheduler behind the experiment
 // plane: bounded worker pools for embarrassingly parallel outer loops
 // (cross-validation folds, ensemble members, sweep cells, surface-grid
-// rows), per-task seed derivation, and bounded free lists of reusable
-// workspaces (Pool) that, unlike a sync.Pool, never drop what they hold.
+// rows), per-task seed derivation, bounded free lists of reusable
+// workspaces (Pool) that, unlike a sync.Pool, never drop what they hold,
+// and Kind, an experiment as an index-parallel task set, with Execute,
+// its in-process executor (internal/dist/jobs holds the distributed one).
 //
 // Determinism is the design constraint everything else bends around. Tasks
 // are identified by index, every task's random stream is derived from

@@ -10,10 +10,12 @@
 package sensitivity
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
 	"nnwc/internal/core"
+	"nnwc/internal/obs"
 	"nnwc/internal/rng"
 	"nnwc/internal/sched"
 	"nnwc/internal/stats"
@@ -55,40 +57,67 @@ func (o Options) defaults() Options {
 }
 
 // PermutationImportance scores every (feature, indicator) pair on the
-// given dataset.
+// given dataset: ImportanceKind run in process on up to opt.Workers
+// goroutines.
 func PermutationImportance(p core.Predictor, ds *workload.Dataset, opt Options) (*Importance, error) {
+	kind, err := ImportanceKind(p, ds, opt)
+	if err != nil {
+		return nil, err
+	}
+	return sched.Execute(context.TODO(), opt.Workers, kind)
+}
+
+// importanceKind is permutation importance as a sched.Kind: one task per
+// feature, every task scoring against one shared baseline.
+type importanceKind struct {
+	p      core.Predictor
+	ds     *workload.Dataset
+	opt    Options
+	base   []float64   // each indicator's unpermuted RMSE
+	actual [][]float64 // each indicator's actual values, by sample
+}
+
+// ImportanceKind is permutation importance as a sched.Kind: task i scores
+// feature i against every indicator, and Reduce stacks the scores into the
+// Importance matrix. The unpermuted baseline is computed once, here.
+func ImportanceKind(p core.Predictor, ds *workload.Dataset, opt Options) (sched.Kind[[]float64, *Importance], error) {
 	if ds == nil || ds.Len() < 2 {
 		return nil, errors.New("sensitivity: need at least 2 samples")
 	}
-	opt = opt.defaults()
-	base, actual, err := Baseline(p, ds)
+	base, actual, err := baseline(p, ds)
 	if err != nil {
 		return nil, err
 	}
-	im := &Importance{
-		FeatureNames: append([]string(nil), ds.FeatureNames...),
-		TargetNames:  append([]string(nil), ds.TargetNames...),
-		Scores:       make([][]float64, ds.NumFeatures()),
-	}
-	// Features score concurrently; feature i's permutations come from a
-	// stream derived from (Seed, i), so the score matrix is identical at
-	// any worker count.
-	err = sched.ForEach(sched.Workers(opt.Workers), ds.NumFeatures(), func(i int) error {
-		im.Scores[i] = ScoreFeature(p, ds, base, actual, i, opt)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return im, nil
+	return &importanceKind{p: p, ds: ds, opt: opt.defaults(), base: base, actual: actual}, nil
 }
 
-// Baseline computes each indicator's unpermuted RMSE (floored at 1e-12
+func (k *importanceKind) Scope() string { return "importance-feature" }
+func (k *importanceKind) Tasks() int    { return k.ds.NumFeatures() }
+
+func (k *importanceKind) Run(ctx context.Context, i int) ([]float64, error) {
+	scores := k.scoreFeature(i)
+	if tr := obs.TraceFromContext(ctx); tr.Enabled() {
+		tr.Emit("importance_feature",
+			obs.Int("feature", i),
+			obs.String("name", k.ds.FeatureNames[i]),
+			obs.Float("mean_score", stats.MeanSkipNaN(scores)))
+	}
+	return scores, nil
+}
+
+func (k *importanceKind) Reduce(_ context.Context, scores [][]float64) (*Importance, error) {
+	return &Importance{
+		FeatureNames: append([]string(nil), k.ds.FeatureNames...),
+		TargetNames:  append([]string(nil), k.ds.TargetNames...),
+		Scores:       scores,
+	}, nil
+}
+
+// baseline computes each indicator's unpermuted RMSE (floored at 1e-12
 // when exactly zero, so a perfect fit's "infinite" degradation stays
 // finite) plus the actual-value columns the permuted passes re-score
-// against. Deterministic in (p, ds) — a distributed worker recomputes
-// the identical baseline from the shipped artifacts.
-func Baseline(p core.Predictor, ds *workload.Dataset) (base []float64, actual [][]float64, err error) {
+// against.
+func baseline(p core.Predictor, ds *workload.Dataset) (base []float64, actual [][]float64, err error) {
 	m := ds.NumTargets()
 	base = make([]float64, m)
 	actual = make([][]float64, m)
@@ -112,33 +141,32 @@ func Baseline(p core.Predictor, ds *workload.Dataset) (base []float64, actual []
 	return base, actual, nil
 }
 
-// ScoreFeature scores feature i against every indicator: the mean
+// scoreFeature scores feature i against every indicator: the mean
 // relative RMSE increase over opt.Repeats permutations, clamped at 0.
 // The permutation stream derives only from (opt.Seed, i), so the score
-// vector is identical whether computed locally or on a remote worker —
-// the per-feature unit the distributed experiment plane ships.
-func ScoreFeature(p core.Predictor, ds *workload.Dataset, base []float64, actual [][]float64, i int, opt Options) []float64 {
-	opt = opt.defaults()
+// vector is identical wherever it is computed.
+func (k *importanceKind) scoreFeature(i int) []float64 {
+	ds, repeats := k.ds, k.opt.Repeats
 	n := ds.NumFeatures()
 	m := ds.NumTargets()
-	src := rng.New(sched.TaskSeed(opt.Seed, i))
+	src := rng.New(sched.TaskSeed(k.opt.Seed, i))
 	xbuf := make([]float64, n)
 	scores := make([]float64, m)
 	col := ds.FeatureColumn(i)
-	for rep := 0; rep < opt.Repeats; rep++ {
+	for rep := 0; rep < repeats; rep++ {
 		perm := src.Perm(len(col))
 		permPred := make([][]float64, m)
 		for r, s := range ds.Samples {
 			copy(xbuf, s.X)
 			xbuf[i] = col[perm[r]]
-			out := p.Predict(xbuf)
+			out := k.p.Predict(xbuf)
 			for j := 0; j < m; j++ {
 				permPred[j] = append(permPred[j], out[j])
 			}
 		}
 		for j := 0; j < m; j++ {
-			rmse := stats.RMSE(actual[j], permPred[j])
-			scores[j] += (rmse - base[j]) / base[j] / float64(opt.Repeats)
+			rmse := stats.RMSE(k.actual[j], permPred[j])
+			scores[j] += (rmse - k.base[j]) / k.base[j] / float64(repeats)
 		}
 	}
 	for j := 0; j < m; j++ {

@@ -7,6 +7,7 @@
 package surface
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -58,21 +59,58 @@ type Grid struct {
 	Z     [][]float64
 }
 
-// Evaluate runs the model over the slice's grid on the scheduler's
-// default worker count; see EvaluateWorkers.
-func Evaluate(p core.Predictor, s Slice, inputDim, outputDim int) (*Grid, error) {
-	return EvaluateWorkers(p, s, inputDim, outputDim, 0)
+// EvaluateWorkers runs GridKind in process on up to `workers` goroutines
+// (<= 0 means the scheduler default). Every Z cell is computed from its own
+// configuration vector and written to its own slot, so the surface is
+// bit-identical across worker counts and to the historical single-batch
+// path.
+func EvaluateWorkers(p core.Predictor, s Slice, inputDim, outputDim, workers int) (*Grid, error) {
+	kind, err := GridKind(p, s, inputDim, outputDim)
+	if err != nil {
+		return nil, err
+	}
+	return sched.Execute(context.TODO(), workers, kind)
 }
 
-// EvaluateWorkers runs the model over the slice's grid. Each grid row (one
-// XValue, all YValues) is materialized and pushed through core.PredictAll
-// as one batch, and rows evaluate concurrently on up to `workers`
-// goroutines (<= 0 means the scheduler default). Every Z cell is computed
-// from its own configuration vector and written to its own slot, so the
-// surface is bit-identical across worker counts and to the historical
-// single-batch path.
-func EvaluateWorkers(p core.Predictor, s Slice, inputDim, outputDim, workers int) (*Grid, error) {
-	return EvaluateTraced(p, s, inputDim, outputDim, workers, nil)
+// gridKind is a surface sweep as a sched.Kind: one task per grid row.
+type gridKind struct {
+	p        core.Predictor
+	s        Slice
+	inputDim int
+}
+
+// GridKind is the model's sweep over the slice's grid as a sched.Kind:
+// task i materializes row i (XValues[i] against every YValue) and pushes
+// it through the batched forward kernels as one batch, and Reduce stacks
+// the rows into the Grid.
+func GridKind(p core.Predictor, s Slice, inputDim, outputDim int) (sched.Kind[[]float64, *Grid], error) {
+	if err := s.Validate(inputDim, outputDim); err != nil {
+		return nil, err
+	}
+	return &gridKind{p: p, s: s, inputDim: inputDim}, nil
+}
+
+func (g *gridKind) Scope() string { return "surface-row" }
+func (g *gridKind) Tasks() int    { return len(g.s.XValues) }
+
+func (g *gridKind) Run(ctx context.Context, i int) ([]float64, error) {
+	zi := make([]float64, len(g.s.YValues))
+	if mp, fast := g.p.(core.MatrixPredictor); fast {
+		probeRow(mp, g.s, g.s.XValues[i], g.inputDim, zi)
+	} else {
+		probeRowSlow(g.p, g.s, g.s.XValues[i], g.inputDim, zi)
+	}
+	if tr := obs.TraceFromContext(ctx); tr.Enabled() {
+		tr.Emit("surface_row",
+			obs.Int("row", i),
+			obs.Float("x", g.s.XValues[i]),
+			obs.Int("cols", len(zi)))
+	}
+	return zi, nil
+}
+
+func (g *gridKind) Reduce(_ context.Context, rows [][]float64) (*Grid, error) {
+	return &Grid{Slice: g.s, Z: rows}, nil
 }
 
 // probeScratch bundles the batch-sized buffers one grid-row probe needs:
@@ -85,36 +123,6 @@ type probeScratch struct {
 }
 
 var probePool = sched.NewPool(func() *probeScratch { return &probeScratch{} })
-
-// EvaluateTraced is EvaluateWorkers with a span per grid row emitted to tr
-// (nil disables tracing). Row spans buffer per row index and replay in row
-// order, so the trace is deterministic across worker counts.
-func EvaluateTraced(p core.Predictor, s Slice, inputDim, outputDim, workers int, tr *obs.Trace) (*Grid, error) {
-	if err := s.Validate(inputDim, outputDim); err != nil {
-		return nil, err
-	}
-	mp, fast := p.(core.MatrixPredictor)
-	z := make([][]float64, len(s.XValues))
-	fork := tr.Fork(len(s.XValues))
-	err := sched.ForEachWorker(sched.Workers(workers), len(s.XValues), func(i, w int) error {
-		slot := fork.Slot(i)
-		span := slot.StartSpan("surface-row", i, w)
-		defer span.End()
-		zi := make([]float64, len(s.YValues))
-		if fast {
-			probeRow(mp, s, s.XValues[i], inputDim, zi)
-		} else {
-			probeRowSlow(p, s, s.XValues[i], inputDim, zi)
-		}
-		z[i] = zi
-		return nil
-	})
-	fork.Join()
-	if err != nil {
-		return nil, err
-	}
-	return &Grid{Slice: s, Z: z}, nil
-}
 
 // probeRow evaluates one grid row (one XValue, every YValue) through the
 // zero-alloc matrix path: configurations build in place in the pooled
@@ -154,23 +162,6 @@ func probeRowSlow(p core.Predictor, s Slice, xv float64, inputDim int, zi []floa
 	for j := range zi {
 		zi[j] = outs[j][s.Output]
 	}
-}
-
-// ProbeRow evaluates grid row `row` (XValues[row] against every YValue)
-// of a validated slice — the per-row unit the distributed experiment
-// plane ships to workers. Bit-identical to row `row` of the Grid that
-// EvaluateWorkers builds: both route the same batched forward kernels.
-func ProbeRow(p core.Predictor, s Slice, inputDim, row int) ([]float64, error) {
-	if row < 0 || row >= len(s.XValues) {
-		return nil, fmt.Errorf("surface: row %d out of range [0,%d)", row, len(s.XValues))
-	}
-	zi := make([]float64, len(s.YValues))
-	if mp, fast := p.(core.MatrixPredictor); fast {
-		probeRow(mp, s, s.XValues[row], inputDim, zi)
-	} else {
-		probeRowSlow(p, s, s.XValues[row], inputDim, zi)
-	}
-	return zi, nil
 }
 
 // Min returns the grid minimum and its coordinates.

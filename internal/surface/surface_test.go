@@ -20,7 +20,7 @@ func grid2D(f func(x, y float64) float64, xs, ys []float64) *Grid {
 		Output:  0,
 	}
 	p := funcPredictor(func(v []float64) []float64 { return []float64{f(v[0], v[1])} })
-	g, err := Evaluate(p, sl, 2, 1)
+	g, err := EvaluateWorkers(p, sl, 2, 1, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -51,7 +51,8 @@ func TestEvaluatePreservesFixedValues(t *testing.T) {
 		YValues: []float64{7, 8},
 		Output:  0,
 	}
-	if _, err := Evaluate(p, sl, 4, 1); err != nil {
+	// One worker: the predictor records into seen without synchronization.
+	if _, err := EvaluateWorkers(p, sl, 4, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if seen[0] != 560 || seen[2] != 16 {
