@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -247,17 +246,7 @@ func (c *Coordinator) Handler() http.Handler {
 	if c.rec != nil {
 		tr = c.rec.tr
 	}
-	return httpx.Instrument(httpx.InstrumentOptions{Service: "dist", Route: distRoute, Trace: tr}, mux)
-}
-
-// distRoute collapses the content-addressed artifact path so the route
-// label space stays bounded (one label, not one per SHA-256).
-func distRoute(r *http.Request) string {
-	path := r.URL.Path
-	if strings.HasPrefix(path, "/dist/artifact/") {
-		path = "/dist/artifact/{sha}"
-	}
-	return r.Method + " " + path
+	return httpx.Instrument(httpx.InstrumentOptions{Service: "dist", Trace: tr}, mux)
 }
 
 // handleMetrics exposes the process-wide registry — including the
@@ -606,7 +595,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resultsTotal.Inc(req.Worker)
-	taskMillis.Observe(req.ElapsedMS, req.Worker)
 	if c.remaining == 0 {
 		close(c.done)
 		c.logf("dist: job %q complete (%d tasks)", c.cfg.Spec.Kind, c.cfg.Spec.NumTasks)

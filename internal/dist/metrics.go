@@ -16,8 +16,6 @@ var (
 		"tasks skipped at coordinator startup because the state journal already held their results")
 	resultsTotal = metrics.Default().CounterVec("nnwc_dist_results_total",
 		"results accepted by the coordinator, by reporting worker", "worker")
-	taskMillis = metrics.Default().SummaryVec("nnwc_dist_task_ms",
-		"worker-reported per-task wall time in milliseconds", 512, []string{"worker"}, 0.5, 0.99)
 	workerTasksTotal = metrics.Default().Counter("nnwc_dist_worker_tasks_total",
 		"tasks executed by this process's dist workers")
 )
@@ -33,15 +31,15 @@ const (
 
 // Federated series: per-worker histograms replaced wholesale by each
 // worker's cumulative snapshot push, plus render-time cluster-wide
-// merges. Histograms (not the ring-window summaries above) because
-// bucket counts add across processes — see metrics.Histogram.
+// merges. Histograms because bucket counts add across processes — see
+// metrics.Histogram.
 var (
 	fedTaskMS = metrics.Default().HistogramVec("nnwc_dist_worker_task_ms_hist",
 		"worker-pushed task wall-time histograms (ms), federated by the coordinator",
-		metrics.DefMillisBuckets, "worker")
+		metrics.MillisBuckets, "worker")
 	fedArtifactMS = metrics.Default().HistogramVec("nnwc_dist_worker_artifact_ms_hist",
 		"worker-pushed artifact fetch wall-time histograms (ms), federated by the coordinator",
-		metrics.DefMillisBuckets, "worker")
+		metrics.MillisBuckets, "worker")
 	_ = metrics.Default().HistogramFunc("nnwc_cluster_task_ms_hist",
 		"cluster-wide task wall-time histogram (ms): every worker's pushed snapshot, merged",
 		func() metrics.HistogramSnapshot { return fedTaskMS.Merged() })

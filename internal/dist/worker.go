@@ -154,8 +154,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return &Worker{
 		cfg:      cfg,
 		client:   &http.Client{Timeout: cfg.HTTPTimeout},
-		taskHist: metrics.NewHistogram(MetricTaskMS, "task wall time (ms)", metrics.DefMillisBuckets),
-		artHist:  metrics.NewHistogram(MetricArtifactMS, "artifact fetch wall time (ms)", metrics.DefMillisBuckets),
+		taskHist: metrics.NewHistogram(MetricTaskMS, "task wall time (ms)", metrics.MillisBuckets),
+		artHist:  metrics.NewHistogram(MetricArtifactMS, "artifact fetch wall time (ms)", metrics.MillisBuckets),
 		artPaths: make(map[string]string),
 	}, nil
 }
@@ -313,7 +313,6 @@ func (w *Worker) runLease(ctx context.Context, runner Runner, spec Spec, rep lea
 			LeaseID:     rep.LeaseID,
 			Worker:      w.cfg.ID,
 			Index:       idx,
-			ElapsedMS:   ms,
 			Events:      events.String(),
 			Metrics:     w.metricSnapshots(),
 			ExitsOnDone: true,

@@ -33,7 +33,7 @@ var (
 	httpRequestMs = metrics.Default().HistogramVec(
 		"nnwc_http_request_ms",
 		"HTTP request wall time in milliseconds, by service and route.",
-		metrics.DefMillisBuckets,
+		metrics.MillisBuckets,
 		"service", "route")
 )
 
@@ -41,10 +41,6 @@ var (
 type InstrumentOptions struct {
 	// Service labels the metrics ("serve", "dist").
 	Service string
-	// Route maps a request to its metrics label. The default is
-	// "METHOD /path" — override for routes with high-cardinality path
-	// segments (artifact hashes) so the label space stays bounded.
-	Route func(r *http.Request) string
 	// Trace, when enabled, receives one "http_request" event per request:
 	// a server-side span carrying the route, status, latency, and the
 	// propagated (run, worker) identity from the trace headers. Request
@@ -70,23 +66,28 @@ func (s *statusRecorder) Flush() {
 	}
 }
 
-// Instrument wraps h with server-side observability: per-route request
+// RouteUnmatched is the route label of every request that matched no
+// pattern of the mux (404s, 405s), so hostile paths and methods cannot
+// grow the label space.
+const RouteUnmatched = "unmatched"
+
+// Instrument wraps mux with server-side observability: per-route request
 // counts and latency histograms on the process-wide registry, plus an
 // optional span event per request with the trace-header identity
-// extracted. It is the one middleware both the serve plane and the dist
-// coordinator mount, so "what is this server doing right now" reads the
-// same way everywhere.
-func Instrument(opt InstrumentOptions, h http.Handler) http.Handler {
-	route := opt.Route
-	if route == nil {
-		route = func(r *http.Request) string { return r.Method + " " + r.URL.Path }
-	}
+// extracted. A request's route label is the mux pattern it matched
+// ("GET /dist/artifact/{sha}"), or RouteUnmatched. It is the one
+// middleware both the serve plane and the dist coordinator mount, so
+// "what is this server doing right now" reads the same way everywhere.
+func Instrument(opt InstrumentOptions, mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h.ServeHTTP(rec, r)
+		_, rt := mux.Handler(r)
+		if rt == "" {
+			rt = RouteUnmatched
+		}
+		mux.ServeHTTP(rec, r)
 		ms := float64(time.Since(start)) / float64(time.Millisecond)
-		rt := route(r)
 		httpRequestsTotal.Inc(opt.Service, rt, strconv.Itoa(rec.code))
 		httpRequestMs.Observe(ms, opt.Service, rt)
 		if opt.Trace.Enabled() {

@@ -3,18 +3,28 @@ package httpx
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"nnwc/internal/obs"
+	"nnwc/internal/obs/metrics"
 )
+
+// muxWith serves h at pattern.
+func muxWith(pattern string, h http.HandlerFunc) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc(pattern, h)
+	return mux
+}
 
 func TestInstrumentEmitsSpanWithTraceHeaders(t *testing.T) {
 	var buf bytes.Buffer
 	tr := obs.NewTrace(obs.NewWriterSink(&buf))
 	h := Instrument(InstrumentOptions{Service: "test", Trace: tr},
-		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		muxWith("POST /dist/lease", func(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusTeapot)
 		}))
 	req := httptest.NewRequest(http.MethodPost, "/dist/lease", nil)
@@ -51,7 +61,7 @@ func TestInstrumentDefaultStatusIsOK(t *testing.T) {
 	var buf bytes.Buffer
 	tr := obs.NewTrace(obs.NewWriterSink(&buf))
 	h := Instrument(InstrumentOptions{Service: "test", Trace: tr},
-		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		muxWith("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 			w.Write([]byte("ok")) // implicit 200, WriteHeader never called
 		}))
 	rec := httptest.NewRecorder()
@@ -65,14 +75,11 @@ func TestInstrumentDefaultStatusIsOK(t *testing.T) {
 	}
 }
 
-func TestInstrumentRouteOverride(t *testing.T) {
+func TestInstrumentLabelsByPattern(t *testing.T) {
 	var buf bytes.Buffer
 	tr := obs.NewTrace(obs.NewWriterSink(&buf))
-	h := Instrument(InstrumentOptions{
-		Service: "test",
-		Route:   func(r *http.Request) string { return "GET /artifact/{sha}" },
-		Trace:   tr,
-	}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	h := Instrument(InstrumentOptions{Service: "test", Trace: tr},
+		muxWith("GET /artifact/{sha}", func(w http.ResponseWriter, r *http.Request) {}))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/artifact/deadbeef", nil))
 	var ev map[string]any
@@ -80,13 +87,44 @@ func TestInstrumentRouteOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ev["route"] != "GET /artifact/{sha}" {
-		t.Fatalf("route = %v, want collapsed label", ev["route"])
+		t.Fatalf("route = %v, want the matched pattern", ev["route"])
+	}
+}
+
+// Requests that match no route share one label: 500 distinct unknown
+// paths and methods add one latency cell and one count cell per status.
+func TestInstrumentBoundsUnmatchedRoutes(t *testing.T) {
+	const service = "unmatched-test"
+	h := Instrument(InstrumentOptions{Service: service},
+		muxWith("POST /dist/lease", func(w http.ResponseWriter, r *http.Request) {}))
+	for i := 0; i < 500; i++ {
+		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/probe/%d", i), nil) // 404
+		if i%2 == 1 {
+			req = httptest.NewRequest(fmt.Sprintf("M%d", i), "/dist/lease", nil) // 405
+		}
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	var b strings.Builder
+	metrics.Default().Write(&b)
+	cells := map[string]int{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		for _, series := range []string{"nnwc_http_requests_total{", "nnwc_http_request_ms_count{"} {
+			if strings.HasPrefix(line, series) && strings.Contains(line, `service="`+service+`"`) {
+				cells[series]++
+				if !strings.Contains(line, `route="`+RouteUnmatched+`"`) {
+					t.Fatalf("unmatched request labelled by its path or method: %s", line)
+				}
+			}
+		}
+	}
+	if cells["nnwc_http_requests_total{"] != 2 || cells["nnwc_http_request_ms_count{"] != 1 {
+		t.Fatalf("cells = %v, want 2 counts (404, 405) and 1 latency", cells)
 	}
 }
 
 func TestInstrumentNilTraceStillServes(t *testing.T) {
 	h := Instrument(InstrumentOptions{Service: "test"},
-		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		muxWith("GET /x", func(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusNoContent)
 		}))
 	rec := httptest.NewRecorder()

@@ -6,20 +6,18 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"nnwc/internal/stats"
 )
 
-// Histogram is a fixed-bucket distribution. Unlike Summary (whose
-// ring-window quantiles are a function of *which* recent observations a
-// process saw, and therefore cannot be combined across processes), a
-// histogram's per-bucket counts add: merging the snapshots of N workers
-// yields exactly the histogram one process observing all their events
-// would have built. That additivity is what the dist plane's metrics
-// federation rides on — workers push HistogramSnapshots with each lease
-// renewal and the coordinator sums them into cluster-wide series.
+// Histogram is a fixed-bucket distribution, the one distribution type of
+// the package. Its per-bucket counts add: merging the snapshots of N
+// workers yields exactly the histogram one process observing all their
+// events would have built, which quantiles over a window of recent
+// observations cannot do. That additivity is what the dist plane's
+// metrics federation rides on — workers push HistogramSnapshots with each
+// lease renewal and the coordinator sums them into cluster-wide series.
 //
 // Bucket bounds are inclusive upper edges in ascending order; one
 // implicit +Inf bucket catches everything above the last bound.
@@ -32,10 +30,29 @@ type Histogram struct {
 	count      uint64
 }
 
-// DefMillisBuckets is the default latency bucket layout (milliseconds):
-// roughly exponential from sub-millisecond HTTP handling up to
-// half-minute training tasks.
-var DefMillisBuckets = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
+// Bucket layouts, one per unit. Federation merges only identical layouts,
+// so every process of one build must derive the same bounds.
+var (
+	// MillisBuckets is the latency layout in milliseconds: 1-2.5-5 steps
+	// from 10 µs, which resolves a served prediction (~0.1 ms), up to
+	// half-minute training tasks.
+	MillisBuckets = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
+	// SecondsBuckets is MillisBuckets in seconds, for the _seconds series.
+	SecondsBuckets = scaled(MillisBuckets, 1e-3)
+	// RowBuckets counts rows per batch: powers of two from 1 to past the
+	// serve batcher's default cap of 64 rows.
+	RowBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
+	// DecadeBuckets is for dimensionless ratios such as relative gaps.
+	DecadeBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1, 10, 100}
+)
+
+func scaled(bounds []float64, by float64) []float64 {
+	out := make([]float64, len(bounds))
+	for i, b := range bounds {
+		out[i] = b * by
+	}
+	return out
+}
 
 // NewHistogram returns an unregistered histogram — a local accumulator
 // whose snapshots feed federation (e.g. each dist worker's task timer)
@@ -44,7 +61,14 @@ var DefMillisBuckets = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 250
 func NewHistogram(name, help string, bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)
-	return &Histogram{name: name, help: help, bounds: bs, counts: make([]uint64, len(bs)+1)}
+	h := newCell(bs)
+	h.name, h.help = name, help
+	return h
+}
+
+// newCell returns an unnamed histogram over bounds, which it shares.
+func newCell(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
 
 // Histogram registers and returns a fixed-bucket histogram.
@@ -169,58 +193,42 @@ func renderHistCells(w io.Writer, name, labelPrefix string, s HistogramSnapshot)
 	}
 }
 
-// HistogramVec is a labeled histogram: every cell shares one bucket
-// layout (a federation requirement — Merged sums the cells). Cells are
-// fed either locally via Observe or remotely via SetSnapshot, which
-// replaces a cell wholesale with a pushed cumulative snapshot (idempotent
-// under re-delivery, unlike an additive ingest would be).
+// HistogramVec is a labeled histogram: each cell is a Histogram, and
+// every cell shares one bucket layout (a federation requirement — Merged
+// sums the cells). Cells are fed either locally via Observe or remotely
+// via SetSnapshot, which replaces a cell wholesale with a pushed
+// cumulative snapshot (idempotent under re-delivery, unlike an additive
+// ingest would be).
 type HistogramVec struct {
-	name, help string
-	labels     []string
-	bounds     []float64
-	mu         sync.Mutex
-	cells      map[string]*histCell
-}
-
-type histCell struct {
-	counts []uint64
-	sum    float64
-	count  uint64
+	vec
+	bounds []float64
+	mu     sync.Mutex
+	cells  map[string]*Histogram
 }
 
 // HistogramVec registers and returns a labeled histogram.
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)
-	v := &HistogramVec{name: name, help: help, labels: labels, bounds: bs, cells: make(map[string]*histCell)}
+	v := &HistogramVec{vec: vec{name, help, labels}, bounds: bs, cells: make(map[string]*Histogram)}
 	r.add(v)
 	return v
-}
-
-func (v *HistogramVec) key(values []string) string {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	return strings.Join(values, labelSep)
 }
 
 // Observe records one value in the cell identified by the label values.
 func (v *HistogramVec) Observe(val float64, values ...string) {
 	if math.IsNaN(val) {
-		return
+		return // before the cell exists: a NaN alone creates none
 	}
 	k := v.key(values)
-	i := sort.SearchFloat64s(v.bounds, val)
 	v.mu.Lock()
 	c, ok := v.cells[k]
 	if !ok {
-		c = &histCell{counts: make([]uint64, len(v.bounds)+1)}
+		c = newCell(v.bounds)
 		v.cells[k] = c
 	}
-	c.counts[i]++
-	c.sum += val
-	c.count++
 	v.mu.Unlock()
+	c.Observe(val)
 }
 
 // SetSnapshot replaces the cell identified by the label values with a
@@ -234,9 +242,12 @@ func (v *HistogramVec) SetSnapshot(s HistogramSnapshot, values ...string) error 
 	if !sameBounds(v.bounds, s.Bounds) {
 		return fmt.Errorf("metrics: %s: pushed snapshot has different bucket bounds", v.name)
 	}
+	c := newCell(v.bounds)
+	copy(c.counts, s.Counts)
+	c.sum, c.count = s.Sum, s.Count
 	k := v.key(values)
 	v.mu.Lock()
-	v.cells[k] = &histCell{counts: append([]uint64(nil), s.Counts...), sum: s.Sum, count: s.Count}
+	v.cells[k] = c
 	v.mu.Unlock()
 	return nil
 }
@@ -246,13 +257,12 @@ func (v *HistogramVec) SetSnapshot(s HistogramSnapshot, values ...string) error 
 func (v *HistogramVec) CellSnapshot(values ...string) HistogramSnapshot {
 	k := v.key(values)
 	v.mu.Lock()
-	defer v.mu.Unlock()
-	s := HistogramSnapshot{Bounds: append([]float64(nil), v.bounds...), Counts: make([]uint64, len(v.bounds)+1)}
-	if c, ok := v.cells[k]; ok {
-		copy(s.Counts, c.counts)
-		s.Sum, s.Count = c.sum, c.count
+	c, ok := v.cells[k]
+	v.mu.Unlock()
+	if !ok {
+		c = newCell(v.bounds)
 	}
-	return s
+	return c.Snapshot()
 }
 
 // Merged sums every cell into one cluster-wide snapshot — the federation
@@ -260,13 +270,15 @@ func (v *HistogramVec) CellSnapshot(values ...string) HistogramSnapshot {
 func (v *HistogramVec) Merged() HistogramSnapshot {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	s := HistogramSnapshot{Bounds: append([]float64(nil), v.bounds...), Counts: make([]uint64, len(v.bounds)+1)}
+	s := newCell(v.bounds).Snapshot()
 	for _, c := range v.cells { // accumulation is commutative: order-free
+		c.mu.Lock()
 		for i, n := range c.counts {
 			s.Counts[i] += n
 		}
 		s.Sum += c.sum
 		s.Count += c.count
+		c.mu.Unlock()
 	}
 	return s
 }
@@ -280,17 +292,12 @@ func (v *HistogramVec) render(w io.Writer) {
 	v.mu.Lock()
 	snaps := make([]snap, 0, len(v.cells))
 	for k, c := range v.cells {
-		snaps = append(snaps, snap{key: k, cell: HistogramSnapshot{
-			Bounds: v.bounds,
-			Counts: append([]uint64(nil), c.counts...),
-			Sum:    c.sum,
-			Count:  c.count,
-		}})
+		snaps = append(snaps, snap{key: k, cell: c.Snapshot()})
 	}
 	v.mu.Unlock()
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].key < snaps[j].key })
 	for _, s := range snaps {
-		renderHistCells(w, v.name, labelPairs(v.labels, s.key), s.cell)
+		renderHistCells(w, v.name, v.pairs(s.key), s.cell)
 	}
 }
 

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,43 @@ lat_ms_count 4
 `
 	if b.String() != want {
 		t.Fatalf("rendered:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
+// A served prediction takes ~0.1 ms: the latency layouts must tell a fast
+// request from a slow one below a millisecond, in both units.
+func TestLatencyBucketsResolveSubMillisecond(t *testing.T) {
+	for unit, c := range map[string]struct {
+		bounds []float64
+		ms     float64
+	}{"ms": {MillisBuckets, 1}, "s": {SecondsBuckets, 1e-3}} {
+		h := NewHistogram("lat", "", c.bounds)
+		h.Observe(0.1 * c.ms)
+		h.Observe(0.9 * c.ms)
+		for i, n := range h.Snapshot().Counts {
+			if n > 1 {
+				t.Errorf("%s: 0.1 ms and 0.9 ms share bucket %d of %v", unit, i, c.bounds)
+			}
+		}
+	}
+}
+
+// SecondsBuckets is derived from MillisBuckets; each bound must render as
+// the millisecond bound's decimal shifted by three places, so le labels
+// stay clean and every process of a build derives the same layout.
+func TestSecondsBucketsAreMillisBuckets(t *testing.T) {
+	if len(SecondsBuckets) != len(MillisBuckets) {
+		t.Fatalf("%d seconds bounds for %d millisecond bounds", len(SecondsBuckets), len(MillisBuckets))
+	}
+	for i, ms := range MillisBuckets {
+		want, err := strconv.ParseFloat(strconv.FormatFloat(ms, 'g', -1, 64)+"e-3", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, wantS := strconv.FormatFloat(SecondsBuckets[i], 'g', -1, 64), strconv.FormatFloat(want, 'g', -1, 64)
+		if got != wantS {
+			t.Errorf("bound %d: %s s, want %s s (%g ms)", i, got, wantS, ms)
+		}
 	}
 }
 

@@ -1,14 +1,11 @@
 // Package metrics is the shared Prometheus-text metrics registry: typed
-// counters, labeled counter vectors, recent-window summaries and gauges
-// with a deterministic exposition order, so both the prediction server's
-// /metrics and the debug endpoint's training-side counters render through
-// one exporter and the schema stays pin-testable.
+// counters, labeled counter vectors, gauges and mergeable fixed-bucket
+// histograms with a deterministic exposition order, so both the
+// prediction server's /metrics and the debug endpoint's training-side
+// counters render through one exporter and the schema stays pin-testable.
 //
 // A Registry renders metrics in registration order; within a labeled
-// metric, cells render sorted by label values. Quantile summaries compute
-// over a fixed-capacity ring of recent observations (tracking current
-// behaviour, not the process lifetime) exactly like the server's original
-// registry did.
+// metric, cells render sorted by label values.
 package metrics
 
 import (
@@ -18,8 +15,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"nnwc/internal/stats"
 )
 
 // Registry holds metrics and renders them in registration order.
@@ -99,31 +94,72 @@ func (c *Counter) render(w io.Writer) {
 	fmt.Fprintf(w, "%s %d\n", c.name, c.v.Load())
 }
 
-// labelSep joins label values into one map key; it cannot appear in a
-// well-formed label value.
-const labelSep = "\x1f"
+// A cell's map key joins its label values with labelSep, after writing
+// each 0 byte inside a value as labelEsc. Every 0 byte in a key then
+// starts a separator or an escape, so a key splits back into exactly the
+// values it was built from, whatever bytes they hold, and keys sort as
+// their value tuples do.
+const (
+	labelSep = "\x00\x01"
+	labelEsc = "\x00\xff"
+)
+
+// vec is what every labeled metric shares: its name, help and label names.
+type vec struct {
+	name, help string
+	labels     []string
+}
+
+// key encodes one cell's label values as its map key.
+func (v *vec) key(values []string) string {
+	if len(values) != len(v.labels) {
+		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d", v.name, len(v.labels), len(values)))
+	}
+	for _, s := range values {
+		if strings.IndexByte(s, 0) < 0 {
+			continue
+		}
+		esc := make([]string, len(values))
+		for i, x := range values {
+			esc[i] = strings.ReplaceAll(x, "\x00", labelEsc)
+		}
+		return strings.Join(esc, labelSep)
+	}
+	return strings.Join(values, labelSep)
+}
+
+// pairs renders a cell key as the exposition's name="value" list.
+func (v *vec) pairs(key string) string {
+	var b strings.Builder
+	for i, s := range strings.Split(key, labelSep) {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `%s="%s"`, v.labels[i], EscapeLabelValue(strings.ReplaceAll(s, labelEsc, "\x00")))
+	}
+	return b.String()
+}
+
+// labelEscaper escapes what the text exposition format escapes in a label
+// value: backslash, double quote and newline, and nothing else.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// EscapeLabelValue escapes s for the inside of a quoted label value.
+func EscapeLabelValue(s string) string { return labelEscaper.Replace(s) }
 
 // CounterVec is a counter with a fixed set of label names; each distinct
 // label-value tuple is one cell. Cells render sorted by label values.
 type CounterVec struct {
-	name, help string
-	labels     []string
-	mu         sync.Mutex
-	cells      map[string]uint64
+	vec
+	mu    sync.Mutex
+	cells map[string]uint64
 }
 
 // CounterVec registers and returns a labeled counter.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	v := &CounterVec{name: name, help: help, labels: labels, cells: make(map[string]uint64)}
+	v := &CounterVec{vec: vec{name, help, labels}, cells: make(map[string]uint64)}
 	r.add(v)
 	return v
-}
-
-func (v *CounterVec) key(values []string) string {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	return strings.Join(values, labelSep)
 }
 
 // Inc adds one to the cell identified by the label values.
@@ -159,31 +195,23 @@ func (v *CounterVec) render(w io.Writer) {
 	v.mu.Unlock()
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Fprintf(w, "%s{%s} %d\n", v.name, labelPairs(v.labels, k), vals[k])
+		fmt.Fprintf(w, "%s{%s} %d\n", v.name, v.pairs(k), vals[k])
 	}
 }
 
 // GaugeVec is a labeled gauge: each distinct label-value tuple is one cell
 // holding the last Set value. Cells render sorted by label values.
 type GaugeVec struct {
-	name, help string
-	labels     []string
-	mu         sync.Mutex
-	cells      map[string]float64
+	vec
+	mu    sync.Mutex
+	cells map[string]float64
 }
 
 // GaugeVec registers and returns a labeled gauge.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	v := &GaugeVec{name: name, help: help, labels: labels, cells: make(map[string]float64)}
+	v := &GaugeVec{vec: vec{name, help, labels}, cells: make(map[string]float64)}
 	r.add(v)
 	return v
-}
-
-func (v *GaugeVec) key(values []string) string {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	return strings.Join(values, labelSep)
 }
 
 // Set stores the cell's current value.
@@ -224,108 +252,8 @@ func (v *GaugeVec) render(w io.Writer) {
 	v.mu.Unlock()
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Fprintf(w, "%s{%s} %g\n", v.name, labelPairs(v.labels, k), vals[k])
+		fmt.Fprintf(w, "%s{%s} %g\n", v.name, v.pairs(k), vals[k])
 	}
-}
-
-// SummaryVec is a labeled Summary: each distinct label-value tuple gets its
-// own recent-observation window and lifetime sum/count. Cells render sorted
-// by label values.
-type SummaryVec struct {
-	name, help string
-	labels     []string
-	window     int
-	quantiles  []float64
-	mu         sync.Mutex
-	cells      map[string]*summaryCell
-}
-
-type summaryCell struct {
-	window *ring
-	sum    float64
-	count  uint64
-}
-
-// SummaryVec registers a labeled quantile summary; every cell gets the
-// given window capacity.
-func (r *Registry) SummaryVec(name, help string, window int, labels []string, quantiles ...float64) *SummaryVec {
-	v := &SummaryVec{
-		name: name, help: help, labels: labels,
-		window: window, quantiles: quantiles,
-		cells: make(map[string]*summaryCell),
-	}
-	r.add(v)
-	return v
-}
-
-func (v *SummaryVec) key(values []string) string {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d", v.name, len(v.labels), len(values)))
-	}
-	return strings.Join(values, labelSep)
-}
-
-// Observe records one value in the cell identified by the label values.
-func (v *SummaryVec) Observe(val float64, values ...string) {
-	k := v.key(values)
-	v.mu.Lock()
-	c, ok := v.cells[k]
-	if !ok {
-		c = &summaryCell{window: newRing(v.window)}
-		v.cells[k] = c
-	}
-	c.window.add(val)
-	c.sum += val
-	c.count++
-	v.mu.Unlock()
-}
-
-// Stats returns one cell's lifetime count and sum.
-func (v *SummaryVec) Stats(values ...string) (count uint64, sum float64) {
-	k := v.key(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok := v.cells[k]; ok {
-		return c.count, c.sum
-	}
-	return 0, 0
-}
-
-func (v *SummaryVec) render(w io.Writer) {
-	header(w, v.name, v.help, "summary")
-	type snap struct {
-		key    string
-		window []float64
-		sum    float64
-		count  uint64
-	}
-	v.mu.Lock()
-	snaps := make([]snap, 0, len(v.cells))
-	for k, c := range v.cells {
-		snaps = append(snaps, snap{key: k, window: c.window.snapshot(), sum: c.sum, count: c.count})
-	}
-	v.mu.Unlock()
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].key < snaps[j].key })
-	for _, s := range snaps {
-		pairs := labelPairs(v.labels, s.key)
-		if len(s.window) > 0 {
-			for _, q := range v.quantiles {
-				fmt.Fprintf(w, "%s{%s,quantile=\"%g\"} %g\n", v.name, pairs, q, stats.Quantile(s.window, q))
-			}
-		}
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", v.name, pairs, s.sum)
-		fmt.Fprintf(w, "%s_count{%s} %d\n", v.name, pairs, s.count)
-	}
-}
-
-// labelPairs renders a joined cell key as name="value" pairs.
-func labelPairs(labels []string, key string) string {
-	parts := strings.Split(key, labelSep)
-	pairs := make([]string, len(parts))
-	for i, p := range parts {
-		pairs[i] = fmt.Sprintf("%s=%q", labels[i], p)
-	}
-	return strings.Join(pairs, ",")
 }
 
 // GaugeFunc renders a single instantaneous value read from fn.
@@ -344,83 +272,4 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) *GaugeFunc {
 func (g *GaugeFunc) render(w io.Writer) {
 	header(w, g.name, g.help, "gauge")
 	fmt.Fprintf(w, "%s %g\n", g.name, g.fn())
-}
-
-// ring is a fixed-capacity ring buffer of recent observations; quantiles
-// computed over it track current behaviour instead of averaging over the
-// process lifetime.
-type ring struct {
-	buf  []float64
-	n    int // observations stored (≤ cap)
-	next int
-}
-
-func newRing(capacity int) *ring { return &ring{buf: make([]float64, capacity)} }
-
-func (r *ring) add(v float64) {
-	r.buf[r.next] = v
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-}
-
-// snapshot copies the stored observations (unordered — fine for quantiles).
-func (r *ring) snapshot() []float64 {
-	out := make([]float64, r.n)
-	if r.n < len(r.buf) {
-		copy(out, r.buf[:r.n])
-	} else {
-		copy(out, r.buf)
-	}
-	return out
-}
-
-// Summary tracks a distribution: lifetime sum and count plus quantiles
-// over a recent-observation window.
-type Summary struct {
-	name, help string
-	quantiles  []float64
-	mu         sync.Mutex
-	window     *ring
-	sum        float64
-	count      uint64
-}
-
-// Summary registers a quantile summary with the given window capacity.
-func (r *Registry) Summary(name, help string, window int, quantiles ...float64) *Summary {
-	s := &Summary{name: name, help: help, quantiles: quantiles, window: newRing(window)}
-	r.add(s)
-	return s
-}
-
-// Observe records one value.
-func (s *Summary) Observe(v float64) {
-	s.mu.Lock()
-	s.window.add(v)
-	s.sum += v
-	s.count++
-	s.mu.Unlock()
-}
-
-// Stats returns the lifetime count and sum.
-func (s *Summary) Stats() (count uint64, sum float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count, s.sum
-}
-
-func (s *Summary) render(w io.Writer) {
-	s.mu.Lock()
-	snap := s.window.snapshot()
-	sum, count := s.sum, s.count
-	s.mu.Unlock()
-	header(w, s.name, s.help, "summary")
-	if len(snap) > 0 {
-		for _, q := range s.quantiles {
-			fmt.Fprintf(w, "%s{quantile=\"%g\"} %g\n", s.name, q, stats.Quantile(snap, q))
-		}
-	}
-	fmt.Fprintf(w, "%s_sum %g\n", s.name, sum)
-	fmt.Fprintf(w, "%s_count %d\n", s.name, count)
 }

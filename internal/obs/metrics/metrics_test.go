@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -92,31 +93,6 @@ func TestGaugeFunc(t *testing.T) {
 	}
 }
 
-func TestSummaryWindow(t *testing.T) {
-	r := NewRegistry()
-	s := r.Summary("lat", "latency", 4, 0.5)
-	for _, v := range []float64{1, 2, 3, 4} {
-		s.Observe(v)
-	}
-	count, sum := s.Stats()
-	if count != 4 || sum != 10 {
-		t.Fatalf("Stats = (%d, %g), want (4, 10)", count, sum)
-	}
-	// Overflow the window: the quantile must track only the recent 4.
-	for _, v := range []float64{100, 100, 100, 100} {
-		s.Observe(v)
-	}
-	var b strings.Builder
-	r.Write(&b)
-	got := b.String()
-	if !strings.Contains(got, `lat{quantile="0.5"} 100`) {
-		t.Fatalf("windowed quantile should be 100: %q", got)
-	}
-	if !strings.Contains(got, "lat_sum 410\n") || !strings.Contains(got, "lat_count 8\n") {
-		t.Fatalf("lifetime sum/count wrong: %q", got)
-	}
-}
-
 func TestRegistrationOrder(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zzz", "")
@@ -156,37 +132,75 @@ inflight{model="web"} 5
 	}
 }
 
-func TestSummaryVecPerCellWindows(t *testing.T) {
-	r := NewRegistry()
-	v := r.SummaryVec("lat", "latency", 8, []string{"model"}, 0.5)
-	for i := 1; i <= 4; i++ {
-		v.Observe(float64(i), "web")
-	}
-	v.Observe(100, "db")
-	count, sum := v.Stats("web")
-	if count != 4 || sum != 10 {
-		t.Fatalf("web stats count=%d sum=%g, want 4 and 10", count, sum)
-	}
-	if count, _ := v.Stats("missing"); count != 0 {
-		t.Fatalf("missing cell count=%d, want 0", count)
-	}
-	var b strings.Builder
-	r.Write(&b)
-	got := b.String()
-	for _, want := range []string{
-		`lat{model="db",quantile="0.5"} 100`,
-		`lat_sum{model="db"} 100`,
-		`lat_count{model="db"} 1`,
-		`lat{model="web",quantile="0.5"}`,
-		`lat_sum{model="web"} 10`,
-		`lat_count{model="web"} 4`,
-	} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("rendering missing %q:\n%s", want, got)
+// FuzzLabelValues renders a CounterVec cell with arbitrary label values and
+// parses its line back with the text format's only three label-value
+// escapes (\\, \" and \n): each value must come back unchanged, on one
+// line, whatever bytes it holds.
+func FuzzLabelValues(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b string) {
+		r := NewRegistry()
+		r.CounterVec("c", "", "a", "b").Inc(a, b)
+		var sb strings.Builder
+		r.Write(&sb)
+		lines := strings.Split(sb.String(), "\n")
+		if len(lines) != 4 || lines[3] != "" {
+			t.Fatalf("want HELP, TYPE and one sample line, got %q", sb.String())
 		}
+		got, err := parseSample(lines[2], "c", "a", "b")
+		if err != nil {
+			t.Fatalf("%v in %q", err, lines[2])
+		}
+		if got[0] != a || got[1] != b {
+			t.Fatalf("parsed %q, rendered from %q", got, []string{a, b})
+		}
+	})
+}
+
+// parseSample reads the label values of `name{l0="v0",...} 1`.
+func parseSample(line, name string, labels ...string) ([]string, error) {
+	rest, ok := strings.CutPrefix(line, name+"{")
+	if !ok {
+		return nil, errors.New("no metric name")
 	}
-	// db sorts before web: labeled cells render in label order.
-	if strings.Index(got, `model="db"`) > strings.Index(got, `model="web"`) {
-		t.Fatalf("cells not sorted by label values:\n%s", got)
+	var vals []string
+	for i, l := range labels {
+		prefix := l + `="`
+		if i > 0 {
+			prefix = "," + prefix
+		}
+		if rest, ok = strings.CutPrefix(rest, prefix); !ok {
+			return nil, errors.New("want " + prefix)
+		}
+		var v strings.Builder
+		for {
+			if rest == "" {
+				return nil, errors.New("unterminated value")
+			}
+			c := rest[0]
+			rest = rest[1:]
+			if c == '"' {
+				break
+			}
+			if c == '\\' {
+				if rest == "" {
+					return nil, errors.New("trailing backslash")
+				}
+				switch rest[0] {
+				case '\\', '"':
+					c = rest[0]
+				case 'n':
+					c = '\n'
+				default:
+					return nil, errors.New("escape outside the text format: \\" + rest[:1])
+				}
+				rest = rest[1:]
+			}
+			v.WriteByte(c)
+		}
+		vals = append(vals, v.String())
 	}
+	if rest != "} 1" {
+		return nil, errors.New("want } 1 after the labels")
+	}
+	return vals, nil
 }

@@ -26,8 +26,8 @@ const floorClients = 2
 // server stack (httpx.NewServer on a loopback listener, two keep-alive
 // clients sending one-row POST /predict) around a different handler:
 //
-//   - noop: httpx.Instrument around a handler that reads the body and
-//     writes a fixed prediction-sized reply, the floor;
+//   - noop: httpx.Instrument around a one-route mux whose handler reads
+//     the body and writes a fixed prediction-sized reply, the floor;
 //   - handler: httpx.Instrument around Handler(), as Start wires it;
 //   - handler-bare: Handler() alone, so that handler minus handler-bare is
 //     what the middleware adds.
@@ -41,13 +41,14 @@ func BenchmarkServeFloor(b *testing.B) {
 	s, _ := newTestServer(b, Config{ModelPath: path})
 	body := []byte(`{"x":[1.5,-0.25]}`)
 	reply := []byte(`{"predictions":[[10.123456789012345,3.1234567890123456]],"target_names":["u","v"],"model":{"ref":"default@v1"}}` + "\n")
-	noop := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	noop := http.NewServeMux()
+	noop.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(reply)
 	})
-	instrument := func(h http.Handler) http.Handler {
-		return httpx.Instrument(httpx.InstrumentOptions{Service: "serve"}, h)
+	instrument := func(mux *http.ServeMux) http.Handler {
+		return httpx.Instrument(httpx.InstrumentOptions{Service: "serve"}, mux)
 	}
 	for _, c := range []struct {
 		name string

@@ -4,22 +4,16 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"nnwc/internal/obs/metrics"
 )
 
-// metricsWindow is the recent-observation window quantiles compute over.
-const metricsWindow = 4096
-
-var latencyQuantiles = []float64{0.5, 0.9, 0.99}
-
 // metricsRegistry is the fleet's observability surface, built on the
 // shared exporter in internal/obs/metrics: request/error counters and
 // latency/batch distributions at the HTTP layer, plus the per-tenant
 // surface admission control is driven by — per-model request counters,
-// latency summaries, in-flight gauges and shed counters — and the
+// latency histograms, in-flight gauges and shed counters — and the
 // deployment-controller counters (fleet events, rolling HMRE gauges,
 // shadow divergence). All methods are safe for concurrent use. The
 // exposition schema is pinned by TestMetricsSchema.
@@ -27,19 +21,19 @@ type metricsRegistry struct {
 	reg       *metrics.Registry
 	requests  *metrics.CounterVec
 	errors    *metrics.CounterVec
-	latency   *metrics.Summary
-	batchSize *metrics.Summary
+	latency   *metrics.Histogram
+	batchSize *metrics.Histogram
 	reloads   *metrics.Counter
 	inflight  atomic.Int64
 
 	tenantRequests *metrics.CounterVec
-	tenantLatency  *metrics.SummaryVec
+	tenantLatency  *metrics.HistogramVec
 	tenantInflight *metrics.GaugeVec
 	tenantShed     *metrics.CounterVec
 
 	fleetEvents *metrics.CounterVec
 	rollingHMRE *metrics.GaugeVec
-	divergence  *metrics.SummaryVec
+	divergence  *metrics.HistogramVec
 }
 
 func newMetricsRegistry(warmModels, batchGroups func() float64) *metricsRegistry {
@@ -48,10 +42,10 @@ func newMetricsRegistry(warmModels, batchGroups func() float64) *metricsRegistry
 		"Requests served, by endpoint and status code.", "endpoint", "code")
 	m.errors = m.reg.CounterVec("nnwc_request_errors_total",
 		"Rejected or failed requests, by reason.", "reason")
-	m.latency = m.reg.Summary("nnwc_request_latency_seconds",
-		"Prediction latency over the recent window.", metricsWindow, latencyQuantiles...)
-	m.batchSize = m.reg.Summary("nnwc_batch_size",
-		"Rows per coalesced forward call over the recent window.", metricsWindow, latencyQuantiles...)
+	m.latency = m.reg.Histogram("nnwc_request_latency_seconds",
+		"Prediction latency in seconds.", metrics.SecondsBuckets)
+	m.batchSize = m.reg.Histogram("nnwc_batch_size",
+		"Rows per coalesced forward call.", metrics.RowBuckets)
 	m.reloads = m.reg.Counter("nnwc_model_reloads_total",
 		"Live-model swaps from hot reloads since start.")
 	m.reg.GaugeFunc("nnwc_inflight_requests",
@@ -60,9 +54,8 @@ func newMetricsRegistry(warmModels, batchGroups func() float64) *metricsRegistry
 
 	m.tenantRequests = m.reg.CounterVec("nnwc_tenant_requests_total",
 		"Predict requests by model and status code.", "model", "code")
-	m.tenantLatency = m.reg.SummaryVec("nnwc_tenant_latency_seconds",
-		"Prediction latency by model over the recent window.",
-		metricsWindow, []string{"model"}, latencyQuantiles...)
+	m.tenantLatency = m.reg.HistogramVec("nnwc_tenant_latency_seconds",
+		"Prediction latency in seconds, by model.", metrics.SecondsBuckets, "model")
 	m.tenantInflight = m.reg.GaugeVec("nnwc_tenant_inflight_requests",
 		"Predict requests in flight, by model.", "model")
 	m.tenantShed = m.reg.CounterVec("nnwc_tenant_shed_total",
@@ -72,9 +65,8 @@ func newMetricsRegistry(warmModels, batchGroups func() float64) *metricsRegistry
 		"Deployment-controller actions, by model and action.", "model", "action")
 	m.rollingHMRE = m.reg.GaugeVec("nnwc_fleet_rolling_hmre",
 		"Rolling mean per-observation HMRE from reported actuals, by model and role.", "model", "role")
-	m.divergence = m.reg.SummaryVec("nnwc_fleet_shadow_divergence",
-		"Relative gap between mirrored shadow and live predictions.",
-		metricsWindow, []string{"model"}, latencyQuantiles...)
+	m.divergence = m.reg.HistogramVec("nnwc_fleet_shadow_divergence",
+		"Relative gap between mirrored shadow and live predictions.", metrics.DecadeBuckets, "model")
 
 	if warmModels != nil {
 		m.reg.GaugeFunc("nnwc_registry_warm_models",
@@ -123,8 +115,8 @@ func (m *metricsRegistry) observeReload() {
 // batchStats returns (batches, rows) — used by tests and the bench driver
 // to verify coalescing actually happened.
 func (m *metricsRegistry) batchStats() (batches, rows uint64) {
-	count, sum := m.batchSize.Stats()
-	return count, uint64(sum)
+	s := m.batchSize.Snapshot()
+	return s.Count, uint64(s.Sum)
 }
 
 // modelMeta is the metadata slice of /metrics, snapshotted from the
@@ -146,7 +138,7 @@ func (m *metricsRegistry) write(w io.Writer, meta *modelMeta) {
 		fmt.Fprintf(w, "nnwc_model_loaded_timestamp_seconds %d\n", meta.loadedUnix)
 		fmt.Fprintln(w, "# HELP nnwc_model_info Metadata of the serving model.")
 		fmt.Fprintln(w, "# TYPE nnwc_model_info gauge")
-		fmt.Fprintf(w, "nnwc_model_info{path=%q,features=\"%d\",targets=\"%d\"} 1\n",
-			strings.ReplaceAll(meta.path, `"`, ""), meta.features, meta.targets)
+		fmt.Fprintf(w, "nnwc_model_info{path=\"%s\",features=\"%d\",targets=\"%d\"} 1\n",
+			metrics.EscapeLabelValue(meta.path), meta.features, meta.targets)
 	}
 }

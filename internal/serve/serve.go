@@ -366,7 +366,7 @@ type errorResponse struct {
 }
 
 // Handler returns the HTTP API.
-func (s *Server) Handler() http.Handler {
+func (s *Server) Handler() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /predict", s.handlePredict)
 	mux.HandleFunc("POST /observe", s.handleObserve)
@@ -389,8 +389,7 @@ func (s *Server) Start() error {
 	}
 	s.ln = ln
 	// The shared httpx middleware gives the serve plane the same
-	// server-side request metrics and span events the dist coordinator has
-	// (routes here are a fixed set, so the default METHOD+path label works).
+	// server-side request metrics and span events the dist coordinator has.
 	handler := httpx.Instrument(httpx.InstrumentOptions{Service: "serve", Trace: s.cfg.Trace}, s.Handler())
 	s.http = httpx.NewServer(handler, httpx.Timeouts{
 		Read:  s.cfg.ReadTimeout,

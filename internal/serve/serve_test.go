@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -720,7 +721,13 @@ func TestHotReloadAtomicity(t *testing.T) {
 
 // TestMetricsSchema pins the names and shape of the /metrics exposition.
 func TestMetricsSchema(t *testing.T) {
-	path := writeTestModel(t, t.TempDir(), 7)
+	// The model's path lands in a label value: a tab, quote and backslash
+	// in it must render with the text format's escapes only.
+	dir := filepath.Join(t.TempDir(), "a\t\"b\\c")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := writeTestModel(t, dir, 7)
 	_, ts := newTestServer(t, Config{ModelPath: path})
 
 	for i := 0; i < 3; i++ {
@@ -749,28 +756,37 @@ func TestMetricsSchema(t *testing.T) {
 		`nnwc_requests_total{endpoint="predict",code="200"} 3`,
 		`nnwc_requests_total{endpoint="predict",code="400"} 1`,
 		`nnwc_request_errors_total{reason="bad_input"} 1`,
-		`nnwc_request_latency_seconds{quantile="0.5"}`,
-		`nnwc_request_latency_seconds{quantile="0.99"}`,
+		`nnwc_request_latency_seconds_bucket{le="1e-05"}`,
+		`nnwc_request_latency_seconds_bucket{le="+Inf"} 4`,
+		`nnwc_request_latency_seconds_sum`,
 		`nnwc_request_latency_seconds_count 4`,
-		`nnwc_batch_size{quantile="0.5"}`,
+		`nnwc_batch_size_bucket{le="1"} 3`,
+		`nnwc_batch_size_bucket{le="128"} 3`,
+		`nnwc_batch_size_bucket{le="+Inf"} 3`,
 		`nnwc_batch_size_sum 3`,
+		`nnwc_batch_size_count 3`,
 		`nnwc_model_reloads_total 0`,
 		`nnwc_inflight_requests 0`,
 		`nnwc_tenant_requests_total{model="default",code="200"} 3`,
 		`nnwc_tenant_requests_total{model="default",code="400"} 1`,
-		`nnwc_tenant_latency_seconds{model="default",quantile="0.5"}`,
+		`nnwc_tenant_latency_seconds_bucket{model="default",le="1e-05"}`,
+		`nnwc_tenant_latency_seconds_bucket{model="default",le="+Inf"} 3`,
+		`nnwc_tenant_latency_seconds_sum{model="default"}`,
 		`nnwc_tenant_latency_seconds_count{model="default"} 3`,
 		`nnwc_tenant_inflight_requests{model="default"} 0`,
 		`nnwc_fleet_events_total{model="default",action="deploy"} 1`,
 		`nnwc_registry_warm_models 1`,
 		`nnwc_batch_groups 1`,
 		`nnwc_model_loaded_timestamp_seconds`,
-		`nnwc_model_info{path=`,
+		`nnwc_model_info{path="` + strings.NewReplacer(`\`, `\\`, `"`, `\"`).Replace(path) + `",`,
 	}
 	for _, want := range wants {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q\n---\n%s", want, body)
 		}
+	}
+	if strings.Contains(body, "quantile=") {
+		t.Errorf("metrics output renders a summary quantile:\n%s", body)
 	}
 }
 
