@@ -1,27 +1,31 @@
 package mat
 
-import "nnwc/internal/cpuid"
+import (
+	"math"
+
+	"nnwc/internal/cpuid"
+)
 
 //go:noescape
 func mulRowsAVX(dst *float64, dstRow int, a *float64, rows, k int, w *float64, wRow int, seed *float64, lanes int, skipZero bool)
 
 //go:noescape
-func gradAccumAVX(dw *float64, dwStep int, d *float64, dStep int, x *float64, xStep int, rows, dRow, xRow int, scale float64, l0, l1, l2, l3 int)
+func gradAccumAVX(dw *float64, dwStep int, d *float64, dStep int, x *float64, xStep int, rows, dRow, xRow int, scale float64, l0, l1, l2, l3, accs int)
 
 //go:noescape
-func biasAccumAVX(db *float64, d *float64, rows, dRow int, scale float64, l0, l1, l2, l3 int)
+func biasAccumAVX(db *float64, d *float64, rows, dRow int, scale float64, l0, l1, l2, l3, accs int)
 
 //go:noescape
 func mulRowsAVX512(dst *float64, dstRow int, a *float64, rows, k int, w *float64, wRow int, seed *float64, lanes int, skipZero bool)
 
 //go:noescape
-func gradAccumAVX512(dw *float64, dwStep int, d *float64, dStep int, x *float64, xStep int, rows, dRow, xRow int, scale float64, l0, l1, l2, l3 int)
+func gradAccumAVX512(dw *float64, dwStep int, d *float64, dStep int, x *float64, xStep int, rows, dRow, xRow int, scale float64, l0, l1, l2, l3, accs int)
 
 //go:noescape
 func gradAccumOutsAVX512(acc *float64, d *float64, x *float64, rows, dRow, xRow int, scale float64, lanes int)
 
 //go:noescape
-func biasAccumAVX512(db *float64, d *float64, rows, dRow int, scale float64, l0, l1, l2, l3 int)
+func biasAccumAVX512(db *float64, d *float64, rows, dRow int, scale float64, l0, l1, l2, l3, accs int)
 
 // width is the lane count of the kernels the exported functions run,
 // decided once: 8 (AVX-512) when the CPU has AVX512F and AVX512DQ and the
@@ -92,18 +96,33 @@ func mulInto(dst, a, b *Matrix) {
 }
 
 // mulLanes runs MulInto's assembly of w lanes over blocks of w columns.
+// The exact-zero skip changes a cell only through a term 0·b with b ±Inf
+// or NaN. Any other such term is ±0, and adding ±0 leaves an accumulator
+// that starts at +0 as it was (it never becomes −0). So where b is all
+// finite, the kernel runs without the skip's compare on every term.
 //
 //nnwc:hotpath
 func mulLanes(dst, a, b *Matrix, w int) {
 	var zero [8]float64
+	skip := !finite(b.Data[:b.Rows*b.Cols])
 	for j := 0; j < b.Cols; j += w {
 		n := min(b.Cols-j, w)
 		if w == 8 {
-			mulRowsAVX512(&dst.Data[j], dst.Cols, &a.Data[0], a.Rows, a.Cols, &b.Data[j], b.Cols, &zero[0], n, true)
+			mulRowsAVX512(&dst.Data[j], dst.Cols, &a.Data[0], a.Rows, a.Cols, &b.Data[j], b.Cols, &zero[0], n, skip)
 		} else {
-			mulRowsAVX(&dst.Data[j], dst.Cols, &a.Data[0], a.Rows, a.Cols, &b.Data[j], b.Cols, &zero[0], n, true)
+			mulRowsAVX(&dst.Data[j], dst.Cols, &a.Data[0], a.Rows, a.Cols, &b.Data[j], b.Cols, &zero[0], n, skip)
 		}
 	}
+}
+
+// finite reports whether no value of v is ±Inf or NaN.
+func finite(v []float64) bool {
+	for _, x := range v {
+		if !(math.Abs(x) <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
 }
 
 //nnwc:hotpath
@@ -116,9 +135,12 @@ func gradAccumInto(dw *Matrix, db []float64, delta, in *Matrix, scale float64) {
 }
 
 // gradAccumLanes runs GradAccumInto's assembly of w lanes: dw in blocks of
-// 4 outputs × w inputs, each leftover output as 1 × 4w inputs, and db 4w
-// outputs per call. At 8 lanes, a layer of 4…7 inputs takes the transposed
-// block (gradAccumOuts) for all of dw instead.
+// 4 outputs × w inputs, each leftover output as 1 × up to 4w inputs, and
+// db up to 4w outputs per call. The leftover and db calls run only the
+// accumulators that hold live lanes: a 16-5 layer's db takes 1 of the 4,
+// a 32-input leftover output all 4, a 16-input one 2 at 8 lanes. At 8
+// lanes, a layer of 4…7 inputs takes the transposed block (gradAccumOuts)
+// for all of dw instead.
 //
 //nnwc:hotpath
 func gradAccumLanes(dw *Matrix, db []float64, delta, in *Matrix, scale float64, w int) {
@@ -135,18 +157,18 @@ func gradAccumLanes(dw *Matrix, db []float64, delta, in *Matrix, scale float64, 
 	for ; o+4 <= outs; o += 4 {
 		for j := 0; j < ins; j += w {
 			c := lanes(ins-j, w)
-			grad(&dw.Data[o*ins+j], ins, &delta.Data[o], 1, &in.Data[j], 0, n, outs, ins, scale, c, c, c, c)
+			grad(&dw.Data[o*ins+j], ins, &delta.Data[o], 1, &in.Data[j], 0, n, outs, ins, scale, c, c, c, c, 4)
 		}
 	}
 	for ; o < outs; o++ {
 		for j := 0; j < ins; j += 4 * w {
 			r := ins - j
-			grad(&dw.Data[o*ins+j], w, &delta.Data[o], 0, &in.Data[j], w, n, outs, ins, scale, lanes(r, w), lanes(r-w, w), lanes(r-2*w, w), lanes(r-3*w, w))
+			grad(&dw.Data[o*ins+j], w, &delta.Data[o], 0, &in.Data[j], w, n, outs, ins, scale, lanes(r, w), lanes(r-w, w), lanes(r-2*w, w), lanes(r-3*w, w), accums(r, w))
 		}
 	}
 	for o := 0; o < outs; o += 4 * w {
 		r := outs - o
-		bias(&db[o], &delta.Data[o], n, outs, scale, lanes(r, w), lanes(r-w, w), lanes(r-2*w, w), lanes(r-3*w, w))
+		bias(&db[o], &delta.Data[o], n, outs, scale, lanes(r, w), lanes(r-w, w), lanes(r-2*w, w), lanes(r-3*w, w), accums(r, w))
 	}
 }
 
@@ -181,3 +203,7 @@ func gradAccumOuts(dw *Matrix, delta, in *Matrix, scale float64) {
 
 // lanes clamps a remaining element count to a register's 0…w lanes.
 func lanes(n, w int) int { return min(max(n, 0), w) }
+
+// accums is the number of the 4 accumulators of w lanes that n > 0
+// remaining elements fill: ⌈n/w⌉, at most 4.
+func accums(n, w int) int { return min((n+w-1)/w, 4) }

@@ -170,14 +170,16 @@ done:
 	VMASKMOVPD xsrc, m, Y9; \
 	GRADX(dsrc, acc)
 
-// func gradAccumAVX(dw *float64, dwStep int, d *float64, dStep int, x *float64, xStep int, rows, dRow, xRow int, scale float64, l0, l1, l2, l3 int)
+// func gradAccumAVX(dw *float64, dwStep int, d *float64, dStep int, x *float64, xStep int, rows, dRow, xRow int, scale float64, l0, l1, l2, l3, accs int)
 //
-// Runs 4 accumulators over rows r ascending. Accumulator a holds the la
-// lanes of dw at dw+a·dwStep and adds scale·(d·x), d = d[a·dStep+r·dRow]
-// broadcast and x the la lanes at x+a·xStep+r·xRow. A block of 4 outputs ×
-// 4 inputs has dStep 1, xStep 0; one output × 16 inputs has dStep 0,
-// xStep 4. Steps and row strides are in elements.
-TEXT ·gradAccumAVX(SB), NOSPLIT, $0-112
+// Runs accumulators a < accs over rows r ascending, 1 <= accs <= 4 and la
+// = 0 for the others. Accumulator a holds the la lanes of dw at
+// dw+a·dwStep and adds scale·(d·x), d = d[a·dStep+r·dRow] broadcast and x
+// the la lanes at x+a·xStep+r·xRow. A block of 4 outputs × 4 inputs has
+// dStep 1, xStep 0 and accs 4; one output × up to 16 inputs has dStep 0,
+// xStep 4 and an accumulator per 4 inputs. Steps and row strides are in
+// elements.
+TEXT ·gradAccumAVX(SB), NOSPLIT, $0-120
 	MOVQ l0+80(FP), AX
 	LANEMASK(AX, CX, Y4)
 	MOVQ l1+88(FP), AX
@@ -212,6 +214,12 @@ TEXT ·gradAccumAVX(SB), NOSPLIT, $0-112
 	JZ   gradstore
 	TESTQ R10, R10
 	JZ   gradloop4x4
+	MOVQ accs+112(FP), AX
+	CMPQ AX, $2
+	JLT  gradloop1
+	JEQ  gradloop2
+	CMPQ AX, $3
+	JEQ  gradloop3
 
 gradloop:
 	GRAD((DX), (SI), Y4, Y0)
@@ -222,6 +230,33 @@ gradloop:
 	ADDQ R13, DX
 	DECQ CX
 	JNZ  gradloop
+	JMP  gradstore
+
+gradloop3:
+	GRAD((DX), (SI), Y4, Y0)
+	GRAD((DX)(R10*1), (SI)(R8*1), Y5, Y1)
+	GRAD((DX)(R10*2), (SI)(R8*2), Y6, Y2)
+	ADDQ R12, SI
+	ADDQ R13, DX
+	DECQ CX
+	JNZ  gradloop3
+	JMP  gradstore
+
+gradloop2:
+	GRAD((DX), (SI), Y4, Y0)
+	GRAD((DX)(R10*1), (SI)(R8*1), Y5, Y1)
+	ADDQ R12, SI
+	ADDQ R13, DX
+	DECQ CX
+	JNZ  gradloop2
+	JMP  gradstore
+
+gradloop1:
+	GRAD((DX), (SI), Y4, Y0)
+	ADDQ R12, SI
+	ADDQ R13, DX
+	DECQ CX
+	JNZ  gradloop1
 	JMP  gradstore
 
 gradloop4x4: // xStep 0: the 4 accumulators share one x load
@@ -250,11 +285,12 @@ gradstore:
 	VMULPD     Y8, Y9, Y9; \
 	VADDPD     Y9, acc, acc
 
-// func biasAccumAVX(db *float64, d *float64, rows, dRow int, scale float64, l0, l1, l2, l3 int)
+// func biasAccumAVX(db *float64, d *float64, rows, dRow int, scale float64, l0, l1, l2, l3, accs int)
 //
-// db[i] += scale·d[r·dRow+i] over rows r ascending, for the 16 consecutive
-// outputs i in 4 accumulators of la lanes each. dRow is in elements.
-TEXT ·biasAccumAVX(SB), NOSPLIT, $0-72
+// db[i] += scale·d[r·dRow+i] over rows r ascending, for up to 16
+// consecutive outputs i in accumulators a < accs of la lanes each, 1 <=
+// accs <= 4 and la = 0 for the others. dRow is in elements.
+TEXT ·biasAccumAVX(SB), NOSPLIT, $0-80
 	MOVQ l0+40(FP), AX
 	LANEMASK(AX, CX, Y4)
 	MOVQ l1+48(FP), AX
@@ -275,6 +311,12 @@ TEXT ·biasAccumAVX(SB), NOSPLIT, $0-72
 	SHLQ $3, R8
 	TESTQ CX, CX
 	JZ   biasstore
+	MOVQ accs+72(FP), AX
+	CMPQ AX, $2
+	JLT  biasloop1
+	JEQ  biasloop2
+	CMPQ AX, $3
+	JEQ  biasloop3
 
 biasloop:
 	BIAS((SI), Y4, Y0)
@@ -284,6 +326,30 @@ biasloop:
 	ADDQ R8, SI
 	DECQ CX
 	JNZ  biasloop
+	JMP  biasstore
+
+biasloop3:
+	BIAS((SI), Y4, Y0)
+	BIAS(32(SI), Y5, Y1)
+	BIAS(64(SI), Y6, Y2)
+	ADDQ R8, SI
+	DECQ CX
+	JNZ  biasloop3
+	JMP  biasstore
+
+biasloop2:
+	BIAS((SI), Y4, Y0)
+	BIAS(32(SI), Y5, Y1)
+	ADDQ R8, SI
+	DECQ CX
+	JNZ  biasloop2
+	JMP  biasstore
+
+biasloop1:
+	BIAS((SI), Y4, Y0)
+	ADDQ R8, SI
+	DECQ CX
+	JNZ  biasloop1
 
 biasstore:
 	VMASKMOVPD Y0, Y4, (DI)
@@ -445,12 +511,12 @@ done:
 	VMOVUPD.Z xsrc, k, Z9; \
 	ZGRADX(dsrc, acc)
 
-// func gradAccumAVX512(dw *float64, dwStep int, d *float64, dStep int, x *float64, xStep int, rows, dRow, xRow int, scale float64, l0, l1, l2, l3 int)
+// func gradAccumAVX512(dw *float64, dwStep int, d *float64, dStep int, x *float64, xStep int, rows, dRow, xRow int, scale float64, l0, l1, l2, l3, accs int)
 //
 // gradAccumAVX's contract with up to 8 lanes per accumulator: a block of 4
-// outputs × 8 inputs has dStep 1, xStep 0; one output × 32 inputs has
-// dStep 0, xStep 8.
-TEXT ·gradAccumAVX512(SB), NOSPLIT, $0-112
+// outputs × 8 inputs has dStep 1, xStep 0 and accs 4; one output × up to
+// 32 inputs has dStep 0, xStep 8 and an accumulator per 8 inputs.
+TEXT ·gradAccumAVX512(SB), NOSPLIT, $0-120
 	MOVQ l0+80(FP), CX
 	LANEMASK8(K1)
 	MOVQ l1+88(FP), CX
@@ -485,6 +551,12 @@ TEXT ·gradAccumAVX512(SB), NOSPLIT, $0-112
 	JZ   gradstore
 	TESTQ R10, R10
 	JZ   gradloop4x8
+	MOVQ accs+112(FP), AX
+	CMPQ AX, $2
+	JLT  gradloop1
+	JEQ  gradloop2
+	CMPQ AX, $3
+	JEQ  gradloop3
 
 gradloop:
 	ZGRAD((DX), (SI), K1, Z0)
@@ -495,6 +567,33 @@ gradloop:
 	ADDQ R13, DX
 	DECQ CX
 	JNZ  gradloop
+	JMP  gradstore
+
+gradloop3:
+	ZGRAD((DX), (SI), K1, Z0)
+	ZGRAD((DX)(R10*1), (SI)(R8*1), K2, Z1)
+	ZGRAD((DX)(R10*2), (SI)(R8*2), K3, Z2)
+	ADDQ R12, SI
+	ADDQ R13, DX
+	DECQ CX
+	JNZ  gradloop3
+	JMP  gradstore
+
+gradloop2:
+	ZGRAD((DX), (SI), K1, Z0)
+	ZGRAD((DX)(R10*1), (SI)(R8*1), K2, Z1)
+	ADDQ R12, SI
+	ADDQ R13, DX
+	DECQ CX
+	JNZ  gradloop2
+	JMP  gradstore
+
+gradloop1:
+	ZGRAD((DX), (SI), K1, Z0)
+	ADDQ R12, SI
+	ADDQ R13, DX
+	DECQ CX
+	JNZ  gradloop1
 	JMP  gradstore
 
 gradloop4x8: // xStep 0: the 4 accumulators share one x load
@@ -576,11 +675,11 @@ outsstore:
 	VMULPD    Z8, Z9, Z9; \
 	VADDPD    Z9, acc, acc
 
-// func biasAccumAVX512(db *float64, d *float64, rows, dRow int, scale float64, l0, l1, l2, l3 int)
+// func biasAccumAVX512(db *float64, d *float64, rows, dRow int, scale float64, l0, l1, l2, l3, accs int)
 //
-// biasAccumAVX's contract for 32 consecutive outputs in 4 accumulators of
-// up to 8 lanes each.
-TEXT ·biasAccumAVX512(SB), NOSPLIT, $0-72
+// biasAccumAVX's contract for up to 32 consecutive outputs in accumulators
+// of up to 8 lanes each.
+TEXT ·biasAccumAVX512(SB), NOSPLIT, $0-80
 	MOVQ l0+40(FP), CX
 	LANEMASK8(K1)
 	MOVQ l1+48(FP), CX
@@ -601,6 +700,12 @@ TEXT ·biasAccumAVX512(SB), NOSPLIT, $0-72
 	SHLQ $3, R8
 	TESTQ CX, CX
 	JZ   biasstore
+	MOVQ accs+72(FP), AX
+	CMPQ AX, $2
+	JLT  biasloop1
+	JEQ  biasloop2
+	CMPQ AX, $3
+	JEQ  biasloop3
 
 biasloop:
 	ZBIAS((SI), K1, Z0)
@@ -610,6 +715,30 @@ biasloop:
 	ADDQ R8, SI
 	DECQ CX
 	JNZ  biasloop
+	JMP  biasstore
+
+biasloop3:
+	ZBIAS((SI), K1, Z0)
+	ZBIAS(64(SI), K2, Z1)
+	ZBIAS(128(SI), K3, Z2)
+	ADDQ R8, SI
+	DECQ CX
+	JNZ  biasloop3
+	JMP  biasstore
+
+biasloop2:
+	ZBIAS((SI), K1, Z0)
+	ZBIAS(64(SI), K2, Z1)
+	ADDQ R8, SI
+	DECQ CX
+	JNZ  biasloop2
+	JMP  biasstore
+
+biasloop1:
+	ZBIAS((SI), K1, Z0)
+	ADDQ R8, SI
+	DECQ CX
+	JNZ  biasloop1
 
 biasstore:
 	VMOVUPD Z0, K1, (DI)

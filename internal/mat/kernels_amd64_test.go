@@ -55,6 +55,31 @@ func TestMatKernelSelection(t *testing.T) {
 	t.Logf("mat kernels selected: %s", map[int]string{0: "Go", 4: "AVX", 8: "AVX512"}[width])
 }
 
+// TestKernelShapesCoverLiveAccumulators checks that kernelShapes give the
+// leftover-output and db calls of gradAccumLanes every live-accumulator
+// count, 1 through 4, at either width.
+func TestKernelShapesCoverLiveAccumulators(t *testing.T) {
+	for _, k := range asmWidths {
+		left, bias := map[int]bool{}, map[int]bool{}
+		for _, sh := range kernelShapes {
+			outs, ins, w := sh.n, sh.k, k.w
+			for o := 0; o < outs; o += 4 * w {
+				bias[accums(outs-o, w)] = true
+			}
+			if outs%4 != 0 && !(w == 8 && ins >= 4 && ins < 8) {
+				for j := 0; j < ins; j += 4 * w {
+					left[accums(ins-j, w)] = true
+				}
+			}
+		}
+		for a := 1; a <= 4; a++ {
+			if !left[a] || !bias[a] {
+				t.Errorf("%s: %d live accumulators: leftover output %v, db %v", k.name, a, left[a], bias[a])
+			}
+		}
+	}
+}
+
 // BenchmarkFoldKernelWidths times each width of assembly this host runs at
 // a Table 2 fold's shapes (259 training rows, a 4-16-5 network), so the
 // widths compare on one host.

@@ -27,16 +27,18 @@ func randMatrix(src *rng.Source, rows, cols int) *Matrix {
 
 // kernelShapes straddle every register block boundary: m runs 1…9 (every
 // 4-row block tail, on both sides of MulTransBiasInto's row gate), 16, and
-// a Table 2 fold's training sizes (259 odd, 260 even); n runs 1…9 and 33 so
-// every n%4 and n%8 tail, odd output counts and a second db call of either
+// a Table 2 fold's training sizes (259 odd, 260 even); n runs 1…9, 16, 17
+// and 33 so every n%4 and n%8 tail, odd output counts, a second db call of
+// either width, and db calls of 1, 2, 3 and 4 live accumulators at either
 // width appear; k runs across the 4- and 8-wide tiles, 4 and 6 take the
 // 8-lane transposed gradient block (6 with a last input group that
-// repeats two inputs), and 33 takes a leftover output past its first call
-// of either width.
+// repeats two inputs), 1…33 give a leftover output's call 1, 2, 3 and 4
+// live accumulators at either width, and 33 takes a leftover output past
+// its first call of either width.
 var kernelShapes = func() (shapes []struct{ m, n, k int }) {
 	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 259, 260} {
-		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33} {
-			for _, k := range []int{1, 3, 4, 6, 16, 17, 33} {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33} {
+			for _, k := range []int{1, 3, 4, 6, 9, 12, 16, 17, 24, 33} {
 				shapes = append(shapes, struct{ m, n, k int }{m, n, k})
 			}
 		}
@@ -261,6 +263,26 @@ func TestMulIntoBitIdenticalToAscendingAccumulation(t *testing.T) {
 			if v := got.At(last, sh.n-1); math.Float64bits(v) != 0 {
 				t.Fatalf("%s: −0 products onto +0 gave %v, want +0", what, v)
 			}
+
+			// Zeros of both signs in a over a finite b, and products that
+			// underflow to ±0: where b is finite the kernels run without
+			// the skip, and the cells must still be the skipping loop's.
+			a = randMatrix(src, sh.m, sh.k)
+			b = randMatrix(src, sh.k, sh.n)
+			for i := range a.Data {
+				switch i % 3 {
+				case 0:
+					a.Data[i] = 0
+				case 1:
+					a.Data[i] = math.Copysign(0, -1)
+				default:
+					a.Data[i] *= 0x1p-540
+				}
+			}
+			for i := range b.Data {
+				b.Data[i] *= 0x1p-540
+			}
+			requireSame(t, what+" zeros over finite b", impl.mul(dst, a, b).Data, refMul(a, b).Data)
 
 			// An exact 0 in a opposite an Inf row of b is skipped, so row 0
 			// stays finite; the other rows see ±Inf, and a NaN in the last row

@@ -85,6 +85,9 @@ type RPROP struct {
 	StepInit          float64 // initial step (0.1)
 	StepMin, StepMax  float64 // step clamps (1e-6 / 50)
 	step, prev        []float64
+	// clean holds while StepInit and every step's hyperparameters since
+	// the state was sized were positive finite, so no step is NaN.
+	clean bool
 }
 
 // NewRPROP returns an RPROP optimizer with the canonical constants.
@@ -94,8 +97,10 @@ func NewRPROP() *RPROP {
 
 // Step implements Optimizer. g must be a full-batch gradient. By the sign
 // of grad·prev a weight grows its step and moves (> 0), shrinks its step
-// and stays (< 0), or moves by its step (zero or NaN); bit masks pick the
-// outcome, so a gradient that flips sign costs no mispredicted branch.
+// and stays (< 0), or moves by its step (zero or NaN). rpropStepGo is the
+// definition; on AVX-512 hosts the kernel runs it eight weights wide, bit
+// for bit, unless a hyperparameter is NaN, ±Inf, zero or negative, where
+// VMINPD and VMAXPD could differ from the clamps (DESIGN.md §13).
 func (r *RPROP) Step(net *nn.Network, g *Gradients) {
 	p := net.Params()
 	if r.step == nil {
@@ -104,19 +109,41 @@ func (r *RPROP) Step(net *nn.Network, g *Gradients) {
 		for i := range r.step {
 			r.step[i] = r.StepInit
 		}
+		r.clean = positiveFinite(r.StepInit)
 	}
+	// A step with a degenerate hyperparameter takes the Go loop and leaves
+	// the state to it until Reset: the steps it computes may be NaN, on
+	// which VMINPD and VMAXPD differ from the clamps.
+	r.clean = r.clean && positiveFinite(r.EtaPlus) && positiveFinite(r.EtaMinus) &&
+		positiveFinite(r.StepMin) && positiveFinite(r.StepMax)
 	p = p[:len(g.Flat)]
 	step, prev := r.step[:len(p)], r.prev[:len(p)]
-	etaPlus, etaMinus, stepMin, stepMax := r.EtaPlus, r.EtaMinus, r.StepMin, r.StepMax
-	for i, grad := range g.Flat {
-		sign := grad * prev[i]
+	if rpropZMM && r.clean {
+		rpropStepAVX512(p, step, prev, g.Flat, r.EtaPlus, r.EtaMinus, r.StepMin, r.StepMax)
+		return
+	}
+	rpropStepGo(p, step, prev, g.Flat, r.EtaPlus, r.EtaMinus, r.StepMin, r.StepMax)
+}
+
+// positiveFinite reports 0 < x < +Inf; NaN fails both comparisons.
+func positiveFinite(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
+// rpropStepGo is one RPROP step over grad, the definition every kernel
+// reproduces. Bit masks pick each weight's outcome, so a gradient that
+// flips sign costs no mispredicted branch.
+//
+//nnwc:hotpath
+func rpropStepGo(p, step, prev, grad []float64, etaPlus, etaMinus, stepMin, stepMax float64) {
+	p, step, prev = p[:len(grad)], step[:len(grad)], prev[:len(grad)]
+	for i, g := range grad {
+		sign := g * prev[i]
 		grow, shrink := mask(sign > 0), mask(sign < 0)
 		s := step[i]
 		s = pick(grow, clampMin(s*etaPlus, stepMax), pick(shrink, clampMax(s*etaMinus, stepMin), s))
 		step[i] = s
 		// iRPROP−: a shrunk weight stays and forgets its gradient.
-		p[i] = pick(shrink, p[i], p[i]-sgn(grad)*s)
-		prev[i] = math.Float64frombits(^shrink & math.Float64bits(grad))
+		p[i] = pick(shrink, p[i], p[i]-sgn(g)*s)
+		prev[i] = math.Float64frombits(^shrink & math.Float64bits(g))
 	}
 }
 
