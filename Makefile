@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-report lint-baseline test race dist-test cluster-test bench-smoke bench perfbench ci clean
+.PHONY: all build vet lint lint-report lint-baseline test race dist-test cluster-test bench-smoke bench perfbench loc ci clean
 
 all: ci
 
@@ -83,6 +83,16 @@ perfbench:
 		echo "$$out"; \
 		echo "$$out" | tail -n 1 >> perfbench-results.jsonl; \
 	done
+
+# Line counts the way ROADMAP.md's scorecard counts them: tracked files
+# only (git ls-files), leaving out testdata/ and perfbench/. Not a gate;
+# CI does not run it.
+LOC_SKIP = grep -v -e 'testdata/' -e '^perfbench/'
+
+loc:
+	@printf 'non-test Go:    %s\n' "$$(git ls-files '*.go' | grep -v '_test\.go$$' | $(LOC_SKIP) | xargs cat | wc -l)"
+	@printf 'test Go:        %s\n' "$$(git ls-files '*_test.go' | $(LOC_SKIP) | xargs cat | wc -l)"
+	@printf 'amd64 assembly: %s\n' "$$(git ls-files '*_amd64.s' | $(LOC_SKIP) | xargs cat | wc -l)"
 
 ci: build vet lint race bench-smoke
 

@@ -495,7 +495,7 @@ func BenchmarkAblationEnsembleSize(b *testing.B) {
 				ds := dataset(b).Clone()
 				ds.Shuffle(rng.New(5))
 				trainSet, valSet := ds.Split(0.8)
-				ens, err := core.FitEnsemble(trainSet, benchModelConfig([]int{16}, 1), n)
+				ens, err := core.FitEnsembleWorkers(trainSet, benchModelConfig([]int{16}, 1), n, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -15,9 +15,11 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixtureNames lists every self-test package under
 // internal/analysis/testdata/src, in the order the golden file expects.
+// The unreferenced fixture is a tree of packages, linted as one pattern.
 var fixtureNames = []string{
 	"ctxflow", "determinism", "errcheckresults", "floateq", "golifecycle",
-	"hotpath", "lockhold", "maprange", "pooldiscipline", "sched", "waiver",
+	"hotpath", "lockhold", "maprange", "pooldiscipline", "sched",
+	"unreferenced/...", "waiver",
 }
 
 func moduleRoot(t *testing.T) string {
@@ -104,6 +106,7 @@ func TestListRules(t *testing.T) {
 	for _, rule := range []string{
 		"determinism", "sched", "maprange", "hotpath", "floateq",
 		"ctxflow", "lockhold", "goroutine-lifecycle", "pooldiscipline", "errcheck-results",
+		"unreferenced",
 	} {
 		if !strings.Contains(stdout.String(), rule) {
 			t.Errorf("-list output missing rule %q:\n%s", rule, stdout.String())

@@ -50,7 +50,7 @@ var subcommands = []struct {
 	{"recommend", "search for the best configuration under a scoring function", cmdRecommend},
 	{"serve", "HTTP prediction server: a multi-tenant fleet with batched inference, canary deploys, hot reload", cmdServe},
 	{"fleet", "operate a running serve instance: list, deploy, promote, rollback", cmdFleet},
-	{"compare", "compare linear/polynomial/log/MLP/LNN model families by CV error", cmdCompare},
+	{"compare", "compare the OLS/polynomial/log/RBF/MLP/LNN model families by CV error", cmdCompare},
 	{"importance", "permutation feature importance of a trained model on a dataset", cmdImportance},
 	{"select", "automated hidden-node-count selection by cross-validation", cmdSelect},
 	{"runs", "inspect recorded run traces: list, show, diff, timeline, tail", cmdRuns},

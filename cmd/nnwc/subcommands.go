@@ -518,9 +518,9 @@ func cmdCompare(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-12s %12s\n", "model", "mean HMRE")
+		fmt.Printf("%-16s %12s\n", "model", "mean HMRE")
 		for _, fm := range means {
-			fmt.Printf("%-12s %11.2f%%\n", fm.Name, fm.Mean*100)
+			fmt.Printf("%-16s %11.2f%%\n", fm.Name, fm.Mean*100)
 			x.obsf.metric("hmre_"+fm.Name, fm.Mean)
 		}
 		return nil

@@ -80,27 +80,16 @@ func Analyzers() []*Analyzer {
 		GoLifecycleAnalyzer,
 		PoolDisciplineAnalyzer,
 		ErrcheckResultsAnalyzer,
+		UnreferencedAnalyzer,
 	}
 }
 
-// Run applies the given analyzers to pkg under policy and returns the
-// active findings sorted by position. Malformed or unused waiver
-// comments are reported under the pseudo-rule "waiver"; waived findings
-// are dropped (use RunAll to see them).
-func Run(pkg *Package, analyzers []*Analyzer, policy *Policy) []Diagnostic {
-	all := RunAll(pkg, analyzers, policy)
-	active := all[:0]
-	for _, d := range all {
-		if !d.Waived {
-			active = append(active, d)
-		}
-	}
-	return active
-}
-
-// RunAll is Run without the waiver filter: waived findings are included
-// with Waived set and the waiver's justification, so callers that emit
-// machine-readable reports can expose the full suppression picture.
+// RunAll applies the given analyzers to pkg under policy and returns
+// every finding sorted by position. Malformed or unused waiver comments
+// are reported under the pseudo-rule "waiver". Waived findings are
+// included with Waived set and the waiver's justification, so callers
+// that emit machine-readable reports can expose the full suppression
+// picture.
 func RunAll(pkg *Package, analyzers []*Analyzer, policy *Policy) []Diagnostic {
 	var diags []Diagnostic
 	wt := newWaiverTable(pkg, &diags)

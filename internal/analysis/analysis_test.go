@@ -33,6 +33,18 @@ func fixturePackage(t *testing.T, name string) *Package {
 	return pkgs[0]
 }
 
+// activeFindings runs the full suite over pkg and keeps the unwaived
+// findings.
+func activeFindings(pkg *Package, policy *Policy) []Diagnostic {
+	var active []Diagnostic
+	for _, d := range RunAll(pkg, Analyzers(), policy) {
+		if !d.Waived {
+			active = append(active, d)
+		}
+	}
+	return active
+}
+
 // expectation is one `// want "substr"` comment: a diagnostic whose
 // "[rule] message" rendering contains substr must appear at file:line.
 type expectation struct {
@@ -95,7 +107,7 @@ func checkFixture(t *testing.T, name string, policy *Policy) {
 	t.Helper()
 	pkg := fixturePackage(t, name)
 	wants := parseWants(t, pkg)
-	diags := Run(pkg, Analyzers(), policy)
+	diags := activeFindings(pkg, policy)
 	for _, d := range diags {
 		rendered := fmt.Sprintf("[%s] %s", d.Rule, d.Message)
 		found := false
@@ -127,6 +139,69 @@ func TestLockholdFixture(t *testing.T)        { checkFixture(t, "lockhold", NewP
 func TestGoLifecycleFixture(t *testing.T)     { checkFixture(t, "golifecycle", NewPolicy()) }
 func TestPoolDisciplineFixture(t *testing.T)  { checkFixture(t, "pooldiscipline", NewPolicy()) }
 func TestErrcheckResultsFixture(t *testing.T) { checkFixture(t, "errcheckresults", NewPolicy()) }
+
+// TestUnreferencedFixture checks the unreferenced rule over a fixture
+// tree of three packages: the subject a, a caller b with a build-excluded
+// file, and a main package. The findings must match the want comments,
+// and must be the same when each package is linted alone on a fresh
+// loader, so the index never depends on which packages were named.
+func TestUnreferencedFixture(t *testing.T) {
+	root := filepath.Join("testdata", "src", "unreferenced")
+	loaderOnce.Do(func() { testLoader, loaderErr = NewLoader(".") })
+	if loaderErr != nil {
+		t.Fatalf("NewLoader: %v", loaderErr)
+	}
+	whole, err := testLoader.Load(root + "/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(whole) != 3 {
+		t.Fatalf("fixture tree: got %d packages, want 3", len(whole))
+	}
+	var wants []*expectation
+	var got []string
+	for _, pkg := range whole {
+		wants = append(wants, parseWants(t, pkg)...)
+		for _, d := range activeFindings(pkg, NewPolicy()) {
+			got = append(got, d.String())
+			rendered := fmt.Sprintf("[%s] %s", d.Rule, d.Message)
+			found := false
+			for _, w := range wants {
+				if !w.matched && w.file == d.Pos.Filename && w.line == d.Pos.Line && strings.Contains(rendered, w.substr) {
+					w.matched, found = true, true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("unexpected diagnostic: %s", d)
+			}
+		}
+	}
+	for _, w := range wants {
+		if !w.matched {
+			t.Errorf("%s:%d: expected diagnostic containing %q, got none", w.file, w.line, w.substr)
+		}
+	}
+
+	alone, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotAlone []string
+	for _, name := range []string{"a", "b", "cmd"} {
+		pkgs, err := alone.Load(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range activeFindings(pkgs[0], NewPolicy()) {
+			gotAlone = append(gotAlone, d.String())
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(gotAlone, "\n") {
+		t.Errorf("findings differ when packages are linted one at a time:\nwhole:\n%s\nalone:\n%s",
+			strings.Join(got, "\n"), strings.Join(gotAlone, "\n"))
+	}
+}
 
 func TestFloatEqFixture(t *testing.T) {
 	p := NewPolicy()
@@ -273,7 +348,7 @@ func TestRepoIsClean(t *testing.T) {
 		t.Fatal("Load ./... matched no packages")
 	}
 	for _, pkg := range pkgs {
-		for _, d := range Run(pkg, Analyzers(), conf) {
+		for _, d := range activeFindings(pkg, conf) {
 			t.Errorf("repo tip has finding: %s", d)
 		}
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // FloatEqAnalyzer forbids == and != on floating-point operands outside
-// the epsilon-helper allowlist (stats.ApproxEqual / stats.ExactZero and
-// friends, named by `floateq allowfunc` directives in lint.conf). Exact
+// the helper allowlist (stats.ExactZero and stats.ExactEqual, named by
+// `floateq allowfunc` directives in lint.conf). Exact
 // float comparison is how accuracy metrics silently lie: an HMRE term
 // that happens to land on 0.0, or a convergence check that compares
 // recomputed losses bit-for-bit, behaves differently across
@@ -17,7 +17,7 @@ import (
 // documented and tested in one place.
 var FloatEqAnalyzer = &Analyzer{
 	Name: "floateq",
-	Doc:  "forbid ==/!= on floats outside the epsilon-helper allowlist",
+	Doc:  "forbid ==/!= on floats outside the helper allowlist",
 	Run:  runFloatEq,
 }
 
@@ -38,7 +38,7 @@ func runFloatEq(p *Pass) {
 				return true
 			}
 			p.Reportf("floateq", be.Pos(),
-				"%s on floating-point operands; use stats.ApproxEqual/stats.ExactZero (or waive with a justification)", be.Op)
+				"%s on floating-point operands; compare within a tolerance or use stats.ExactZero/stats.ExactEqual (or waive with a justification)", be.Op)
 			return true
 		})
 	}

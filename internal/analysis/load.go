@@ -25,6 +25,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	loader *Loader // for the module-wide reference index
 }
 
 // Loader discovers, parses, and type-checks the packages of a single Go
@@ -42,8 +44,9 @@ type Loader struct {
 	Fset       *token.FileSet
 
 	std     types.Importer
-	pkgs    map[string]*Package // memoized by import path
-	loading map[string]bool     // cycle guard
+	pkgs    map[string]*Package  // memoized by import path
+	loading map[string]bool      // cycle guard
+	indexes map[string]*refIndex // reference indexes by universe root
 }
 
 // NewLoader locates the enclosing module from dir by walking up to the
@@ -76,6 +79,7 @@ func NewLoader(dir string) (*Loader, error) {
 		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       map[string]*Package{},
 		loading:    map[string]bool{},
+		indexes:    map[string]*refIndex{},
 	}, nil
 }
 
@@ -266,7 +270,7 @@ func (l *Loader) loadPackage(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info, loader: l}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }

@@ -6,24 +6,29 @@ import (
 
 	"nnwc/internal/linear"
 	"nnwc/internal/nn"
+	"nnwc/internal/nn/rbf"
 	"nnwc/internal/obs"
 	"nnwc/internal/poly"
+	"nnwc/internal/preprocess"
 	"nnwc/internal/sched"
 	"nnwc/internal/stats"
 	"nnwc/internal/workload"
 )
 
 // Family is one model family in the §4 comparison: a name and a fitter.
-// The seed argument matters only to the stochastic families (mlp, lnn);
-// the closed-form ones ignore it.
+// The seed argument matters only to the stochastic families (RBF, MLP,
+// LNN); the closed-form ones ignore it.
 type Family struct {
 	Name string
 	Fit  func(tr *workload.Dataset, seed uint64) (Predictor, error)
 }
 
-// CompareFamilies is the §4 model-family table `nnwc compare` scores. The
-// mlp family trains with mlp's config, and lnn with the same config over a
-// log-compressing hidden layer; both take their seed per fold.
+// CompareFamilies is the reproduction's model-family table, the one list
+// that `nnwc compare`, the compare kind and `nnwc reproduce -run
+// baseline`/`extrapolation` score: the closed-form baselines of prior work,
+// the RBF alternative architecture of §2.1, the paper's MLP (trained with
+// mlp's config) and the LNN of §5.3 (the same config over a log-compressing
+// hidden layer). The stochastic families take their seed per fold.
 func CompareFamilies(mlp Config) []Family {
 	lnn := mlp
 	lnn.HiddenActivation = nn.LogCompress{}
@@ -34,21 +39,59 @@ func CompareFamilies(mlp Config) []Family {
 			return Fit(tr, c)
 		}
 	}
+	polyFit := func(degree int) func(*workload.Dataset, uint64) (Predictor, error) {
+		return func(tr *workload.Dataset, _ uint64) (Predictor, error) {
+			return poly.Fit(poly.Polynomial{Degree: degree, Interactions: true}, tr.Xs(), tr.Ys(), poly.Options{Lambda: 1e-4, Standardize: true})
+		}
+	}
 	return []Family{
 		// A whisker of ridge keeps the solve alive when a swept feature is
 		// constant in the data (a pinned parameter makes OLS singular).
-		{"linear", func(tr *workload.Dataset, _ uint64) (Predictor, error) {
+		{"linear (OLS)", func(tr *workload.Dataset, _ uint64) (Predictor, error) {
 			return linear.Fit(tr.Xs(), tr.Ys(), linear.Options{Lambda: 1e-8})
 		}},
-		{"poly2+int", func(tr *workload.Dataset, _ uint64) (Predictor, error) {
-			return poly.Fit(poly.Polynomial{Degree: 2, Interactions: true}, tr.Xs(), tr.Ys(), poly.Options{Lambda: 1e-4, Standardize: true})
+		{"poly deg2+int", polyFit(2)},
+		{"poly deg3+int", polyFit(3)},
+		{"log features", func(tr *workload.Dataset, _ uint64) (Predictor, error) {
+			return poly.Fit(poly.Logarithmic{}, tr.Xs(), tr.Ys(), poly.Options{Lambda: 1e-6})
 		}},
-		{"log", func(tr *workload.Dataset, _ uint64) (Predictor, error) {
-			return poly.Fit(poly.Logarithmic{}, tr.Xs(), tr.Ys(), poly.Options{Lambda: 1e-8})
-		}},
-		{"mlp", fitWith(mlp)},
-		{"lnn", fitWith(lnn)},
+		{"RBF network", fitRBF},
+		{"MLP (paper)", fitWith(mlp)},
+		{"LNN (Hines)", fitWith(lnn)},
 	}
+}
+
+// fitRBF trains the §2.1 alternative architecture on standardized inputs
+// and outputs (the Gaussian units need comparable feature scales just as
+// the MLP does).
+func fitRBF(tr *workload.Dataset, seed uint64) (Predictor, error) {
+	xScaler := preprocess.NewStandardizer()
+	if err := xScaler.Fit(tr.Xs()); err != nil {
+		return nil, err
+	}
+	yScaler := preprocess.NewStandardizer()
+	if err := yScaler.Fit(tr.Ys()); err != nil {
+		return nil, err
+	}
+	net, err := rbf.Fit(
+		preprocess.TransformAll(xScaler, tr.Xs()),
+		preprocess.TransformAll(yScaler, tr.Ys()),
+		rbf.Config{Centers: tr.Len() / 4, WidthScale: 2, Lambda: 1e-6, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	return scaledPredictor{x: xScaler, y: yScaler, inner: net}, nil
+}
+
+// scaledPredictor wraps a predictor trained in standardized space.
+type scaledPredictor struct {
+	x, y  preprocess.Scaler
+	inner Predictor
+}
+
+// Predict implements Predictor.
+func (s scaledPredictor) Predict(x []float64) []float64 {
+	return s.y.Inverse(s.inner.Predict(s.x.Transform(x)))
 }
 
 // FamilyMean is one model family's reduced comparison score.

@@ -7,7 +7,6 @@ import (
 
 	"nnwc/internal/mat"
 	"nnwc/internal/sched"
-	"nnwc/internal/stats"
 	"nnwc/internal/workload"
 )
 
@@ -19,12 +18,6 @@ import (
 // leaves on the table.
 type Ensemble struct {
 	Members []*NNModel
-}
-
-// FitEnsemble trains n members on the same dataset with derived seeds on
-// the scheduler's default worker count; see FitEnsembleWorkers.
-func FitEnsemble(ds *workload.Dataset, cfg Config, n int) (*Ensemble, error) {
-	return FitEnsembleWorkers(ds, cfg, n, 0)
 }
 
 // FitEnsembleWorkers trains n members concurrently on up to `workers`
@@ -128,22 +121,5 @@ func (e *Ensemble) PredictMatrix(X *mat.Matrix, w *PredictWorkspace) *mat.Matrix
 	return out
 }
 
-// InputDim returns the configuration dimensionality.
-func (e *Ensemble) InputDim() int { return e.Members[0].InputDim() }
-
 // OutputDim returns the indicator dimensionality.
 func (e *Ensemble) OutputDim() int { return e.Members[0].OutputDim() }
-
-// MemberErrors evaluates every member on ds and returns each one's mean
-// HMRE, handy for spotting a diverged member.
-func (e *Ensemble) MemberErrors(ds *workload.Dataset) ([]float64, error) {
-	out := make([]float64, len(e.Members))
-	for i, m := range e.Members {
-		ev, err := Evaluate(m, ds)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = stats.MeanSkipNaN(ev.HMRE)
-	}
-	return out, nil
-}

@@ -29,12 +29,8 @@ type Evaluation struct {
 // indicator is defined.
 func (e *Evaluation) MeanHMRE() float64 { return stats.MeanSkipNaN(e.HMRE) }
 
-// Accuracy returns the paper's headline "average prediction accuracy":
-// 1 − mean error across defined indicators (NaN when none is defined).
-func (e *Evaluation) Accuracy() float64 { return 1 - e.MeanHMRE() }
-
 // Undefined lists the indicators whose HMRE is undefined on this dataset
-// (skipped by MeanHMRE/Accuracy), so reports can surface the skip.
+// (skipped by MeanHMRE), so reports can surface the skip.
 func (e *Evaluation) Undefined() []string {
 	var out []string
 	for j, h := range e.HMRE {

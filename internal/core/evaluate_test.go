@@ -69,9 +69,6 @@ func TestEvaluateAllZeroActuals(t *testing.T) {
 	if got := ev.MeanHMRE(); math.Abs(got-1.0/15.0) > 1e-12 {
 		t.Fatalf("MeanHMRE = %v — the undefined indicator must be skipped, not counted as perfect", got)
 	}
-	if got := ev.Accuracy(); math.Abs(got-(1-1.0/15.0)) > 1e-12 {
-		t.Fatalf("Accuracy = %v, want %v", got, 1-1.0/15.0)
-	}
 	undef := ev.Undefined()
 	if len(undef) != 1 || undef[0] != "dead" {
 		t.Fatalf("Undefined() = %v, want [dead]", undef)
@@ -88,8 +85,8 @@ func TestEvaluateAllIndicatorsUndefined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(ev.MeanHMRE()) || !math.IsNaN(ev.Accuracy()) {
-		t.Fatalf("MeanHMRE = %v, Accuracy = %v — both must be NaN", ev.MeanHMRE(), ev.Accuracy())
+	if !math.IsNaN(ev.MeanHMRE()) {
+		t.Fatalf("MeanHMRE = %v, must be NaN", ev.MeanHMRE())
 	}
 }
 

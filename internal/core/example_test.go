@@ -53,7 +53,7 @@ func Example_quickstart() {
 	for j, name := range ev.TargetNames {
 		fmt.Printf("  %-24s validation error %.1f%%\n", name, ev.HMRE[j]*100)
 	}
-	fmt.Printf("overall prediction accuracy: %.1f%%\n", ev.Accuracy()*100)
+	fmt.Printf("overall prediction accuracy: %.1f%%\n", (1-ev.MeanHMRE())*100)
 
 	// 4. Predict a configuration that was never simulated.
 	y := model.Predict([]float64{520, 7, 12, 17}) // (rate, default, mfg, web)

@@ -163,19 +163,12 @@ type NNModel struct {
 // Fit trains an NNModel on the dataset per the §3 methodology. The dataset
 // is not modified.
 func Fit(ds *workload.Dataset, cfg Config) (*NNModel, error) {
-	return fitWithValidation(ds, nil, cfg)
+	return fit(ds, nil, cfg)
 }
 
-// FitWithValidation trains on ds while monitoring val for early stopping
-// (when cfg.Train.Patience > 0) and validation telemetry.
-func FitWithValidation(ds, val *workload.Dataset, cfg Config) (*NNModel, error) {
-	if val == nil {
-		return nil, errors.New("core: validation dataset is required (use Fit otherwise)")
-	}
-	return fitWithValidation(ds, val, cfg)
-}
-
-func fitWithValidation(ds, val *workload.Dataset, cfg Config) (*NNModel, error) {
+// fit trains on ds, monitoring val (when non-empty) for early stopping
+// (cfg.Train.Patience > 0) and validation telemetry.
+func fit(ds, val *workload.Dataset, cfg Config) (*NNModel, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, errors.New("core: training dataset is empty")
 	}
@@ -230,10 +223,6 @@ func fitWithValidation(ds, val *workload.Dataset, cfg Config) (*NNModel, error) 
 	if err := m.YScaler.Fit(ds.Ys()); err != nil {
 		return nil, fmt.Errorf("core: fitting output scaler: %w", err)
 	}
-	hasVal := val != nil && val.Len() > 0
-	if val != nil && (val.NumFeatures() != ds.NumFeatures() || val.NumTargets() != ds.NumTargets()) {
-		return nil, errors.New("core: validation dataset schema differs from training")
-	}
 
 	// Topology: n → hidden… → m (§3.2).
 	sizes := append([]int{ds.NumFeatures()}, cfg.Hidden...)
@@ -253,7 +242,11 @@ func fitWithValidation(ds, val *workload.Dataset, cfg Config) (*NNModel, error) 
 		return nil, err
 	}
 	m.standardizeInto(&trainer.X, &trainer.Y, ds)
+	hasVal := val != nil && val.Len() > 0
 	if hasVal {
+		if val.NumFeatures() != ds.NumFeatures() || val.NumTargets() != ds.NumTargets() {
+			return nil, errors.New("core: validation dataset schema differs from training")
+		}
 		m.standardizeInto(&trainer.VX, &trainer.VY, val)
 	}
 	res, err := trainer.FitStaged(m.Net, hasVal)

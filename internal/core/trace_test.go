@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nnwc/internal/obs"
+	"nnwc/internal/obs/obstest"
 )
 
 // tracedCV runs the standard seeded cross-validation with tracing enabled
@@ -17,7 +18,7 @@ func tracedCV(t *testing.T, workers int) ([]byte, *CVResult) {
 	cfg := fastConfig()
 	cfg.Train.RecordEvery = 100
 	var buf bytes.Buffer
-	cfg.Trace = obs.NewTraceNoTime(obs.NewWriterSink(&buf))
+	cfg.Trace = obs.NewTrace(obs.NewWriterSink(&buf))
 	res, err := CrossValidateWorkers(ds, cfg, 4, 7, workers)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +48,7 @@ func TestTracedCrossValidationMatchesSeedReference(t *testing.T) {
 func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 	canon := func(workers int) []byte {
 		raw, _ := tracedCV(t, workers)
-		c, err := obs.CanonicalizeJSONL(raw)
+		c, err := obstest.CanonicalizeJSONL(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,11 +140,11 @@ func TestEnsembleTraceDeterministic(t *testing.T) {
 		cfg := fastConfig()
 		cfg.Train.MaxEpochs = 200
 		var buf bytes.Buffer
-		cfg.Trace = obs.NewTraceNoTime(obs.NewWriterSink(&buf))
+		cfg.Trace = obs.NewTrace(obs.NewWriterSink(&buf))
 		if _, err := FitEnsembleWorkers(ds, cfg, 3, workers); err != nil {
 			t.Fatal(err)
 		}
-		c, err := obs.CanonicalizeJSONL(buf.Bytes())
+		c, err := obstest.CanonicalizeJSONL(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}

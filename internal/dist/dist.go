@@ -158,11 +158,13 @@ func (fs *Floats) UnmarshalJSON(b []byte) error {
 
 type leaseRequest struct {
 	Worker string `json:"worker"`
-	// Metrics carries the worker's cumulative histogram snapshots (keyed
-	// by the Metric* role names), pushed on every lease request so the
-	// coordinator's /metrics federates live per-worker series. Cumulative
-	// snapshots make the push idempotent: the coordinator replaces, never
-	// adds.
+	// Metrics carries cumulative histogram snapshots (keyed by the
+	// Metric* role names) from older workers, which pushed them on every
+	// lease request; the coordinator still absorbs them. Current workers
+	// leave it empty: their histograms change only at task end and at
+	// artifact fetch, and both come before a result request, which pushes
+	// them. Cumulative snapshots make a push idempotent: the coordinator
+	// replaces, never adds.
 	Metrics map[string]metrics.HistogramSnapshot `json:"metrics,omitempty"`
 }
 
@@ -196,8 +198,9 @@ type resultRequest struct {
 	// events plus the worker's closing dist_task span. The coordinator
 	// splices them into the merged cluster trace in task-index order.
 	Events string `json:"events,omitempty"`
-	// Metrics are the worker's snapshots, as on leaseRequest: a worker
-	// that exits on a Done result reply makes no lease request after it.
+	// Metrics are the worker's cumulative snapshots, pushed with every
+	// result so the coordinator's /metrics federates live per-worker
+	// series.
 	Metrics map[string]metrics.HistogramSnapshot `json:"metrics,omitempty"`
 	// ExitsOnDone: the worker exits when this reply says Done, so the
 	// reply tells it. Older workers hear Done on their next lease request.

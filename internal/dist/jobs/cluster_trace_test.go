@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"nnwc/internal/dist"
-	"nnwc/internal/obs"
+	"nnwc/internal/obs/obstest"
 )
 
 // runTraceCrossval coordinates one cross-validation job with `workers`
@@ -42,7 +42,7 @@ func runTraceCrossval(t *testing.T, csvPath string, workers int) []byte {
 	if err != nil {
 		t.Fatalf("cluster trace not written: %v", err)
 	}
-	canon, err := obs.CanonicalizeJSONL(raw)
+	canon, err := obstest.CanonicalizeJSONL(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDistClusterTraceSurvivesKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := obs.CanonicalizeJSONL(refRaw)
+	want, err := obstest.CanonicalizeJSONL(refRaw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +128,14 @@ func TestDistClusterTraceSurvivesKill(t *testing.T) {
 	c := newSleepCoordinator(t, killPath, n)
 	victim := spawnWorker(t, c.Addr(), "NNWC_DIST_HANG=1")
 	waitProgress(t, c.Addr(), 2)
+	// Kill only once the victim holds its second lease (tasks 2–3, where
+	// it hangs): a kill between its first result and that grant would
+	// leave nothing to reassign.
+	for deadline := time.Now().Add(60 * time.Second); c.CoordStats().Leases < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the victim never took its second lease")
+		}
+	}
 	victim.Process.Kill()
 	victim.Wait()
 	spawnWorker(t, c.Addr())
@@ -144,7 +152,7 @@ func TestDistClusterTraceSurvivesKill(t *testing.T) {
 	if !strings.Contains(string(raw), `"ev":"dist_reassign"`) {
 		t.Fatalf("raw trace records no reassignment:\n%s", raw)
 	}
-	got, err := obs.CanonicalizeJSONL(raw)
+	got, err := obstest.CanonicalizeJSONL(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

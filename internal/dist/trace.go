@@ -24,7 +24,7 @@ const ClusterTraceFileName = "cluster-trace.jsonl"
 //
 // Worker attribution, wall times, lease IDs and the job ID live only in
 // the obs volatile keys, and the ops events are obs volatile event
-// types, so obs.CanonicalizeJSONL reduces the trace to the same bytes at
+// types, so obstest.CanonicalizeJSONL reduces the trace to the same bytes at
 // any worker count and under any lease interleaving — the property the
 // multi-process determinism tests pin.
 type clusterRecorder struct {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"nnwc/internal/obs"
+	"nnwc/internal/obs/obstest"
 )
 
 // tracingToyRunner emits a deterministic per-task event through the
@@ -86,7 +87,7 @@ func TestClusterTraceDeterministicAcrossWorkerCounts(t *testing.T) {
 				t.Fatalf("%d-worker raw trace missing %s:\n%s", workers, want, raw)
 			}
 		}
-		c, err := obs.CanonicalizeJSONL(raw)
+		c, err := obstest.CanonicalizeJSONL(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestClusterTraceDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestClusterTraceSurvivesReassignment(t *testing.T) {
 	// Reference: a clean single-worker run of the same spec.
-	want, err := obs.CanonicalizeJSONL(runClusterJob(t, 1, 3))
+	want, err := obstest.CanonicalizeJSONL(runClusterJob(t, 1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestClusterTraceSurvivesReassignment(t *testing.T) {
 	if !strings.Contains(string(raw), `"ev":"dist_reassign"`) {
 		t.Fatalf("raw trace records no reassignment:\n%s", raw)
 	}
-	got, err := obs.CanonicalizeJSONL(raw)
+	got, err := obstest.CanonicalizeJSONL(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

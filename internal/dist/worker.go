@@ -161,7 +161,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 }
 
 // metricSnapshots gathers the worker's cumulative histogram snapshots for
-// a lease- or result-request push. Empty series are omitted.
+// a result-request push. Empty series are omitted.
 func (w *Worker) metricSnapshots() map[string]metrics.HistogramSnapshot {
 	snaps := make(map[string]metrics.HistogramSnapshot, 2)
 	if s := w.taskHist.Snapshot(); s.Count > 0 {
@@ -249,7 +249,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		var rep leaseReply
 		err := w.retry(ctx, w.cfg.GiveUp, func() error {
-			return w.postJSON(ctx, "/dist/lease", leaseRequest{Worker: w.cfg.ID, Metrics: w.metricSnapshots()}, &rep)
+			return w.postJSON(ctx, "/dist/lease", leaseRequest{Worker: w.cfg.ID}, &rep)
 		})
 		if err != nil {
 			return fmt.Errorf("dist: worker %s: leasing: %w", w.cfg.ID, err)

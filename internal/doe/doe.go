@@ -183,107 +183,3 @@ func Scale(points [][]float64, dims []Dimension) ([][]float64, error) {
 	}
 	return out, nil
 }
-
-// Discrepancy estimates how uniformly points cover the unit cube using the
-// centred L2-discrepancy (lower is more uniform). It is the standard
-// figure of merit for comparing designs.
-func Discrepancy(points [][]float64) (float64, error) {
-	n := len(points)
-	if n == 0 {
-		return 0, errors.New("doe: no points")
-	}
-	d := len(points[0])
-	if d == 0 {
-		return 0, errors.New("doe: zero-dimensional points")
-	}
-	for _, p := range points {
-		if len(p) != d {
-			return 0, errors.New("doe: ragged points")
-		}
-	}
-	// Centred L2 discrepancy (Hickernell 1998).
-	term1 := math.Pow(13.0/12.0, float64(d))
-	var sum2 float64
-	for _, x := range points {
-		prod := 1.0
-		for j := 0; j < d; j++ {
-			a := math.Abs(x[j] - 0.5)
-			prod *= 1 + 0.5*a - 0.5*a*a
-		}
-		sum2 += prod
-	}
-	var sum3 float64
-	for _, x := range points {
-		for _, y := range points {
-			prod := 1.0
-			for j := 0; j < d; j++ {
-				ax := math.Abs(x[j] - 0.5)
-				ay := math.Abs(y[j] - 0.5)
-				prod *= 1 + 0.5*ax + 0.5*ay - 0.5*math.Abs(x[j]-y[j])
-			}
-			sum3 += prod
-		}
-	}
-	nf := float64(n)
-	sq := term1 - 2/nf*sum2 + 1/(nf*nf)*sum3
-	if sq < 0 {
-		sq = 0
-	}
-	return math.Sqrt(sq), nil
-}
-
-// PlackettBurman is the classic two-level screening design: N runs screen
-// up to N−1 factors with all main effects mutually orthogonal, at a
-// fraction of a full factorial's cost. It is the canonical first step of
-// the DOE methodology the paper's prior work followed — run a PB screen to
-// find which parameters matter, then model only those. Points returns the
-// design's low/high levels as 0/1 coordinates in the unit cube (Scale maps
-// them onto real ranges); n selects the number of factors (columns).
-type PlackettBurman struct{}
-
-// pbGenerators holds the first rows of the cyclic Plackett–Burman
-// constructions ('+' = high). Keyed by run count.
-var pbGenerators = map[int]string{
-	8:  "+++-+--",
-	12: "++-+++---+-",
-	16: "++++-+-++--+---",
-	20: "++--++++-+-+----++-",
-}
-
-// Points implements Design: it picks the smallest PB construction with at
-// least n+1 runs' worth of columns (runs ∈ {8, 12, 16, 20}) and returns
-// its runs restricted to the first n factor columns.
-func (PlackettBurman) Points(n, d int) ([][]float64, error) {
-	if d < 1 {
-		return nil, errors.New("doe: dimension must be positive")
-	}
-	if d > 19 {
-		return nil, errors.New("doe: Plackett-Burman supports at most 19 factors here")
-	}
-	_ = n // the run count is dictated by the construction, not the budget
-	runs := 0
-	for _, r := range []int{8, 12, 16, 20} {
-		if d <= r-1 {
-			runs = r
-			break
-		}
-	}
-	gen := pbGenerators[runs]
-	out := make([][]float64, 0, runs)
-	// Rows 0..runs-2 are cyclic shifts of the generator; the last row is
-	// all-low.
-	for r := 0; r < runs-1; r++ {
-		row := make([]float64, d)
-		for j := 0; j < d; j++ {
-			if gen[(j+r)%(runs-1)] == '+' {
-				row[j] = 1 - 1e-12 // keep within [0,1) for Scale
-			}
-		}
-		out = append(out, row)
-	}
-	out = append(out, make([]float64, d))
-	return out, nil
-}
-
-// Name implements Design.
-func (PlackettBurman) Name() string { return "plackett-burman" }

@@ -5,88 +5,10 @@ import (
 	"io"
 
 	"nnwc/internal/core"
-	"nnwc/internal/linear"
-	"nnwc/internal/nn"
-	"nnwc/internal/nn/rbf"
 	"nnwc/internal/obs"
-	"nnwc/internal/poly"
-	"nnwc/internal/preprocess"
 	"nnwc/internal/sched"
 	"nnwc/internal/stats"
-	"nnwc/internal/workload"
 )
-
-// fitRBF trains the §2.1 alternative architecture on standardized inputs
-// and outputs (the Gaussian units need comparable feature scales just as
-// the MLP does).
-func fitRBF(tr *workload.Dataset, seed uint64) (core.Predictor, error) {
-	xScaler := preprocess.NewStandardizer()
-	if err := xScaler.Fit(tr.Xs()); err != nil {
-		return nil, err
-	}
-	yScaler := preprocess.NewStandardizer()
-	if err := yScaler.Fit(tr.Ys()); err != nil {
-		return nil, err
-	}
-	net, err := rbf.Fit(
-		preprocess.TransformAll(xScaler, tr.Xs()),
-		preprocess.TransformAll(yScaler, tr.Ys()),
-		rbf.Config{Centers: tr.Len() / 4, WidthScale: 2, Lambda: 1e-6, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return scaledPredictor{x: xScaler, y: yScaler, inner: net}, nil
-}
-
-// scaledPredictor wraps a predictor trained in standardized space.
-type scaledPredictor struct {
-	x, y  preprocess.Scaler
-	inner core.Predictor
-}
-
-// Predict implements core.Predictor.
-func (s scaledPredictor) Predict(x []float64) []float64 {
-	return s.y.Inverse(s.inner.Predict(s.x.Transform(x)))
-}
-
-// family is one model family competing in the baseline comparison.
-type family struct {
-	name string
-	fit  func(train *workload.Dataset, seed uint64) (core.Predictor, error)
-}
-
-func (c *Context) families() []family {
-	mlpCfg := c.Model
-	lnnCfg := c.Model
-	lnnCfg.HiddenActivation = nn.LogCompress{}
-	return []family{
-		{"linear (OLS)", func(tr *workload.Dataset, _ uint64) (core.Predictor, error) {
-			return linear.Fit(tr.Xs(), tr.Ys(), linear.Options{})
-		}},
-		{"poly deg2+int", func(tr *workload.Dataset, _ uint64) (core.Predictor, error) {
-			return poly.Fit(poly.Polynomial{Degree: 2, Interactions: true}, tr.Xs(), tr.Ys(), poly.Options{Lambda: 1e-4, Standardize: true})
-		}},
-		{"poly deg3+int", func(tr *workload.Dataset, _ uint64) (core.Predictor, error) {
-			return poly.Fit(poly.Polynomial{Degree: 3, Interactions: true}, tr.Xs(), tr.Ys(), poly.Options{Lambda: 1e-4, Standardize: true})
-		}},
-		{"log features", func(tr *workload.Dataset, _ uint64) (core.Predictor, error) {
-			return poly.Fit(poly.Logarithmic{}, tr.Xs(), tr.Ys(), poly.Options{Lambda: 1e-6, Standardize: false})
-		}},
-		{"RBF network", func(tr *workload.Dataset, seed uint64) (core.Predictor, error) {
-			return fitRBF(tr, seed)
-		}},
-		{"MLP (paper)", func(tr *workload.Dataset, seed uint64) (core.Predictor, error) {
-			cfg := mlpCfg
-			cfg.Seed = seed
-			return core.Fit(tr, cfg)
-		}},
-		{"LNN (Hines)", func(tr *workload.Dataset, seed uint64) (core.Predictor, error) {
-			cfg := lnnCfg
-			cfg.Seed = seed
-			return core.Fit(tr, cfg)
-		}},
-	}
-}
 
 // RunBaseline quantifies the paper's core motivation (§1, §6): linear
 // models from prior work against the non-linear MLP on identical k-fold
@@ -102,7 +24,7 @@ func (c *Context) RunBaseline() error {
 		return err
 	}
 
-	fams := c.families()
+	fams := core.CompareFamilies(c.Model)
 	// Every (fold, family) cell is an independent fit; fan the grid out.
 	// Cell seeds depend only on the fold index, and the per-family
 	// accumulation below runs serially in the historical (fold, family)
@@ -115,9 +37,9 @@ func (c *Context) RunBaseline() error {
 		span := slot.StartSpan("baseline-cell", idx, w)
 		defer span.End()
 		trainSet, valSet := split.TrainValidation(f)
-		model, err := fams[fi].fit(trainSet, c.Seed+uint64(f))
+		model, err := fams[fi].Fit(trainSet, c.Seed+uint64(f))
 		if err != nil {
-			return nil, fmt.Errorf("experiments: baseline %s fold %d: %w", fams[fi].name, f+1, err)
+			return nil, fmt.Errorf("experiments: baseline %s fold %d: %w", fams[fi].Name, f+1, err)
 		}
 		ev, err := core.Evaluate(model, valSet)
 		if err != nil {
@@ -126,7 +48,7 @@ func (c *Context) RunBaseline() error {
 		if slot.Enabled() {
 			slot.Emit("baseline_cell",
 				obs.Int("fold", f),
-				obs.String("family", fams[fi].name),
+				obs.String("family", fams[fi].Name),
 				obs.Float("mean_hmre", stats.MeanSkipNaN(ev.HMRE)),
 			)
 		}
@@ -158,7 +80,7 @@ func (c *Context) RunBaseline() error {
 	}
 	c.printf(" %12s\n", "mean")
 	for fi, fam := range fams {
-		c.printf("%-16s", fam.name)
+		c.printf("%-16s", fam.Name)
 		for _, e := range errs[fi] {
 			c.printf(" %11.1f%%", e*100)
 		}
@@ -166,7 +88,7 @@ func (c *Context) RunBaseline() error {
 	}
 	var mlpMean, linMean float64
 	for fi, fam := range fams {
-		switch fam.name {
+		switch fam.Name {
 		case "MLP (paper)":
 			mlpMean = stats.Mean(errs[fi])
 		case "linear (OLS)":
@@ -184,7 +106,7 @@ func (c *Context) RunBaseline() error {
 		}
 		fmt.Fprintln(f, ",mean")
 		for fi, fam := range fams {
-			fmt.Fprintf(f, "%q", fam.name)
+			fmt.Fprintf(f, "%q", fam.Name)
 			for _, e := range errs[fi] {
 				fmt.Fprintf(f, ",%.4f", e)
 			}

@@ -107,13 +107,13 @@ func (c *Context) extrapolationTable(trainDS, testDS *workload.Dataset, artifact
 		failed  bool
 		in, out float64
 	}
-	fams := c.families()
+	fams := core.CompareFamilies(c.Model)
 	results, err := sched.Map(c.workers(), len(fams), func(i int) (rowOut, error) {
-		model, err := fams[i].fit(trainDS, c.Seed+5)
+		model, err := fams[i].Fit(trainDS, c.Seed+5)
 		if err != nil {
 			// Some families cannot fit tiny datasets (e.g. poly3 on a
 			// single feature with few rows); report and continue.
-			return rowOut{name: fams[i].name, failed: true}, nil
+			return rowOut{name: fams[i].Name, failed: true}, nil
 		}
 		evIn, err := core.Evaluate(model, trainDS)
 		if err != nil {
@@ -123,7 +123,7 @@ func (c *Context) extrapolationTable(trainDS, testDS *workload.Dataset, artifact
 		if err != nil {
 			return rowOut{}, err
 		}
-		return rowOut{name: fams[i].name, in: evIn.MeanHMRE(), out: evOut.MeanHMRE()}, nil
+		return rowOut{name: fams[i].Name, in: evIn.MeanHMRE(), out: evOut.MeanHMRE()}, nil
 	})
 	if err != nil {
 		return err

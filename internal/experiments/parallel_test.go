@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nnwc/internal/obs"
+	"nnwc/internal/obs/obstest"
 	"nnwc/internal/sched"
 )
 
@@ -110,11 +111,11 @@ func TestTable2TraceHoldsCollectEvent(t *testing.T) {
 		t.Fatalf("trace summary counts %d threetier.collect events, want 1", sum.ByName["threetier.collect"])
 	}
 
-	ref, err := obs.CanonicalizeJSONL(raw)
+	ref, err := obstest.CanonicalizeJSONL(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := obs.CanonicalizeJSONL(traceTable2At(t, 2))
+	got, err := obstest.CanonicalizeJSONL(traceTable2At(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

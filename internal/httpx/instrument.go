@@ -18,8 +18,6 @@ const (
 	HeaderRun = "X-NNWC-Run"
 	// HeaderWorker carries the sending worker's ID.
 	HeaderWorker = "X-NNWC-Worker"
-	// HeaderSpan carries the client-side parent span name, when any.
-	HeaderSpan = "X-NNWC-Span"
 )
 
 // Server-side request metrics, shared by every instrumented listener
@@ -44,7 +42,7 @@ type InstrumentOptions struct {
 	// Trace, when enabled, receives one "http_request" event per request:
 	// a server-side span carrying the route, status, latency, and the
 	// propagated (run, worker) identity from the trace headers. Request
-	// events are wall-clock narrative, so CanonicalizeJSONL drops them.
+	// events are wall-clock narrative, so obstest.CanonicalizeJSONL drops them.
 	Trace *obs.Trace
 }
 

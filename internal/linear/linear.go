@@ -86,9 +86,6 @@ func Fit(xs, ys [][]float64, opt Options) (*Model, error) {
 	return model, nil
 }
 
-// InputDim returns n.
-func (m *Model) InputDim() int { return m.W.Cols }
-
 // OutputDim returns the number of predicted indicators.
 func (m *Model) OutputDim() int { return m.W.Rows }
 

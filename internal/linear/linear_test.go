@@ -31,8 +31,8 @@ func TestRecoverKnownCoefficients(t *testing.T) {
 			t.Fatalf("coefficient %d = %v, want %v", i, c.got, c.want)
 		}
 	}
-	if m.InputDim() != 2 || m.OutputDim() != 2 {
-		t.Fatalf("dims %d→%d", m.InputDim(), m.OutputDim())
+	if m.W.Cols != 2 || m.OutputDim() != 2 {
+		t.Fatalf("dims %d→%d", m.W.Cols, m.OutputDim())
 	}
 }
 
@@ -119,7 +119,7 @@ func TestNoisyFitIsReasonable(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a := src.Uniform(-3, 3)
 		xs = append(xs, []float64{a})
-		ys = append(ys, []float64{4*a + 1 + src.NormMeanStd(0, 0.1)})
+		ys = append(ys, []float64{4*a + 1 + (0 + 0.1*src.Norm())})
 	}
 	m, err := Fit(xs, ys, Options{})
 	if err != nil {

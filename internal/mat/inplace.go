@@ -108,20 +108,6 @@ func MulTransInto(dst, a, b *Matrix) *Matrix {
 	return MulTransBiasInto(dst, a, b, nil)
 }
 
-// MulVecInto computes dst = m·x without allocating. dst must have length
-// m.Rows and must not alias x. Returns dst.
-//
-//nnwc:hotpath
-func (m *Matrix) MulVecInto(dst, x []float64) []float64 {
-	if m.Cols != len(x) || m.Rows != len(dst) {
-		panic(ErrShape)
-	}
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = Dot(m.Row(i), x)
-	}
-	return dst
-}
-
 // AddScaledInto computes dst += alpha·src element-wise over whole matrices.
 // The shapes must match.
 //

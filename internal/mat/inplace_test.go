@@ -18,8 +18,8 @@ func matsEqual(t *testing.T, got, want *Matrix, tol float64) {
 }
 
 func TestMulIntoMatchesMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	b := FromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	b := fromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
 	want := Mul(a, b)
 	dst := &Matrix{}
 	got := MulInto(dst, a, b)
@@ -28,14 +28,14 @@ func TestMulIntoMatchesMul(t *testing.T) {
 		t.Fatal("MulInto did not return dst")
 	}
 	// Reuse with different shapes must work and not leak stale values.
-	c := FromRows([][]float64{{1, 1}, {2, 2}})
+	c := fromRows([][]float64{{1, 1}, {2, 2}})
 	MulInto(dst, c, c)
 	matsEqual(t, dst, Mul(c, c), 0)
 }
 
 func TestMulTransInto(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	b := FromRows([][]float64{{7, 8}, {9, 10}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	b := fromRows([][]float64{{7, 8}, {9, 10}})
 	want := Mul(a, b.T())
 	dst := &Matrix{}
 	matsEqual(t, MulTransInto(dst, a, b), want, 0)
@@ -51,10 +51,10 @@ func TestMulIntoShapePanics(t *testing.T) {
 }
 
 func TestMulVecInto(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {0, -1, 1}})
+	m := fromRows([][]float64{{1, 2, 3}, {0, -1, 1}})
 	x := []float64{1, 0, -1}
 	dst := make([]float64, 2)
-	got := m.MulVecInto(dst, x)
+	got := m.mulVecInto(dst, x)
 	want := m.MulVec(x)
 	for i := range want {
 		if got[i] != want[i] {
@@ -81,7 +81,7 @@ func TestReshapeReusesBacking(t *testing.T) {
 }
 
 func TestRowRangeIsAView(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	v := m.RowRange(1, 3)
 	if v.Rows != 2 || v.At(0, 0) != 3 || v.At(1, 1) != 6 {
 		t.Fatalf("RowRange content wrong: %+v", v)
@@ -95,7 +95,7 @@ func TestRowRangeIsAView(t *testing.T) {
 func TestCopyRows(t *testing.T) {
 	m := &Matrix{}
 	m.CopyRows([][]float64{{1, 2}, {3, 4}})
-	matsEqual(t, m, FromRows([][]float64{{1, 2}, {3, 4}}), 0)
+	matsEqual(t, m, fromRows([][]float64{{1, 2}, {3, 4}}), 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("ragged input did not panic")
@@ -105,10 +105,10 @@ func TestCopyRows(t *testing.T) {
 }
 
 func TestZeroAndAddScaledInto(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{10, 20}, {30, 40}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{10, 20}, {30, 40}})
 	AddScaledInto(a, 0.5, b)
-	matsEqual(t, a, FromRows([][]float64{{6, 12}, {18, 24}}), 0)
+	matsEqual(t, a, fromRows([][]float64{{6, 12}, {18, 24}}), 0)
 	a.Zero()
 	matsEqual(t, a, New(2, 2), 0)
 }

@@ -37,31 +37,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows. It panics on
-// an empty or ragged input.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("mat: FromRows requires a non-empty rectangular input")
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("mat: FromRows given ragged rows")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -70,15 +45,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := range out {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
@@ -134,27 +100,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 	return out
 }
 
-// Add returns a+b.
-func Add(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(ErrShape)
-	}
-	c := a.Clone()
-	for i, v := range b.Data {
-		c.Data[i] += v
-	}
-	return c
-}
-
-// Scale returns s*m as a new matrix.
-func Scale(s float64, m *Matrix) *Matrix {
-	c := m.Clone()
-	for i := range c.Data {
-		c.Data[i] *= s
-	}
-	return c
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var sb strings.Builder
@@ -202,17 +147,6 @@ func DotSeed(s float64, a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-//
-//nnwc:hotpath
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // AXPY computes y += alpha*x in place. Elements are independent, so the 4x

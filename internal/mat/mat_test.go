@@ -27,7 +27,7 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 }
 
 func TestFromRowsAndAt(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	if m.Rows != 3 || m.Cols != 2 {
 		t.Fatalf("shape %dx%d", m.Rows, m.Cols)
 	}
@@ -42,11 +42,11 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 			t.Fatal("ragged FromRows did not panic")
 		}
 	}()
-	FromRows([][]float64{{1, 2}, {3}})
+	fromRows([][]float64{{1, 2}, {3}})
 }
 
 func TestIdentity(t *testing.T) {
-	m := Identity(3)
+	m := identity(3)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			want := 0.0
@@ -61,7 +61,7 @@ func TestIdentity(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := m.T()
 	if tr.Rows != 3 || tr.Cols != 2 {
 		t.Fatalf("transpose shape %dx%d", tr.Rows, tr.Cols)
@@ -76,8 +76,8 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMulHandChecked(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	c := Mul(a, b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := range want {
@@ -94,7 +94,7 @@ func TestMulIdentityProperty(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + src.Intn(6)
 		a := randomMatrix(src, n, n)
-		c := Mul(a, Identity(n))
+		c := Mul(a, identity(n))
 		for i := range a.Data {
 			if !approxEqual(a.Data[i], c.Data[i], 1e-12) {
 				t.Fatal("A*I != A")
@@ -113,7 +113,7 @@ func TestMulShapePanic(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	got := m.MulVec([]float64{1, 0, -1})
 	if got[0] != -2 || got[1] != -2 {
 		t.Fatalf("MulVec got %v", got)
@@ -121,13 +121,13 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestAddAndScale(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
-	b := FromRows([][]float64{{10, 20}})
-	c := Add(a, b)
+	a := fromRows([][]float64{{1, 2}})
+	b := fromRows([][]float64{{10, 20}})
+	c := add(a, b)
 	if c.At(0, 0) != 11 || c.At(0, 1) != 22 {
 		t.Fatalf("Add got %v", c.Data)
 	}
-	s := Scale(2, a)
+	s := scale(2, a)
 	if s.At(0, 0) != 2 || s.At(0, 1) != 4 {
 		t.Fatalf("Scale got %v", s.Data)
 	}
@@ -141,7 +141,7 @@ func TestDotAndNorm(t *testing.T) {
 	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Fatal("Dot wrong")
 	}
-	if !approxEqual(Norm2([]float64{3, 4}), 5, 1e-12) {
+	if !approxEqual(norm2([]float64{3, 4}), 5, 1e-12) {
 		t.Fatal("Norm2 wrong")
 	}
 }
@@ -191,7 +191,7 @@ func TestCholeskyReconstructs(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 0}, {0, -1}})
+	a := fromRows([][]float64{{1, 0}, {0, -1}})
 	if _, err := Cholesky(a); err == nil {
 		t.Fatal("Cholesky accepted an indefinite matrix")
 	}
@@ -224,8 +224,8 @@ func TestSolveCholeskyRoundTrip(t *testing.T) {
 
 func TestQRSolveExact(t *testing.T) {
 	// Square, full-rank system: QR least squares equals exact solve.
-	a := FromRows([][]float64{{2, 1}, {1, 3}})
-	want := FromRows([][]float64{{1}, {-2}})
+	a := fromRows([][]float64{{2, 1}, {1, 3}})
+	want := fromRows([][]float64{{1}, {-2}})
 	b := Mul(a, want)
 	got, err := SolveLeastSquares(a, b)
 	if err != nil {
@@ -265,14 +265,14 @@ func TestQRLeastSquaresResidualOrthogonal(t *testing.T) {
 
 func TestQRDetectsRankDeficiency(t *testing.T) {
 	// Second column is twice the first: rank 1.
-	a := FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
 	if _, err := SolveLeastSquares(a, New(3, 1)); err == nil {
 		t.Fatal("rank-deficient system was not rejected")
 	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
+	a := fromRows([][]float64{{1, 2}})
 	c := a.Clone()
 	c.Set(0, 0, 99)
 	if a.At(0, 0) != 1 {
@@ -281,7 +281,7 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestRowIsView(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	a.Row(1)[0] = 42
 	if a.At(1, 0) != 42 {
 		t.Fatal("Row should be a view")
@@ -289,8 +289,8 @@ func TestRowIsView(t *testing.T) {
 }
 
 func TestColIsCopy(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	col := a.Col(0)
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	col := a.col(0)
 	col[0] = 42
 	if a.At(0, 0) != 1 {
 		t.Fatal("Col should be a copy")
@@ -298,7 +298,7 @@ func TestColIsCopy(t *testing.T) {
 }
 
 func TestStringRendering(t *testing.T) {
-	s := FromRows([][]float64{{1, 2}}).String()
+	s := fromRows([][]float64{{1, 2}}).String()
 	if s == "" {
 		t.Fatal("String returned empty")
 	}
@@ -339,4 +339,70 @@ func BenchmarkCholesky16(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Test helpers: matrix operations that only these tests use.
+
+// fromRows builds a matrix from equal-length rows; it panics on an
+// empty or ragged input.
+func fromRows(rows [][]float64) *Matrix { return new(Matrix).CopyRows(rows) }
+
+// identity returns the n×n identity matrix.
+func identity(n int) *Matrix {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// col returns a copy of column j.
+func (m *Matrix) col(j int) []float64 {
+	out := make([]float64, m.Rows)
+	for i := range out {
+		out[i] = m.At(i, j)
+	}
+	return out
+}
+
+// add returns a+b.
+func add(a, b *Matrix) *Matrix {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic(ErrShape)
+	}
+	c := a.Clone()
+	for i, v := range b.Data {
+		c.Data[i] += v
+	}
+	return c
+}
+
+// scale returns s*m as a new matrix.
+func scale(s float64, m *Matrix) *Matrix {
+	c := m.Clone()
+	for i := range c.Data {
+		c.Data[i] *= s
+	}
+	return c
+}
+
+// norm2 returns the Euclidean norm of v.
+func norm2(v []float64) float64 {
+	var s float64
+	for _, x := range v {
+		s += x * x
+	}
+	return math.Sqrt(s)
+}
+
+// mulVecInto computes dst = m·x without allocating. dst must have length
+// m.Rows and must not alias x. Returns dst.
+func (m *Matrix) mulVecInto(dst, x []float64) []float64 {
+	if m.Cols != len(x) || m.Rows != len(dst) {
+		panic(ErrShape)
+	}
+	for i := 0; i < m.Rows; i++ {
+		dst[i] = Dot(m.Row(i), x)
+	}
+	return dst
 }

@@ -45,7 +45,7 @@ func TestForwardTraceBatchMatchesPerSample(t *testing.T) {
 	src := rng.New(32)
 	net := NewNetwork([]int{3, 5, 2}, Tanh{}, Identity{})
 	XavierInit{}.Init(net, src)
-	X := mat.FromRows([][]float64{{0.1, -0.5, 2}, {1, 1, 1}, {-3, 0.2, 0.9}})
+	X := new(mat.Matrix).CopyRows([][]float64{{0.1, -0.5, 2}, {1, 1, 1}, {-3, 0.2, 0.9}})
 	var ws BatchWorkspace
 	acts, pres := net.ForwardTraceBatch(X, &ws)
 	if len(acts) != len(net.Layers)+1 || len(pres) != len(net.Layers) {

@@ -15,22 +15,12 @@ import (
 // Weights live in a single row-major mat.Matrix (Outputs × Inputs) and the
 // biases directly after them, so a layer's parameters occupy one contiguous
 // block. Layers built by NewNetwork view slices of the network's flat
-// parameter vector; standalone layers from NewLayer own a private block.
+// parameter vector.
 type Layer struct {
 	Inputs, Outputs int
 	W               *mat.Matrix // Outputs × Inputs weights, row-major
 	B               []float64   // Outputs biases
 	Act             Activation
-}
-
-// NewLayer allocates a standalone zero-weight layer backed by its own
-// contiguous parameter block.
-func NewLayer(inputs, outputs int, act Activation) *Layer {
-	if inputs <= 0 || outputs <= 0 {
-		panic(fmt.Sprintf("nn: invalid layer shape %d->%d", inputs, outputs))
-	}
-	block := make([]float64, outputs*inputs+outputs)
-	return newLayerView(inputs, outputs, act, block)
 }
 
 // newLayerView builds a layer whose W and B view the given parameter block
@@ -74,9 +64,6 @@ func (l *Layer) forwardInto(x, out, pre []float64) {
 	}
 	EvalRow(l.Act, pre[:l.Outputs], out)
 }
-
-// NumParams returns the number of trainable parameters in the layer.
-func (l *Layer) NumParams() int { return l.Outputs*l.Inputs + l.Outputs }
 
 // Network is a multilayer perceptron: an input "layer" (not counted, per
 // the paper's convention in §2.2), zero or more hidden layers, and an
@@ -165,18 +152,6 @@ func (n *Network) Sizes() []int {
 // NumParams returns the total number of trainable parameters.
 func (n *Network) NumParams() int { return len(n.params) }
 
-// MaxWidth returns the widest activation the network produces, including
-// the input width — the column bound batch workspaces must accommodate.
-func (n *Network) MaxWidth() int {
-	w := n.InputDim()
-	for _, l := range n.Layers {
-		if l.Outputs > w {
-			w = l.Outputs
-		}
-	}
-	return w
-}
-
 // Forward runs the network on x and returns the output vector.
 func (n *Network) Forward(x []float64) []float64 {
 	out := x
@@ -218,48 +193,11 @@ func (n *Network) Clone() *Network {
 	return c
 }
 
-// CopyWeightsFrom overwrites n's parameters with src's. The topologies
-// must match.
-func (n *Network) CopyWeightsFrom(src *Network) {
-	if len(n.Layers) != len(src.Layers) {
-		panic("nn: topology mismatch in CopyWeightsFrom")
-	}
-	for i, l := range n.Layers {
-		sl := src.Layers[i]
-		if l.Inputs != sl.Inputs || l.Outputs != sl.Outputs {
-			panic("nn: layer shape mismatch in CopyWeightsFrom")
-		}
-	}
-	copy(n.params, src.params)
-}
-
 // Initializer seeds a network's weights before training. The paper notes
 // the weights and biases "are initialized with random values when the
 // training process begins" (§3.1).
 type Initializer interface {
 	Init(n *Network, src *rng.Source)
-}
-
-// UniformInit draws weights and biases uniformly from [−Scale, Scale].
-type UniformInit struct{ Scale float64 }
-
-// Init implements Initializer.
-func (u UniformInit) Init(n *Network, src *rng.Source) {
-	s := u.Scale
-	if s <= 0 {
-		s = 0.5
-	}
-	for _, l := range n.Layers {
-		for o := 0; o < l.Outputs; o++ {
-			row := l.W.Row(o)
-			for j := range row {
-				row[j] = src.Uniform(-s, s)
-			}
-		}
-		for i := range l.B {
-			l.B[i] = src.Uniform(-s, s)
-		}
-	}
 }
 
 // XavierInit draws weights from a uniform distribution whose scale depends

@@ -9,7 +9,7 @@ import (
 )
 
 func TestLayerForwardHandChecked(t *testing.T) {
-	l := NewLayer(2, 1, Identity{})
+	l := NewNetwork([]int{2, 1}, Identity{}, Identity{}).Layers[0]
 	l.W.Set(0, 0, 2)
 	l.W.Set(0, 1, -1)
 	l.B[0] = 0.5
@@ -21,7 +21,7 @@ func TestLayerForwardHandChecked(t *testing.T) {
 }
 
 func TestLayerForwardAppliesActivation(t *testing.T) {
-	l := NewLayer(1, 1, Logistic{Alpha: 1})
+	l := NewNetwork([]int{1, 1}, Identity{}, Logistic{Alpha: 1}).Layers[0]
 	l.W.Set(0, 0, 1)
 	out, pre := l.Forward([]float64{0})
 	if pre[0] != 0 || out[0] != 0.5 {
@@ -35,7 +35,7 @@ func TestLayerShapePanics(t *testing.T) {
 			t.Fatal("wrong input size did not panic")
 		}
 	}()
-	NewLayer(2, 1, Identity{}).Forward([]float64{1})
+	NewNetwork([]int{2, 1}, Identity{}, Identity{}).Layers[0].Forward([]float64{1})
 }
 
 func TestNewNetworkTopology(t *testing.T) {
@@ -87,7 +87,7 @@ func TestForwardTraceConsistent(t *testing.T) {
 func TestCloneIndependent(t *testing.T) {
 	src := rng.New(6)
 	n := NewNetwork([]int{2, 4, 1}, Tanh{}, Identity{})
-	UniformInit{Scale: 1}.Init(n, src)
+	XavierInit{}.Init(n, src)
 	c := n.Clone()
 	before := n.Forward([]float64{1, 1})[0]
 	c.Layers[0].W.Set(0, 0, 99)
@@ -97,42 +97,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 	if c.Forward([]float64{1, 1})[0] == before {
 		t.Fatal("mutating the clone had no effect on it")
-	}
-}
-
-func TestCopyWeightsFrom(t *testing.T) {
-	src := rng.New(7)
-	a := NewNetwork([]int{2, 3, 1}, Tanh{}, Identity{})
-	b := NewNetwork([]int{2, 3, 1}, Tanh{}, Identity{})
-	XavierInit{}.Init(a, src)
-	XavierInit{}.Init(b, src)
-	b.CopyWeightsFrom(a)
-	x := []float64{0.5, -0.5}
-	if a.Forward(x)[0] != b.Forward(x)[0] {
-		t.Fatal("CopyWeightsFrom did not copy")
-	}
-}
-
-func TestCopyWeightsTopologyPanics(t *testing.T) {
-	a := NewNetwork([]int{2, 3, 1}, Tanh{}, Identity{})
-	b := NewNetwork([]int{2, 4, 1}, Tanh{}, Identity{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched topology did not panic")
-		}
-	}()
-	b.CopyWeightsFrom(a)
-}
-
-func TestUniformInitBounds(t *testing.T) {
-	n := NewNetwork([]int{3, 5, 2}, Tanh{}, Identity{})
-	UniformInit{Scale: 0.25}.Init(n, rng.New(8))
-	for _, l := range n.Layers {
-		for _, w := range l.W.Data {
-			if math.Abs(w) > 0.25 {
-				t.Fatalf("weight %v outside scale", w)
-			}
-		}
 	}
 }
 
@@ -215,5 +179,64 @@ func BenchmarkForward4x16x5(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Forward(x)
+	}
+}
+
+func TestCopyWeightsFrom(t *testing.T) {
+	src := rng.New(7)
+	a := NewNetwork([]int{2, 3, 1}, Tanh{}, Identity{})
+	b := NewNetwork([]int{2, 3, 1}, Tanh{}, Identity{})
+	XavierInit{}.Init(a, src)
+	XavierInit{}.Init(b, src)
+	copyWeightsFrom(b, a)
+	x := []float64{0.5, -0.5}
+	if a.Forward(x)[0] != b.Forward(x)[0] {
+		t.Fatal("CopyWeightsFrom did not copy")
+	}
+}
+
+func TestCopyWeightsTopologyPanics(t *testing.T) {
+	a := NewNetwork([]int{2, 3, 1}, Tanh{}, Identity{})
+	b := NewNetwork([]int{2, 4, 1}, Tanh{}, Identity{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched topology did not panic")
+		}
+	}()
+	copyWeightsFrom(b, a)
+}
+
+func TestUniformInitBounds(t *testing.T) {
+	n := NewNetwork([]int{3, 5, 2}, Tanh{}, Identity{})
+	uniformInit(n, rng.New(8), 0.25)
+	for _, l := range n.Layers {
+		for _, w := range l.W.Data {
+			if math.Abs(w) > 0.25 {
+				t.Fatalf("weight %v outside scale", w)
+			}
+		}
+	}
+}
+
+// copyWeightsFrom overwrites n's parameters with src's. The topologies
+// must match.
+func copyWeightsFrom(n, src *Network) {
+	if len(n.Layers) != len(src.Layers) {
+		panic("nn: topology mismatch in copyWeightsFrom")
+	}
+	for i, l := range n.Layers {
+		sl := src.Layers[i]
+		if l.Inputs != sl.Inputs || l.Outputs != sl.Outputs {
+			panic("nn: layer shape mismatch in copyWeightsFrom")
+		}
+	}
+	copy(n.params, src.params)
+}
+
+// uniformInit draws every weight and bias of n uniformly from [−s, s],
+// in parameter order.
+func uniformInit(n *Network, src *rng.Source, s float64) {
+	for i, p := 0, n.Params(); i < len(p); i++ {
+		p[i] = src.Uniform(-s, s)
 	}
 }

@@ -116,12 +116,6 @@ func (n *Network) PredictAll(xs [][]float64) [][]float64 {
 	return out
 }
 
-// InputDim returns the input dimensionality.
-func (n *Network) InputDim() int { return len(n.Centers[0]) }
-
-// OutputDim returns the output dimensionality.
-func (n *Network) OutputDim() int { return n.Out.OutputDim() }
-
 func activations(centers [][]float64, gammas []float64, x []float64) []float64 {
 	h := make([]float64, len(centers))
 	for i, c := range centers {

@@ -70,8 +70,8 @@ func TestMultiOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.OutputDim() != 2 || net.InputDim() != 1 {
-		t.Fatalf("dims %d→%d", net.InputDim(), net.OutputDim())
+	if net.Out.OutputDim() != 2 || len(net.Centers[0]) != 1 {
+		t.Fatalf("dims %d→%d", len(net.Centers[0]), net.Out.OutputDim())
 	}
 	out := net.Predict([]float64{2})
 	if math.Abs(out[1]-2*out[0]) > 0.5 {
@@ -147,7 +147,7 @@ func TestWidthScaleSmooths(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		a := src.Uniform(-2, 2)
 		xs = append(xs, []float64{a})
-		ys = append(ys, []float64{math.Sin(3*a) + src.NormMeanStd(0, 0.2)})
+		ys = append(ys, []float64{math.Sin(3*a) + (0 + 0.2*src.Norm())})
 	}
 	sharp, err := Fit(xs, ys, Config{Centers: 30, WidthScale: 0.5, Seed: 2})
 	if err != nil {

@@ -141,31 +141,6 @@ func (s HistogramSnapshot) valid() bool {
 	return len(s.Counts) == len(s.Bounds)+1
 }
 
-// Merge adds another snapshot's counts into s. The receiver adopts o's
-// bucket layout when empty; otherwise the layouts must match exactly —
-// per-bucket counts only add between identical buckets.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) error {
-	if !o.valid() {
-		if len(o.Bounds) == 0 && len(o.Counts) == 0 && o.Count == 0 {
-			return nil // merging an empty zero snapshot is a no-op
-		}
-		return fmt.Errorf("metrics: malformed histogram snapshot (%d bounds, %d counts)", len(o.Bounds), len(o.Counts))
-	}
-	if len(s.Bounds) == 0 && len(s.Counts) == 0 {
-		s.Bounds = append([]float64(nil), o.Bounds...)
-		s.Counts = make([]uint64, len(o.Counts))
-	}
-	if !sameBounds(s.Bounds, o.Bounds) {
-		return fmt.Errorf("metrics: cannot merge histograms with different bucket bounds")
-	}
-	for i, n := range o.Counts {
-		s.Counts[i] += n
-	}
-	s.Sum += o.Sum
-	s.Count += o.Count
-	return nil
-}
-
 // renderHistCells writes one histogram's Prometheus text lines:
 // cumulative _bucket{le=...} counts (ending at +Inf == _count), then
 // _sum and _count. labelPrefix, when non-empty, is a rendered

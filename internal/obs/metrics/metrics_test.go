@@ -12,8 +12,8 @@ func TestCounter(t *testing.T) {
 	c := r.Counter("test_total", "test counter")
 	c.Inc()
 	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("Value = %d, want 5", c.Value())
+	if c.v.Load() != 5 {
+		t.Fatalf("Value = %d, want 5", c.v.Load())
 	}
 	var b strings.Builder
 	r.Write(&b)
@@ -37,8 +37,8 @@ func TestCounterConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 8000 {
-		t.Fatalf("Value = %d, want 8000", c.Value())
+	if c.v.Load() != 8000 {
+		t.Fatalf("Value = %d, want 8000", c.v.Load())
 	}
 }
 
@@ -48,8 +48,8 @@ func TestCounterVecSortedRendering(t *testing.T) {
 	v.Inc("/predict", "500")
 	v.Add(3, "/predict", "200")
 	v.Inc("/healthz", "200")
-	if v.Value("/predict", "200") != 3 {
-		t.Fatalf("cell = %d, want 3", v.Value("/predict", "200"))
+	if counterCell(v, "/predict", "200") != 3 {
+		t.Fatalf("cell = %d, want 3", counterCell(v, "/predict", "200"))
 	}
 	var b strings.Builder
 	r.Write(&b)
@@ -203,4 +203,11 @@ func parseSample(line, name string, labels ...string) ([]string, error) {
 		return nil, errors.New("want } 1 after the labels")
 	}
 	return vals, nil
+}
+
+// counterCell reads one cell of v.
+func counterCell(v *CounterVec, values ...string) uint64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.cells[v.key(values)]
 }

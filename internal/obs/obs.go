@@ -16,19 +16,15 @@
 // IDs, peer addresses, lease IDs) are confined to the well-known volatile
 // keys "t", "ms", "worker", "job", "addr" and "lease", and purely
 // scheduling-narrative event types (lease grants, reassignments, HTTP
-// request logs) to the volatileEvents set; CanonicalizeJSONL strips
-// exactly those, and the remainder of a trace is byte-identical across
+// request logs) to a known set; obstest.CanonicalizeJSONL strips exactly
+// those, and the remainder of a trace is byte-identical across
 // runs — including the coordinator-merged cluster traces of the dist
 // plane, at any worker count.
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -155,13 +151,6 @@ type Trace struct {
 // NewTrace returns a trace emitting timestamped events into sink.
 func NewTrace(sink Sink) *Trace { return &Trace{sink: sink, now: time.Now} }
 
-// NewTraceNoTime returns a trace that emits events without timestamps —
-// its output is byte-deterministic without canonicalization (modulo span
-// durations and worker attribution). Used by determinism tests.
-func NewTraceNoTime(sink Sink) *Trace {
-	return &Trace{sink: sink, now: func() time.Time { return time.Time{} }}
-}
-
 // Enabled reports whether events emitted on t go anywhere.
 func (t *Trace) Enabled() bool { return t != nil && t.sink != nil }
 
@@ -242,7 +231,7 @@ func (t *Trace) StartTimer() Timer {
 }
 
 // Emit records the event with fields and then the region's wall time under
-// the volatile "ms" key, which CanonicalizeJSONL strips.
+// the volatile "ms" key, which obstest.CanonicalizeJSONL strips.
 func (tm Timer) Emit(name string, fields ...Field) {
 	if tm.tr != nil {
 		tm.tr.Emit(name, append(fields, Float("ms", float64(time.Since(tm.start))/float64(time.Millisecond)))...)
@@ -267,77 +256,9 @@ func (t *Trace) StartSpan(scope string, task, worker int) Span {
 
 // End emits the span event: {"ev":"span","scope":...,"task":...,
 // "worker":...,"ms":...}. "ms" and "worker" are volatile keys stripped by
-// CanonicalizeJSONL.
+// obstest.CanonicalizeJSONL.
 func (s Span) End() {
 	if s.timer.tr != nil {
 		s.timer.Emit("span", String("scope", s.scope), Int("task", s.task), Int("worker", s.worker))
 	}
-}
-
-// volatileKeys are the wall-clock and scheduling artifacts a trace may
-// carry; everything else must be deterministic for a fixed seed. The
-// cluster-trace additions: "job" (run IDs embed timestamps), "addr"
-// (peer addresses), and "lease" (lease IDs count grants, whose order is
-// an interleaving artifact).
-var volatileKeys = []string{"t", "ms", "worker", "job", "addr", "lease"}
-
-// volatileEvents are event types whose very *occurrence* is a scheduling
-// artifact — lease grants, expiry reassignments, live HTTP request logs.
-// Stripping keys cannot make such lines deterministic (a run with a
-// straggler has more of them), so CanonicalizeJSONL drops the whole
-// line. The raw trace keeps them: they are what `nnwc runs timeline`
-// renders.
-var volatileEvents = map[string]bool{
-	"dist_lease":    true,
-	"dist_reassign": true,
-	"http_request":  true,
-}
-
-// CanonicalizeJSONL strips the volatile keys ("t" timestamps, "ms"
-// durations, "worker" attribution, "job"/"addr"/"lease" cluster-trace
-// identifiers) from every line of a JSONL trace, drops whole lines whose
-// event type is itself scheduling-dependent (volatileEvents), and
-// re-renders each remaining object with sorted keys. Two traces of the
-// same seeded run canonicalize to identical bytes, at any worker count
-// and under any lease interleaving.
-func CanonicalizeJSONL(data []byte) ([]byte, error) {
-	var out bytes.Buffer
-	for lineNo, line := range bytes.Split(data, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.UseNumber() // keep the original number spelling
-		obj := map[string]any{}
-		if err := dec.Decode(&obj); err != nil {
-			return nil, fmt.Errorf("obs: line %d: %w", lineNo+1, err)
-		}
-		if ev, ok := obj["ev"].(string); ok && volatileEvents[ev] {
-			continue
-		}
-		for _, k := range volatileKeys {
-			delete(obj, k)
-		}
-		keys := make([]string, 0, len(obj))
-		for k := range obj {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		out.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				out.WriteByte(',')
-			}
-			kb, _ := json.Marshal(k)
-			vb, err := json.Marshal(obj[k])
-			if err != nil {
-				return nil, fmt.Errorf("obs: line %d key %q: %w", lineNo+1, k, err)
-			}
-			out.Write(kb)
-			out.WriteByte(':')
-			out.Write(vb)
-		}
-		out.WriteString("}\n")
-	}
-	return out.Bytes(), nil
 }

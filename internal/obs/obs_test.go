@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nnwc/internal/obs/obstest"
 )
 
 // collectSink buffers events in memory for assertions.
@@ -88,7 +90,7 @@ func TestNilTraceIsInert(t *testing.T) {
 
 func TestWriterSinkLines(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTraceNoTime(NewWriterSink(&buf))
+	tr := newTraceNoTime(NewWriterSink(&buf))
 	if !tr.Enabled() {
 		t.Fatal("trace with sink should be enabled")
 	}
@@ -102,7 +104,7 @@ func TestWriterSinkLines(t *testing.T) {
 
 func TestForkReplaysInSlotOrder(t *testing.T) {
 	sink := &collectSink{}
-	tr := NewTraceNoTime(sink)
+	tr := newTraceNoTime(sink)
 	const n = 8
 	fork := tr.Fork(n)
 	var wg sync.WaitGroup
@@ -134,7 +136,7 @@ func TestForkReplaysInSlotOrder(t *testing.T) {
 
 func TestSpanEmission(t *testing.T) {
 	sink := &collectSink{}
-	tr := NewTraceNoTime(sink)
+	tr := newTraceNoTime(sink)
 	span := tr.StartSpan("cv-fold", 3, 1)
 	span.End()
 	if len(sink.events) != 1 {
@@ -162,7 +164,7 @@ func TestSpanEmission(t *testing.T) {
 
 func TestTimerEmission(t *testing.T) {
 	sink := &collectSink{}
-	tr := NewTraceNoTime(sink)
+	tr := newTraceNoTime(sink)
 	tr.StartTimer().Emit("threetier.collect", Int("configs", 8))
 	if len(sink.events) != 1 || sink.events[0].Name != "threetier.collect" {
 		t.Fatalf("got %+v, want one threetier.collect event", sink.events)
@@ -177,7 +179,7 @@ func TestCanonicalizeStripsVolatileKeys(t *testing.T) {
 	in := []byte(`{"t":"2026-08-05T12:00:00Z","ev":"span","scope":"cv-fold","task":0,"worker":3,"ms":12.5}
 {"t":"2026-08-05T12:00:01Z","ev":"epoch","epoch":1,"train_loss":0.5}
 `)
-	got, err := CanonicalizeJSONL(in)
+	got, err := obstest.CanonicalizeJSONL(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestCanonicalizeStripsClusterVolatileKeys(t *testing.T) {
 	in := []byte(`{"t":"2026-08-05T12:00:00Z","ev":"cluster_job","job":"crossval-20260805-120000","kind":"crossval","tasks":4,"seed":7,"fingerprint":"abc"}
 {"ev":"dist_task","kind":"crossval","index":2,"worker":"host-41","lease":3,"ms":812.5}
 `)
-	got, err := CanonicalizeJSONL(in)
+	got, err := obstest.CanonicalizeJSONL(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +214,7 @@ func TestCanonicalizeDropsVolatileEventLines(t *testing.T) {
 {"ev":"http_request","service":"dist","route":"POST /dist/lease","code":200}
 {"ev":"dist_task","kind":"crossval","index":0}
 `)
-	got, err := CanonicalizeJSONL(in)
+	got, err := obstest.CanonicalizeJSONL(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +229,11 @@ func TestCanonicalizeDropsVolatileEventLines(t *testing.T) {
 func TestCanonicalizeIgnoresTimestampDifferences(t *testing.T) {
 	a := []byte(`{"t":"2026-01-01T00:00:00Z","ev":"x","v":1}` + "\n")
 	b := []byte(`{"t":"2027-12-31T23:59:59Z","ev":"x","v":1}` + "\n")
-	ca, err := CanonicalizeJSONL(a)
+	ca, err := obstest.CanonicalizeJSONL(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := CanonicalizeJSONL(b)
+	cb, err := obstest.CanonicalizeJSONL(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +297,7 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 func TestWriterSinkCloseSurfacesWriteError(t *testing.T) {
 	wantErr := errors.New("disk full")
 	sink := NewWriterSink(&failAfterWriter{ok: 1, err: wantErr})
-	tr := NewTraceNoTime(sink)
+	tr := newTraceNoTime(sink)
 	tr.Emit("a", Int("i", 1)) // succeeds
 	tr.Emit("b", Int("i", 2)) // fails; recorded for Close
 	tr.Emit("c", Int("i", 3)) // later failures must not mask the first
@@ -304,8 +306,14 @@ func TestWriterSinkCloseSurfacesWriteError(t *testing.T) {
 	}
 
 	clean := NewWriterSink(&bytes.Buffer{})
-	NewTraceNoTime(clean).Emit("a", Int("i", 1))
+	newTraceNoTime(clean).Emit("a", Int("i", 1))
 	if err := clean.Close(); err != nil {
 		t.Fatalf("clean sink Close() = %v, want nil", err)
 	}
+}
+
+// newTraceNoTime returns a trace whose events carry no timestamp, so its
+// output is byte-exact without canonicalization.
+func newTraceNoTime(sink Sink) *Trace {
+	return &Trace{sink: sink, now: func() time.Time { return time.Time{} }}
 }

@@ -12,7 +12,6 @@ package preprocess
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"nnwc/internal/stats"
 )
@@ -103,81 +102,6 @@ func (s *Standardizer) mustFitted(n int) {
 	}
 }
 
-// MinMax scales each column linearly into [lo, hi]. It is provided as an
-// alternative normalization for comparison with the paper's z-score choice.
-type MinMax struct {
-	lo, hi     float64
-	min, rangw []float64
-}
-
-// NewMinMax returns a scaler targeting [lo, hi]. It panics if hi <= lo.
-func NewMinMax(lo, hi float64) *MinMax {
-	if hi <= lo {
-		panic("preprocess: MinMax requires hi > lo")
-	}
-	return &MinMax{lo: lo, hi: hi}
-}
-
-// Fit learns per-column minima and ranges.
-func (m *MinMax) Fit(rows [][]float64) error {
-	cols, err := columnCount(rows)
-	if err != nil {
-		return err
-	}
-	m.min = make([]float64, cols)
-	m.rangw = make([]float64, cols)
-	for j := 0; j < cols; j++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, r := range rows {
-			if r[j] < lo {
-				lo = r[j]
-			}
-			if r[j] > hi {
-				hi = r[j]
-			}
-		}
-		m.min[j] = lo
-		w := hi - lo
-		if stats.ExactZero(w) {
-			w = 1
-		}
-		m.rangw[j] = w
-	}
-	return nil
-}
-
-// Transform maps one row into [lo, hi] per column.
-func (m *MinMax) Transform(row []float64) []float64 {
-	m.mustFitted(len(row))
-	out := make([]float64, len(row))
-	for j, v := range row {
-		out[j] = m.lo + (m.hi-m.lo)*(v-m.min[j])/m.rangw[j]
-	}
-	return out
-}
-
-// Inverse undoes Transform.
-func (m *MinMax) Inverse(row []float64) []float64 {
-	m.mustFitted(len(row))
-	out := make([]float64, len(row))
-	for j, v := range row {
-		out[j] = m.min[j] + (v-m.lo)/(m.hi-m.lo)*m.rangw[j]
-	}
-	return out
-}
-
-// Dims returns the fitted column count.
-func (m *MinMax) Dims() int { return len(m.min) }
-
-func (m *MinMax) mustFitted(n int) {
-	if len(m.min) == 0 {
-		panic(ErrNotFitted)
-	}
-	if n != len(m.min) {
-		panic(fmt.Sprintf("preprocess: row has %d columns, scaler fitted with %d", n, len(m.min)))
-	}
-}
-
 // Identity is a no-op Scaler, used when the paper's protocol says not to
 // standardize (single performance indicator, §3.1).
 type Identity struct{ dims int }
@@ -225,11 +149,6 @@ func TransformInto(s Scaler, dst, row []float64) {
 		for j, v := range row {
 			dst[j] = (v - sc.mean[j]) / sc.std[j]
 		}
-	case *MinMax:
-		sc.mustFitted(len(row))
-		for j, v := range row {
-			dst[j] = sc.lo + (sc.hi-sc.lo)*(v-sc.min[j])/sc.rangw[j]
-		}
 	case *Identity:
 		copy(dst, row)
 	default:
@@ -259,11 +178,6 @@ func InverseInto(s Scaler, dst, row []float64) {
 		for j, v := range row {
 			dst[j] = v*sc.std[j] + sc.mean[j]
 		}
-	case *MinMax:
-		sc.mustFitted(len(row))
-		for j, v := range row {
-			dst[j] = sc.min[j] + (v-sc.lo)/(sc.hi-sc.lo)*sc.rangw[j]
-		}
 	case *Identity:
 		copy(dst, row)
 	default:
@@ -281,15 +195,6 @@ func TransformAll(s Scaler, rows [][]float64) [][]float64 {
 	out := make([][]float64, len(rows))
 	for i, r := range rows {
 		out[i] = s.Transform(r)
-	}
-	return out
-}
-
-// InverseAll applies s.Inverse to every row.
-func InverseAll(s Scaler, rows [][]float64) [][]float64 {
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		out[i] = s.Inverse(r)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package preprocess
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -136,6 +137,49 @@ func TestFitErrors(t *testing.T) {
 	}
 }
 
+func TestIdentityPassThrough(t *testing.T) {
+	id := NewIdentity()
+	if err := id.Fit([][]float64{{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if id.Dims() != 3 {
+		t.Fatalf("Dims %d", id.Dims())
+	}
+	in := []float64{4, 5, 6}
+	out := id.Transform(in)
+	for j := range in {
+		if out[j] != in[j] {
+			t.Fatal("identity changed values")
+		}
+	}
+	// Must be a copy, not the same slice.
+	out[0] = 99
+	if in[0] == 99 {
+		t.Fatal("identity returned the input slice")
+	}
+	inv := id.Inverse(in)
+	if inv[2] != 6 {
+		t.Fatal("identity inverse wrong")
+	}
+}
+
+func TestTransformAllInverseAll(t *testing.T) {
+	src := rng.New(3)
+	rows := randomRows(src, 10, 2)
+	s := NewStandardizer()
+	if err := s.Fit(rows); err != nil {
+		t.Fatal(err)
+	}
+	for i, z := range TransformAll(s, rows) {
+		back := s.Inverse(z)
+		for j := range rows[i] {
+			if math.Abs(back[j]-rows[i][j]) > 1e-9 {
+				t.Fatal("TransformAll/Inverse round trip failed")
+			}
+		}
+	}
+}
+
 func TestMinMaxRange(t *testing.T) {
 	rows := [][]float64{{0, -10}, {10, 10}, {5, 0}}
 	m := NewMinMax(0, 1)
@@ -178,45 +222,77 @@ func TestMinMaxBadBoundsPanics(t *testing.T) {
 	NewMinMax(1, 0)
 }
 
-func TestIdentityPassThrough(t *testing.T) {
-	id := NewIdentity()
-	if err := id.Fit([][]float64{{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	if id.Dims() != 3 {
-		t.Fatalf("Dims %d", id.Dims())
-	}
-	in := []float64{4, 5, 6}
-	out := id.Transform(in)
-	for j := range in {
-		if out[j] != in[j] {
-			t.Fatal("identity changed values")
-		}
-	}
-	// Must be a copy, not the same slice.
-	out[0] = 99
-	if in[0] == 99 {
-		t.Fatal("identity returned the input slice")
-	}
-	inv := id.Inverse(in)
-	if inv[2] != 6 {
-		t.Fatal("identity inverse wrong")
-	}
+// MinMax scales each column linearly into [lo, hi]: the alternative to
+// the paper's z-score that these tests compare against.
+type MinMax struct {
+	lo, hi     float64
+	min, rangw []float64
 }
 
-func TestTransformAllInverseAll(t *testing.T) {
-	src := rng.New(3)
-	rows := randomRows(src, 10, 2)
-	s := NewStandardizer()
-	if err := s.Fit(rows); err != nil {
-		t.Fatal(err)
+// NewMinMax returns a scaler targeting [lo, hi]. It panics if hi <= lo.
+func NewMinMax(lo, hi float64) *MinMax {
+	if hi <= lo {
+		panic("preprocess: MinMax requires hi > lo")
 	}
-	back := InverseAll(s, TransformAll(s, rows))
-	for i := range rows {
-		for j := range rows[i] {
-			if math.Abs(back[i][j]-rows[i][j]) > 1e-9 {
-				t.Fatal("TransformAll/InverseAll round trip failed")
+	return &MinMax{lo: lo, hi: hi}
+}
+
+// Fit learns per-column minima and ranges.
+func (m *MinMax) Fit(rows [][]float64) error {
+	cols, err := columnCount(rows)
+	if err != nil {
+		return err
+	}
+	m.min = make([]float64, cols)
+	m.rangw = make([]float64, cols)
+	for j := 0; j < cols; j++ {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, r := range rows {
+			if r[j] < lo {
+				lo = r[j]
+			}
+			if r[j] > hi {
+				hi = r[j]
 			}
 		}
+		m.min[j] = lo
+		w := hi - lo
+		if stats.ExactZero(w) {
+			w = 1
+		}
+		m.rangw[j] = w
+	}
+	return nil
+}
+
+// Transform maps one row into [lo, hi] per column.
+func (m *MinMax) Transform(row []float64) []float64 {
+	m.mustFitted(len(row))
+	out := make([]float64, len(row))
+	for j, v := range row {
+		out[j] = m.lo + (m.hi-m.lo)*(v-m.min[j])/m.rangw[j]
+	}
+	return out
+}
+
+// Inverse undoes Transform.
+func (m *MinMax) Inverse(row []float64) []float64 {
+	m.mustFitted(len(row))
+	out := make([]float64, len(row))
+	for j, v := range row {
+		out[j] = m.min[j] + (v-m.lo)/(m.hi-m.lo)*m.rangw[j]
+	}
+	return out
+}
+
+// Dims returns the fitted column count.
+func (m *MinMax) Dims() int { return len(m.min) }
+
+func (m *MinMax) mustFitted(n int) {
+	if len(m.min) == 0 {
+		panic(ErrNotFitted)
+	}
+	if n != len(m.min) {
+		panic(fmt.Sprintf("preprocess: row has %d columns, scaler fitted with %d", n, len(m.min)))
 	}
 }

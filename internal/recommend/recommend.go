@@ -21,21 +21,6 @@ import (
 // better.
 type Scorer func(indicators []float64) float64
 
-// WeightedScore builds a Scorer as a linear combination Σ wⱼ·yⱼ. Use
-// negative weights for indicators to minimize (response times) and
-// positive for those to maximize (throughput).
-func WeightedScore(weights []float64) Scorer {
-	return func(ind []float64) float64 {
-		var s float64
-		for j, w := range weights {
-			if j < len(ind) {
-				s += w * ind[j]
-			}
-		}
-		return s
-	}
-}
-
 // SLAScore builds a Scorer that maximizes indicator `maximize` (typically
 // throughput) subject to upper bounds on the remaining indicators: any
 // violated bound incurs a steep penalty proportional to the violation, so

@@ -9,17 +9,6 @@ type funcPredictor func(x []float64) []float64
 
 func (f funcPredictor) Predict(x []float64) []float64 { return f(x) }
 
-func TestWeightedScore(t *testing.T) {
-	s := WeightedScore([]float64{-1, 2})
-	if got := s([]float64{3, 5}); got != 7 {
-		t.Fatalf("score %v", got)
-	}
-	// Extra indicator entries beyond the weights are ignored.
-	if got := s([]float64{3, 5, 100}); got != 7 {
-		t.Fatalf("score with extras %v", got)
-	}
-}
-
 func TestSLAScoreFeasible(t *testing.T) {
 	s := SLAScore(2, []float64{10, 20, math.Inf(1)})
 	// Within bounds: score is the maximized indicator.
@@ -73,7 +62,7 @@ func TestSearchFindsKnownOptimum(t *testing.T) {
 		return []float64{-(x[0]-3)*(x[0]-3) - (x[1]+1)*(x[1]+1)}
 	})
 	space := Space{Lo: []float64{-10, -10}, Hi: []float64{10, 10}}
-	res, err := Search(p, space, WeightedScore([]float64{1}), Options{Seed: 3})
+	res, err := Search(p, space, weightedScore([]float64{1}), Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +83,7 @@ func TestSearchFindsKnownOptimum(t *testing.T) {
 func TestSearchRespectsIntegerMask(t *testing.T) {
 	p := funcPredictor(func(x []float64) []float64 { return []float64{-math.Abs(x[0] - 4.3)} })
 	space := Space{Lo: []float64{0}, Hi: []float64{10}, Integer: []bool{true}}
-	res, err := Search(p, space, WeightedScore([]float64{1}), Options{Seed: 1})
+	res, err := Search(p, space, weightedScore([]float64{1}), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +100,7 @@ func TestSearchRespectsIntegerMask(t *testing.T) {
 func TestSearchStaysInBounds(t *testing.T) {
 	p := funcPredictor(func(x []float64) []float64 { return []float64{x[0] + x[1]} })
 	space := Space{Lo: []float64{2, -5}, Hi: []float64{3, -4}}
-	res, err := Search(p, space, WeightedScore([]float64{1}), Options{Seed: 2, Keep: 100})
+	res, err := Search(p, space, weightedScore([]float64{1}), Options{Seed: 2, Keep: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +119,7 @@ func TestSearchDegenerateDimension(t *testing.T) {
 	// A pinned dimension (Lo == Hi) must stay pinned.
 	p := funcPredictor(func(x []float64) []float64 { return []float64{-x[1] * x[1]} })
 	space := Space{Lo: []float64{560, -5}, Hi: []float64{560, 5}}
-	res, err := Search(p, space, WeightedScore([]float64{1}), Options{Seed: 4})
+	res, err := Search(p, space, weightedScore([]float64{1}), Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +132,7 @@ func TestSearchDegenerateDimension(t *testing.T) {
 
 func TestSearchErrors(t *testing.T) {
 	p := funcPredictor(func(x []float64) []float64 { return []float64{0} })
-	if _, err := Search(p, Space{}, WeightedScore([]float64{1}), Options{}); err == nil {
+	if _, err := Search(p, Space{}, weightedScore([]float64{1}), Options{}); err == nil {
 		t.Fatal("invalid space accepted")
 	}
 	if _, err := Search(p, Space{Lo: []float64{0}, Hi: []float64{1}}, nil, Options{}); err == nil {
@@ -154,7 +143,7 @@ func TestSearchErrors(t *testing.T) {
 	for i := range big.Hi {
 		big.Hi[i] = 1
 	}
-	if _, err := Search(p, big, WeightedScore([]float64{1}), Options{GridPoints: 16}); err == nil {
+	if _, err := Search(p, big, weightedScore([]float64{1}), Options{GridPoints: 16}); err == nil {
 		t.Fatal("16^10 grid accepted")
 	}
 }
@@ -162,11 +151,11 @@ func TestSearchErrors(t *testing.T) {
 func TestSearchDeterministic(t *testing.T) {
 	p := funcPredictor(func(x []float64) []float64 { return []float64{math.Sin(x[0]) * math.Cos(x[1])} })
 	space := Space{Lo: []float64{0, 0}, Hi: []float64{6, 6}}
-	a, err := Search(p, space, WeightedScore([]float64{1}), Options{Seed: 9})
+	a, err := Search(p, space, weightedScore([]float64{1}), Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Search(p, space, WeightedScore([]float64{1}), Options{Seed: 9})
+	b, err := Search(p, space, weightedScore([]float64{1}), Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,5 +245,31 @@ func TestParetoFrontErrors(t *testing.T) {
 	good := Space{Lo: []float64{0}, Hi: []float64{1}}
 	if _, err := ParetoFront(p, good, []Objective{Ignore}, Options{}); err == nil {
 		t.Fatal("all-Ignore objectives accepted")
+	}
+}
+
+func TestWeightedScore(t *testing.T) {
+	s := weightedScore([]float64{-1, 2})
+	if got := s([]float64{3, 5}); got != 7 {
+		t.Fatalf("score %v", got)
+	}
+	// Extra indicator entries beyond the weights are ignored.
+	if got := s([]float64{3, 5, 100}); got != 7 {
+		t.Fatalf("score with extras %v", got)
+	}
+}
+
+// weightedScore builds a Scorer as a linear combination Σ wⱼ·yⱼ. Use
+// negative weights for indicators to minimize (response times) and
+// positive for those to maximize (throughput).
+func weightedScore(weights []float64) Scorer {
+	return func(ind []float64) float64 {
+		var s float64
+		for j, w := range weights {
+			if j < len(ind) {
+				s += w * ind[j]
+			}
+		}
+		return s
 	}
 }

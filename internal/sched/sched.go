@@ -95,22 +95,17 @@ func Shard(n, size int) [][2]int {
 	return shards
 }
 
-// ForEach runs task(i) for every i in [0, n) on at most `workers`
-// goroutines (use Workers to resolve a request first). Workers pull task
-// indices from a shared counter, so all worker counts execute the same
-// task set; callers must make tasks independent and write results into
-// index-addressed slots. Every task runs even if another fails; the error
-// of the lowest-indexed failing task is returned, so error reporting is as
-// deterministic as the results.
-func ForEach(workers, n int, task func(i int) error) error {
-	return ForEachWorker(workers, n, func(i, _ int) error { return task(i) })
-}
-
-// ForEachWorker is ForEach with the executing worker's identity handed to
-// each task — the hook the observability spans use to attribute wall time.
-// Which worker runs which task is a scheduling accident; tasks must not
-// let it influence results (seeds and result slots key off the task index
-// alone). The inline workers<=1 path always reports worker 0.
+// ForEachWorker runs task(i, worker) for every i in [0, n) on at most
+// `workers` goroutines (use Workers to resolve a request first). Workers
+// pull task indices from a shared counter, so all worker counts execute
+// the same task set; callers must make tasks independent and write results
+// into index-addressed slots. Every task runs even if another fails; the
+// error of the lowest-indexed failing task is returned, so error reporting
+// is as deterministic as the results. The worker identity is the hook the
+// observability spans use to attribute wall time: which worker runs which
+// task is a scheduling accident, so tasks must not let it influence
+// results (seeds and result slots key off the task index alone). The
+// inline workers<=1 path always reports worker 0.
 func ForEachWorker(workers, n int, task func(i, worker int) error) error {
 	if n <= 0 {
 		return nil

@@ -34,7 +34,7 @@ func TestForEachRunsEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		const n = 57
 		var counts [n]int64
-		err := ForEach(workers, n, func(i int) error {
+		err := ForEachWorker(workers, n, func(i, _ int) error {
 			atomic.AddInt64(&counts[i], 1)
 			return nil
 		})
@@ -53,7 +53,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 	e3 := errors.New("task 3")
 	e9 := errors.New("task 9")
 	for _, workers := range []int{1, 4} {
-		err := ForEach(workers, 12, func(i int) error {
+		err := ForEachWorker(workers, 12, func(i, _ int) error {
 			switch i {
 			case 9:
 				return e9
@@ -70,7 +70,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 
 func TestForEachRunsAllTasksDespiteError(t *testing.T) {
 	var ran int64
-	err := ForEach(4, 20, func(i int) error {
+	err := ForEachWorker(4, 20, func(i, _ int) error {
 		atomic.AddInt64(&ran, 1)
 		if i == 0 {
 			return errors.New("early failure")

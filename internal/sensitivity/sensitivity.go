@@ -31,11 +31,6 @@ type Importance struct {
 	Scores       [][]float64
 }
 
-// FeatureTotal sums feature i's importance across indicators.
-func (im *Importance) FeatureTotal(i int) float64 {
-	return stats.Mean(im.Scores[i]) * float64(len(im.Scores[i]))
-}
-
 // Options tunes the estimators.
 type Options struct {
 	// Repeats averages the permutation over this many shuffles (default 5).

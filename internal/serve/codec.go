@@ -602,8 +602,9 @@ func (d *predictDecoder) mismatch(target string) error {
 var errNonFinite = errors.New("model produced a non-finite prediction")
 
 // appendPredictResponse appends the /predict reply for preds served by
-// inst, byte for byte what json.NewEncoder(w).Encode(PredictResponse{...})
-// writes, trailing newline included. The instance's target names and
+// inst, byte for byte what json.Encoder writes for the reply struct
+// (predictions, target_names, warnings, model; PredictResponse in the
+// tests), trailing newline included. The instance's target names and
 // model info were encoded when the registry built it. A NaN or infinite
 // prediction, which encoding/json refuses, fails with errNonFinite.
 func appendPredictResponse(dst []byte, preds [][]float64, inst *registry.Instance, warnings []string) ([]byte, error) {

@@ -108,9 +108,6 @@ type Deployment struct {
 	rollbacks   uint64
 }
 
-// Tenant returns the deployment's tenant name.
-func (d *Deployment) Tenant() string { return d.tenant }
-
 // Live returns the current live instance (nil before the first deploy).
 func (d *Deployment) Live() *registry.Instance { return d.live.Load() }
 
@@ -122,21 +119,6 @@ func (c *Controller) Deployment(tenant string) *Deployment {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.fleet[tenant]
-}
-
-// Tenants lists deployed tenant names via the registry's sorted order.
-func (c *Controller) Tenants() []string {
-	names := c.reg.Tenants()
-	out := names[:0]
-	for _, n := range names {
-		c.mu.Lock()
-		_, ok := c.fleet[n]
-		c.mu.Unlock()
-		if ok {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 func (c *Controller) deployment(tenant string) *Deployment {

@@ -36,7 +36,7 @@ type metricsRegistry struct {
 	divergence  *metrics.HistogramVec
 }
 
-func newMetricsRegistry(warmModels, batchGroups func() float64) *metricsRegistry {
+func newMetricsRegistry(warmModels, batchGroups, batchQueued func() float64) *metricsRegistry {
 	m := &metricsRegistry{reg: metrics.NewRegistry()}
 	m.requests = m.reg.CounterVec("nnwc_requests_total",
 		"Requests served, by endpoint and status code.", "endpoint", "code")
@@ -75,6 +75,10 @@ func newMetricsRegistry(warmModels, batchGroups func() float64) *metricsRegistry
 	if batchGroups != nil {
 		m.reg.GaugeFunc("nnwc_batch_groups",
 			"Active cross-tenant coalescing domains (distinct network shapes).", batchGroups)
+	}
+	if batchQueued != nil {
+		m.reg.GaugeFunc("nnwc_batch_queued_rows",
+			"Rows waiting in the micro-batcher's queues for a forward call.", batchQueued)
 	}
 	return m
 }

@@ -279,17 +279,6 @@ func (r *Registry) Artifact(tenant string, version int) (Artifact, bool) {
 	return r.artifactLocked(tenant, version)
 }
 
-// Latest returns the highest registered version for tenant.
-func (r *Registry) Latest(tenant string) (Artifact, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	versions := r.tenants[tenant]
-	if len(versions) == 0 {
-		return Artifact{}, false
-	}
-	return versions[len(versions)-1], true
-}
-
 // Tenants lists tenant names, sorted.
 func (r *Registry) Tenants() []string {
 	r.mu.Lock()
@@ -316,14 +305,6 @@ func (r *Registry) Artifacts() []Artifact {
 		out = append(out, r.tenants[name]...)
 	}
 	return out
-}
-
-// Stats reports cache behaviour: artifact loads from disk, LRU evictions,
-// and warm hits.
-func (r *Registry) Stats() (loads, evictions, hits uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.loads, r.evictions, r.hits
 }
 
 // WarmCount reports how many instances are currently loaded.

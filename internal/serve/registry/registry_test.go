@@ -106,7 +106,7 @@ func TestInstanceLRUEvictionAndRehydration(t *testing.T) {
 	if got := r.WarmCount(); got != 2 {
 		t.Fatalf("warm count %d, want capacity 2", got)
 	}
-	loads, evictions, _ := r.Stats()
+	loads, evictions, _ := cacheStats(r)
 	if loads != 3 || evictions != 1 {
 		t.Fatalf("loads=%d evictions=%d, want 3 and 1", loads, evictions)
 	}
@@ -119,7 +119,7 @@ func TestInstanceLRUEvictionAndRehydration(t *testing.T) {
 	if inst.Version != 1 {
 		t.Fatalf("rehydrated version %d, want 1", inst.Version)
 	}
-	loads2, _, _ := r.Stats()
+	loads2, _, _ := cacheStats(r)
 	if loads2 != 4 {
 		t.Fatalf("loads after rehydration = %d, want 4", loads2)
 	}
@@ -127,7 +127,7 @@ func TestInstanceLRUEvictionAndRehydration(t *testing.T) {
 	if _, err := r.Instance("web", 1); err != nil {
 		t.Fatal(err)
 	}
-	loads3, _, hits := r.Stats()
+	loads3, _, hits := cacheStats(r)
 	if loads3 != 4 || hits == 0 {
 		t.Fatalf("warm hit reloaded (loads=%d hits=%d)", loads3, hits)
 	}
@@ -179,4 +179,12 @@ func TestRegisterValidation(t *testing.T) {
 	if _, err := r.Instance("web", 1); err == nil {
 		t.Fatal("unknown version resolved")
 	}
+}
+
+// cacheStats reads r's cache counters: artifact loads from disk, LRU
+// evictions and warm hits.
+func cacheStats(r *Registry) (loads, evictions, hits uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.loads, r.evictions, r.hits
 }

@@ -168,6 +168,7 @@ func New(cfg Config) (*Server, error) {
 	s.metrics = newMetricsRegistry(
 		func() float64 { return float64(s.reg.WarmCount()) },
 		func() float64 { return float64(s.batcher.GroupCount()) },
+		func() float64 { return float64(s.batcher.Queued()) },
 	)
 	s.ctl = deploy.New(s.reg, cfg.Deploy, s.onFleetEvent)
 	s.batcher = batch.New(batch.Config{
@@ -276,15 +277,6 @@ type PredictRequest struct {
 	Model     string      `json:"model,omitempty"`
 	X         []float64   `json:"x,omitempty"`
 	Instances [][]float64 `json:"instances,omitempty"`
-}
-
-// PredictResponse is the /predict reply. Predictions[i][j] is indicator j
-// (TargetNames[j]) for input row i, in native units.
-type PredictResponse struct {
-	Predictions [][]float64 `json:"predictions"`
-	TargetNames []string    `json:"target_names"`
-	Warnings    []string    `json:"warnings,omitempty"`
-	Model       ModelInfo   `json:"model"`
 }
 
 // ObserveRequest is the /observe body: one configuration vector and the
@@ -417,12 +409,6 @@ func (s *Server) Addr() string {
 // Wait blocks until the HTTP listener stops: nil after a clean
 // Shutdown-initiated close, the serve error if the listener fails.
 func (s *Server) Wait() error { return <-s.serveErr }
-
-// Predict submits one row to the default tenant's live model — the
-// pre-fleet in-process API, equivalent to PredictRef(ctx, "", x).
-func (s *Server) Predict(ctx context.Context, x []float64) ([]float64, error) {
-	return s.PredictRef(ctx, "", x)
-}
 
 // PredictRef resolves ref ("", "web", "web@v3") and submits one row
 // through the cross-tenant batcher. This is the same inference path the

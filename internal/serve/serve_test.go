@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -103,6 +104,17 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, string) {
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
 	return resp, buf.String()
+}
+
+// PredictResponse is the /predict reply the handler's hand-written codec
+// writes: Predictions[i][j] is indicator j (TargetNames[j]) for input row
+// i, in native units. Tests decode replies into it, and the codec is held
+// to encoding/json's rendering of it.
+type PredictResponse struct {
+	Predictions [][]float64 `json:"predictions"`
+	TargetNames []string    `json:"target_names"`
+	Warnings    []string    `json:"warnings,omitempty"`
+	Model       ModelInfo   `json:"model"`
 }
 
 func postPredict(t *testing.T, url string, body any) (*http.Response, PredictResponse, string) {
@@ -632,7 +644,7 @@ func TestInflightBudgetSheds(t *testing.T) {
 	if shed == 0 {
 		t.Fatalf("no request was shed at budget 1 with %d concurrent", n)
 	}
-	if got := s.metrics.tenantShed.Value(DefaultSingleTenant, "inflight_budget"); got != uint64(shed) {
+	if got := counterSample(t, s, `nnwc_tenant_shed_total{model="`+DefaultSingleTenant+`",reason="inflight_budget"}`); got != uint64(shed) {
 		t.Fatalf("shed counter = %v, want %d", got, shed)
 	}
 }
@@ -707,7 +719,7 @@ func TestHotReloadAtomicity(t *testing.T) {
 		t.Fatalf("prediction failures during reload: %v", bad[0])
 	}
 
-	gotReloads := s.metrics.reloads.Value()
+	gotReloads := counterSample(t, s, "nnwc_model_reloads_total")
 	if gotReloads != reloads {
 		t.Fatalf("reload counter = %d, want %d", gotReloads, reloads)
 	}
@@ -777,6 +789,7 @@ func TestMetricsSchema(t *testing.T) {
 		`nnwc_fleet_events_total{model="default",action="deploy"} 1`,
 		`nnwc_registry_warm_models 1`,
 		`nnwc_batch_groups 1`,
+		`nnwc_batch_queued_rows 0`,
 		`nnwc_model_loaded_timestamp_seconds`,
 		`nnwc_model_info{path="` + strings.NewReplacer(`\`, `\\`, `"`, `\"`).Replace(path) + `",`,
 	}
@@ -839,12 +852,12 @@ func TestQueuedRequestDeadlines(t *testing.T) {
 		name   string
 		cfg    Config
 		code   int
-		series func(s *Server) uint64
+		series string
 	}{
 		{"latency-budget", Config{LatencyBudget: 20 * time.Millisecond}, http.StatusTooManyRequests,
-			func(s *Server) uint64 { return s.metrics.tenantShed.Value(DefaultSingleTenant, "latency_budget") }},
+			`nnwc_tenant_shed_total{model="` + DefaultSingleTenant + `",reason="latency_budget"}`},
 		{"timeout", Config{RequestTimeout: 20 * time.Millisecond}, http.StatusGatewayTimeout,
-			func(s *Server) uint64 { return s.metrics.errors.Value("timeout") }},
+			`nnwc_request_errors_total{reason="timeout"}`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg
@@ -867,7 +880,7 @@ func TestQueuedRequestDeadlines(t *testing.T) {
 			if resp.StatusCode != c.code {
 				t.Fatalf("queued past its deadline: status %d (%s), want %d", resp.StatusCode, raw, c.code)
 			}
-			if got := c.series(s); got != 1 {
+			if got := counterSample(t, s, c.series); got != 1 {
 				t.Fatalf("%s counted %d times, want 1", c.name, got)
 			}
 			close(release)
@@ -946,4 +959,23 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// counterSample reads one counter sample from s's metrics exposition:
+// series is the sample's name with its rendered labels. An absent series
+// reads 0.
+func counterSample(t *testing.T, s *Server, series string) uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	s.metrics.reg.Write(&buf)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("sample %s: %v", line, err)
+			}
+			return n
+		}
+	}
+	return 0
 }

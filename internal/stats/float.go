@@ -1,28 +1,12 @@
 package stats
 
-import "math"
-
 // This file is the one place exact floating-point comparison is allowed
 // (the floateq analyzer's allowfunc list in lint.conf names these
 // helpers). Routing call sites through them documents *which* comparison
-// semantics each site wants — tolerance, zero-sentinel, or bit-identity —
+// semantics each site wants — zero-sentinel or bit-identity —
 // instead of leaving a bare == whose intent the next reader must guess.
-
-// ApproxEqual reports whether a and b agree within tol, using a combined
-// absolute/relative test: |a−b| ≤ tol·max(1, |a|, |b|). tol therefore
-// reads as an absolute tolerance near the unit interval and degrades
-// gracefully to a relative tolerance for large magnitudes. NaN equals
-// nothing (including NaN); equal infinities of the same sign are equal.
-func ApproxEqual(a, b, tol float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	if math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return a == b // equal infinities only; |a−b| ≤ tol·Inf would accept anything
-	}
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= tol*scale
-}
+// Tolerance comparisons are spelled out at their call sites, as
+// math.Abs(a-b) <= tol.
 
 // ExactZero reports whether x is exactly zero (either sign). It exists
 // for sentinel checks — "was this parameter left unset", "is this pivot

@@ -54,11 +54,6 @@ type ConfidenceInterval struct {
 	Batches   int
 }
 
-// Contains reports whether v lies inside the interval.
-func (ci ConfidenceInterval) Contains(v float64) bool {
-	return math.Abs(v-ci.Mean) <= ci.HalfWidth
-}
-
 // BatchMeansCI estimates a ~95% confidence interval for the steady-state
 // mean of a (possibly autocorrelated) simulation output series using the
 // method of non-overlapping batch means: the series is cut into `batches`

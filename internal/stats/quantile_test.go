@@ -97,7 +97,7 @@ func TestBatchMeansCICoversTrueMean(t *testing.T) {
 		src := rng.New(uint64(r) + 1)
 		series := make([]float64, 400)
 		for i := range series {
-			series[i] = src.NormMeanStd(10, 2)
+			series[i] = (10 + 2*src.Norm())
 		}
 		ci, err := BatchMeansCI(series, 20)
 		if err != nil {

@@ -8,7 +8,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by metrics that are undefined on empty input.
@@ -78,52 +77,9 @@ func SampleVariance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the minimum of xs. It panics on empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs. It panics on empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median of xs without modifying it. It panics on empty
-// input.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
-
-// HarmonicMean returns the harmonic mean of xs. Inputs must be strictly
-// positive; non-positive values make the harmonic mean undefined and cause
-// an ErrEmpty-style error.
+// HarmonicMean returns the harmonic mean of xs, summing 1/x in order.
+// Inputs must be strictly positive; non-positive values make the harmonic
+// mean undefined and cause an error.
 func HarmonicMean(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
@@ -175,32 +131,18 @@ func HarmonicMeanRelativeError(actual, pred []float64) (float64, error) {
 		return 0, ErrEmpty
 	}
 	allExact := true
-	var s float64
-	for _, r := range rel {
+	for i, r := range rel {
 		if !ExactZero(r) {
 			allExact = false
 		}
 		if r < RelErrFloor {
-			r = RelErrFloor
+			rel[i] = RelErrFloor
 		}
-		s += 1 / r
 	}
 	if allExact {
 		return 0, nil
 	}
-	return float64(len(rel)) / s, nil
-}
-
-// MAE returns the mean absolute error between actual and pred.
-func MAE(actual, pred []float64) float64 {
-	if len(actual) == 0 {
-		return 0
-	}
-	var s float64
-	for i, a := range actual {
-		s += math.Abs(pred[i] - a)
-	}
-	return s / float64(len(actual))
+	return HarmonicMean(rel)
 }
 
 // MAPE returns the mean absolute percentage error (as a fraction, not
@@ -241,43 +183,4 @@ func R2(actual, pred []float64) float64 {
 		return 0
 	}
 	return 1 - ssRes/ssTot
-}
-
-// Correlation returns the Pearson correlation coefficient between xs and
-// ys, or 0 when either series is constant.
-func Correlation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if ExactZero(sxx) || ExactZero(syy) {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Summary bundles the descriptive statistics of one series.
-type Summary struct {
-	N                int
-	Mean, Std        float64
-	Min, Median, Max float64
-}
-
-// Summarize computes a Summary of xs. It panics on empty input.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Std:    StdDev(xs),
-		Min:    Min(xs),
-		Median: Median(xs),
-		Max:    Max(xs),
-	}
 }

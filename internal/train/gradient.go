@@ -62,15 +62,6 @@ func (g *Gradients) AddScaled(s float64, other *Gradients) {
 	mat.AXPY(s, other.Flat, g.Flat)
 }
 
-// Scale multiplies every gradient entry by s.
-//
-//nnwc:hotpath
-func (g *Gradients) Scale(s float64) {
-	for i := range g.Flat {
-		g.Flat[i] *= s
-	}
-}
-
 // Workspace holds the reusable buffers batched training needs: the forward
 // activation trace plus two delta matrices. The zero value is ready to use;
 // buffers grow on demand and steady-state epochs allocate nothing. A
@@ -198,26 +189,9 @@ func BackpropBatch(net *nn.Network, X, Y *mat.Matrix, scale float64, ws *Workspa
 	return total
 }
 
-// Loss returns the mean squared-error loss of net over the given rows,
-// using the same ½‖ŷ−y‖² per-sample convention as Backprop.
-func Loss(net *nn.Network, xs, ys [][]float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var total float64
-	for i, x := range xs {
-		pred := net.Forward(x)
-		for j, p := range pred {
-			d := p - ys[i][j]
-			total += 0.5 * d * d
-		}
-	}
-	return total / float64(len(xs))
-}
-
 // LossBatch returns the mean squared-error loss of net over the rows of
-// X/Y using ws's buffers — the allocation-free batched counterpart of Loss,
-// with identical accumulation order.
+// X/Y using ws's buffers, with the same ½‖ŷ−y‖² per-sample convention as
+// Backprop, summed in row order.
 //
 //nnwc:hotpath
 func LossBatch(net *nn.Network, X, Y *mat.Matrix, ws *Workspace) float64 {

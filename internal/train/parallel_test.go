@@ -23,11 +23,11 @@ func trainOnce(t *testing.T, workers int) (loss float64, params []float64) {
 		xs = append(xs, x)
 		ys = append(ys, []float64{x[0] * x[1], x[2] * x[2]})
 	}
-	tr, err := New(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 120, Workers: workers}, src.Split())
+	tr, err := newTrainer(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 120, Workers: workers}, src.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tr.Fit(net, xs, ys, nil, nil)
+	res, err := fitRows(tr, net, xs, ys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestParallelFallsBackOnTinyBatches(t *testing.T) {
 	src := rng.New(78)
 	net := nn.NewNetwork([]int{1, 2, 1}, nn.Tanh{}, nn.Identity{})
 	nn.XavierInit{}.Init(net, src)
-	tr, err := New(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 5, Workers: runtime.NumCPU()}, src.Split())
+	tr, err := newTrainer(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 5, Workers: runtime.NumCPU()}, src.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Fit(net, [][]float64{{1}, {2}}, [][]float64{{1}, {2}}, nil, nil); err != nil {
+	if _, err := fitRows(tr, net, [][]float64{{1}, {2}}, [][]float64{{1}, {2}}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -114,13 +114,13 @@ func BenchmarkBatchEpochSerialVsParallel(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			net := nn.NewNetwork([]int{4, 32, 5}, nn.Logistic{Alpha: 1}, nn.Identity{})
 			nn.XavierInit{}.Init(net, rng.New(2))
-			tr, err := New(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 1, Workers: workers}, rng.New(3))
+			tr, err := newTrainer(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 1, Workers: workers}, rng.New(3))
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := tr.Fit(net, xs, ys, nil, nil); err != nil {
+				if _, err := fitRows(tr, net, xs, ys, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

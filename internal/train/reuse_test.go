@@ -58,14 +58,14 @@ func fitReuseCase(t *testing.T, tr *Trainer, c reuseCase, seed uint64) ([]float6
 	}
 	var err error
 	if tr == nil {
-		tr, err = New(cfg, rng.New(seed+3))
+		tr, err = newTrainer(cfg, rng.New(seed+3))
 	} else {
 		err = tr.Reset(cfg, rng.New(seed+3))
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tr.Fit(net, xs, ys, vx, vy)
+	res, err := fitRows(tr, net, xs, ys, vx, vy)
 	if err != nil {
 		t.Fatal(err)
 	}

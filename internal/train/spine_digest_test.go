@@ -68,15 +68,15 @@ func TestTrainingSpineDigest(t *testing.T) {
 
 			cfg := DefaultConfig()
 			cfg.MaxEpochs = 50
-			tr, err := New(cfg, rng.New(seed+2))
+			tr, err := newTrainer(cfg, rng.New(seed+2))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tr.Fit(net, xs, ys, nil, nil); err != nil {
+			if _, err := fitRows(tr, net, xs, ys, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			put(net.Params())
-			put(net.ForwardBatch(mat.FromRows(xs), &nn.BatchWorkspace{}).Data)
+			put(net.ForwardBatch(new(mat.Matrix).CopyRows(xs), &nn.BatchWorkspace{}).Data)
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != spineDigest {
 			t.Fatalf("training spine digest = %s, want %s", got, spineDigest)

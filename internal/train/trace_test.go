@@ -8,6 +8,7 @@ import (
 
 	"nnwc/internal/nn"
 	"nnwc/internal/obs"
+	"nnwc/internal/obs/obstest"
 	"nnwc/internal/rng"
 )
 
@@ -30,15 +31,15 @@ func TestRecordEveryIncludesThresholdStop(t *testing.T) {
 	// cadence multiple, yet it must still be recorded.
 	src := rng.New(7)
 	net := nn.NewNetwork([]int{1, 1}, nn.Identity{}, nn.Identity{})
-	nn.UniformInit{Scale: 0.1}.Init(net, src)
+	uniformInit(net, src, 0.1)
 	xs := [][]float64{{1}, {2}}
 	ys := [][]float64{{1}, {2}}
-	tr, err := New(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 10000,
+	tr, err := newTrainer(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 10000,
 		TargetLoss: 0.01, RecordEvery: 100000}, src.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tr.Fit(net, xs, ys, nil, nil)
+	res, err := fitRows(tr, net, xs, ys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +58,12 @@ func TestRecordEveryIncludesDivergence(t *testing.T) {
 	nn.XavierInit{}.Init(net, src)
 	xs := [][]float64{{1}, {2}, {3}}
 	ys := [][]float64{{1}, {4}, {9}}
-	tr, err := New(Config{Optimizer: &SGD{LR: 1e6}, Mode: Batch, MaxEpochs: 100,
+	tr, err := newTrainer(Config{Optimizer: &SGD{LR: 1e6}, Mode: Batch, MaxEpochs: 100,
 		RecordEvery: 1000}, src.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tr.Fit(net, xs, ys, nil, nil)
+	res, err := fitRows(tr, net, xs, ys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,16 +81,16 @@ func TestRecordEveryIncludesEarlyStop(t *testing.T) {
 	noise := rng.New(99)
 	for x := -1.0; x <= 1; x += 0.15 {
 		xs = append(xs, []float64{x})
-		ys = append(ys, []float64{x*x + noise.NormMeanStd(0, 0.15)})
+		ys = append(ys, []float64{x*x + (0 + 0.15*noise.Norm())})
 		vx = append(vx, []float64{x + 0.07})
 		vy = append(vy, []float64{(x + 0.07) * (x + 0.07)})
 	}
-	tr, err := New(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 5000,
+	tr, err := newTrainer(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 5000,
 		Patience: 50, MinDelta: 1e-7, RecordEvery: 999999}, src.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tr.Fit(net, xs, ys, vx, vy)
+	res, err := fitRows(tr, net, xs, ys, vx, vy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +101,15 @@ func TestRecordEveryIncludesMaxEpochs(t *testing.T) {
 	// 50 epochs at cadence 7: epoch 50 is off-cadence but is the stop epoch.
 	src := rng.New(11)
 	net := nn.NewNetwork([]int{1, 1}, nn.Identity{}, nn.Identity{})
-	nn.UniformInit{Scale: 0.1}.Init(net, src)
+	uniformInit(net, src, 0.1)
 	xs := [][]float64{{1}, {2}}
 	ys := [][]float64{{2}, {4}}
-	tr, err := New(Config{Optimizer: &SGD{LR: 0.01}, Mode: Batch, MaxEpochs: 50,
+	tr, err := newTrainer(Config{Optimizer: &SGD{LR: 0.01}, Mode: Batch, MaxEpochs: 50,
 		RecordEvery: 7}, src.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tr.Fit(net, xs, ys, nil, nil)
+	res, err := fitRows(tr, net, xs, ys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func fitTwice(t *testing.T, cfg Config) (plain, traced *nn.Network, trace []byte
 		src := rng.New(21)
 		net := nn.NewNetwork([]int{2, 6, 1}, nn.Tanh{}, nn.Identity{})
 		nn.XavierInit{}.Init(net, src)
-		tr, err := New(cfg, src.Split())
+		tr, err := newTrainer(cfg, src.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,17 +141,17 @@ func fitTwice(t *testing.T, cfg Config) (plain, traced *nn.Network, trace []byte
 
 	plain, trPlain := build()
 	var err error
-	plainRes, err = trPlain.Fit(plain, xs, ys, nil, nil)
+	plainRes, err = fitRows(trPlain, plain, xs, ys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
 	tcfg := cfg
-	tcfg.Trace = obs.NewTraceNoTime(obs.NewWriterSink(&buf))
+	tcfg.Trace = obs.NewTrace(obs.NewWriterSink(&buf))
 	traced2, trTraced := build()
 	trTraced.cfg.Trace = tcfg.Trace
-	tracedRes, err = trTraced.Fit(traced2, xs, ys, nil, nil)
+	tracedRes, err = fitRows(trTraced, traced2, xs, ys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +203,11 @@ func TestTraceIsDeterministic(t *testing.T) {
 	cfg := Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 60, RecordEvery: 5}
 	_, _, a, _, _ := fitTwice(t, cfg)
 	_, _, b, _, _ := fitTwice(t, cfg)
-	ca, err := obs.CanonicalizeJSONL(a)
+	ca, err := obstest.CanonicalizeJSONL(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := obs.CanonicalizeJSONL(b)
+	cb, err := obstest.CanonicalizeJSONL(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +229,13 @@ func TestBatchEpochZeroAlloc(t *testing.T) {
 		xs = append(xs, x)
 		ys = append(ys, []float64{x[0], x[1], x[2], x[3], x[0] + x[1]})
 	}
-	tr, err := New(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 1}, src.Split())
+	tr, err := newTrainer(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 1}, src.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One full Fit warms every buffer (matrices, workspaces, optimizer
 	// state); afterwards the steady-state epoch is allocation-free.
-	if _, err := tr.Fit(net, xs, ys, nil, nil); err != nil {
+	if _, err := fitRows(tr, net, xs, ys, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	g := NewGradients(net)
@@ -255,25 +256,25 @@ func TestOnlineModeTraces(t *testing.T) {
 	run := func(trace *obs.Trace) (Result, *nn.Network) {
 		src := rng.New(40)
 		net := nn.NewNetwork([]int{1, 1}, nn.Identity{}, nn.Identity{})
-		nn.UniformInit{Scale: 0.1}.Init(net, src)
+		uniformInit(net, src, 0.1)
 		var xs, ys [][]float64
 		for x := -1.0; x <= 1; x += 0.25 {
 			xs = append(xs, []float64{x})
 			ys = append(ys, []float64{2 * x})
 		}
-		tr, err := New(Config{Optimizer: &SGD{LR: 0.05}, Mode: Online, MaxEpochs: 30,
+		tr, err := newTrainer(Config{Optimizer: &SGD{LR: 0.05}, Mode: Online, MaxEpochs: 30,
 			RecordEvery: 4, Trace: trace}, src.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := tr.Fit(net, xs, ys, nil, nil)
+		res, err := fitRows(tr, net, xs, ys, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, net
 	}
 	var buf bytes.Buffer
-	resT, netT := run(obs.NewTraceNoTime(obs.NewWriterSink(&buf)))
+	resT, netT := run(obs.NewTrace(obs.NewWriterSink(&buf)))
 	resP, netP := run(nil)
 	if resT.FinalLoss != resP.FinalLoss || math.IsNaN(resT.FinalLoss) {
 		t.Fatalf("online tracing perturbed the fit: %v vs %v", resT.FinalLoss, resP.FinalLoss)

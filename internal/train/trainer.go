@@ -14,7 +14,7 @@ import (
 	"nnwc/internal/stats"
 )
 
-// epochsTotal counts training epochs across every Fit in the process — one
+// epochsTotal counts training epochs across every fit in the process — one
 // atomic add per epoch, visible on the -pprof-addr /metrics endpoint.
 var epochsTotal = metrics.Default().Counter("nnwc_train_epochs_total",
 	"Training epochs executed across all fits.")
@@ -134,14 +134,14 @@ type Result struct {
 	History   []HistoryPoint
 }
 
-// Trainer trains a network on paired rows. Construct with New, or Reset a
-// zero or used Trainer: Fit keeps the buffers below for the next fit.
+// Trainer trains a network on paired rows. Reset a zero or used Trainer
+// before each fit: FitStaged keeps the buffers below for the next one.
 type Trainer struct {
 	cfg Config
 	src *rng.Source
 
 	ws       Workspace       // batched forward/backward buffers (serial + validation)
-	X, Y     mat.Matrix      // the training rows, copied by Fit or staged for FitStaged
+	X, Y     mat.Matrix      // the training rows, staged for FitStaged
 	VX, VY   mat.Matrix      // the validation rows, likewise
 	sizes    []int           // the topology grad and parallel are shaped for
 	grad     *Gradients      // the batch gradient
@@ -150,18 +150,8 @@ type Trainer struct {
 	prevParams []float64 // pre-step parameter snapshot for step-norm telemetry
 }
 
-// New returns a Trainer with the given configuration and random source
-// (used for online-mode shuffling).
-func New(cfg Config, src *rng.Source) (*Trainer, error) {
-	t := &Trainer{}
-	if err := t.Reset(cfg, src); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // Reset points t at a new run with cfg and src, keeping its buffers: the
-// next Fit trains bit for bit as a new Trainer's would, since Fit sizes and
+// next fit trains bit for bit as a new Trainer's would, since FitStaged sizes and
 // overwrites every buffer a result depends on.
 func (t *Trainer) Reset(cfg Config, src *rng.Source) error {
 	if cfg.Optimizer == nil {
@@ -187,39 +177,14 @@ func (t *Trainer) Reset(cfg Config, src *rng.Source) error {
 
 // Release drops t's references to the run's trace and random source, so a
 // pooled trainer holds no caller object between fits. Reset it before the
-// next Fit.
+// next fit.
 func (t *Trainer) Release() { t.cfg.Trace, t.src = nil, nil }
 
-// Fit trains net on (xs, ys). valX/valY may be nil; when provided they
-// drive early stopping and validation telemetry. Fit mutates net in place
-// and returns a Result.
-func (t *Trainer) Fit(net *nn.Network, xs, ys [][]float64, valX, valY [][]float64) (Result, error) {
-	if len(xs) == 0 || len(xs) != len(ys) {
-		return Result{}, fmt.Errorf("train: need equal, non-zero sample counts (got %d, %d)", len(xs), len(ys))
-	}
-	for i := range xs {
-		if len(xs[i]) != net.InputDim() || len(ys[i]) != net.OutputDim() {
-			return Result{}, fmt.Errorf("train: sample %d shape (%d,%d) does not match network (%d,%d)",
-				i, len(xs[i]), len(ys[i]), net.InputDim(), net.OutputDim())
-		}
-	}
-	hasVal := len(valX) > 0
-	if hasVal && len(valX) != len(valY) {
-		return Result{}, errors.New("train: validation rows mismatch")
-	}
-	t.X.CopyRows(xs)
-	t.Y.CopyRows(ys)
-	if hasVal {
-		t.VX.CopyRows(valX)
-		t.VY.CopyRows(valY)
-	}
-	return t.FitStaged(net, hasVal)
-}
-
-// FitStaged trains net as Fit does on the rows already in t.X and t.Y,
-// validating on t.VX and t.VY when val is set. A caller that transforms
-// its samples anyway writes them straight into those matrices (Reshape,
-// then fill each row) and skips Fit's row copy.
+// FitStaged trains net on the rows already in t.X and t.Y, validating on
+// t.VX and t.VY (early stopping and validation telemetry) when hasVal is
+// set. Callers write their rows straight into those matrices (Reshape,
+// then fill each row, or CopyRows). FitStaged mutates net in place and
+// returns a Result.
 func (t *Trainer) FitStaged(net *nn.Network, hasVal bool) (Result, error) {
 	if t.X.Rows == 0 || t.X.Rows != t.Y.Rows || t.X.Cols != net.InputDim() || t.Y.Cols != net.OutputDim() {
 		return Result{}, fmt.Errorf("train: staged rows (%dx%d, %dx%d) do not match network (%d,%d)",

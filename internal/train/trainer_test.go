@@ -4,9 +4,36 @@ import (
 	"math"
 	"testing"
 
+	"nnwc/internal/mat"
 	"nnwc/internal/nn"
 	"nnwc/internal/rng"
 )
+
+// newTrainer returns a zero Trainer Reset to cfg and src.
+func newTrainer(cfg Config, src *rng.Source) (*Trainer, error) {
+	tr := &Trainer{}
+	return tr, tr.Reset(cfg, src)
+}
+
+// fitRows stages (xs, ys), and the validation rows when given, in tr's
+// matrices and trains net on them.
+func fitRows(tr *Trainer, net *nn.Network, xs, ys, vx, vy [][]float64) (Result, error) {
+	tr.X.CopyRows(xs)
+	tr.Y.CopyRows(ys)
+	if len(vx) > 0 {
+		tr.VX.CopyRows(vx)
+		tr.VY.CopyRows(vy)
+	}
+	return tr.FitStaged(net, len(vx) > 0)
+}
+
+// uniformInit draws every weight and bias of net uniformly from [−s, s],
+// in parameter order.
+func uniformInit(net *nn.Network, src *rng.Source, s float64) {
+	for i, p := 0, net.Params(); i < len(p); i++ {
+		p[i] = src.Uniform(-s, s)
+	}
+}
 
 // xorData is the classic non-linearly-separable problem; solving it proves
 // the hidden layer is actually learning.
@@ -20,12 +47,12 @@ func TestRPROPSolvesXOR(t *testing.T) {
 	src := rng.New(3)
 	net := nn.NewNetwork([]int{2, 6, 1}, nn.Tanh{}, nn.Identity{})
 	nn.XavierInit{}.Init(net, src)
-	tr, err := New(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 3000, TargetLoss: 1e-5}, src.Split())
+	tr, err := newTrainer(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 3000, TargetLoss: 1e-5}, src.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
 	xs, ys := xorData()
-	res, err := tr.Fit(net, xs, ys, nil, nil)
+	res, err := fitRows(tr, net, xs, ys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,17 +71,17 @@ func TestOnlineSGDLearnsLinear(t *testing.T) {
 	// y = 2x − 1 learned by a linear "network".
 	src := rng.New(4)
 	net := nn.NewNetwork([]int{1, 1}, nn.Identity{}, nn.Identity{})
-	nn.UniformInit{Scale: 0.1}.Init(net, src)
+	uniformInit(net, src, 0.1)
 	var xs, ys [][]float64
 	for x := -1.0; x <= 1; x += 0.1 {
 		xs = append(xs, []float64{x})
 		ys = append(ys, []float64{2*x - 1})
 	}
-	tr, err := New(Config{Optimizer: &SGD{LR: 0.05}, Mode: Online, MaxEpochs: 500, TargetLoss: 1e-8}, src.Split())
+	tr, err := newTrainer(Config{Optimizer: &SGD{LR: 0.05}, Mode: Online, MaxEpochs: 500, TargetLoss: 1e-8}, src.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tr.Fit(net, xs, ys, nil, nil)
+	res, err := fitRows(tr, net, xs, ys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +112,11 @@ func TestMomentumConvergesFasterThanSGD(t *testing.T) {
 			xs = append(xs, []float64{x})
 			ys = append(ys, []float64{x * x})
 		}
-		tr, err := New(Config{Optimizer: opt, Mode: Batch, MaxEpochs: 300}, src.Split())
+		tr, err := newTrainer(Config{Optimizer: opt, Mode: Batch, MaxEpochs: 300}, src.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := tr.Fit(net, xs, ys, nil, nil)
+		res, err := fitRows(tr, net, xs, ys, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,11 +136,11 @@ func TestAdamLearns(t *testing.T) {
 		xs = append(xs, []float64{x})
 		ys = append(ys, []float64{math.Sin(2 * x)})
 	}
-	tr, err := New(Config{Optimizer: NewAdam(0.01), Mode: Batch, MaxEpochs: 2000, TargetLoss: 1e-5}, src.Split())
+	tr, err := newTrainer(Config{Optimizer: NewAdam(0.01), Mode: Batch, MaxEpochs: 2000, TargetLoss: 1e-5}, src.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tr.Fit(net, xs, ys, nil, nil)
+	res, err := fitRows(tr, net, xs, ys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +152,14 @@ func TestAdamLearns(t *testing.T) {
 func TestStopThreshold(t *testing.T) {
 	src := rng.New(7)
 	net := nn.NewNetwork([]int{1, 1}, nn.Identity{}, nn.Identity{})
-	nn.UniformInit{Scale: 0.1}.Init(net, src)
+	uniformInit(net, src, 0.1)
 	xs := [][]float64{{1}, {2}}
 	ys := [][]float64{{1}, {2}}
-	tr, err := New(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 10000, TargetLoss: 0.01}, src.Split())
+	tr, err := newTrainer(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 10000, TargetLoss: 0.01}, src.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tr.Fit(net, xs, ys, nil, nil)
+	res, err := fitRows(tr, net, xs, ys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,18 +186,18 @@ func TestEarlyStoppingRestoresBestWeights(t *testing.T) {
 	noise := rng.New(99)
 	for x := -1.0; x <= 1; x += 0.15 {
 		xs = append(xs, []float64{x})
-		ys = append(ys, []float64{x*x + noise.NormMeanStd(0, 0.15)})
+		ys = append(ys, []float64{x*x + (0 + 0.15*noise.Norm())})
 		vx = append(vx, []float64{x + 0.07})
 		vy = append(vy, []float64{(x + 0.07) * (x + 0.07)})
 	}
-	tr, err := New(Config{
+	tr, err := newTrainer(Config{
 		Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 5000,
 		Patience: 50, MinDelta: 1e-7,
 	}, src.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tr.Fit(net, xs, ys, vx, vy)
+	res, err := fitRows(tr, net, xs, ys, vx, vy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +205,7 @@ func TestEarlyStoppingRestoresBestWeights(t *testing.T) {
 		t.Fatalf("unexpected stop reason %s", res.Reason)
 	}
 	// The reported validation loss must match the restored network.
-	got := Loss(net, vx, vy)
+	got := loss(net, vx, vy)
 	if math.Abs(got-res.ValLoss) > 1e-9 {
 		t.Fatalf("restored network val loss %v != reported %v", got, res.ValLoss)
 	}
@@ -191,11 +218,11 @@ func TestDivergenceDetected(t *testing.T) {
 	xs := [][]float64{{1}, {2}, {3}}
 	ys := [][]float64{{1}, {4}, {9}}
 	// Absurd learning rate guarantees explosion.
-	tr, err := New(Config{Optimizer: &SGD{LR: 1e6}, Mode: Batch, MaxEpochs: 100}, src.Split())
+	tr, err := newTrainer(Config{Optimizer: &SGD{LR: 1e6}, Mode: Batch, MaxEpochs: 100}, src.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tr.Fit(net, xs, ys, nil, nil)
+	res, err := fitRows(tr, net, xs, ys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,13 +232,13 @@ func TestDivergenceDetected(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Mode: Batch, MaxEpochs: 10}, nil); err == nil {
+	if _, err := newTrainer(Config{Mode: Batch, MaxEpochs: 10}, nil); err == nil {
 		t.Fatal("missing optimizer accepted")
 	}
-	if _, err := New(Config{Optimizer: &SGD{LR: 0.1}, MaxEpochs: 0}, nil); err == nil {
+	if _, err := newTrainer(Config{Optimizer: &SGD{LR: 0.1}, MaxEpochs: 0}, nil); err == nil {
 		t.Fatal("zero epochs accepted")
 	}
-	if _, err := New(Config{Optimizer: NewRPROP(), Mode: Online, MaxEpochs: 10}, nil); err == nil {
+	if _, err := newTrainer(Config{Optimizer: NewRPROP(), Mode: Online, MaxEpochs: 10}, nil); err == nil {
 		t.Fatal("RPROP in online mode accepted")
 	}
 }
@@ -219,20 +246,30 @@ func TestConfigValidation(t *testing.T) {
 func TestFitValidatesShapes(t *testing.T) {
 	src := rng.New(10)
 	net := nn.NewNetwork([]int{2, 1}, nn.Identity{}, nn.Identity{})
-	tr, err := New(Config{Optimizer: &SGD{LR: 0.1}, Mode: Batch, MaxEpochs: 5}, src)
+	tr, err := newTrainer(Config{Optimizer: &SGD{LR: 0.1}, Mode: Batch, MaxEpochs: 5}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Fit(net, nil, nil, nil, nil); err == nil {
+	shape := func(s [2]int) mat.Matrix {
+		return mat.Matrix{Rows: s[0], Cols: s[1], Data: make([]float64, s[0]*s[1])}
+	}
+	stage := func(x, y, vx, vy [2]int) {
+		tr.X, tr.Y, tr.VX, tr.VY = shape(x), shape(y), shape(vx), shape(vy)
+	}
+	stage([2]int{0, 2}, [2]int{0, 1}, [2]int{}, [2]int{})
+	if _, err := tr.FitStaged(net, false); err == nil {
 		t.Fatal("empty training set accepted")
 	}
-	if _, err := tr.Fit(net, [][]float64{{1}}, [][]float64{{1}}, nil, nil); err == nil {
+	stage([2]int{1, 1}, [2]int{1, 1}, [2]int{}, [2]int{})
+	if _, err := tr.FitStaged(net, false); err == nil {
 		t.Fatal("wrong input dim accepted")
 	}
-	if _, err := tr.Fit(net, [][]float64{{1, 2}}, [][]float64{{1, 2}}, nil, nil); err == nil {
+	stage([2]int{1, 2}, [2]int{1, 2}, [2]int{}, [2]int{})
+	if _, err := tr.FitStaged(net, false); err == nil {
 		t.Fatal("wrong output dim accepted")
 	}
-	if _, err := tr.Fit(net, [][]float64{{1, 2}}, [][]float64{{1}}, [][]float64{{1, 2}}, nil); err == nil {
+	stage([2]int{1, 2}, [2]int{1, 1}, [2]int{1, 2}, [2]int{0, 1})
+	if _, err := tr.FitStaged(net, true); err == nil {
 		t.Fatal("mismatched validation rows accepted")
 	}
 }
@@ -240,14 +277,14 @@ func TestFitValidatesShapes(t *testing.T) {
 func TestHistoryRecording(t *testing.T) {
 	src := rng.New(11)
 	net := nn.NewNetwork([]int{1, 1}, nn.Identity{}, nn.Identity{})
-	nn.UniformInit{Scale: 0.1}.Init(net, src)
+	uniformInit(net, src, 0.1)
 	xs := [][]float64{{1}, {2}}
 	ys := [][]float64{{2}, {4}}
-	tr, err := New(Config{Optimizer: &SGD{LR: 0.01}, Mode: Batch, MaxEpochs: 50, RecordEvery: 10}, src.Split())
+	tr, err := newTrainer(Config{Optimizer: &SGD{LR: 0.01}, Mode: Batch, MaxEpochs: 50, RecordEvery: 10}, src.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tr.Fit(net, xs, ys, nil, nil)
+	res, err := fitRows(tr, net, xs, ys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +316,7 @@ func TestOptimizerNamesAndReset(t *testing.T) {
 func TestRPROPResetClearsState(t *testing.T) {
 	src := rng.New(12)
 	net := nn.NewNetwork([]int{1, 1}, nn.Identity{}, nn.Identity{})
-	nn.UniformInit{Scale: 0.1}.Init(net, src)
+	uniformInit(net, src, 0.1)
 	g := NewGradients(net)
 	Backprop(net, []float64{1}, []float64{2}, g)
 	r := NewRPROP()
@@ -312,11 +349,11 @@ func BenchmarkEpochRPROP(b *testing.B) {
 	cfg := Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr, err := New(cfg, rng.New(2))
+		tr, err := newTrainer(cfg, rng.New(2))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tr.Fit(net, xs, ys, nil, nil); err != nil {
+		if _, err := fitRows(tr, net, xs, ys, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -337,11 +374,11 @@ func BenchmarkFoldEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net := nn.NewNetwork([]int{4, 16, 5}, nn.Logistic{Alpha: 1}, nn.Identity{})
 		nn.XavierInit{}.Init(net, rng.New(2))
-		tr, err := New(cfg, rng.New(3))
+		tr, err := newTrainer(cfg, rng.New(3))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tr.Fit(net, xs, ys, nil, nil); err != nil {
+		if _, err := fitRows(tr, net, xs, ys, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,13 +403,13 @@ func TestWeightDecayShrinksWeights(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			x := noise.Uniform(-1, 1)
 			xs = append(xs, []float64{x})
-			ys = append(ys, []float64{x + noise.NormMeanStd(0, 0.3)})
+			ys = append(ys, []float64{x + (0 + 0.3*noise.Norm())})
 		}
-		tr, err := New(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 400, WeightDecay: decay}, src.Split())
+		tr, err := newTrainer(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 400, WeightDecay: decay}, src.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tr.Fit(net, xs, ys, nil, nil); err != nil {
+		if _, err := fitRows(tr, net, xs, ys, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		return norm(net)

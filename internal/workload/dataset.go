@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"nnwc/internal/rng"
-	"nnwc/internal/stats"
 )
 
 // Sample is one observation: a configuration vector and the performance
@@ -21,14 +20,6 @@ import (
 type Sample struct {
 	X []float64 // configuration parameters
 	Y []float64 // performance indicators
-}
-
-// Clone returns a deep copy of s.
-func (s Sample) Clone() Sample {
-	return Sample{
-		X: append([]float64(nil), s.X...),
-		Y: append([]float64(nil), s.Y...),
-	}
 }
 
 // Dataset is an ordered collection of samples with named features and
@@ -198,24 +189,6 @@ func (d *Dataset) TrainValidation(folds [][]int, f int) (train, val *Dataset) {
 		trainIdx = append(trainIdx, fold...)
 	}
 	return d.Subset(trainIdx), d.Subset(folds[f])
-}
-
-// TargetSummaries returns descriptive statistics per target column.
-func (d *Dataset) TargetSummaries() []stats.Summary {
-	out := make([]stats.Summary, d.NumTargets())
-	for j := range out {
-		out[j] = stats.Summarize(d.TargetColumn(j))
-	}
-	return out
-}
-
-// FeatureSummaries returns descriptive statistics per feature column.
-func (d *Dataset) FeatureSummaries() []stats.Summary {
-	out := make([]stats.Summary, d.NumFeatures())
-	for j := range out {
-		out[j] = stats.Summarize(d.FeatureColumn(j))
-	}
-	return out
 }
 
 // Validate checks internal consistency: every sample matches the schema.

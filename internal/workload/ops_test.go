@@ -1,6 +1,13 @@
 package workload
 
-import "testing"
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"testing"
+
+	"nnwc/internal/stats"
+)
 
 func TestFilter(t *testing.T) {
 	ds := sampleDataset(10)
@@ -93,4 +100,114 @@ func TestIndexLookups(t *testing.T) {
 	if _, err := ds.TargetIndex("zz"); err == nil {
 		t.Fatal("unknown target accepted")
 	}
+}
+
+// The dataset operations below are exercised only by these tests.
+
+// Filter returns a new dataset containing the samples for which keep
+// returns true. Samples are shared, not copied.
+func (d *Dataset) Filter(keep func(Sample) bool) *Dataset {
+	out := NewDataset(d.FeatureNames, d.TargetNames)
+	for _, s := range d.Samples {
+		if keep(s) {
+			out.Samples = append(out.Samples, s)
+		}
+	}
+	return out
+}
+
+// Merge appends other's samples to a copy of d. The schemas (names, in
+// order) must match exactly.
+func Merge(d, other *Dataset) (*Dataset, error) {
+	if d.NumFeatures() != other.NumFeatures() || d.NumTargets() != other.NumTargets() {
+		return nil, errors.New("workload: merge schema dimension mismatch")
+	}
+	for i := range d.FeatureNames {
+		if d.FeatureNames[i] != other.FeatureNames[i] {
+			return nil, fmt.Errorf("workload: feature %d named %q vs %q", i, d.FeatureNames[i], other.FeatureNames[i])
+		}
+	}
+	for i := range d.TargetNames {
+		if d.TargetNames[i] != other.TargetNames[i] {
+			return nil, fmt.Errorf("workload: target %d named %q vs %q", i, d.TargetNames[i], other.TargetNames[i])
+		}
+	}
+	out := NewDataset(d.FeatureNames, d.TargetNames)
+	out.Samples = append(out.Samples, d.Samples...)
+	out.Samples = append(out.Samples, other.Samples...)
+	return out, nil
+}
+
+// SelectTargets returns a dataset restricted to the named targets, in the
+// given order. Feature columns are shared; target rows are copied.
+func (d *Dataset) SelectTargets(names ...string) (*Dataset, error) {
+	if len(names) == 0 {
+		return nil, errors.New("workload: no targets selected")
+	}
+	idx := make([]int, len(names))
+	for k, name := range names {
+		found := -1
+		for j, t := range d.TargetNames {
+			if t == name {
+				found = j
+				break
+			}
+		}
+		if found < 0 {
+			return nil, fmt.Errorf("workload: unknown target %q", name)
+		}
+		idx[k] = found
+	}
+	out := NewDataset(d.FeatureNames, names)
+	for _, s := range d.Samples {
+		y := make([]float64, len(idx))
+		for k, j := range idx {
+			y[k] = s.Y[j]
+		}
+		out.Samples = append(out.Samples, Sample{X: s.X, Y: y})
+	}
+	return out, nil
+}
+
+// FeatureIndex returns the column index of the named feature, or an error.
+func (d *Dataset) FeatureIndex(name string) (int, error) {
+	for j, f := range d.FeatureNames {
+		if f == name {
+			return j, nil
+		}
+	}
+	return 0, fmt.Errorf("workload: unknown feature %q", name)
+}
+
+// TargetIndex returns the column index of the named target, or an error.
+func (d *Dataset) TargetIndex(name string) (int, error) {
+	for j, t := range d.TargetNames {
+		if t == name {
+			return j, nil
+		}
+	}
+	return 0, fmt.Errorf("workload: unknown target %q", name)
+}
+
+// columnSummary is the part of a column's statistics these tests read.
+type columnSummary struct{ Mean, Max float64 }
+
+// TargetSummaries describes each target column.
+func (d *Dataset) TargetSummaries() []columnSummary {
+	out := make([]columnSummary, d.NumTargets())
+	for j := range out {
+		c := d.TargetColumn(j)
+		out[j] = columnSummary{Mean: stats.Mean(c), Max: slices.Max(c)}
+	}
+	return out
+}
+
+// FeatureSummaries describes each feature column.
+func (d *Dataset) FeatureSummaries() []columnSummary {
+	out := make([]columnSummary, d.NumFeatures())
+	for j := range out {
+		c := d.FeatureColumn(j)
+		out[j] = columnSummary{Mean: stats.Mean(c), Max: slices.Max(c)}
+	}
+	return out
 }
