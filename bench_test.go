@@ -258,9 +258,7 @@ func BenchmarkAblationStandardization(b *testing.B) {
 		var e float64
 		for i := 0; i < b.N; i++ {
 			cfg := benchModelConfig([]int{16}, 1)
-			f := false
-			cfg.StandardizeInputs = &f
-			cfg.StandardizeOutputs = core.StandardizeNever
+			cfg.NoStandardize = true
 			e = validationError(b, cfg)
 		}
 		b.ReportMetric(e, "%err")
@@ -399,7 +397,7 @@ func BenchmarkSurfaceEvaluation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := surface.EvaluateWorkers(model, sl, 4, 5, 0); err != nil {
+		if _, err := surface.Evaluate(model, sl, 4, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -495,7 +493,7 @@ func BenchmarkAblationEnsembleSize(b *testing.B) {
 				ds := dataset(b).Clone()
 				ds.Shuffle(rng.New(5))
 				trainSet, valSet := ds.Split(0.8)
-				ens, err := core.FitEnsembleWorkers(trainSet, benchModelConfig([]int{16}, 1), n, 0)
+				ens, err := core.FitEnsemble(trainSet, benchModelConfig([]int{16}, 1), n)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -506,26 +504,6 @@ func BenchmarkAblationEnsembleSize(b *testing.B) {
 				e = stats.Mean(ev.HMRE) * 100
 			}
 			b.ReportMetric(e, "%err")
-		})
-	}
-}
-
-// BenchmarkAblationParallelTraining measures the wall-clock effect of the
-// goroutine-parallel batch gradient on a full training run.
-func BenchmarkAblationParallelTraining(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		name := map[int]string{1: "serial", 4: "workers-4"}[workers]
-		b.Run(name, func(b *testing.B) {
-			ds := dataset(b)
-			for i := 0; i < b.N; i++ {
-				cfg := benchModelConfig([]int{16}, 1)
-				tc := *cfg.Train
-				tc.Workers = workers
-				cfg.Train = &tc
-				if _, err := core.Fit(ds, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -76,7 +76,7 @@ func execute[O any](x *experimentFlags, job jobs.Job[O]) (O, error) {
 	ctx, cancel := signalContext()
 	defer cancel()
 	ctx = obs.ContextWithTrace(ctx, x.obsf.trace())
-	var ex jobs.Executor = jobs.Local{Workers: *x.workers}
+	var ex jobs.Executor = jobs.Local{}
 	if *x.coordinator != "" {
 		ex = x.options()
 	}

@@ -55,7 +55,7 @@ func cmdReproduce(args []string) error {
 	if *quick {
 		ctx = experiments.NewQuick(os.Stdout, *out)
 	}
-	ctx.Seed, ctx.Workers, ctx.Trace = *seed, *workers, obsf.trace()
+	ctx.Seed, ctx.Trace = *seed, obsf.trace()
 	tr := obsf.trace()
 	return obsf.finish(func() error {
 		for _, r := range runners {

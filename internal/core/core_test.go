@@ -65,7 +65,7 @@ func TestFitErrorsOnEmpty(t *testing.T) {
 func TestDefaultsFillEverything(t *testing.T) {
 	c := Config{}.Defaults()
 	if len(c.Hidden) == 0 || c.HiddenActivation == nil || c.OutputActivation == nil ||
-		c.StandardizeInputs == nil || c.Init == nil || c.Train == nil {
+		c.Train == nil {
 		t.Fatalf("Defaults left gaps: %+v", c)
 	}
 	if c.HiddenActivation.Name() != "logistic(1)" {
@@ -75,25 +75,31 @@ func TestDefaultsFillEverything(t *testing.T) {
 
 func TestStandardizeModes(t *testing.T) {
 	ds := syntheticDataset(60, 9)
-	// Auto with m>1 targets: Y scaler should be a Standardizer.
+	// m>1 targets: both scalers are Standardizers.
 	m1, err := Fit(ds, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m1.YScaler.(*preprocess.Standardizer); !ok {
-		t.Fatalf("auto mode with 2 targets: Y scaler is %T", m1.YScaler)
+	if _, ok := m1.XScaler.(*preprocess.Standardizer); !ok {
+		t.Fatalf("inputs not standardized: X scaler is %T", m1.XScaler)
 	}
-	// Never: identity.
+	if _, ok := m1.YScaler.(*preprocess.Standardizer); !ok {
+		t.Fatalf("2 targets: Y scaler is %T", m1.YScaler)
+	}
+	// Switched off for the ablation: both identity.
 	cfg := fastConfig()
-	cfg.StandardizeOutputs = StandardizeNever
+	cfg.NoStandardize = true
 	m2, err := Fit(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m2.YScaler.(*preprocess.Identity); !ok {
-		t.Fatalf("never mode: Y scaler is %T", m2.YScaler)
+	if _, ok := m2.XScaler.(*preprocess.Identity); !ok {
+		t.Fatalf("off: X scaler is %T", m2.XScaler)
 	}
-	// Single target + auto: identity (the paper's §3.1 rule).
+	if _, ok := m2.YScaler.(*preprocess.Identity); !ok {
+		t.Fatalf("off: Y scaler is %T", m2.YScaler)
+	}
+	// Single target: identity Y (the paper's §3.1 rule).
 	single := workload.NewDataset([]string{"x"}, []string{"y"})
 	src := rng.New(1)
 	for i := 0; i < 40; i++ {
@@ -105,18 +111,7 @@ func TestStandardizeModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := m3.YScaler.(*preprocess.Identity); !ok {
-		t.Fatalf("auto mode with 1 target: Y scaler is %T", m3.YScaler)
-	}
-	// Inputs can be left raw for ablation.
-	f := false
-	cfg2 := fastConfig()
-	cfg2.StandardizeInputs = &f
-	m4, err := Fit(ds, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m4.XScaler.(*preprocess.Identity); !ok {
-		t.Fatalf("inputs not left raw: %T", m4.XScaler)
+		t.Fatalf("1 target: Y scaler is %T", m3.YScaler)
 	}
 }
 

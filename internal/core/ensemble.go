@@ -20,18 +20,18 @@ type Ensemble struct {
 	Members []*NNModel
 }
 
-// FitEnsembleWorkers trains n members concurrently on up to `workers`
-// goroutines (<= 0 means the scheduler default). Member i's seed derives
-// from (cfg.Seed, i), so the trained members are bit-identical across
-// worker counts and to the historical serial loop.
-func FitEnsembleWorkers(ds *workload.Dataset, cfg Config, n, workers int) (*Ensemble, error) {
+// FitEnsemble trains n members concurrently on the scheduler's default
+// worker count (sched.SetWorkers). Member i's seed derives from
+// (cfg.Seed, i), so the trained members are bit-identical across worker
+// counts.
+func FitEnsemble(ds *workload.Dataset, cfg Config, n int) (*Ensemble, error) {
 	if n < 1 {
 		return nil, errors.New("core: ensemble needs at least one member")
 	}
 	// Members train concurrently; per-member trace events buffer in fork
 	// slots and replay in member order so the trace is deterministic.
 	fork := cfg.Trace.Fork(n)
-	members, err := sched.MapWorker(sched.Workers(workers), n, func(i, w int) (*NNModel, error) {
+	members, err := sched.MapWorker(sched.Workers(0), n, func(i, w int) (*NNModel, error) {
 		slot := fork.Slot(i)
 		span := slot.StartSpan("ensemble-member", i, w)
 		defer span.End()

@@ -7,7 +7,7 @@ import (
 
 func TestEnsemblePredictIsMemberMean(t *testing.T) {
 	ds := syntheticDataset(80, 50)
-	e, err := FitEnsembleWorkers(ds, fastConfig(), 3, 0)
+	e, err := FitEnsemble(ds, fastConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestEnsemblePredictIsMemberMean(t *testing.T) {
 
 func TestEnsembleMembersDiffer(t *testing.T) {
 	ds := syntheticDataset(60, 51)
-	e, err := FitEnsembleWorkers(ds, fastConfig(), 3, 0)
+	e, err := FitEnsemble(ds, fastConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestEnsembleMembersDiffer(t *testing.T) {
 
 func TestEnsembleSpreadGrowsOutOfRange(t *testing.T) {
 	ds := syntheticDataset(100, 52) // inputs within [-2, 2]
-	e, err := FitEnsembleWorkers(ds, fastConfig(), 5, 0)
+	e, err := FitEnsemble(ds, fastConfig(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestEnsembleSpreadGrowsOutOfRange(t *testing.T) {
 
 func TestEnsembleSpreadNonNegative(t *testing.T) {
 	ds := syntheticDataset(50, 53)
-	e, err := FitEnsembleWorkers(ds, fastConfig(), 2, 0)
+	e, err := FitEnsemble(ds, fastConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestEnsembleSpreadNonNegative(t *testing.T) {
 func TestEnsembleAtLeastAsGoodAsWorstMember(t *testing.T) {
 	ds := syntheticDataset(120, 54)
 	test := syntheticDataset(40, 55)
-	e, err := FitEnsembleWorkers(ds, fastConfig(), 4, 0)
+	e, err := FitEnsemble(ds, fastConfig(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +108,10 @@ func TestEnsembleAtLeastAsGoodAsWorstMember(t *testing.T) {
 
 func TestEnsembleErrors(t *testing.T) {
 	ds := syntheticDataset(30, 56)
-	if _, err := FitEnsembleWorkers(ds, fastConfig(), 0, 0); err == nil {
+	if _, err := FitEnsemble(ds, fastConfig(), 0); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := FitEnsembleWorkers(nil, fastConfig(), 2, 0); err == nil {
+	if _, err := FitEnsemble(nil, fastConfig(), 2); err == nil {
 		t.Fatal("nil dataset accepted")
 	}
 }

@@ -71,21 +71,6 @@ func PredictAll(p Predictor, xs [][]float64) [][]float64 {
 	return out
 }
 
-// StandardizeMode selects output standardization per §3.1: inputs are
-// always standardized; outputs only when approximating several indicators
-// at once (otherwise the single target needs no rescaling).
-type StandardizeMode int
-
-const (
-	// StandardizeAuto standardizes outputs iff the dataset has more than
-	// one target — the paper's §3.1 rule.
-	StandardizeAuto StandardizeMode = iota
-	// StandardizeAlways standardizes outputs unconditionally.
-	StandardizeAlways
-	// StandardizeNever leaves outputs in their native units.
-	StandardizeNever
-)
-
 // Config specifies an NNModel. Zero values get sensible defaults from
 // Defaults.
 type Config struct {
@@ -97,12 +82,11 @@ type Config struct {
 	HiddenActivation nn.Activation
 	// OutputActivation defaults to identity (unbounded regression).
 	OutputActivation nn.Activation
-	// StandardizeInputs defaults to true; disable only for ablations.
-	StandardizeInputs *bool
-	// StandardizeOutputs defaults to StandardizeAuto.
-	StandardizeOutputs StandardizeMode
-	// Init defaults to Xavier initialization.
-	Init nn.Initializer
+	// NoStandardize leaves inputs and outputs in native units; it is for
+	// the §3.1 ablation only. Otherwise inputs are z-scored, and outputs
+	// too when there is more than one target (§3.1: a single target needs
+	// no rescaling).
+	NoStandardize bool
 	// Train defaults to train.DefaultConfig (full-batch RPROP with the
 	// paper's loose-fit loss threshold).
 	Train *train.Config
@@ -124,13 +108,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.OutputActivation == nil {
 		c.OutputActivation = nn.Identity{}
-	}
-	if c.StandardizeInputs == nil {
-		t := true
-		c.StandardizeInputs = &t
-	}
-	if c.Init == nil {
-		c.Init = nn.XavierInit{}
 	}
 	if c.Train == nil {
 		tc := train.DefaultConfig()
@@ -200,22 +177,12 @@ func fit(ds, val *workload.Dataset, cfg Config) (*NNModel, error) {
 	}
 
 	// §3.1 pre-processing.
-	if *cfg.StandardizeInputs {
+	m.XScaler, m.YScaler = preprocess.NewIdentity(), preprocess.NewIdentity()
+	if !cfg.NoStandardize {
 		m.XScaler = preprocess.NewStandardizer()
-	} else {
-		m.XScaler = preprocess.NewIdentity()
-	}
-	standardizeY := false
-	switch cfg.StandardizeOutputs {
-	case StandardizeAuto:
-		standardizeY = ds.NumTargets() > 1
-	case StandardizeAlways:
-		standardizeY = true
-	}
-	if standardizeY {
-		m.YScaler = preprocess.NewStandardizer()
-	} else {
-		m.YScaler = preprocess.NewIdentity()
+		if ds.NumTargets() > 1 {
+			m.YScaler = preprocess.NewStandardizer()
+		}
 	}
 	if err := m.XScaler.Fit(ds.Xs()); err != nil {
 		return nil, fmt.Errorf("core: fitting input scaler: %w", err)
@@ -229,7 +196,7 @@ func fit(ds, val *workload.Dataset, cfg Config) (*NNModel, error) {
 	sizes = append(sizes, ds.NumTargets())
 	m.Net = nn.NewNetwork(sizes, cfg.HiddenActivation, cfg.OutputActivation)
 	src := rng.New(cfg.Seed)
-	cfg.Init.Init(m.Net, src)
+	nn.XavierInit(m.Net, src)
 
 	tc := *cfg.Train
 	if cfg.Trace != nil {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"nnwc/internal/sched"
 )
 
 // The scheduler's contract: every parallel experiment-plane entry point is
@@ -47,14 +49,17 @@ func TestCrossValidateWorkersBitIdentical(t *testing.T) {
 func TestFitEnsembleWorkersBitIdentical(t *testing.T) {
 	ds := syntheticDataset(60, 7)
 	cfg := quickCVConfig()
-	ref, err := FitEnsembleWorkers(ds, cfg, 4, 1)
+	defer sched.SetWorkers(0)
+	sched.SetWorkers(1)
+	ref, err := FitEnsemble(ds, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	probe := [][]float64{{0.3, -1.1}, {-1.7, 0.9}, {1.2, 1.2}}
 	want := PredictAll(ref, probe)
 	for _, w := range []int{2, 8} {
-		got, err := FitEnsembleWorkers(ds, cfg, 4, w)
+		sched.SetWorkers(w)
+		got, err := FitEnsemble(ds, cfg, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

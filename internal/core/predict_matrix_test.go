@@ -15,7 +15,7 @@ func matrixFixture(t *testing.T) (*NNModel, *Ensemble, *mat.Matrix, [][]float64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ens, err := FitEnsembleWorkers(ds, fastConfig(), 3, 0)
+	ens, err := FitEnsemble(ds, fastConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"nnwc/internal/obs"
 	"nnwc/internal/obs/obstest"
+	"nnwc/internal/sched"
 )
 
 // tracedCV runs the standard seeded cross-validation with tracing enabled
@@ -16,7 +17,6 @@ func tracedCV(t *testing.T, workers int) ([]byte, *CVResult) {
 	t.Helper()
 	ds := syntheticDataset(120, 42)
 	cfg := fastConfig()
-	cfg.Train.RecordEvery = 100
 	var buf bytes.Buffer
 	cfg.Trace = obs.NewTrace(obs.NewWriterSink(&buf))
 	res, err := CrossValidateWorkers(ds, cfg, 4, 7, workers)
@@ -141,7 +141,9 @@ func TestEnsembleTraceDeterministic(t *testing.T) {
 		cfg.Train.MaxEpochs = 200
 		var buf bytes.Buffer
 		cfg.Trace = obs.NewTrace(obs.NewWriterSink(&buf))
-		if _, err := FitEnsembleWorkers(ds, cfg, 3, workers); err != nil {
+		defer sched.SetWorkers(0)
+		sched.SetWorkers(workers)
+		if _, err := FitEnsemble(ds, cfg, 3); err != nil {
 			t.Fatal(err)
 		}
 		c, err := obstest.CanonicalizeJSONL(buf.Bytes())

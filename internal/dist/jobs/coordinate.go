@@ -102,9 +102,9 @@ func SelectJob(data string, cfg SelectConfig, seed uint64) (Job[*core.SelectionR
 // coordinates worker processes over the lease protocol.
 type Executor interface{ executor() }
 
-// Local runs a job in this process on up to Workers goroutines (<= 0
-// means the scheduler default).
-type Local struct{ Workers int }
+// Local runs a job in this process on the scheduler's default worker count
+// (sched.SetWorkers).
+type Local struct{}
 
 func (Local) executor() {}
 
@@ -151,7 +151,7 @@ func Execute[O any](ctx context.Context, ex Executor, j Job[O]) (O, dist.Stats, 
 	case Local:
 		var k opened
 		if k, err = open(ctx, source{env: j, spec: j.spec, fits: obs.TraceFromContext(ctx)}); err == nil {
-			out, err = k.local(ctx, ex.Workers)
+			out, err = k.local(ctx)
 		}
 	case Options:
 		out, stats, err = coordinate(ctx, ex, j)

@@ -279,7 +279,7 @@ func open(ctx context.Context, src source) (opened, error) {
 type opened interface {
 	tasks() int
 	start(ctx context.Context)
-	local(ctx context.Context, workers int) (any, error)
+	local(ctx context.Context) (any, error)
 	run(ctx context.Context, i int) (json.RawMessage, error)
 	reduce(ctx context.Context, payloads []json.RawMessage) (any, error)
 }
@@ -302,8 +302,8 @@ func codec[R, P, O any](k sched.Kind[R, O], err error, toWire func(R) P, fromWir
 func (w wire[R, P, O]) tasks() int                { return w.kind.Tasks() }
 func (w wire[R, P, O]) start(ctx context.Context) { sched.Start(ctx, w.kind) }
 
-func (w wire[R, P, O]) local(ctx context.Context, workers int) (any, error) {
-	return sched.Execute(ctx, workers, w.kind)
+func (w wire[R, P, O]) local(ctx context.Context) (any, error) {
+	return sched.Execute(ctx, 0, w.kind)
 }
 
 func (w wire[R, P, O]) run(ctx context.Context, i int) (json.RawMessage, error) {

@@ -319,7 +319,7 @@ func TestDistKindParity(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			local, err := c.run(Local{Workers: 2})
+			local, err := c.run(Local{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -57,13 +57,11 @@ func (c *Context) RunAblations() error {
 		axis, variant string
 		cfg           core.Config
 	}
-	off := false
 	rows := []row{
 		{"standardize (§3.1)", "on (paper)", base()},
 		{"standardize (§3.1)", "off", func() core.Config {
 			cfg := base()
-			cfg.StandardizeInputs = &off
-			cfg.StandardizeOutputs = core.StandardizeNever
+			cfg.NoStandardize = true
 			return cfg
 		}()},
 		{"threshold (§3.3)", "loose 1e-2", tweak(func(t *train.Config) { t.TargetLoss = 1e-2 })},
@@ -88,7 +86,7 @@ func (c *Context) RunAblations() error {
 	// Every variant trains independently; fan them out and report in row
 	// order. Seeds are fixed per row up front, so the table is identical
 	// at any worker count.
-	scores, err := sched.Map(c.workers(), len(rows), func(i int) (float64, error) {
+	scores, err := sched.Map(sched.Workers(0), len(rows), func(i int) (float64, error) {
 		e, err := score(rows[i].cfg)
 		if err != nil {
 			return 0, fmt.Errorf("experiments: ablation %s/%s: %w", rows[i].axis, rows[i].variant, err)
@@ -107,9 +105,9 @@ func (c *Context) RunAblations() error {
 	}
 
 	// Ensemble-size axis uses the ensemble API rather than plain Fit; the
-	// members train concurrently inside FitEnsembleWorkers.
+	// members train concurrently inside FitEnsemble.
 	for _, n := range []int{1, 3, 5} {
-		ens, err := core.FitEnsembleWorkers(trainSet, base(), n, c.Workers)
+		ens, err := core.FitEnsemble(trainSet, base(), n)
 		if err != nil {
 			return err
 		}

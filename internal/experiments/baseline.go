@@ -31,7 +31,7 @@ func (c *Context) RunBaseline() error {
 	// order, so the table is bit-identical at any worker count. Cell spans
 	// buffer per cell index and replay in cell order for the same reason.
 	fork := c.Trace.Fork(c.Folds * len(fams))
-	cells, err := sched.MapWorker(c.workers(), c.Folds*len(fams), func(idx, w int) ([]float64, error) {
+	cells, err := sched.MapWorker(sched.Workers(0), c.Folds*len(fams), func(idx, w int) ([]float64, error) {
 		f, fi := idx/len(fams), idx%len(fams)
 		slot := fork.Slot(idx)
 		span := slot.StartSpan("baseline-cell", idx, w)

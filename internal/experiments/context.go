@@ -20,7 +20,6 @@ import (
 
 	"nnwc/internal/core"
 	"nnwc/internal/obs"
-	"nnwc/internal/sched"
 	"nnwc/internal/threetier"
 	"nnwc/internal/train"
 	"nnwc/internal/workload"
@@ -58,12 +57,6 @@ type Context struct {
 	Sweep threetier.SweepSpec
 	Model core.Config
 	Folds int
-
-	// Workers bounds the parallelism of the experiment fan-outs: CV
-	// folds, sweep cells, model families, surface probes (<= 0 means the
-	// scheduler default). Seeds derive from task indices, so reports and
-	// artifacts are bit-identical at every setting.
-	Workers int
 
 	// Trace receives structured run events from the experiments and the
 	// model fits underneath them. nil disables tracing; results are
@@ -140,9 +133,6 @@ func (c *Context) collect(tr *obs.Trace, configs []threetier.Config, replicates 
 // CrossValidation and the baseline comparison alike.
 func (c *Context) splitSeed() uint64 { return c.Seed + splitSeedOffset }
 
-// workers resolves the context's parallelism bound.
-func (c *Context) workers() int { return sched.Workers(c.Workers) }
-
 // CrossValidation runs (or returns the cached) k-fold CV with the folds
 // trained concurrently.
 func (c *Context) CrossValidation() (*core.CVResult, error) {
@@ -153,7 +143,7 @@ func (c *Context) CrossValidation() (*core.CVResult, error) {
 		}
 		cfg := c.Model
 		cfg.Trace = c.Trace
-		cv, err := core.CrossValidateWorkers(ds, cfg, c.Folds, c.splitSeed(), c.Workers)
+		cv, err := core.CrossValidate(ds, cfg, c.Folds, c.splitSeed())
 		if err != nil {
 			return nil, err
 		}

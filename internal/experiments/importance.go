@@ -25,7 +25,7 @@ func (c *Context) RunImportance() error {
 	if err != nil {
 		return err
 	}
-	im, err := sensitivity.PermutationImportance(model, ds, sensitivity.Options{Seed: c.Seed + 40, Workers: c.Workers})
+	im, err := sensitivity.PermutationImportance(model, ds, sensitivity.Options{Seed: c.Seed + 40})
 	if err != nil {
 		return err
 	}

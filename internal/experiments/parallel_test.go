@@ -17,12 +17,13 @@ import (
 // worker count and returns the printed report plus the CSV artifact.
 func runTable2At(t *testing.T, workers int) (string, string) {
 	t.Helper()
+	defer sched.SetWorkers(0)
+	sched.SetWorkers(workers)
 	var buf bytes.Buffer
 	dir := t.TempDir()
 	c := NewQuick(&buf, dir)
 	c.Sys.WarmupTime = 2
 	c.Sys.MeasureTime = 8
-	c.Workers = workers
 	if err := c.RunTable2(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,6 @@ func traceTable2At(t *testing.T, workers int) []byte {
 	c := NewQuick(io.Discard, t.TempDir())
 	c.Sys.WarmupTime = 2
 	c.Sys.MeasureTime = 8
-	c.Workers = workers
 	c.Trace = obs.NewTrace(obs.NewWriterSink(&trace))
 	if err := c.RunTable2(); err != nil {
 		t.Fatal(err)

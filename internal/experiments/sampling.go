@@ -73,7 +73,7 @@ func (c *Context) RunSampling() error {
 	}
 	// Cells trace their collections into slots replayed in cell order.
 	fork := c.Trace.Fork(len(jobs))
-	rows, err := sched.Map(c.workers(), len(jobs), func(i int) (row, error) {
+	rows, err := sched.Map(sched.Workers(0), len(jobs), func(i int) (row, error) {
 		j := jobs[i]
 		pts, err := j.design.Points(j.budget, len(dims))
 		if err != nil {

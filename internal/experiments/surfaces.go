@@ -77,7 +77,7 @@ func (c *Context) runSurface(title, artifact string, output int, expectation str
 		return err
 	}
 	sl := c.sliceGrid(output)
-	grid, err := surface.EvaluateWorkers(model, sl, model.InputDim(), model.OutputDim(), c.Workers)
+	grid, err := surface.Evaluate(model, sl, model.InputDim(), model.OutputDim())
 	if err != nil {
 		return err
 	}
@@ -124,7 +124,7 @@ func (c *Context) runSurface(title, artifact string, output int, expectation str
 			probeList = append(probeList, probe{dv, wv})
 		}
 	}
-	actual, err := sched.Map(c.workers(), len(probeList), func(i int) (float64, error) {
+	actual, err := sched.Map(sched.Workers(0), len(probeList), func(i int) (float64, error) {
 		cfg := threetier.Config{
 			InjectionRate:  sl.Fixed[featRate],
 			DefaultThreads: int(probeList[i].dv + 0.5),

@@ -25,19 +25,6 @@ func (m *Matrix) Reshape(rows, cols int) *Matrix {
 	return m
 }
 
-// RowRange returns a view of rows [lo, hi) sharing m's backing array
-// (possibly empty when lo == hi). Mutations through the view are visible in
-// m. The view is returned by value so hot loops can keep it on the stack.
-//
-//nnwc:hotpath
-func (m *Matrix) RowRange(lo, hi int) Matrix {
-	if lo < 0 || hi > m.Rows || lo > hi {
-		panic(ErrShape)
-	}
-	//lint:waive hotpath -- view returned by value; escape analysis keeps it on the caller's stack
-	return Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
-}
-
 // CopyRows copies a rectangular [][]float64 into m, reshaping it to fit.
 // It panics on empty or ragged input. Returns m.
 func (m *Matrix) CopyRows(rows [][]float64) *Matrix {

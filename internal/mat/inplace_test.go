@@ -80,18 +80,6 @@ func TestReshapeReusesBacking(t *testing.T) {
 	}
 }
 
-func TestRowRangeIsAView(t *testing.T) {
-	m := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	v := m.RowRange(1, 3)
-	if v.Rows != 2 || v.At(0, 0) != 3 || v.At(1, 1) != 6 {
-		t.Fatalf("RowRange content wrong: %+v", v)
-	}
-	v.Set(0, 0, 99)
-	if m.At(1, 0) != 99 {
-		t.Fatal("RowRange is not a view")
-	}
-}
-
 func TestCopyRows(t *testing.T) {
 	m := &Matrix{}
 	m.CopyRows([][]float64{{1, 2}, {3, 4}})

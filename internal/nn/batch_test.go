@@ -19,7 +19,7 @@ func TestForwardBatchMatchesPerSample(t *testing.T) {
 	for _, act := range activations {
 		src := rng.New(31)
 		net := NewNetwork([]int{4, 9, 6, 3}, act, Identity{})
-		XavierInit{}.Init(net, src)
+		XavierInit(net, src)
 
 		data := rng.New(7)
 		const batch = 37
@@ -44,7 +44,7 @@ func TestForwardBatchMatchesPerSample(t *testing.T) {
 func TestForwardTraceBatchMatchesPerSample(t *testing.T) {
 	src := rng.New(32)
 	net := NewNetwork([]int{3, 5, 2}, Tanh{}, Identity{})
-	XavierInit{}.Init(net, src)
+	XavierInit(net, src)
 	X := new(mat.Matrix).CopyRows([][]float64{{0.1, -0.5, 2}, {1, 1, 1}, {-3, 0.2, 0.9}})
 	var ws BatchWorkspace
 	acts, pres := net.ForwardTraceBatch(X, &ws)
@@ -71,7 +71,7 @@ func TestForwardTraceBatchMatchesPerSample(t *testing.T) {
 func TestForwardBatchReusesWorkspace(t *testing.T) {
 	src := rng.New(33)
 	net := NewNetwork([]int{4, 16, 5}, Logistic{Alpha: 1}, Identity{})
-	XavierInit{}.Init(net, src)
+	XavierInit(net, src)
 	X := mat.New(64, 4)
 	for i := range X.Data {
 		X.Data[i] = src.Uniform(-1, 1)
@@ -94,8 +94,8 @@ func TestForwardBatchMixedDepthsZeroAlloc(t *testing.T) {
 	src := rng.New(35)
 	shallow := NewNetwork([]int{4, 16, 5}, Logistic{Alpha: 1}, Identity{})
 	deep := NewNetwork([]int{4, 24, 24, 5}, Logistic{Alpha: 1}, Identity{})
-	XavierInit{}.Init(shallow, src)
-	XavierInit{}.Init(deep, src)
+	XavierInit(shallow, src)
+	XavierInit(deep, src)
 	X := mat.New(8, 4)
 	for i := range X.Data {
 		X.Data[i] = src.Uniform(-1, 1)
@@ -128,7 +128,7 @@ func TestForwardBatchMixedDepthsZeroAlloc(t *testing.T) {
 func TestForwardBatchGrowsWithBatchSize(t *testing.T) {
 	src := rng.New(34)
 	net := NewNetwork([]int{2, 4, 1}, Tanh{}, Identity{})
-	XavierInit{}.Init(net, src)
+	XavierInit(net, src)
 	var ws BatchWorkspace
 	for _, batch := range []int{1, 8, 3, 20} {
 		X := mat.New(batch, 2)
@@ -209,7 +209,7 @@ func TestSetParams(t *testing.T) {
 func BenchmarkForwardBatch64x4x16x5(b *testing.B) {
 	src := rng.New(1)
 	net := NewNetwork([]int{4, 16, 5}, Logistic{Alpha: 1}, Identity{})
-	XavierInit{}.Init(net, src)
+	XavierInit(net, src)
 	X := mat.New(64, 4)
 	for i := range X.Data {
 		X.Data[i] = src.Uniform(-1, 1)
@@ -230,7 +230,7 @@ func BenchmarkForwardBatchRows(b *testing.B) {
 	for _, sizes := range [][]int{{4, 16, 5}, {4, 8, 5}, {4, 24, 24, 5}} {
 		src := rng.New(1)
 		net := NewNetwork(sizes, Logistic{Alpha: 1}, Identity{})
-		XavierInit{}.Init(net, src)
+		XavierInit(net, src)
 		for _, rows := range []int{1, 4, 16, 64} {
 			X := mat.New(rows, sizes[0])
 			for i := range X.Data {

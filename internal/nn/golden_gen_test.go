@@ -19,7 +19,7 @@ func TestGenerateGoldenNetwork(t *testing.T) {
 	}
 	src := rng.New(20260805)
 	net := NewNetwork([]int{4, 6, 3}, Logistic{Alpha: 1.5}, Identity{})
-	XavierInit{}.Init(net, src)
+	XavierInit(net, src)
 	var buf bytes.Buffer
 	if err := net.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -193,20 +193,12 @@ func (n *Network) Clone() *Network {
 	return c
 }
 
-// Initializer seeds a network's weights before training. The paper notes
-// the weights and biases "are initialized with random values when the
-// training process begins" (§3.1).
-type Initializer interface {
-	Init(n *Network, src *rng.Source)
-}
-
-// XavierInit draws weights from a uniform distribution whose scale depends
-// on fan-in and fan-out (Glorot & Bengio), which keeps activation variance
-// stable across layers; biases start at zero.
-type XavierInit struct{}
-
-// Init implements Initializer.
-func (XavierInit) Init(n *Network, src *rng.Source) {
+// XavierInit seeds n's weights before training: the paper's weights and
+// biases "are initialized with random values when the training process
+// begins" (§3.1). Weights are drawn from a uniform distribution whose scale
+// depends on fan-in and fan-out (Glorot & Bengio), which keeps activation
+// variance stable across layers; biases start at zero.
+func XavierInit(n *Network, src *rng.Source) {
 	for _, l := range n.Layers {
 		limit := math.Sqrt(6 / float64(l.Inputs+l.Outputs))
 		for o := 0; o < l.Outputs; o++ {

@@ -70,7 +70,7 @@ func TestNumParams(t *testing.T) {
 func TestForwardTraceConsistent(t *testing.T) {
 	src := rng.New(5)
 	n := NewNetwork([]int{3, 7, 2}, Tanh{}, Identity{})
-	XavierInit{}.Init(n, src)
+	XavierInit(n, src)
 	x := []float64{0.3, -1, 2}
 	acts, pres := n.ForwardTrace(x)
 	if len(acts) != 3 || len(pres) != 2 {
@@ -87,7 +87,7 @@ func TestForwardTraceConsistent(t *testing.T) {
 func TestCloneIndependent(t *testing.T) {
 	src := rng.New(6)
 	n := NewNetwork([]int{2, 4, 1}, Tanh{}, Identity{})
-	XavierInit{}.Init(n, src)
+	XavierInit(n, src)
 	c := n.Clone()
 	before := n.Forward([]float64{1, 1})[0]
 	c.Layers[0].W.Set(0, 0, 99)
@@ -102,7 +102,7 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestXavierInitZeroBiases(t *testing.T) {
 	n := NewNetwork([]int{3, 5, 2}, Tanh{}, Identity{})
-	XavierInit{}.Init(n, rng.New(9))
+	XavierInit(n, rng.New(9))
 	for _, l := range n.Layers {
 		for _, b := range l.B {
 			if b != 0 {
@@ -123,8 +123,8 @@ func TestXavierInitZeroBiases(t *testing.T) {
 func TestInitDeterministic(t *testing.T) {
 	a := NewNetwork([]int{2, 4, 1}, Tanh{}, Identity{})
 	b := NewNetwork([]int{2, 4, 1}, Tanh{}, Identity{})
-	XavierInit{}.Init(a, rng.New(42))
-	XavierInit{}.Init(b, rng.New(42))
+	XavierInit(a, rng.New(42))
+	XavierInit(b, rng.New(42))
 	x := []float64{0.1, 0.9}
 	if a.Forward(x)[0] != b.Forward(x)[0] {
 		t.Fatal("same seed produced different networks")
@@ -134,7 +134,7 @@ func TestInitDeterministic(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	src := rng.New(10)
 	n := NewNetwork([]int{4, 6, 3}, Logistic{Alpha: 2}, Identity{})
-	XavierInit{}.Init(n, src)
+	XavierInit(n, src)
 	var buf bytes.Buffer
 	if err := n.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 
 func BenchmarkForward4x16x5(b *testing.B) {
 	n := NewNetwork([]int{4, 16, 5}, Logistic{Alpha: 1}, Identity{})
-	XavierInit{}.Init(n, rng.New(1))
+	XavierInit(n, rng.New(1))
 	x := []float64{0.1, -0.5, 1.2, 0.7}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -186,8 +186,8 @@ func TestCopyWeightsFrom(t *testing.T) {
 	src := rng.New(7)
 	a := NewNetwork([]int{2, 3, 1}, Tanh{}, Identity{})
 	b := NewNetwork([]int{2, 3, 1}, Tanh{}, Identity{})
-	XavierInit{}.Init(a, src)
-	XavierInit{}.Init(b, src)
+	XavierInit(a, src)
+	XavierInit(b, src)
 	copyWeightsFrom(b, a)
 	x := []float64{0.5, -0.5}
 	if a.Forward(x)[0] != b.Forward(x)[0] {

@@ -33,8 +33,6 @@ type Config struct {
 	WidthScale float64
 	// Lambda is the ridge penalty of the output solve.
 	Lambda float64
-	// KMeansIters bounds the Lloyd iterations (default 50).
-	KMeansIters int
 	// Seed drives the k-means initialization.
 	Seed uint64
 }
@@ -45,9 +43,6 @@ func (c Config) defaults() Config {
 	}
 	if c.WidthScale <= 0 {
 		c.WidthScale = 1
-	}
-	if c.KMeansIters <= 0 {
-		c.KMeansIters = 50
 	}
 	if c.Lambda < 0 {
 		c.Lambda = 0
@@ -73,7 +68,7 @@ func Fit(xs, ys [][]float64, cfg Config) (*Network, error) {
 		k = len(xs)
 	}
 
-	centers, err := kMeans(xs, k, cfg.KMeansIters, rng.New(cfg.Seed))
+	centers, err := kMeans(xs, k, rng.New(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -149,9 +144,12 @@ func nearestOtherCenter(centers [][]float64, i int) float64 {
 	return best
 }
 
+// kMeansIters bounds the Lloyd iterations.
+const kMeansIters = 50
+
 // kMeans clusters xs into k prototypes with Lloyd's algorithm, seeded by
 // k-means++ style sampling.
-func kMeans(xs [][]float64, k, iters int, src *rng.Source) ([][]float64, error) {
+func kMeans(xs [][]float64, k int, src *rng.Source) ([][]float64, error) {
 	n := len(xs)
 	dim := len(xs[0])
 	for _, x := range xs {
@@ -198,7 +196,7 @@ func kMeans(xs [][]float64, k, iters int, src *rng.Source) ([][]float64, error) 
 
 	assign := make([]int, n)
 	counts := make([]int, k)
-	for iter := 0; iter < iters; iter++ {
+	for iter := 0; iter < kMeansIters; iter++ {
 		changed := false
 		for i, x := range xs {
 			best, bestD := 0, math.Inf(1)

@@ -94,14 +94,17 @@ type Result struct {
 	Top []Candidate
 }
 
+// The search's fixed budget: grid points per dimension of the coarse sweep,
+// random probes after it, and rounds of local perturbation around the
+// incumbent (each of randomProbes/4 probes).
+const (
+	gridPoints   = 8
+	randomProbes = 512
+	refineRounds = 3
+)
+
 // Options tunes the search.
 type Options struct {
-	// GridPoints per dimension for the coarse sweep (default 8).
-	GridPoints int
-	// RandomProbes after the grid phase (default 512).
-	RandomProbes int
-	// RefineRounds of local perturbation around the incumbent (default 3).
-	RefineRounds int
 	// Keep is how many top candidates to report (default 10).
 	Keep int
 	// Seed drives the random probes.
@@ -109,15 +112,6 @@ type Options struct {
 }
 
 func (o Options) defaults() Options {
-	if o.GridPoints <= 0 {
-		o.GridPoints = 8
-	}
-	if o.RandomProbes <= 0 {
-		o.RandomProbes = 512
-	}
-	if o.RefineRounds <= 0 {
-		o.RefineRounds = 3
-	}
 	if o.Keep <= 0 {
 		o.Keep = 10
 	}
@@ -149,17 +143,14 @@ func Search(p core.Predictor, space Space, score Scorer, opt Options) (*Result, 
 	x := make([]float64, n)
 	var gridTotal uint64 = 1
 	for i := 0; i < n; i++ {
-		gridTotal *= uint64(opt.GridPoints)
+		gridTotal *= gridPoints
 		if gridTotal > 1<<20 {
-			return nil, fmt.Errorf("recommend: grid of %d^%d points is too large; lower GridPoints", opt.GridPoints, n)
+			return nil, fmt.Errorf("recommend: grid of %d^%d points is too large; search fewer dimensions", gridPoints, n)
 		}
 	}
 	for {
 		for i := 0; i < n; i++ {
-			frac := 0.5
-			if opt.GridPoints > 1 {
-				frac = float64(counts[i]) / float64(opt.GridPoints-1)
-			}
+			frac := float64(counts[i]) / (gridPoints - 1)
 			x[i] = space.Lo[i] + frac*(space.Hi[i]-space.Lo[i])
 		}
 		eval(x)
@@ -167,7 +158,7 @@ func Search(p core.Predictor, space Space, score Scorer, opt Options) (*Result, 
 		i := 0
 		for ; i < n; i++ {
 			counts[i]++
-			if counts[i] < opt.GridPoints {
+			if counts[i] < gridPoints {
 				break
 			}
 			counts[i] = 0
@@ -178,7 +169,7 @@ func Search(p core.Predictor, space Space, score Scorer, opt Options) (*Result, 
 	}
 
 	// Phase 2: random probes.
-	for k := 0; k < opt.RandomProbes; k++ {
+	for k := 0; k < randomProbes; k++ {
 		for i := 0; i < n; i++ {
 			x[i] = src.Uniform(space.Lo[i], space.Hi[i])
 		}
@@ -186,11 +177,11 @@ func Search(p core.Predictor, space Space, score Scorer, opt Options) (*Result, 
 	}
 
 	// Phase 3: local refinement around the incumbent.
-	for round := 0; round < opt.RefineRounds; round++ {
+	for round := 0; round < refineRounds; round++ {
 		sort.Slice(all, func(i, j int) bool { return all[i].Score > all[j].Score })
 		incumbent := all[0]
 		radius := math.Pow(0.5, float64(round+1))
-		for k := 0; k < opt.RandomProbes/4; k++ {
+		for k := 0; k < randomProbes/4; k++ {
 			for i := 0; i < n; i++ {
 				span := (space.Hi[i] - space.Lo[i]) * radius
 				v := incumbent.X[i] + src.Uniform(-span, span)

@@ -151,7 +151,7 @@ func ForEachWorker(workers, n int, task func(i, worker int) error) error {
 }
 
 // Map runs task(i) for every i in [0, n) on at most `workers` goroutines
-// and returns the results in task order. Error semantics match ForEach.
+// and returns the results in task order. Error semantics match ForEachWorker.
 func Map[T any](workers, n int, task func(i int) (T, error)) ([]T, error) {
 	return MapWorker(workers, n, func(i, _ int) (T, error) { return task(i) })
 }
@@ -172,28 +172,6 @@ func MapWorker[T any](workers, n int, task func(i, worker int) (T, error)) ([]T,
 		return nil, err
 	}
 	return out, nil
-}
-
-// RunWorkers starts exactly `workers` goroutines running fn(worker) and
-// waits for all of them. It is the low-level primitive for callers that
-// manage their own work distribution but want per-worker identities (e.g.
-// one reusable workspace per worker, as the block-parallel gradient
-// accumulation in internal/train does). fn(0) runs on the calling
-// goroutine when workers == 1.
-func RunWorkers(workers int, fn func(worker int)) {
-	if workers <= 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
 }
 
 // Pool is a bounded free list of reusable per-task scratch objects

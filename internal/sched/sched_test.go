@@ -153,19 +153,6 @@ func TestSeedDerivation(t *testing.T) {
 	}
 }
 
-func TestRunWorkersGivesDistinctIDs(t *testing.T) {
-	const workers = 6
-	var hits [workers]int64
-	RunWorkers(workers, func(w int) {
-		atomic.AddInt64(&hits[w], 1)
-	})
-	for w, h := range hits {
-		if h != 1 {
-			t.Fatalf("worker %d ran %d times", w, h)
-		}
-	}
-}
-
 func TestPoolReusesValues(t *testing.T) {
 	type scratch struct{ buf []float64 }
 	var allocs int64

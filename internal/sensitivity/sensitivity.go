@@ -39,9 +39,6 @@ type Options struct {
 	// stream derived from (Seed, feature index), so scores do not depend
 	// on scheduling or worker count.
 	Seed uint64
-	// Workers bounds the concurrency of the per-feature scoring loop
-	// (<= 0 means the scheduler default).
-	Workers int
 }
 
 func (o Options) defaults() Options {
@@ -52,14 +49,14 @@ func (o Options) defaults() Options {
 }
 
 // PermutationImportance scores every (feature, indicator) pair on the
-// given dataset: ImportanceKind run in process on up to opt.Workers
-// goroutines.
+// given dataset: ImportanceKind run in process on the scheduler's default
+// worker count (sched.SetWorkers).
 func PermutationImportance(p core.Predictor, ds *workload.Dataset, opt Options) (*Importance, error) {
 	kind, err := ImportanceKind(p, ds, opt)
 	if err != nil {
 		return nil, err
 	}
-	return sched.Execute(context.TODO(), opt.Workers, kind)
+	return sched.Execute(context.TODO(), 0, kind)
 }
 
 // importanceKind is permutation importance as a sched.Kind: one task per

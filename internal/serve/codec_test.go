@@ -97,10 +97,10 @@ func FuzzPredictBody(f *testing.F) {
 	h := s.Handler()
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if int64(len(body)) > s.cfg.MaxBodyBytes {
+		if int64(len(body)) > maxBodyBytes {
 			return
 		}
-		checkDecodersAgree(t, body, s.cfg.MaxBodyBytes)
+		checkDecodersAgree(t, body, maxBodyBytes)
 		checkDecodersAgree(t, body, int64(len(body)/2))
 
 		rec := httptest.NewRecorder()

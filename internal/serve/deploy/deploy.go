@@ -33,8 +33,6 @@ type Config struct {
 	// MinObservations is how many prediction-vs-actual pairs a window
 	// needs before the policy acts on it. Default 32.
 	MinObservations int
-	// Window is the rolling-window capacity. Default 256.
-	Window int
 	// AutoPromote enables policy-driven promotion/rollback on Observe;
 	// explicit Promote/Rollback calls always work. Default off — opt in.
 	AutoPromote bool
@@ -49,9 +47,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinObservations <= 0 {
 		c.MinObservations = 32
-	}
-	if c.Window <= 0 {
-		c.Window = 256
 	}
 	return c
 }
@@ -128,9 +123,9 @@ func (c *Controller) deployment(tenant string) *Deployment {
 	if !ok {
 		d = &Deployment{
 			tenant:     tenant,
-			liveErr:    newWindow(c.cfg.Window),
-			shadowErr:  newWindow(c.cfg.Window),
-			divergence: newWindow(c.cfg.Window),
+			liveErr:    newWindow(windowSize),
+			shadowErr:  newWindow(windowSize),
+			divergence: newWindow(windowSize),
 		}
 		c.fleet[tenant] = d
 	}
@@ -388,6 +383,9 @@ type window struct {
 	next int
 	sum  float64
 }
+
+// windowSize is the capacity of a deployment's rolling windows.
+const windowSize = 256
 
 func newWindow(capacity int) *window { return &window{buf: make([]float64, capacity)} }
 

@@ -121,8 +121,6 @@ type Registry struct {
 	warm     map[string]*warmEntry // key: tenant@version
 	// LRU list over warm entries; head = most recently used.
 	head, tail *warmEntry
-
-	loads, evictions, hits uint64
 }
 
 type warmEntry struct {
@@ -212,7 +210,6 @@ func (r *Registry) Register(tenant, path string) (*Instance, error) {
 	}
 	art.Version = len(r.tenants[tenant]) + 1
 	r.tenants[tenant] = append(r.tenants[tenant], art)
-	r.loads++
 	inst := NewInstance(art, m, art.RegisteredAt)
 	r.insert(inst)
 	return inst, nil
@@ -232,7 +229,6 @@ func (r *Registry) Instance(tenant string, version int) (*Instance, error) {
 	}
 	if e, ok := r.warm[keyOf(tenant, version)]; ok {
 		r.touch(e)
-		r.hits++
 		inst := e.inst
 		r.mu.Unlock()
 		return inst, nil
@@ -259,7 +255,6 @@ func (r *Registry) Instance(tenant string, version int) (*Instance, error) {
 		r.touch(e)
 		return e.inst, nil
 	}
-	r.loads++
 	r.insert(inst)
 	return inst, nil
 }
@@ -324,7 +319,6 @@ func (r *Registry) insert(inst *Instance) {
 		victim := r.tail
 		r.unlink(victim)
 		delete(r.warm, victim.key)
-		r.evictions++
 	}
 }
 

@@ -98,38 +98,45 @@ func TestInstanceLRUEvictionAndRehydration(t *testing.T) {
 		trainModel(t, dir, "m3.json", []int{3}, 3),
 	}
 	r := New(2)
+	registered := make([]*Instance, len(paths))
 	for i, p := range paths {
-		if _, err := r.Register("web", p); err != nil {
+		inst, err := r.Register("web", p)
+		if err != nil {
 			t.Fatalf("register %d: %v", i, err)
 		}
+		registered[i] = inst
 	}
 	if got := r.WarmCount(); got != 2 {
 		t.Fatalf("warm count %d, want capacity 2", got)
 	}
-	loads, evictions, _ := cacheStats(r)
-	if loads != 3 || evictions != 1 {
-		t.Fatalf("loads=%d evictions=%d, want 3 and 1", loads, evictions)
+	instance := func(version int) *Instance {
+		t.Helper()
+		inst, err := r.Instance("web", version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inst.Version != version {
+			t.Fatalf("asked for v%d, got v%d", version, inst.Version)
+		}
+		return inst
 	}
 
-	// v1 was evicted (LRU); asking for it rehydrates from disk.
-	inst, err := r.Instance("web", 1)
-	if err != nil {
-		t.Fatal(err)
+	// A warm hit returns the loaded instance itself.
+	if instance(3) != registered[2] || instance(2) != registered[1] {
+		t.Fatal("warm hit did not return the registered instance")
 	}
-	if inst.Version != 1 {
-		t.Fatalf("rehydrated version %d, want 1", inst.Version)
+	// v1 was evicted (LRU); asking for it rehydrates a fresh instance,
+	// which later calls hit warm.
+	v1 := instance(1)
+	if v1 == registered[0] {
+		t.Fatal("evicted v1 returned its old instance")
 	}
-	loads2, _, _ := cacheStats(r)
-	if loads2 != 4 {
-		t.Fatalf("loads after rehydration = %d, want 4", loads2)
+	if instance(1) != v1 {
+		t.Fatal("warm hit on rehydrated v1 reloaded it")
 	}
-	// A warm hit does not reload.
-	if _, err := r.Instance("web", 1); err != nil {
-		t.Fatal(err)
-	}
-	loads3, _, hits := cacheStats(r)
-	if loads3 != 4 || hits == 0 {
-		t.Fatalf("warm hit reloaded (loads=%d hits=%d)", loads3, hits)
+	// Rehydrating v1 evicted v3, the least recently used.
+	if instance(3) == registered[2] {
+		t.Fatal("evicted v3 returned its old instance")
 	}
 }
 
@@ -179,12 +186,4 @@ func TestRegisterValidation(t *testing.T) {
 	if _, err := r.Instance("web", 1); err == nil {
 		t.Fatal("unknown version resolved")
 	}
-}
-
-// cacheStats reads r's cache counters: artifact loads from disk, LRU
-// evictions and warm hits.
-func cacheStats(r *Registry) (loads, evictions, hits uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.loads, r.evictions, r.hits
 }

@@ -105,8 +105,6 @@ type Config struct {
 	// budget is shed with 429 so queue pressure relieves itself (default
 	// 0: off).
 	LatencyBudget time.Duration
-	// MaxBodyBytes caps a request body (default 1 MiB).
-	MaxBodyBytes int64
 	// Trace, when set, receives registry and deployment events
 	// (model_deploy, model_promote, ...) for the run's trace file.
 	Trace *obs.Trace
@@ -122,14 +120,14 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	return c
 }
 
 // DefaultSingleTenant is the tenant name a bare ModelPath is served under.
 const DefaultSingleTenant = "default"
+
+// maxBodyBytes caps a request body.
+const maxBodyBytes = 1 << 20
 
 // Server is the prediction service. Create with New, start listening with
 // Start, stop with Shutdown.
@@ -630,7 +628,7 @@ type fleetRequest struct {
 
 func (s *Server) decodeFleetRequest(w http.ResponseWriter, r *http.Request, endpoint string) (fleetRequest, bool) {
 	var req fleetRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.metrics.observeError("bad_json")
@@ -696,7 +694,7 @@ func (s *Server) handleFleetAction(endpoint string, action func(string) (*regist
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.metrics.observeError("bad_json")
@@ -751,7 +749,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	sc := scratchPool.Get().(*predictScratch)
 	defer scratchPool.Put(sc)
 	buf := bytes.NewBuffer(sc.body[:0])
-	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	body := buf.Bytes()
 	sc.body = keep(body)
 	var req PredictRequest

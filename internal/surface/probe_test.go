@@ -6,6 +6,7 @@ import (
 
 	"nnwc/internal/core"
 	"nnwc/internal/rng"
+	"nnwc/internal/sched"
 	"nnwc/internal/train"
 	"nnwc/internal/workload"
 )
@@ -52,12 +53,14 @@ func probeSlice(n int) Slice {
 func TestMatrixPathMatchesFallback(t *testing.T) {
 	m := trainedModel(t)
 	sl := probeSlice(12)
+	defer sched.SetWorkers(0)
 	for _, w := range []int{1, 2, 8} {
-		fast, err := EvaluateWorkers(m, sl, m.InputDim(), m.OutputDim(), w)
+		sched.SetWorkers(w)
+		fast, err := Evaluate(m, sl, m.InputDim(), m.OutputDim())
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := EvaluateWorkers(batchOnly{m}, sl, m.InputDim(), m.OutputDim(), w)
+		slow, err := Evaluate(batchOnly{m}, sl, m.InputDim(), m.OutputDim())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,11 +82,13 @@ func TestProbeSteadyStateAllocs(t *testing.T) {
 	m := trainedModel(t)
 	const n = 16
 	sl := probeSlice(n)
-	if _, err := EvaluateWorkers(m, sl, m.InputDim(), m.OutputDim(), 1); err != nil {
+	defer sched.SetWorkers(0)
+	sched.SetWorkers(1)
+	if _, err := Evaluate(m, sl, m.InputDim(), m.OutputDim()); err != nil {
 		t.Fatal(err) // warm the probe and predict pools
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := EvaluateWorkers(m, sl, m.InputDim(), m.OutputDim(), 1); err != nil {
+		if _, err := Evaluate(m, sl, m.InputDim(), m.OutputDim()); err != nil {
 			panic(err)
 		}
 	})

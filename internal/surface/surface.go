@@ -59,17 +59,16 @@ type Grid struct {
 	Z     [][]float64
 }
 
-// EvaluateWorkers runs GridKind in process on up to `workers` goroutines
-// (<= 0 means the scheduler default). Every Z cell is computed from its own
+// Evaluate runs GridKind in process on the scheduler's default worker
+// count (sched.SetWorkers). Every Z cell is computed from its own
 // configuration vector and written to its own slot, so the surface is
-// bit-identical across worker counts and to the historical single-batch
-// path.
-func EvaluateWorkers(p core.Predictor, s Slice, inputDim, outputDim, workers int) (*Grid, error) {
+// bit-identical across worker counts.
+func Evaluate(p core.Predictor, s Slice, inputDim, outputDim int) (*Grid, error) {
 	kind, err := GridKind(p, s, inputDim, outputDim)
 	if err != nil {
 		return nil, err
 	}
-	return sched.Execute(context.TODO(), workers, kind)
+	return sched.Execute(context.TODO(), 0, kind)
 }
 
 // gridKind is a surface sweep as a sched.Kind: one task per grid row.

@@ -3,6 +3,8 @@ package surface
 import (
 	"math"
 	"testing"
+
+	"nnwc/internal/sched"
 )
 
 // funcPredictor adapts a plain function to core.Predictor for testing.
@@ -20,7 +22,7 @@ func grid2D(f func(x, y float64) float64, xs, ys []float64) *Grid {
 		Output:  0,
 	}
 	p := funcPredictor(func(v []float64) []float64 { return []float64{f(v[0], v[1])} })
-	g, err := EvaluateWorkers(p, sl, 2, 1, 0)
+	g, err := Evaluate(p, sl, 2, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -52,7 +54,7 @@ func TestEvaluatePreservesFixedValues(t *testing.T) {
 		Output:  0,
 	}
 	// One worker: the predictor records into seen without synchronization.
-	if _, err := EvaluateWorkers(p, sl, 4, 1, 1); err != nil {
+	if _, err := Evaluate(p, sl, 4, 1); err != nil {
 		t.Fatal(err)
 	}
 	if seen[0] != 560 || seen[2] != 16 {
@@ -263,12 +265,15 @@ func TestEvaluateWorkersBitIdentical(t *testing.T) {
 	p := funcPredictor(func(v []float64) []float64 {
 		return []float64{math.Sin(3*v[0]) * math.Exp(0.2*v[1])}
 	})
-	ref, err := EvaluateWorkers(p, sl, 2, 1, 1)
+	defer sched.SetWorkers(0)
+	sched.SetWorkers(1)
+	ref, err := Evaluate(p, sl, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
-		got, err := EvaluateWorkers(p, sl, 2, 1, w)
+		sched.SetWorkers(w)
+		got, err := Evaluate(p, sl, 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

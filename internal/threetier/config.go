@@ -224,12 +224,6 @@ type SystemParams struct {
 	WarmupTime  float64
 	MeasureTime float64
 
-	// Mix overrides the built-in transaction-class shares (manufacturing,
-	// purchase, manage, browse). A nil/zero value keeps the defaults; a
-	// set value must be non-negative and sum to ~1. Changing the mix is
-	// how workload-drift scenarios are simulated.
-	Mix []float64
-
 	// CollectSamples keeps every measured transaction's response time in
 	// completion order, enabling percentile reports and batch-means
 	// confidence intervals on the metrics (at some memory cost). Off by
@@ -250,26 +244,6 @@ func DefaultSystemParams() SystemParams {
 		WarmupTime:     20,
 		MeasureTime:    80,
 	}
-}
-
-// Validate reports SystemParams errors.
-func (sp SystemParams) Validate() error {
-	if sp.Mix != nil {
-		if len(sp.Mix) != NumClasses {
-			return fmt.Errorf("threetier: mix needs %d entries, got %d", NumClasses, len(sp.Mix))
-		}
-		var sum float64
-		for _, m := range sp.Mix {
-			if m < 0 {
-				return errors.New("threetier: mix shares must be non-negative")
-			}
-			sum += m
-		}
-		if sum < 0.999 || sum > 1.001 {
-			return fmt.Errorf("threetier: mix sums to %g, want 1", sum)
-		}
-	}
-	return nil
 }
 
 // classProfiles is the transaction-class table, built once: its stages

@@ -217,13 +217,11 @@ func (p *pool) pop() int32 {
 
 // Simulator runs the three-tier model for one configuration.
 type Simulator struct {
-	cfg      Config
-	sys      SystemParams
-	profiles [NumClasses]classProfile
+	cfg Config
+	sys SystemParams
 	// times holds each stage's CPU and database service-time
-	// distributions, derived once from profiles and the variation knobs.
-	// The stages slices themselves are never written: every simulator
-	// shares classProfiles' slices.
+	// distributions, derived once from classProfiles and the variation
+	// knobs.
 	times [NumClasses][]stageTimes
 	src   *rng.Source
 
@@ -272,28 +270,21 @@ func (s *Simulator) reset(cfg Config, sys SystemParams, src *rng.Source) error {
 	if sys.Cores < 1 {
 		return fmt.Errorf("threetier: need at least one core, got %d", sys.Cores)
 	}
-	if err := sys.Validate(); err != nil {
-		return err
-	}
 	old := *s
 	if old.reqs == nil { // new: start at sizes most configurations need
 		old.reqs, old.free, old.events = make([]request, 0, 256), make([]int32, 0, 256), make(eventHeap, 0, 64)
 	}
 	*s = Simulator{
-		cfg:      cfg,
-		sys:      sys,
-		profiles: classProfiles,
-		src:      src,
-		events:   old.events[:0],
-		reqs:     old.reqs[:0],
-		free:     old.free[:0],
+		cfg:    cfg,
+		sys:    sys,
+		src:    src,
+		events: old.events[:0],
+		reqs:   old.reqs[:0],
+		free:   old.free[:0],
 	}
-	for c := range s.profiles {
-		if sys.Mix != nil {
-			s.profiles[c].mix = sys.Mix[c]
-		}
+	for c := range classProfiles {
 		times := old.times[c][:0]
-		for _, st := range s.profiles[c].stages {
+		for _, st := range classProfiles[c].stages {
 			times = append(times, stageTimes{
 				cpu: newLognormal(st.cpuMean, sys.CPUVariation),
 				db:  newLognormal(st.dbMean, sys.DBVariation),
@@ -405,7 +396,7 @@ func (s *Simulator) sampleClass() Class {
 	u := s.src.Float64()
 	var acc float64
 	for c := 0; c < NumClasses; c++ {
-		acc += s.profiles[c].mix
+		acc += classProfiles[c].mix
 		if u < acc {
 			return Class(c)
 		}
@@ -421,7 +412,7 @@ func (s *Simulator) sampleClass() Class {
 func (s *Simulator) enqueue(ri int32) {
 	r := &s.reqs[ri]
 	r.queuedAt = s.now
-	st := s.profiles[r.class].stages[r.stageIdx]
+	st := classProfiles[r.class].stages[r.stageIdx]
 	p := &s.pools[st.pool]
 	switch {
 	case p.busy < p.threads:
@@ -445,7 +436,7 @@ func (s *Simulator) startCPU(ri int32) {
 	r := &s.reqs[ri]
 	r.heldAt = s.now
 	if r.measured {
-		st := s.profiles[r.class].stages[r.stageIdx]
+		st := classProfiles[r.class].stages[r.stageIdx]
 		s.waitSum[r.class][st.pool] += s.now - r.queuedAt
 	}
 	s.busyCPU++
@@ -475,7 +466,7 @@ func (s *Simulator) threadStretch() float64 {
 func (s *Simulator) onCPUDone(ri int32) {
 	s.busyCPU--
 	r := &s.reqs[ri]
-	st := s.profiles[r.class].stages[r.stageIdx]
+	st := classProfiles[r.class].stages[r.stageIdx]
 	if st.dbMean <= 0 {
 		s.onStageDone(ri)
 		return
@@ -492,7 +483,7 @@ func (s *Simulator) onCPUDone(ri int32) {
 
 func (s *Simulator) onStageDone(ri int32) {
 	r := &s.reqs[ri]
-	st := s.profiles[r.class].stages[r.stageIdx]
+	st := classProfiles[r.class].stages[r.stageIdx]
 	if st.dbMean > 0 {
 		s.dbOutstanding--
 	}
@@ -508,7 +499,7 @@ func (s *Simulator) onStageDone(ri int32) {
 	}
 
 	r.stageIdx++
-	if r.stageIdx < len(s.profiles[r.class].stages) {
+	if r.stageIdx < len(classProfiles[r.class].stages) {
 		s.enqueue(ri)
 		return
 	}
@@ -521,7 +512,7 @@ func (s *Simulator) onStageDone(ri int32) {
 		if s.sys.CollectSamples {
 			s.rtSamples[r.class] = append(s.rtSamples[r.class], rt)
 		}
-		if rt <= s.profiles[r.class].deadline {
+		if rt <= classProfiles[r.class].deadline {
 			s.effective[r.class]++
 		}
 	}

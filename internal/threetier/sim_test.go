@@ -766,43 +766,3 @@ func TestBreakdownServiceMatchesDemandAtLowLoad(t *testing.T) {
 		}
 	}
 }
-
-func TestMixOverride(t *testing.T) {
-	sys := testParams()
-	sys.Mix = []float64{1, 0, 0, 0} // manufacturing only
-	cfg := Config{InjectionRate: 300, MfgThreads: 16, WebThreads: 16, DefaultThreads: 8}
-	m, err := Run(cfg, sys, 51)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Completed[Manufacturing] == 0 {
-		t.Fatal("no manufacturing completions with an all-mfg mix")
-	}
-	for _, c := range []Class{DealerPurchase, DealerManage, DealerBrowse} {
-		if m.Completed[c] != 0 || m.Rejected[c] != 0 {
-			t.Fatalf("%v transactions appeared despite zero share", c)
-		}
-	}
-}
-
-func TestMixValidation(t *testing.T) {
-	bad := [][]float64{
-		{0.5, 0.5},            // wrong length
-		{0.5, 0.5, 0.5, 0.5},  // sums to 2
-		{-0.1, 0.4, 0.4, 0.3}, // negative
-	}
-	cfg := Config{InjectionRate: 100, MfgThreads: 4, WebThreads: 4, DefaultThreads: 4}
-	for i, mix := range bad {
-		sys := testParams()
-		sys.Mix = mix
-		if _, err := Run(cfg, sys, 1); err == nil {
-			t.Errorf("bad mix %d accepted", i)
-		}
-	}
-	// A valid explicit mix equal to the defaults behaves.
-	sys := testParams()
-	sys.Mix = []float64{0.25, 0.25, 0.20, 0.30}
-	if _, err := Run(cfg, sys, 1); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -55,13 +55,6 @@ func (g *Gradients) Zero() {
 	}
 }
 
-// AddScaled accumulates s*other into g.
-//
-//nnwc:hotpath
-func (g *Gradients) AddScaled(s float64, other *Gradients) {
-	mat.AXPY(s, other.Flat, g.Flat)
-}
-
 // Workspace holds the reusable buffers batched training needs: the forward
 // activation trace plus two delta matrices. The zero value is ready to use;
 // buffers grow on demand and steady-state epochs allocate nothing. A

@@ -77,7 +77,7 @@ func TestRPROPStepMatchesSwitch(t *testing.T) {
 	src := rng.New(31)
 	for h, hyper := range hypers {
 		net := nn.NewNetwork([]int{4, 16, 5}, nn.Logistic{Alpha: 1}, nn.Identity{})
-		nn.XavierInit{}.Init(net, rng.New(uint64(32+h)))
+		nn.XavierInit(net, rng.New(uint64(32+h)))
 		r := hyper.Clone().(*RPROP)
 		p := append([]float64(nil), net.Params()...)
 		step, prev := make([]float64, len(p)), make([]float64, len(p))
@@ -159,7 +159,7 @@ func TestRPROPKernelSelection(t *testing.T) {
 // on which VMINPD and VMAXPD differ from the clamps.
 func TestRPROPDegenerateHyperparametersTakeGoLoop(t *testing.T) {
 	net := nn.NewNetwork([]int{4, 16, 5}, nn.Logistic{Alpha: 1}, nn.Identity{})
-	nn.XavierInit{}.Init(net, rng.New(41))
+	nn.XavierInit(net, rng.New(41))
 	g := NewGradients(net)
 	for i := range g.Flat {
 		g.Flat[i] = float64(i%3) - 1
@@ -292,7 +292,7 @@ func TestRPROPKernelBitIdentical(t *testing.T) {
 // weights flip sign each step.
 func BenchmarkRPROPStep(b *testing.B) {
 	net := nn.NewNetwork([]int{4, 16, 5}, nn.Logistic{Alpha: 1}, nn.Identity{})
-	nn.XavierInit{}.Init(net, rng.New(1))
+	nn.XavierInit(net, rng.New(1))
 	src := rng.New(2)
 	gs := make([]*Gradients, 64)
 	for k := range gs {

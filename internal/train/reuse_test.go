@@ -11,16 +11,15 @@ import (
 
 // reuseCase is one fit of TestTrainerReuseBitIdentical.
 type reuseCase struct {
-	sizes   []int
-	rows    int
-	opt     Optimizer
-	mode    Mode
-	val     bool
-	workers int
+	sizes []int
+	rows  int
+	opt   Optimizer
+	mode  Mode
+	val   bool
 }
 
 func (c reuseCase) String() string {
-	return fmt.Sprintf("%v×%d/%s/val=%v/workers=%d", c.sizes, c.rows, c.opt.Name(), c.val, c.workers)
+	return fmt.Sprintf("%v×%d/%s/val=%v", c.sizes, c.rows, c.opt.Name(), c.val)
 }
 
 // reuseRows samples n rows of a smooth in→out map.
@@ -51,8 +50,8 @@ func fitReuseCase(t *testing.T, tr *Trainer, c reuseCase, seed uint64) ([]float6
 		vx, vy = reuseRows(in, out, c.rows/4+1, seed+1)
 	}
 	net := nn.NewNetwork(c.sizes, nn.Logistic{Alpha: 1}, nn.Identity{})
-	nn.XavierInit{}.Init(net, rng.New(seed+2))
-	cfg := Config{Optimizer: c.opt, Mode: c.mode, MaxEpochs: 30, Workers: c.workers, RecordEvery: int(seed % 4)}
+	nn.XavierInit(net, rng.New(seed+2))
+	cfg := Config{Optimizer: c.opt, Mode: c.mode, MaxEpochs: 30}
 	if c.val {
 		cfg.Patience = 4
 	}
@@ -75,9 +74,9 @@ func fitReuseCase(t *testing.T, tr *Trainer, c reuseCase, seed uint64) ([]float6
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestTrainerReuseBitIdentical pins that a trainer reused across fits of
-// changing topologies, optimizers, modes, validation sets and worker
-// counts (as core's pool reuses one) trains every fit bit for bit as a
-// new Trainer does, and that Release drops the run's trace and source.
+// changing topologies, optimizers, modes and validation sets (as core's
+// pool reuses one) trains every fit bit for bit as a new Trainer does, and
+// that Release drops the run's trace and source.
 func TestTrainerReuseBitIdentical(t *testing.T) {
 	shapes := []struct {
 		sizes []int
@@ -90,9 +89,7 @@ func TestTrainerReuseBitIdentical(t *testing.T) {
 			mode Mode
 		}{{NewRPROP(), Batch}, {&SGD{LR: 0.05}, Online}, {&Momentum{LR: 0.02, Mu: 0.9}, Batch}} {
 			for _, val := range []bool{false, true} {
-				for _, workers := range []int{1, 2} {
-					cases = append(cases, reuseCase{sh.sizes, sh.rows, opt.opt, opt.mode, val, workers})
-				}
+				cases = append(cases, reuseCase{sh.sizes, sh.rows, opt.opt, opt.mode, val})
 			}
 		}
 	}
@@ -115,14 +112,8 @@ func TestTrainerReuseBitIdentical(t *testing.T) {
 				t.Fatalf("fit %d (%v): param %d = %v on the reused trainer, %v on a new one", i, c, j, gotParams[j], wantParams[j])
 			}
 		}
-		same := got.Epochs == want.Epochs && got.Reason == want.Reason &&
-			sameBits(got.FinalLoss, want.FinalLoss) && sameBits(got.ValLoss, want.ValLoss) &&
-			len(got.History) == len(want.History)
-		for k := 0; same && k < len(want.History); k++ {
-			g, w := got.History[k], want.History[k]
-			same = g.Epoch == w.Epoch && sameBits(g.TrainLoss, w.TrainLoss) && sameBits(g.ValLoss, w.ValLoss)
-		}
-		if !same {
+		if got.Epochs != want.Epochs || got.Reason != want.Reason ||
+			!sameBits(got.FinalLoss, want.FinalLoss) || !sameBits(got.ValLoss, want.ValLoss) {
 			t.Fatalf("fit %d (%v): reused trainer's result %+v, new trainer's %+v", i, c, got, want)
 		}
 		reused.Release()

@@ -50,7 +50,7 @@ func TestTrainingSpineDigest(t *testing.T) {
 		for c, tc := range cases {
 			seed := uint64(2006 + c)
 			net := nn.NewNetwork(tc.sizes, nn.Logistic{Alpha: 1}, nn.Identity{})
-			nn.XavierInit{}.Init(net, rng.New(seed))
+			nn.XavierInit(net, rng.New(seed))
 
 			data := rng.New(seed + 1)
 			xs := make([][]float64, tc.n)

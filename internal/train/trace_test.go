@@ -2,6 +2,7 @@ package train
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -12,117 +13,6 @@ import (
 	"nnwc/internal/rng"
 )
 
-// lastHistoryEpoch asserts the trailing history point records the epoch
-// training actually stopped on.
-func lastHistoryEpoch(t *testing.T, res Result) {
-	t.Helper()
-	if len(res.History) == 0 {
-		t.Fatalf("no history recorded (reason %s, epochs %d)", res.Reason, res.Epochs)
-	}
-	last := res.History[len(res.History)-1]
-	if last.Epoch != res.Epochs {
-		t.Fatalf("last history point is epoch %d, but training stopped at %d (%s)",
-			last.Epoch, res.Epochs, res.Reason)
-	}
-}
-
-func TestRecordEveryIncludesThresholdStop(t *testing.T) {
-	// A huge cadence plus a loose threshold: the stop epoch will not be a
-	// cadence multiple, yet it must still be recorded.
-	src := rng.New(7)
-	net := nn.NewNetwork([]int{1, 1}, nn.Identity{}, nn.Identity{})
-	uniformInit(net, src, 0.1)
-	xs := [][]float64{{1}, {2}}
-	ys := [][]float64{{1}, {2}}
-	tr, err := newTrainer(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 10000,
-		TargetLoss: 0.01, RecordEvery: 100000}, src.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fitRows(tr, net, xs, ys, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reason != StopThreshold {
-		t.Fatalf("expected threshold stop, got %s", res.Reason)
-	}
-	lastHistoryEpoch(t, res)
-	if res.History[len(res.History)-1].TrainLoss != res.FinalLoss {
-		t.Fatal("stop-epoch history point does not carry the final loss")
-	}
-}
-
-func TestRecordEveryIncludesDivergence(t *testing.T) {
-	src := rng.New(9)
-	net := nn.NewNetwork([]int{1, 4, 1}, nn.Tanh{}, nn.Identity{})
-	nn.XavierInit{}.Init(net, src)
-	xs := [][]float64{{1}, {2}, {3}}
-	ys := [][]float64{{1}, {4}, {9}}
-	tr, err := newTrainer(Config{Optimizer: &SGD{LR: 1e6}, Mode: Batch, MaxEpochs: 100,
-		RecordEvery: 1000}, src.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fitRows(tr, net, xs, ys, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reason != StopDiverged {
-		t.Fatalf("expected divergence, got %s", res.Reason)
-	}
-	lastHistoryEpoch(t, res)
-}
-
-func TestRecordEveryIncludesEarlyStop(t *testing.T) {
-	src := rng.New(8)
-	net := nn.NewNetwork([]int{1, 12, 1}, nn.Tanh{}, nn.Identity{})
-	nn.XavierInit{}.Init(net, src)
-	var xs, ys, vx, vy [][]float64
-	noise := rng.New(99)
-	for x := -1.0; x <= 1; x += 0.15 {
-		xs = append(xs, []float64{x})
-		ys = append(ys, []float64{x*x + (0 + 0.15*noise.Norm())})
-		vx = append(vx, []float64{x + 0.07})
-		vy = append(vy, []float64{(x + 0.07) * (x + 0.07)})
-	}
-	tr, err := newTrainer(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 5000,
-		Patience: 50, MinDelta: 1e-7, RecordEvery: 999999}, src.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fitRows(tr, net, xs, ys, vx, vy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastHistoryEpoch(t, res)
-}
-
-func TestRecordEveryIncludesMaxEpochs(t *testing.T) {
-	// 50 epochs at cadence 7: epoch 50 is off-cadence but is the stop epoch.
-	src := rng.New(11)
-	net := nn.NewNetwork([]int{1, 1}, nn.Identity{}, nn.Identity{})
-	uniformInit(net, src, 0.1)
-	xs := [][]float64{{1}, {2}}
-	ys := [][]float64{{2}, {4}}
-	tr, err := newTrainer(Config{Optimizer: &SGD{LR: 0.01}, Mode: Batch, MaxEpochs: 50,
-		RecordEvery: 7}, src.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fitRows(tr, net, xs, ys, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reason != StopMaxEpochs {
-		t.Fatalf("expected max-epochs stop, got %s", res.Reason)
-	}
-	// Cadence points 7,14,...,49 plus the stop epoch 50.
-	if len(res.History) != 8 {
-		t.Fatalf("history points %d, want 8", len(res.History))
-	}
-	lastHistoryEpoch(t, res)
-}
-
 // fitTwice runs the same seeded fit with and without tracing and returns
 // both nets plus the traced run's JSONL.
 func fitTwice(t *testing.T, cfg Config) (plain, traced *nn.Network, trace []byte, plainRes, tracedRes Result) {
@@ -130,7 +20,7 @@ func fitTwice(t *testing.T, cfg Config) (plain, traced *nn.Network, trace []byte
 	build := func() (*nn.Network, *Trainer) {
 		src := rng.New(21)
 		net := nn.NewNetwork([]int{2, 6, 1}, nn.Tanh{}, nn.Identity{})
-		nn.XavierInit{}.Init(net, src)
+		nn.XavierInit(net, src)
 		tr, err := newTrainer(cfg, src.Split())
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +49,7 @@ func fitTwice(t *testing.T, cfg Config) (plain, traced *nn.Network, trace []byte
 }
 
 func TestTracingDoesNotPerturbTraining(t *testing.T) {
-	cfg := Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 200, RecordEvery: 10}
+	cfg := Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 200}
 	plain, traced, _, plainRes, tracedRes := fitTwice(t, cfg)
 	if plainRes.Epochs != tracedRes.Epochs || plainRes.FinalLoss != tracedRes.FinalLoss {
 		t.Fatalf("results differ with tracing on: %+v vs %+v", plainRes, tracedRes)
@@ -173,7 +63,7 @@ func TestTracingDoesNotPerturbTraining(t *testing.T) {
 }
 
 func TestTraceEventStream(t *testing.T) {
-	cfg := Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 40, RecordEvery: 10}
+	cfg := Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 40}
 	_, _, trace, _, res := fitTwice(t, cfg)
 	lines := strings.Split(strings.TrimSpace(string(trace)), "\n")
 	if !strings.Contains(lines[0], `"ev":"fit_start"`) {
@@ -183,10 +73,10 @@ func TestTraceEventStream(t *testing.T) {
 	if !strings.Contains(last, `"ev":"fit_end"`) || !strings.Contains(last, `"stop_reason":"`+string(res.Reason)+`"`) {
 		t.Fatalf("last event is not a fit_end with the stop reason: %s", last)
 	}
-	epochs := 0
+	epochs, lastEpoch := 0, ""
 	for _, l := range lines {
 		if strings.Contains(l, `"ev":"epoch"`) {
-			epochs++
+			epochs, lastEpoch = epochs+1, l
 			for _, key := range []string{`"train_loss":`, `"weight_norm":`, `"grad_norm":`, `"step_norm":`} {
 				if !strings.Contains(l, key) {
 					t.Fatalf("epoch event missing %s: %s", key, l)
@@ -194,13 +84,13 @@ func TestTraceEventStream(t *testing.T) {
 			}
 		}
 	}
-	if epochs != len(res.History) {
-		t.Fatalf("trace has %d epoch events, history has %d points", epochs, len(res.History))
+	if epochs != res.Epochs || !strings.Contains(lastEpoch, fmt.Sprintf(`"epoch":%d,`, res.Epochs)) {
+		t.Fatalf("trace has %d epoch events, the last %s; training ran %d epochs", epochs, lastEpoch, res.Epochs)
 	}
 }
 
 func TestTraceIsDeterministic(t *testing.T) {
-	cfg := Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 60, RecordEvery: 5}
+	cfg := Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 60}
 	_, _, a, _, _ := fitTwice(t, cfg)
 	_, _, b, _, _ := fitTwice(t, cfg)
 	ca, err := obstest.CanonicalizeJSONL(a)
@@ -222,7 +112,7 @@ func TestBatchEpochZeroAlloc(t *testing.T) {
 	// loop.
 	src := rng.New(30)
 	net := nn.NewNetwork([]int{4, 16, 5}, nn.Logistic{Alpha: 1}, nn.Identity{})
-	nn.XavierInit{}.Init(net, src)
+	nn.XavierInit(net, src)
 	var xs, ys [][]float64
 	for i := 0; i < 64; i++ {
 		x := []float64{src.Float64(), src.Float64(), src.Float64(), src.Float64()}
@@ -262,8 +152,7 @@ func TestOnlineModeTraces(t *testing.T) {
 			xs = append(xs, []float64{x})
 			ys = append(ys, []float64{2 * x})
 		}
-		tr, err := newTrainer(Config{Optimizer: &SGD{LR: 0.05}, Mode: Online, MaxEpochs: 30,
-			RecordEvery: 4, Trace: trace}, src.Split())
+		tr, err := newTrainer(Config{Optimizer: &SGD{LR: 0.05}, Mode: Online, MaxEpochs: 30, Trace: trace}, src.Split())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,18 +74,11 @@ type Config struct {
 	Patience int
 	MinDelta float64
 
-	// RecordEvery appends a telemetry point every k epochs, and always on
-	// the epoch training stops — whether that is the epoch budget, the loss
-	// threshold, early stopping, or divergence. 0 records every epoch. The
-	// same cadence gates trace events when Trace is set.
-	RecordEvery int
-
-	// Trace receives structured training events (fit_start, per-epoch
-	// losses and norms on the RecordEvery cadence, fit_end with the stop
-	// reason). nil disables tracing; the disabled path adds zero
-	// allocations to the epoch loop. Tracing never consumes randomness or
-	// reorders floating-point work, so results are bit-identical with it
-	// on or off.
+	// Trace receives structured training events (fit_start, every
+	// epoch's losses and norms, fit_end with the stop reason). nil
+	// disables tracing; the disabled path adds zero allocations to the
+	// epoch loop. Tracing never consumes randomness or reorders
+	// floating-point work, so results are bit-identical with it on or off.
 	Trace *obs.Trace
 
 	// WeightDecay adds an L2 penalty λ‖w‖²/2 on the weights (not biases):
@@ -93,16 +86,6 @@ type Config struct {
 	// era-appropriate alternative to the paper's loose-fit threshold for
 	// keeping the model flexible (§3.3); 0 disables it.
 	WeightDecay float64
-
-	// Workers splits Batch-mode gradient accumulation across this many
-	// goroutines (0 or 1 = serial). The sample matrix is cut into blocks
-	// whose boundaries depend only on the sample count, and block partial
-	// gradients merge in block order — so for a fixed seed the result is
-	// bit-identical across runs AND across worker counts. (The serial path
-	// accumulates the whole batch in one sweep and may differ from the
-	// blocked reduction in the last floating-point bits.) Ignored in
-	// Online mode, which is inherently sequential.
-	Workers int
 }
 
 // DefaultConfig returns the configuration used throughout the experiments:
@@ -118,20 +101,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// HistoryPoint is one telemetry record.
-type HistoryPoint struct {
-	Epoch     int
-	TrainLoss float64
-	ValLoss   float64 // NaN when no validation set was supplied
-}
-
 // Result summarizes a training run.
 type Result struct {
 	Epochs    int
 	FinalLoss float64
 	ValLoss   float64 // NaN when no validation set was supplied
 	Reason    StopReason
-	History   []HistoryPoint
 }
 
 // Trainer trains a network on paired rows. Reset a zero or used Trainer
@@ -140,12 +115,11 @@ type Trainer struct {
 	cfg Config
 	src *rng.Source
 
-	ws       Workspace       // batched forward/backward buffers (serial + validation)
-	X, Y     mat.Matrix      // the training rows, staged for FitStaged
-	VX, VY   mat.Matrix      // the validation rows, likewise
-	sizes    []int           // the topology grad and parallel are shaped for
-	grad     *Gradients      // the batch gradient
-	parallel parallelScratch // block-sharded accumulators for Workers > 1
+	ws     Workspace  // batched forward/backward buffers (training + validation)
+	X, Y   mat.Matrix // the training rows, staged for FitStaged
+	VX, VY mat.Matrix // the validation rows, likewise
+	sizes  []int      // the topology grad is shaped for
+	grad   *Gradients // the batch gradient
 
 	prevParams []float64 // pre-step parameter snapshot for step-norm telemetry
 }
@@ -196,7 +170,7 @@ func (t *Trainer) FitStaged(net *nn.Network, hasVal bool) (Result, error) {
 	t.cfg.Optimizer.Reset()
 
 	if sizes := net.Sizes(); !slices.Equal(sizes, t.sizes) {
-		t.sizes, t.grad, t.parallel = sizes, NewGradients(net), parallelScratch{}
+		t.sizes, t.grad = sizes, NewGradients(net)
 	}
 	batchGrad := t.grad
 	var sampleGrad *Gradients
@@ -210,21 +184,10 @@ func (t *Trainer) FitStaged(net *nn.Network, hasVal bool) (Result, error) {
 	n := t.X.Rows
 	invN := 1 / float64(n)
 
-	every := t.cfg.RecordEvery
-	if every <= 0 {
-		every = 1
-	}
-	res := Result{ValLoss: math.NaN(), History: make([]HistoryPoint, 0, t.cfg.MaxEpochs/every+1)}
+	res := Result{ValLoss: math.NaN()}
 	best := math.Inf(1)
 	bestEpoch := 0
 	var bestParams []float64
-	// onCadence decides both history recording and trace emission: every
-	// k-th epoch, plus the epoch training stops for any reason — max
-	// epochs, threshold, early stopping, or divergence — so the last state
-	// of a run is never silently dropped between sample points.
-	onCadence := func(epoch int, stopping bool) bool {
-		return epoch%every == 0 || stopping
-	}
 
 	if t.cfg.Trace.Enabled() {
 		valSamples := 0
@@ -295,14 +258,11 @@ func (t *Trainer) FitStaged(net *nn.Network, hasVal bool) (Result, error) {
 			stop = StopMaxEpochs
 		}
 
-		if onCadence(epoch, stop != "") {
-			// History keeps the epoch's own losses even when early stopping
-			// restores earlier weights: it is a log of the trajectory, not
-			// of the returned model.
-			res.History = append(res.History, HistoryPoint{Epoch: epoch, TrainLoss: trainLoss, ValLoss: valLoss})
-			if t.cfg.Trace.Enabled() {
-				t.emitEpoch(net, batchGrad, epoch, trainLoss, valLoss, hasVal)
-			}
+		if t.cfg.Trace.Enabled() {
+			// The epoch event keeps the epoch's own losses even when early
+			// stopping restores earlier weights: it logs the trajectory,
+			// not the returned model.
+			t.emitEpoch(net, batchGrad, epoch, trainLoss, valLoss, hasVal)
 		}
 
 		if stop != "" {
@@ -326,20 +286,15 @@ func (t *Trainer) FitStaged(net *nn.Network, hasVal bool) (Result, error) {
 	return res, nil
 }
 
-// batchEpoch runs one full-batch epoch: gradient accumulation (blocked when
-// Workers > 1 and the batch is large enough), weight decay, and one
+// batchEpoch runs one full-batch epoch over the t.X.Rows staged samples
+// (invN is their reciprocal): gradient accumulation, weight decay, and one
 // optimizer step. It is the hot loop of batch training, extracted so the
 // zero-allocation guarantee of the tracing-disabled path can be pinned by
 // TestBatchEpochZeroAlloc.
 //
 //nnwc:hotpath
-func (t *Trainer) batchEpoch(net *nn.Network, batchGrad *Gradients, n int, invN float64) float64 {
-	var trainLoss float64
-	if t.cfg.Workers > 1 && n >= 2*t.cfg.Workers {
-		trainLoss = t.parallelBatch(net, &t.X, &t.Y, batchGrad)
-	} else {
-		trainLoss = BackpropBatch(net, &t.X, &t.Y, invN, &t.ws, batchGrad) * invN
-	}
+func (t *Trainer) batchEpoch(net *nn.Network, batchGrad *Gradients, _ int, invN float64) float64 {
+	trainLoss := BackpropBatch(net, &t.X, &t.Y, invN, &t.ws, batchGrad) * invN
 	applyWeightDecay(net, batchGrad, t.cfg.WeightDecay)
 	t.cfg.Optimizer.Step(net, batchGrad)
 	return trainLoss

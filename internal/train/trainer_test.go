@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"nnwc/internal/mat"
@@ -46,7 +47,7 @@ func xorData() (xs, ys [][]float64) {
 func TestRPROPSolvesXOR(t *testing.T) {
 	src := rng.New(3)
 	net := nn.NewNetwork([]int{2, 6, 1}, nn.Tanh{}, nn.Identity{})
-	nn.XavierInit{}.Init(net, src)
+	nn.XavierInit(net, src)
 	tr, err := newTrainer(Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: 3000, TargetLoss: 1e-5}, src.Split())
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +107,7 @@ func TestMomentumConvergesFasterThanSGD(t *testing.T) {
 	} {
 		src := rng.New(5)
 		net := nn.NewNetwork([]int{1, 4, 1}, nn.Tanh{}, nn.Identity{})
-		nn.XavierInit{}.Init(net, src)
+		nn.XavierInit(net, src)
 		var xs, ys [][]float64
 		for x := -1.0; x <= 1; x += 0.2 {
 			xs = append(xs, []float64{x})
@@ -130,7 +131,7 @@ func TestMomentumConvergesFasterThanSGD(t *testing.T) {
 func TestAdamLearns(t *testing.T) {
 	src := rng.New(6)
 	net := nn.NewNetwork([]int{1, 6, 1}, nn.Tanh{}, nn.Identity{})
-	nn.XavierInit{}.Init(net, src)
+	nn.XavierInit(net, src)
 	var xs, ys [][]float64
 	for x := -1.0; x <= 1; x += 0.1 {
 		xs = append(xs, []float64{x})
@@ -181,7 +182,7 @@ func TestEarlyStoppingRestoresBestWeights(t *testing.T) {
 	// the best weights.
 	src := rng.New(8)
 	net := nn.NewNetwork([]int{1, 12, 1}, nn.Tanh{}, nn.Identity{})
-	nn.XavierInit{}.Init(net, src)
+	nn.XavierInit(net, src)
 	var xs, ys, vx, vy [][]float64
 	noise := rng.New(99)
 	for x := -1.0; x <= 1; x += 0.15 {
@@ -214,7 +215,7 @@ func TestEarlyStoppingRestoresBestWeights(t *testing.T) {
 func TestDivergenceDetected(t *testing.T) {
 	src := rng.New(9)
 	net := nn.NewNetwork([]int{1, 4, 1}, nn.Tanh{}, nn.Identity{})
-	nn.XavierInit{}.Init(net, src)
+	nn.XavierInit(net, src)
 	xs := [][]float64{{1}, {2}, {3}}
 	ys := [][]float64{{1}, {4}, {9}}
 	// Absurd learning rate guarantees explosion.
@@ -274,30 +275,6 @@ func TestFitValidatesShapes(t *testing.T) {
 	}
 }
 
-func TestHistoryRecording(t *testing.T) {
-	src := rng.New(11)
-	net := nn.NewNetwork([]int{1, 1}, nn.Identity{}, nn.Identity{})
-	uniformInit(net, src, 0.1)
-	xs := [][]float64{{1}, {2}}
-	ys := [][]float64{{2}, {4}}
-	tr, err := newTrainer(Config{Optimizer: &SGD{LR: 0.01}, Mode: Batch, MaxEpochs: 50, RecordEvery: 10}, src.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fitRows(tr, net, xs, ys, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.History) != 5 {
-		t.Fatalf("history points %d, want 5", len(res.History))
-	}
-	// Loss should be non-increasing overall for this convex problem.
-	first, last := res.History[0].TrainLoss, res.History[len(res.History)-1].TrainLoss
-	if last > first {
-		t.Fatalf("loss rose from %v to %v", first, last)
-	}
-}
-
 func TestOptimizerNamesAndReset(t *testing.T) {
 	opts := []Optimizer{&SGD{LR: 0.1}, &Momentum{LR: 0.1, Mu: 0.9}, NewRPROP(), NewAdam(0.001)}
 	names := map[string]bool{}
@@ -339,7 +316,7 @@ func TestModeString(t *testing.T) {
 func BenchmarkEpochRPROP(b *testing.B) {
 	src := rng.New(1)
 	net := nn.NewNetwork([]int{4, 16, 5}, nn.Logistic{Alpha: 1}, nn.Identity{})
-	nn.XavierInit{}.Init(net, src)
+	nn.XavierInit(net, src)
 	var xs, ys [][]float64
 	for i := 0; i < 300; i++ {
 		x := []float64{src.Float64(), src.Float64(), src.Float64(), src.Float64()}
@@ -373,7 +350,7 @@ func BenchmarkFoldEpoch(b *testing.B) {
 	cfg.MaxEpochs, cfg.TargetLoss = 100, 0
 	for i := 0; i < b.N; i++ {
 		net := nn.NewNetwork([]int{4, 16, 5}, nn.Logistic{Alpha: 1}, nn.Identity{})
-		nn.XavierInit{}.Init(net, rng.New(2))
+		nn.XavierInit(net, rng.New(2))
 		tr, err := newTrainer(cfg, rng.New(3))
 		if err != nil {
 			b.Fatal(err)
@@ -397,7 +374,7 @@ func TestWeightDecayShrinksWeights(t *testing.T) {
 	run := func(decay float64) float64 {
 		src := rng.New(80)
 		net := nn.NewNetwork([]int{1, 16, 1}, nn.Tanh{}, nn.Identity{})
-		nn.XavierInit{}.Init(net, src)
+		nn.XavierInit(net, src)
 		noise := rng.New(81)
 		var xs, ys [][]float64
 		for i := 0; i < 40; i++ {
@@ -424,12 +401,51 @@ func TestWeightDecayShrinksWeights(t *testing.T) {
 func TestWeightDecayZeroIsNoop(t *testing.T) {
 	src := rng.New(82)
 	net := nn.NewNetwork([]int{1, 2, 1}, nn.Tanh{}, nn.Identity{})
-	nn.XavierInit{}.Init(net, src)
+	nn.XavierInit(net, src)
 	g := NewGradients(net)
 	Backprop(net, []float64{1}, []float64{0.5}, g)
 	before := g.DW[0].At(0, 0)
 	applyWeightDecay(net, g, 0)
 	if g.DW[0].At(0, 0) != before {
 		t.Fatal("decay 0 modified the gradient")
+	}
+}
+
+// TestFitStagedBytesIndependentOfMaxEpochs pins that a warmed fit's
+// allocation does not scale with the epoch budget: a fit that stops at
+// epoch 1 allocates the same bytes whether MaxEpochs is 10 or 1e6.
+// MaxEpochs comes from -epochs and dist specs, which have no upper bound.
+func TestFitStagedBytesIndependentOfMaxEpochs(t *testing.T) {
+	xs, ys := xorData()
+	bytesPerFit := func(maxEpochs int) uint64 {
+		// The loss threshold is above any XOR loss, so every fit stops at
+		// epoch 1.
+		cfg := Config{Optimizer: NewRPROP(), Mode: Batch, MaxEpochs: maxEpochs, TargetLoss: 1e9}
+		net := nn.NewNetwork([]int{2, 4, 1}, nn.Logistic{Alpha: 1}, nn.Identity{})
+		tr := &Trainer{}
+		tr.X.CopyRows(xs)
+		tr.Y.CopyRows(ys)
+		fit := func() {
+			if err := tr.Reset(cfg, rng.New(1)); err != nil {
+				t.Fatal(err)
+			}
+			res, err := tr.FitStaged(net, false)
+			if err != nil || res.Epochs != 1 {
+				t.Fatalf("fit: %v after %d epochs, want a stop at epoch 1", err, res.Epochs)
+			}
+		}
+		fit()
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			fit()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := bytesPerFit(10), bytesPerFit(1_000_000)
+	if large > small+256 {
+		t.Fatalf("a warmed 1-epoch fit allocates %d B at MaxEpochs 1e6, %d B at 10", large, small)
 	}
 }

@@ -185,15 +185,3 @@ func TestValidate(t *testing.T) {
 		t.Fatal("corrupted dataset passed validation")
 	}
 }
-
-func TestSummaries(t *testing.T) {
-	ds := sampleDataset(5)
-	fs := ds.FeatureSummaries()
-	if len(fs) != 2 || fs[0].Mean != 2 {
-		t.Fatalf("feature summaries %+v", fs)
-	}
-	ts := ds.TargetSummaries()
-	if len(ts) != 3 || ts[0].Max != 40 {
-		t.Fatalf("target summaries %+v", ts)
-	}
-}
