@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-report lint-baseline test race dist-test cluster-test bench-smoke bench perfbench loc ci clean
+.PHONY: all build vet lint lint-report test race dist-test cluster-test bench-smoke bench perfbench loc ci clean
 
 all: ci
 
@@ -15,23 +15,17 @@ vet:
 # ordering, hot-path allocation discipline, float-equality, and the
 # concurrency/resource-lifecycle rules (ctxflow, lockhold,
 # goroutine-lifecycle, pooldiscipline, errcheck-results), driven by
-# lint.conf. Fails only on findings not recorded in lint-baseline.json;
-# the intended steady state is an empty baseline and a clean tip.
+# lint.conf. Fails on every finding not waived in the source with a
+# //lint:waive justification: the tip lints clean.
 lint:
-	$(GO) run ./cmd/nnwc-lint -baseline lint-baseline.json ./...
+	$(GO) run ./cmd/nnwc-lint ./...
 
 # Machine-readable lint report (the CI artifact): the same run as `make
 # lint` but as JSON, including waived findings with their //lint:waive
 # justifications so suppressions stay auditable. Never fails: the report
 # is for reading, `make lint` is the gate.
 lint-report:
-	-$(GO) run ./cmd/nnwc-lint -baseline lint-baseline.json -json ./... > lint-report.json
-
-# Re-accept every current finding into lint-baseline.json. Use sparingly
-# — when landing a new analyzer ahead of the cleanup it demands — and
-# burn the baseline back down to [] as the findings are fixed.
-lint-baseline:
-	$(GO) run ./cmd/nnwc-lint -write-baseline lint-baseline.json ./...
+	-$(GO) run ./cmd/nnwc-lint -json ./... > lint-report.json
 
 test:
 	$(GO) test ./...

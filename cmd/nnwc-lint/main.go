@@ -5,23 +5,17 @@
 //
 // Usage:
 //
-//	nnwc-lint [-conf lint.conf] [-rules r1,r2] [-json] [-baseline f] [packages...]
+//	nnwc-lint [-conf lint.conf] [-rules r1,r2] [-json] [packages...]
 //
 // Packages default to ./... (the whole module, testdata excluded).
 //
 // -json emits the findings as a JSON array instead of text. The schema
-// is stable: {rule, file, line, col, message, waived, justification,
-// baselined}. Unlike the text reporter, the JSON report includes waived
-// findings (waived=true plus the //lint:waive justification) so CI
-// artifacts expose the full suppression picture.
+// is stable: {rule, file, line, col, message, waived, justification}.
+// Unlike the text reporter, the JSON report includes waived findings
+// (waived=true plus the //lint:waive justification) so CI artifacts
+// expose the full suppression picture.
 //
-// -baseline reads a findings baseline (see -write-baseline) and fails
-// only on findings not recorded there; baselined findings are dropped
-// from text output and marked baselined=true in JSON. Baseline entries
-// are keyed by rule+file+message — deliberately not line — so unrelated
-// edits above a known finding do not churn the baseline.
-//
-// Exit codes: 0 clean, 1 new findings, 2 usage or load error.
+// Exit codes: 0 clean, 1 unwaived findings, 2 usage or load error.
 package main
 
 import (
@@ -31,7 +25,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"nnwc/internal/analysis"
@@ -54,10 +47,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	list := fs.Bool("list", false, "list available rules and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (includes waived findings)")
-	baselinePath := fs.String("baseline", "", "accepted-findings file; only findings not in it fail the run")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: nnwc-lint [-conf lint.conf] [-rules r1,r2] [-json] [-baseline f] [packages...]\n")
+		fmt.Fprintf(stderr, "usage: nnwc-lint [-conf lint.conf] [-rules r1,r2] [-json] [packages...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -93,12 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 
-	baseline, err := readBaseline(*baselinePath)
-	if err != nil {
-		fmt.Fprintln(stderr, "nnwc-lint:", err)
-		return exitUsage
-	}
-
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "nnwc-lint:", err)
@@ -119,17 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *writeBaseline != "" {
-		n, err := writeBaselineFile(*writeBaseline, all)
-		if err != nil {
-			fmt.Fprintln(stderr, "nnwc-lint:", err)
-			return exitUsage
-		}
-		fmt.Fprintf(stderr, "nnwc-lint: wrote %d finding(s) to %s\n", n, *writeBaseline)
-		return exitClean
-	}
-
-	newFindings := 0
+	findings := 0
 	report := make([]jsonFinding, 0, len(all))
 	for _, d := range all {
 		f := jsonFinding{
@@ -141,12 +116,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Waived:        d.Waived,
 			Justification: d.Justification,
 		}
-		if !d.Waived && baseline[baselineKey(d)] {
-			f.Baselined = true
-		}
 		report = append(report, f)
-		if !d.Waived && !f.Baselined {
-			newFindings++
+		if !d.Waived {
+			findings++
 			if !*jsonOut {
 				fmt.Fprintln(stdout, d)
 			}
@@ -160,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return exitUsage
 		}
 	}
-	if newFindings > 0 {
+	if findings > 0 {
 		return exitFindings
 	}
 	return exitClean
@@ -177,72 +149,6 @@ type jsonFinding struct {
 	Message       string `json:"message"`
 	Waived        bool   `json:"waived"`
 	Justification string `json:"justification,omitempty"`
-	Baselined     bool   `json:"baselined,omitempty"`
-}
-
-// baselineEntry is one accepted finding. Line is deliberately absent:
-// the key is rule+file+message, so edits above a known finding do not
-// invalidate the baseline.
-type baselineEntry struct {
-	Rule    string `json:"rule"`
-	File    string `json:"file"`
-	Message string `json:"message"`
-}
-
-func baselineKey(d analysis.Diagnostic) string {
-	return d.Rule + "\x00" + d.Pos.Filename + "\x00" + d.Message
-}
-
-func readBaseline(path string) (map[string]bool, error) {
-	if path == "" {
-		return nil, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var entries []baselineEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	keys := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		keys[e.Rule+"\x00"+e.File+"\x00"+e.Message] = true
-	}
-	return keys, nil
-}
-
-// writeBaselineFile records the active (unwaived) findings, deduplicated
-// and sorted, and returns how many entries it wrote.
-func writeBaselineFile(path string, diags []analysis.Diagnostic) (int, error) {
-	seen := map[string]bool{}
-	entries := []baselineEntry{}
-	for _, d := range diags {
-		if d.Waived {
-			continue
-		}
-		key := baselineKey(d)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		entries = append(entries, baselineEntry{Rule: d.Rule, File: d.Pos.Filename, Message: d.Message})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
-	})
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	return len(entries), os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func selectAnalyzers(rules string) ([]*analysis.Analyzer, error) {

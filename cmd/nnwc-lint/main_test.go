@@ -149,13 +149,6 @@ func TestLoadFailuresGolden(t *testing.T) {
 		t.Errorf("malformed conf: exit = %d, want %d", code, exitUsage)
 	}
 
-	stdout.Reset()
-	stderr.Reset()
-	code = run([]string{"-baseline", filepath.Join("testdata", "no-such-baseline.json"), filepath.Join("testdata", "src", "tagged")}, &stdout, &stderr)
-	if code != exitUsage {
-		t.Errorf("missing baseline: exit = %d, want %d", code, exitUsage)
-	}
-
 	// Absolute checkout paths would make the golden file machine-specific.
 	got := strings.ReplaceAll(out.String(), root+string(filepath.Separator), "")
 	goldenPath := filepath.Join("testdata", "failures.golden")
@@ -207,48 +200,6 @@ func TestJSONReport(t *testing.T) {
 	}
 	if waived == 0 {
 		t.Error("sched fixture has a used waiver, but no waived finding in the JSON report")
-	}
-}
-
-// TestBaselineRoundTrip pins the findings-baseline workflow: writing a
-// baseline captures the current findings, and a rerun against it is
-// clean — while the JSON report still shows the findings as baselined.
-func TestBaselineRoundTrip(t *testing.T) {
-	conf := filepath.Join("testdata", "fixtures.conf")
-	dir := filepath.Join(moduleRoot(t), "internal", "analysis", "testdata", "src", "sched")
-	base := filepath.Join(t.TempDir(), "baseline.json")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-conf", conf, "-write-baseline", base, dir}, &stdout, &stderr); code != exitClean {
-		t.Fatalf("-write-baseline exit = %d, want %d\nstderr:\n%s", code, exitClean, stderr.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-conf", conf, "-baseline", base, dir}, &stdout, &stderr); code != exitClean {
-		t.Fatalf("baselined rerun exit = %d, want %d\nstdout:\n%s", code, exitClean, stdout.String())
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("baselined rerun printed findings:\n%s", stdout.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-conf", conf, "-baseline", base, "-json", dir}, &stdout, &stderr); code != exitClean {
-		t.Fatalf("baselined -json exit = %d, want %d", code, exitClean)
-	}
-	var findings []jsonFinding
-	if err := json.Unmarshal(stdout.Bytes(), &findings); err != nil {
-		t.Fatal(err)
-	}
-	baselined := 0
-	for _, f := range findings {
-		if f.Baselined {
-			baselined++
-		}
-	}
-	if baselined == 0 {
-		t.Error("baselined -json report marks no finding as baselined")
 	}
 }
 

@@ -91,14 +91,14 @@ func signalContext() (context.Context, context.CancelFunc) {
 }
 
 // runWorker drives one worker process to job completion. The subcommand's
-// -workers flag bounds in-lease task parallelism.
+// -workers flag, already set as the scheduler default, bounds in-lease
+// task parallelism.
 func (x *experimentFlags) runWorker() error {
 	ctx, cancel := signalContext()
 	defer cancel()
 	w, err := jobs.NewWorker(dist.WorkerConfig{
 		Coordinator: *x.worker,
 		CacheDir:    *x.cache,
-		Parallelism: *x.workers,
 		Logf:        x.obsf.infof,
 	})
 	if err != nil {

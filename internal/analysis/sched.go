@@ -6,11 +6,11 @@ import "go/ast"
 // forbidden outside the packages that own concurrency (internal/sched —
 // the deterministic worker pool; internal/serve — the HTTP plane;
 // internal/obs — the debug server). Experiment-plane parallelism must
-// flow through sched.Map/ForEachWorker, whose atomic-counter work
-// stealing and order-replayed FP reductions keep results bit-identical at
-// any worker count; a raw goroutine in a result path reintroduces
-// scheduling nondeterminism that the workers=1/2/8 parity tests would
-// only catch as a flaky diff.
+// flow through sched.Map, whose atomic-counter work stealing and
+// order-replayed FP reductions keep results bit-identical at any worker
+// count; a raw goroutine in a result path reintroduces scheduling
+// nondeterminism that the workers=1/2/8 parity tests would only catch as
+// a flaky diff.
 var SchedAnalyzer = &Analyzer{
 	Name: "sched",
 	Doc:  "forbid `go` statements outside the packages that own concurrency",

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 
 	"nnwc/internal/mat"
+	"nnwc/internal/obs"
 	"nnwc/internal/sched"
 	"nnwc/internal/workload"
 )
@@ -28,23 +30,19 @@ func FitEnsemble(ds *workload.Dataset, cfg Config, n int) (*Ensemble, error) {
 	if n < 1 {
 		return nil, errors.New("core: ensemble needs at least one member")
 	}
-	// Members train concurrently; per-member trace events buffer in fork
-	// slots and replay in member order so the trace is deterministic.
-	fork := cfg.Trace.Fork(n)
-	members, err := sched.MapWorker(sched.Workers(0), n, func(i, w int) (*NNModel, error) {
-		slot := fork.Slot(i)
-		span := slot.StartSpan("ensemble-member", i, w)
-		defer span.End()
+	// Members train concurrently; per-member trace events replay in
+	// member order so the trace is deterministic.
+	ctx := obs.ContextWithTrace(context.TODO(), cfg.Trace)
+	members, err := sched.Map(ctx, 0, "ensemble-member", n, func(ctx context.Context, i int) (*NNModel, error) {
 		memberCfg := cfg
 		memberCfg.Seed = sched.TaskSeed(cfg.Seed, i)
-		memberCfg.Trace = slot
+		memberCfg.Trace = obs.TraceFromContext(ctx)
 		m, err := Fit(ds, memberCfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: training ensemble member %d: %w", i+1, err)
 		}
 		return m, nil
 	})
-	fork.Join()
 	if err != nil {
 		return nil, err
 	}
@@ -82,19 +80,6 @@ func (e *Ensemble) PredictWithSpread(x []float64) (mean, spread []float64) {
 		spread[j] = math.Sqrt(variance)
 	}
 	return mean, spread
-}
-
-// PredictAll returns the member-mean prediction for every row, routing each
-// member through its batched forward pass. Row for row the result is
-// bit-identical to Predict (same member order, same sum-then-divide).
-func (e *Ensemble) PredictAll(xs [][]float64) [][]float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	w := predictPool.Get()
-	defer predictPool.Put(w)
-	w.in.CopyRows(xs)
-	return rowsCopy(e.PredictMatrix(&w.in, w))
 }
 
 // PredictMatrix returns the member-mean prediction for every row of X

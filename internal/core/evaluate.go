@@ -102,9 +102,8 @@ func gatherColumns(p Predictor, ds *workload.Dataset, sc *evalScratch) error {
 	if mp, ok := p.(MatrixPredictor); ok {
 		return gatherMatrix(mp, ds, sc)
 	}
-	outs := PredictAll(p, ds.Xs())
 	for i, s := range ds.Samples {
-		out := outs[i]
+		out := p.Predict(s.X)
 		if len(out) != m {
 			return errPredictorDim
 		}

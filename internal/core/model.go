@@ -35,40 +35,26 @@ type Predictor interface {
 	Predict(x []float64) []float64
 }
 
-// BatchPredictor is a Predictor that can evaluate many configurations in
-// one call, amortizing per-sample overhead (the MLP model routes this
-// through the batched forward kernels).
+// BatchPredictor is the serving plane's predictor: a Predictor that
+// evaluates a request's rows in one call (NNModel routes them through the
+// batched forward kernels).
 type BatchPredictor interface {
 	Predictor
 	PredictAll(xs [][]float64) [][]float64
 }
 
-// MatrixPredictor is a BatchPredictor that can evaluate a whole input
-// matrix into workspace-owned output without allocating — the entry point
-// the experiment plane (fold evaluation, surface probing, ensemble
-// prediction) rides so steady-state sweeps stay allocation-free. NNModel
-// and Ensemble implement it.
+// MatrixPredictor is a Predictor that can evaluate a whole input matrix
+// into workspace-owned output without allocating — the entry point the
+// experiment plane (fold evaluation, surface probing, ensemble prediction)
+// rides so steady-state sweeps stay allocation-free. NNModel and Ensemble
+// implement it; any other Predictor is evaluated row by row.
 type MatrixPredictor interface {
-	BatchPredictor
+	Predictor
 	// PredictMatrix evaluates every row of X (one configuration per row)
 	// and returns the native-unit predictions, one row per input row. The
 	// returned matrix is owned by w and only valid until the workspace's
 	// next use; callers that keep the values must copy them out first.
 	PredictMatrix(X *mat.Matrix, w *PredictWorkspace) *mat.Matrix
-}
-
-// PredictAll evaluates p on every row, taking the batched path when p
-// supports it and falling back to a per-row loop otherwise. Both paths
-// produce identical values row for row.
-func PredictAll(p Predictor, xs [][]float64) [][]float64 {
-	if bp, ok := p.(BatchPredictor); ok {
-		return bp.PredictAll(xs)
-	}
-	out := make([][]float64, len(xs))
-	for i, x := range xs {
-		out[i] = p.Predict(x)
-	}
-	return out
 }
 
 // Config specifies an NNModel. Zero values get sensible defaults from

@@ -56,19 +56,18 @@ func TestFitEnsembleWorkersBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := [][]float64{{0.3, -1.1}, {-1.7, 0.9}, {1.2, 1.2}}
-	want := PredictAll(ref, probe)
 	for _, w := range []int{2, 8} {
 		sched.SetWorkers(w)
 		got, err := FitEnsemble(ds, cfg, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		have := PredictAll(got, probe)
-		for i := range want {
-			for j := range want[i] {
-				if have[i][j] != want[i][j] {
+		for i, x := range probe {
+			want, have := ref.Predict(x), got.Predict(x)
+			for j := range want {
+				if have[j] != want[j] {
 					t.Fatalf("workers=%d prediction[%d][%d] = %v, workers=1 gave %v",
-						w, i, j, have[i][j], want[i][j])
+						w, i, j, have[j], want[j])
 				}
 			}
 		}
@@ -107,10 +106,10 @@ func TestSharedConfigSafeAcrossConcurrentFits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	probe := [][]float64{{0.5, 0.5}}
+	probe := []float64{0.5, 0.5}
 	for i := range models {
-		want := PredictAll(serial[i], probe)[0]
-		got := PredictAll(models[i], probe)[0]
+		want := serial[i].Predict(probe)
+		got := models[i].Predict(probe)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("model %d output[%d]: concurrent %v vs serial %v", i, j, got[j], want[j])

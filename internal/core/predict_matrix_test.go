@@ -24,9 +24,9 @@ func matrixFixture(t *testing.T) (*NNModel, *Ensemble, *mat.Matrix, [][]float64)
 	return m, ens, X, xs
 }
 
-// TestPredictMatrixMatchesPredictAll pins the zero-alloc matrix path to the
-// allocating convenience API bit for bit, for both MatrixPredictor
-// implementations.
+// TestPredictMatrixMatchesPredictAll pins the zero-alloc matrix path to
+// per-row Predict bit for bit, for both MatrixPredictor implementations,
+// and NNModel's PredictAll, the serving path, to both.
 func TestPredictMatrixMatchesPredictAll(t *testing.T) {
 	m, ens, X, xs := matrixFixture(t)
 	preds := []struct {
@@ -39,24 +39,26 @@ func TestPredictMatrixMatchesPredictAll(t *testing.T) {
 	for _, tc := range preds {
 		var w PredictWorkspace
 		got := tc.p.PredictMatrix(X, &w)
-		want := tc.p.PredictAll(xs)
-		if got.Rows != len(want) || got.Cols != len(want[0]) {
-			t.Fatalf("%s: matrix is %dx%d, PredictAll gave %dx%d",
-				tc.name, got.Rows, got.Cols, len(want), len(want[0]))
+		if got.Rows != len(xs) {
+			t.Fatalf("%s: matrix has %d rows for %d inputs", tc.name, got.Rows, len(xs))
 		}
-		for i := range want {
-			for j, v := range want[i] {
+		for i, x := range xs {
+			want := tc.p.Predict(x)
+			if got.Cols != len(want) {
+				t.Fatalf("%s: matrix has %d columns, Predict gave %d", tc.name, got.Cols, len(want))
+			}
+			for j, v := range want {
 				if got.At(i, j) != v {
-					t.Fatalf("%s: row %d output %d: matrix %v, PredictAll %v",
+					t.Fatalf("%s: row %d output %d: matrix %v, Predict %v",
 						tc.name, i, j, got.At(i, j), v)
 				}
 			}
 		}
-		// Predict on one row must agree too (same kernels, batch of one).
-		single := tc.p.Predict(xs[5])
-		for j, v := range single {
-			if v != want[5][j] {
-				t.Fatalf("%s: Predict output %d: %v, PredictAll %v", tc.name, j, v, want[5][j])
+	}
+	for i, row := range m.PredictAll(xs) {
+		for j, v := range row {
+			if v != m.Predict(xs[i])[j] {
+				t.Fatalf("NNModel: row %d output %d: PredictAll %v, Predict %v", i, j, v, m.Predict(xs[i])[j])
 			}
 		}
 	}

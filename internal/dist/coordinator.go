@@ -317,7 +317,7 @@ func (c *Coordinator) CoordStats() Stats {
 // Done (at most LingerAfterDone), then stops it and returns the payloads
 // in index order. If any task failed, the error of the lowest-index
 // failing task is returned — the same first-error-in-index-order
-// semantics sched.ForEachWorker has. Call Wait once.
+// semantics sched.Map has. Call Wait once.
 func (c *Coordinator) Wait(ctx context.Context) ([]json.RawMessage, error) {
 	defer c.close()
 	select {

@@ -21,6 +21,7 @@ import (
 	"nnwc/internal/core"
 	"nnwc/internal/dist"
 	"nnwc/internal/rng"
+	"nnwc/internal/sched"
 	"nnwc/internal/surface"
 	"nnwc/internal/workload"
 )
@@ -38,11 +39,11 @@ func TestMain(m *testing.M) {
 func runTestWorker(url string) {
 	runners := Runners()
 	runners["sleep"] = sleepRunner
+	sched.SetWorkers(1) // run each lease's tasks one at a time
 	w, err := dist.NewWorker(dist.WorkerConfig{
 		Coordinator: url,
 		CacheDir:    os.Getenv("NNWC_DIST_CACHE"),
 		Runners:     runners,
-		Parallelism: 1,
 		BackoffMin:  10 * time.Millisecond,
 		BackoffMax:  100 * time.Millisecond,
 		WaitForJob:  30 * time.Second,

@@ -50,10 +50,6 @@ type WorkerConfig struct {
 	// Runners maps Spec.Kind to its task implementation (usually
 	// jobs.Runners()).
 	Runners map[string]Runner
-	// Parallelism bounds concurrent task execution inside one lease
-	// (default 1; results stay bit-identical at any value because each
-	// task is index-seeded).
-	Parallelism int
 	// BackoffMin/BackoffMax bound the exponential retry backoff for
 	// coordinator requests (defaults 100ms / 5s).
 	BackoffMin time.Duration
@@ -84,9 +80,6 @@ func (c WorkerConfig) withDefaults() (WorkerConfig, error) {
 			host = "worker"
 		}
 		c.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 1
 	}
 	if c.BackoffMin <= 0 {
 		c.BackoffMin = 100 * time.Millisecond
@@ -284,12 +277,12 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // runLease computes every index in [rep.Lo, rep.Hi) and streams each
 // result back as it lands, and reports whether a result reply said the
-// job is done. Tasks inside the lease may run concurrently (Parallelism);
-// payloads are index-seeded so the results are identical either way.
+// job is done. Tasks inside the lease run concurrently on the scheduler's
+// default worker count (sched.SetWorkers); payloads are index-seeded so
+// the results are identical at any count.
 func (w *Worker) runLease(ctx context.Context, runner Runner, spec Spec, rep leaseReply) (bool, error) {
-	n := rep.Hi - rep.Lo
 	var done atomic.Bool
-	err := sched.ForEachWorker(sched.Workers(w.cfg.Parallelism), n, func(i, _ int) error {
+	_, err := sched.Map(ctx, 0, "dist-task", rep.Hi-rep.Lo, func(ctx context.Context, i int) (struct{}, error) {
 		idx := rep.Lo + i
 		// Each task gets its own buffered trace: the runner emits its
 		// deterministic events through the context, the worker closes the
@@ -327,12 +320,12 @@ func (w *Worker) runLease(ctx context.Context, runner Runner, spec Spec, rep lea
 		if err := w.retry(ctx, w.cfg.GiveUp, func() error {
 			return w.postJSON(ctx, "/dist/result", res, &rr)
 		}); err != nil {
-			return fmt.Errorf("dist: worker %s: delivering task %d: %w", w.cfg.ID, idx, err)
+			return struct{}{}, fmt.Errorf("dist: worker %s: delivering task %d: %w", w.cfg.ID, idx, err)
 		}
 		if rr.Done {
 			done.Store(true)
 		}
-		return nil
+		return struct{}{}, nil
 	})
 	return done.Load(), err
 }

@@ -1,7 +1,6 @@
 package doe
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -215,116 +214,5 @@ func TestDesignNames(t *testing.T) {
 		if d.Name() == "" {
 			t.Fatal("empty design name")
 		}
-	}
-}
-
-// PlackettBurman is the classic two-level screening design: N runs screen
-// up to N−1 factors with all main effects mutually orthogonal, at a
-// fraction of a full factorial's cost. It is the canonical first step of
-// the DOE methodology the paper's prior work followed — run a PB screen to
-// find which parameters matter, then model only those. Points returns the
-// design's low/high levels as 0/1 coordinates in the unit cube (Scale maps
-// them onto real ranges); n selects the number of factors (columns).
-type PlackettBurman struct{}
-
-// pbGenerators holds the first rows of the cyclic Plackett–Burman
-// constructions ('+' = high). Keyed by run count.
-var pbGenerators = map[int]string{
-	8:  "+++-+--",
-	12: "++-+++---+-",
-	16: "++++-+-++--+---",
-	20: "++--++++-+-+----++-",
-}
-
-// Points implements Design: it picks the smallest PB construction with at
-// least n+1 runs' worth of columns (runs ∈ {8, 12, 16, 20}) and returns
-// its runs restricted to the first n factor columns.
-func (PlackettBurman) Points(n, d int) ([][]float64, error) {
-	if d < 1 {
-		return nil, errors.New("doe: dimension must be positive")
-	}
-	if d > 19 {
-		return nil, errors.New("doe: Plackett-Burman supports at most 19 factors here")
-	}
-	_ = n // the run count is dictated by the construction, not the budget
-	runs := 0
-	for _, r := range []int{8, 12, 16, 20} {
-		if d <= r-1 {
-			runs = r
-			break
-		}
-	}
-	gen := pbGenerators[runs]
-	out := make([][]float64, 0, runs)
-	// Rows 0..runs-2 are cyclic shifts of the generator; the last row is
-	// all-low.
-	for r := 0; r < runs-1; r++ {
-		row := make([]float64, d)
-		for j := 0; j < d; j++ {
-			if gen[(j+r)%(runs-1)] == '+' {
-				row[j] = 1 - 1e-12 // keep within [0,1) for Scale
-			}
-		}
-		out = append(out, row)
-	}
-	out = append(out, make([]float64, d))
-	return out, nil
-}
-
-// Name implements Design.
-func (PlackettBurman) Name() string { return "plackett-burman" }
-
-func TestPlackettBurmanOrthogonality(t *testing.T) {
-	for _, d := range []int{3, 7, 11, 15, 19} {
-		pts, err := PlackettBurman{}.Points(0, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !inUnitCube(pts) {
-			t.Fatal("PB points outside [0,1)")
-		}
-		n := len(pts)
-		// Recode to ±1.
-		code := func(v float64) float64 {
-			if v > 0.5 {
-				return 1
-			}
-			return -1
-		}
-		// Each column balanced: sum = -1 (cyclic rows sum to +1... the
-		// all-low row tips it); exact balance property: each column has
-		// runs/2 highs.
-		for j := 0; j < d; j++ {
-			highs := 0
-			for i := 0; i < n; i++ {
-				if code(pts[i][j]) > 0 {
-					highs++
-				}
-			}
-			if highs != n/2 {
-				t.Fatalf("d=%d: column %d has %d highs of %d runs", d, j, highs, n)
-			}
-		}
-		// Pairwise orthogonality of the ±1 columns.
-		for a := 0; a < d; a++ {
-			for b := a + 1; b < d; b++ {
-				var dot float64
-				for i := 0; i < n; i++ {
-					dot += code(pts[i][a]) * code(pts[i][b])
-				}
-				if dot != 0 {
-					t.Fatalf("d=%d: columns %d,%d not orthogonal (dot %v)", d, a, b, dot)
-				}
-			}
-		}
-	}
-}
-
-func TestPlackettBurmanErrors(t *testing.T) {
-	if _, err := (PlackettBurman{}).Points(0, 0); err == nil {
-		t.Fatal("d=0 accepted")
-	}
-	if _, err := (PlackettBurman{}).Points(0, 20); err == nil {
-		t.Fatal("d=20 accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -86,7 +87,7 @@ func (c *Context) RunAblations() error {
 	// Every variant trains independently; fan them out and report in row
 	// order. Seeds are fixed per row up front, so the table is identical
 	// at any worker count.
-	scores, err := sched.Map(sched.Workers(0), len(rows), func(i int) (float64, error) {
+	scores, err := sched.Map(context.TODO(), 0, "ablation-row", len(rows), func(_ context.Context, i int) (float64, error) {
 		e, err := score(rows[i].cfg)
 		if err != nil {
 			return 0, fmt.Errorf("experiments: ablation %s/%s: %w", rows[i].axis, rows[i].variant, err)

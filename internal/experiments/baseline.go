@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -29,13 +30,10 @@ func (c *Context) RunBaseline() error {
 	// Cell seeds depend only on the fold index, and the per-family
 	// accumulation below runs serially in the historical (fold, family)
 	// order, so the table is bit-identical at any worker count. Cell spans
-	// buffer per cell index and replay in cell order for the same reason.
-	fork := c.Trace.Fork(c.Folds * len(fams))
-	cells, err := sched.MapWorker(sched.Workers(0), c.Folds*len(fams), func(idx, w int) ([]float64, error) {
+	// replay in cell order for the same reason.
+	ctx := obs.ContextWithTrace(context.TODO(), c.Trace)
+	cells, err := sched.Map(ctx, 0, "baseline-cell", c.Folds*len(fams), func(ctx context.Context, idx int) ([]float64, error) {
 		f, fi := idx/len(fams), idx%len(fams)
-		slot := fork.Slot(idx)
-		span := slot.StartSpan("baseline-cell", idx, w)
-		defer span.End()
 		trainSet, valSet := split.TrainValidation(f)
 		model, err := fams[fi].Fit(trainSet, c.Seed+uint64(f))
 		if err != nil {
@@ -45,8 +43,8 @@ func (c *Context) RunBaseline() error {
 		if err != nil {
 			return nil, err
 		}
-		if slot.Enabled() {
-			slot.Emit("baseline_cell",
+		if tr := obs.TraceFromContext(ctx); tr.Enabled() {
+			tr.Emit("baseline_cell",
 				obs.Int("fold", f),
 				obs.String("family", fams[fi].Name),
 				obs.Float("mean_hmre", stats.MeanSkipNaN(ev.HMRE)),
@@ -54,7 +52,6 @@ func (c *Context) RunBaseline() error {
 		}
 		return ev.HMRE, nil
 	})
-	fork.Join()
 	if err != nil {
 		return err
 	}

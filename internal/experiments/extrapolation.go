@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -108,7 +109,7 @@ func (c *Context) extrapolationTable(trainDS, testDS *workload.Dataset, artifact
 		in, out float64
 	}
 	fams := core.CompareFamilies(c.Model)
-	results, err := sched.Map(sched.Workers(0), len(fams), func(i int) (rowOut, error) {
+	results, err := sched.Map(context.TODO(), 0, "extrapolation-family", len(fams), func(_ context.Context, i int) (rowOut, error) {
 		model, err := fams[i].Fit(trainDS, c.Seed+5)
 		if err != nil {
 			// Some families cannot fit tiny datasets (e.g. poly3 on a

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -71,15 +72,16 @@ func (c *Context) RunSampling() error {
 		samples int
 		err     float64
 	}
-	// Cells trace their collections into slots replayed in cell order.
-	fork := c.Trace.Fork(len(jobs))
-	rows, err := sched.Map(sched.Workers(0), len(jobs), func(i int) (row, error) {
+	// Each cell traces its collection inside its span; the spans replay in
+	// cell order.
+	ctx := obs.ContextWithTrace(context.TODO(), c.Trace)
+	rows, err := sched.Map(ctx, 0, "sampling-cell", len(jobs), func(ctx context.Context, i int) (row, error) {
 		j := jobs[i]
 		pts, err := j.design.Points(j.budget, len(dims))
 		if err != nil {
 			return row{}, err
 		}
-		trainDS, err := c.collectDesign(fork.Slot(i), pts, dims, c.Seed+600+uint64(j.budget))
+		trainDS, err := c.collectDesign(obs.TraceFromContext(ctx), pts, dims, c.Seed+600+uint64(j.budget))
 		if err != nil {
 			return row{}, err
 		}
@@ -95,7 +97,6 @@ func (c *Context) RunSampling() error {
 		}
 		return row{j.design.Name(), j.budget, trainDS.Len(), ev.MeanHMRE()}, nil
 	})
-	fork.Join()
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
-	"nnwc/internal/core"
 	"nnwc/internal/plot"
 	"nnwc/internal/sched"
 	"nnwc/internal/stats"
@@ -124,7 +124,7 @@ func (c *Context) runSurface(title, artifact string, output int, expectation str
 			probeList = append(probeList, probe{dv, wv})
 		}
 	}
-	actual, err := sched.Map(sched.Workers(0), len(probeList), func(i int) (float64, error) {
+	actual, err := sched.Map(context.TODO(), 0, "surface-probe", len(probeList), func(_ context.Context, i int) (float64, error) {
 		cfg := threetier.Config{
 			InjectionRate:  sl.Fixed[featRate],
 			DefaultThreads: int(probeList[i].dv + 0.5),
@@ -150,7 +150,7 @@ func (c *Context) runSurface(title, artifact string, output int, expectation str
 		}.Vector()
 	}
 	var predicted []float64
-	for _, out := range core.PredictAll(model, probes) {
+	for _, out := range model.PredictAll(probes) {
 		predicted = append(predicted, out[output])
 	}
 	dev := stats.MAPE(actual, predicted)

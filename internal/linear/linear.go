@@ -86,36 +86,11 @@ func Fit(xs, ys [][]float64, opt Options) (*Model, error) {
 	return model, nil
 }
 
-// OutputDim returns the number of predicted indicators.
-func (m *Model) OutputDim() int { return m.W.Rows }
-
 // Predict returns ŷ = W·x + b.
 func (m *Model) Predict(x []float64) []float64 {
 	out := m.W.MulVec(x)
 	for j := range out {
 		out[j] += m.B[j]
-	}
-	return out
-}
-
-// PredictAll maps Predict over rows as one matrix product X·Wᵀ. Row dot
-// products accumulate in the same order as MulVec, so each row matches
-// Predict exactly.
-func (m *Model) PredictAll(xs [][]float64) [][]float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	var X, P mat.Matrix
-	X.CopyRows(xs)
-	mat.MulTransInto(P.Reshape(len(xs), m.OutputDim()), &X, m.W)
-	out := make([][]float64, len(xs))
-	for i := range out {
-		row := make([]float64, m.OutputDim())
-		copy(row, P.Row(i))
-		for j := range row {
-			row[j] += m.B[j]
-		}
-		out[i] = row
 	}
 	return out
 }

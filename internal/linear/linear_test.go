@@ -31,8 +31,8 @@ func TestRecoverKnownCoefficients(t *testing.T) {
 			t.Fatalf("coefficient %d = %v, want %v", i, c.got, c.want)
 		}
 	}
-	if m.W.Cols != 2 || m.OutputDim() != 2 {
-		t.Fatalf("dims %d→%d", m.W.Cols, m.OutputDim())
+	if m.W.Cols != 2 || m.W.Rows != 2 {
+		t.Fatalf("dims %d→%d", m.W.Cols, m.W.Rows)
 	}
 }
 
@@ -46,9 +46,8 @@ func TestPredictMatchesManual(t *testing.T) {
 	if got := m.Predict([]float64{10})[0]; math.Abs(got-21) > 1e-9 {
 		t.Fatalf("Predict(10) = %v", got)
 	}
-	all := m.PredictAll(xs)
-	if len(all) != 4 || math.Abs(all[2][0]-5) > 1e-9 {
-		t.Fatalf("PredictAll wrong: %v", all)
+	if got := m.Predict(xs[2])[0]; math.Abs(got-5) > 1e-9 {
+		t.Fatalf("Predict(2) = %v", got)
 	}
 }
 

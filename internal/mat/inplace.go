@@ -85,16 +85,6 @@ func mulGo(dst, a, b *Matrix) {
 	}
 }
 
-// MulTransInto computes dst = a·bᵀ without allocating — the batched layer
-// product (samples × features)·(outputs × features)ᵀ. Both operands are
-// walked row-contiguously through the register-blocked kernel. dst must not
-// alias a or b; it is reshaped to a.Rows×b.Rows. Returns dst.
-//
-//nnwc:hotpath
-func MulTransInto(dst, a, b *Matrix) *Matrix {
-	return MulTransBiasInto(dst, a, b, nil)
-}
-
 // AddScaledInto computes dst += alpha·src element-wise over whole matrices.
 // The shapes must match.
 //

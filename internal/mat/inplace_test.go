@@ -38,7 +38,7 @@ func TestMulTransInto(t *testing.T) {
 	b := fromRows([][]float64{{7, 8}, {9, 10}})
 	want := Mul(a, b.T())
 	dst := &Matrix{}
-	matsEqual(t, MulTransInto(dst, a, b), want, 0)
+	matsEqual(t, MulTransBiasInto(dst, a, b, nil), want, 0)
 }
 
 func TestMulIntoShapePanics(t *testing.T) {

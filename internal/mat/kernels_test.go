@@ -179,10 +179,11 @@ func TestMulTransBiasIntoBitIdentical(t *testing.T) {
 			}
 			requireSame(t, what, got.Data, refMulTransBias(a, b, bias).Data)
 
-			// nil bias must match the seed-zero naive product and MulTransInto.
+			// nil bias must match the seed-zero naive product, through the
+			// implementation and through the dispatching entry point.
 			want := refMulTransBias(a, b, nil).Data
 			requireSame(t, what+" nil bias", impl.mulTransBias(dst, a, b, nil).Data, want)
-			requireSame(t, what+" MulTransInto", MulTransInto(dst, a, b).Data, want)
+			requireSame(t, what+" MulTransBiasInto nil bias", MulTransBiasInto(dst, a, b, nil).Data, want)
 		}
 
 		for _, sh := range specialShapes {

@@ -102,15 +102,6 @@ func (n *Network) Predict(x []float64) []float64 {
 	return n.Out.Predict(activations(n.Centers, n.Gammas, x))
 }
 
-// PredictAll maps Predict over rows.
-func (n *Network) PredictAll(xs [][]float64) [][]float64 {
-	out := make([][]float64, len(xs))
-	for i, x := range xs {
-		out[i] = n.Predict(x)
-	}
-	return out
-}
-
 func activations(centers [][]float64, gammas []float64, x []float64) []float64 {
 	h := make([]float64, len(centers))
 	for i, c := range centers {

@@ -70,16 +70,12 @@ func TestMultiOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.Out.OutputDim() != 2 || len(net.Centers[0]) != 1 {
-		t.Fatalf("dims %d→%d", len(net.Centers[0]), net.Out.OutputDim())
+	if net.Out.W.Rows != 2 || len(net.Centers[0]) != 1 {
+		t.Fatalf("dims %d→%d", len(net.Centers[0]), net.Out.W.Rows)
 	}
 	out := net.Predict([]float64{2})
 	if math.Abs(out[1]-2*out[0]) > 0.5 {
 		t.Fatalf("outputs inconsistent: %v", out)
-	}
-	all := net.PredictAll(xs[:3])
-	if len(all) != 3 {
-		t.Fatal("PredictAll wrong length")
 	}
 }
 

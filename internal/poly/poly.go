@@ -156,12 +156,3 @@ func Fit(fmap FeatureMap, xs, ys [][]float64, opt Options) (*Model, error) {
 func (m *Model) Predict(x []float64) []float64 {
 	return m.Linear.Predict(m.Map.Expand(m.scaler.Transform(x)))
 }
-
-// PredictAll maps Predict over rows.
-func (m *Model) PredictAll(xs [][]float64) [][]float64 {
-	out := make([][]float64, len(xs))
-	for i, x := range xs {
-		out[i] = m.Predict(x)
-	}
-	return out
-}

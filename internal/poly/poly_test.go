@@ -157,8 +157,9 @@ func TestPredictAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := m.PredictAll(xs)
-	if len(out) != 3 || math.Abs(out[1][0]-4) > 1e-9 {
-		t.Fatalf("PredictAll %v", out)
+	for i, x := range xs {
+		if got := m.Predict(x)[0]; math.Abs(got-ys[i][0]) > 1e-9 {
+			t.Fatalf("Predict(%v) = %v, want %v", x, got, ys[i][0])
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package preprocess
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -124,7 +123,7 @@ func TestStandardizerAccessors(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	for _, s := range []Scaler{NewStandardizer(), NewMinMax(0, 1), NewIdentity()} {
+	for _, s := range []Scaler{NewStandardizer(), NewIdentity()} {
 		if err := s.Fit(nil); err == nil {
 			t.Errorf("%T accepted empty rows", s)
 		}
@@ -177,122 +176,5 @@ func TestTransformAllInverseAll(t *testing.T) {
 				t.Fatal("TransformAll/Inverse round trip failed")
 			}
 		}
-	}
-}
-
-func TestMinMaxRange(t *testing.T) {
-	rows := [][]float64{{0, -10}, {10, 10}, {5, 0}}
-	m := NewMinMax(0, 1)
-	if err := m.Fit(rows); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		out := m.Transform(r)
-		for _, v := range out {
-			if v < 0 || v > 1 {
-				t.Fatalf("MinMax output %v outside [0,1]", v)
-			}
-		}
-	}
-	lo := m.Transform([]float64{0, -10})
-	hi := m.Transform([]float64{10, 10})
-	if lo[0] != 0 || lo[1] != 0 || hi[0] != 1 || hi[1] != 1 {
-		t.Fatalf("extremes map to %v and %v", lo, hi)
-	}
-}
-
-func TestMinMaxInverse(t *testing.T) {
-	rows := [][]float64{{3}, {9}}
-	m := NewMinMax(-1, 1)
-	if err := m.Fit(rows); err != nil {
-		t.Fatal(err)
-	}
-	back := m.Inverse(m.Transform([]float64{6}))
-	if math.Abs(back[0]-6) > 1e-12 {
-		t.Fatalf("inverse round trip: %v", back[0])
-	}
-}
-
-func TestMinMaxBadBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewMinMax(1, 0) did not panic")
-		}
-	}()
-	NewMinMax(1, 0)
-}
-
-// MinMax scales each column linearly into [lo, hi]: the alternative to
-// the paper's z-score that these tests compare against.
-type MinMax struct {
-	lo, hi     float64
-	min, rangw []float64
-}
-
-// NewMinMax returns a scaler targeting [lo, hi]. It panics if hi <= lo.
-func NewMinMax(lo, hi float64) *MinMax {
-	if hi <= lo {
-		panic("preprocess: MinMax requires hi > lo")
-	}
-	return &MinMax{lo: lo, hi: hi}
-}
-
-// Fit learns per-column minima and ranges.
-func (m *MinMax) Fit(rows [][]float64) error {
-	cols, err := columnCount(rows)
-	if err != nil {
-		return err
-	}
-	m.min = make([]float64, cols)
-	m.rangw = make([]float64, cols)
-	for j := 0; j < cols; j++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, r := range rows {
-			if r[j] < lo {
-				lo = r[j]
-			}
-			if r[j] > hi {
-				hi = r[j]
-			}
-		}
-		m.min[j] = lo
-		w := hi - lo
-		if stats.ExactZero(w) {
-			w = 1
-		}
-		m.rangw[j] = w
-	}
-	return nil
-}
-
-// Transform maps one row into [lo, hi] per column.
-func (m *MinMax) Transform(row []float64) []float64 {
-	m.mustFitted(len(row))
-	out := make([]float64, len(row))
-	for j, v := range row {
-		out[j] = m.lo + (m.hi-m.lo)*(v-m.min[j])/m.rangw[j]
-	}
-	return out
-}
-
-// Inverse undoes Transform.
-func (m *MinMax) Inverse(row []float64) []float64 {
-	m.mustFitted(len(row))
-	out := make([]float64, len(row))
-	for j, v := range row {
-		out[j] = m.min[j] + (v-m.lo)/(m.hi-m.lo)*m.rangw[j]
-	}
-	return out
-}
-
-// Dims returns the fitted column count.
-func (m *MinMax) Dims() int { return len(m.min) }
-
-func (m *MinMax) mustFitted(n int) {
-	if len(m.min) == 0 {
-		panic(ErrNotFitted)
-	}
-	if n != len(m.min) {
-		panic(fmt.Sprintf("preprocess: row has %d columns, scaler fitted with %d", n, len(m.min)))
 	}
 }

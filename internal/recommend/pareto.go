@@ -63,16 +63,14 @@ func ParetoFront(p core.Predictor, space Space, objs []Objective, opt Options) (
 		return nil, errors.New("recommend: at least one objective must be active")
 	}
 	// Reuse Search's exploration with a neutral scorer; we only want its
-	// candidate sweep.
-	opt = opt.defaults()
-	opt.Keep = 1 << 20 // keep everything; the front filter prunes
-	res, err := Search(p, space, func([]float64) float64 { return 0 }, opt)
+	// candidate sweep, all of it: the front filter prunes.
+	all, err := explore(p, space, func([]float64) float64 { return 0 }, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
 
 	var front []Candidate
-	for _, cand := range res.Top {
+	for _, cand := range all {
 		dominated := false
 		replacement := front[:0:0]
 		for _, f := range front {

@@ -96,40 +96,41 @@ type Result struct {
 
 // The search's fixed budget: grid points per dimension of the coarse sweep,
 // random probes after it, and rounds of local perturbation around the
-// incumbent (each of randomProbes/4 probes).
+// incumbent (each of randomProbes/4 probes); Search reports the topK best.
 const (
 	gridPoints   = 8
 	randomProbes = 512
 	refineRounds = 3
+	topK         = 10
 )
 
 // Options tunes the search.
 type Options struct {
-	// Keep is how many top candidates to report (default 10).
-	Keep int
 	// Seed drives the random probes.
 	Seed uint64
-}
-
-func (o Options) defaults() Options {
-	if o.Keep <= 0 {
-		o.Keep = 10
-	}
-	return o
 }
 
 // Search explores the space with a coarse grid, random probes, and local
 // refinement, scoring every candidate through the model.
 func Search(p core.Predictor, space Space, score Scorer, opt Options) (*Result, error) {
+	all, err := explore(p, space, score, opt.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Best: all[0], Top: all[:min(topK, len(all))]}, nil
+}
+
+// explore scores every candidate of the search's three phases through the
+// model and returns them all, best first.
+func explore(p core.Predictor, space Space, score Scorer, seed uint64) ([]Candidate, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
 	}
 	if score == nil {
 		return nil, errors.New("recommend: a scoring function is required")
 	}
-	opt = opt.defaults()
 	n := len(space.Lo)
-	src := rng.New(opt.Seed)
+	src := rng.New(seed)
 
 	var all []Candidate
 	eval := func(x []float64) {
@@ -192,10 +193,5 @@ func Search(p core.Predictor, space Space, score Scorer, opt Options) (*Result, 
 	}
 
 	sort.Slice(all, func(i, j int) bool { return all[i].Score > all[j].Score })
-	keep := opt.Keep
-	if keep > len(all) {
-		keep = len(all)
-	}
-	res := &Result{Best: all[0], Top: all[:keep]}
-	return res, nil
+	return all, nil
 }

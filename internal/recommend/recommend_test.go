@@ -100,11 +100,15 @@ func TestSearchRespectsIntegerMask(t *testing.T) {
 func TestSearchStaysInBounds(t *testing.T) {
 	p := funcPredictor(func(x []float64) []float64 { return []float64{x[0] + x[1]} })
 	space := Space{Lo: []float64{2, -5}, Hi: []float64{3, -4}}
-	res, err := Search(p, space, weightedScore([]float64{1}), Options{Seed: 2, Keep: 100})
+	res, err := Search(p, space, weightedScore([]float64{1}), Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range res.Top {
+	all, err := explore(p, space, weightedScore([]float64{1}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range all {
 		if c.X[0] < 2 || c.X[0] > 3 || c.X[1] < -5 || c.X[1] > -4 {
 			t.Fatalf("candidate out of bounds: %v", c.X)
 		}

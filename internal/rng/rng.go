@@ -1,6 +1,6 @@
 // Package rng provides deterministic, seedable pseudo-random number
 // generation and the random variates the simulator and trainers need
-// (uniform, normal, exponential, Poisson).
+// (uniform, normal, exponential, lognormal).
 //
 // Every stochastic component in this repository draws from an explicit
 // *rng.Source so that experiments are reproducible end to end from a single

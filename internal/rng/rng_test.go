@@ -277,67 +277,6 @@ func BenchmarkExp(b *testing.B) {
 	}
 }
 
-func TestPoissonMeanSmall(t *testing.T) {
-	r := New(12)
-	const n = 100000
-	var sum int
-	for i := 0; i < n; i++ {
-		sum += poisson(r, 3.5)
-	}
-	if mean := float64(sum) / n; math.Abs(mean-3.5) > 0.05 {
-		t.Fatalf("Poisson(3.5) mean %.3f", mean)
-	}
-}
-
-func TestPoissonMeanLarge(t *testing.T) {
-	r := New(13)
-	const n = 50000
-	var sum int
-	for i := 0; i < n; i++ {
-		sum += poisson(r, 100)
-	}
-	if mean := float64(sum) / n; math.Abs(mean-100) > 0.5 {
-		t.Fatalf("Poisson(100) mean %.2f", mean)
-	}
-}
-
-func TestPoissonNonPositiveMean(t *testing.T) {
-	r := New(14)
-	if v := poisson(r, 0); v != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", v)
-	}
-	if v := poisson(r, -1); v != 0 {
-		t.Fatalf("Poisson(-1) = %d, want 0", v)
-	}
-}
-
-// poisson returns a Poisson variate with the given mean. For small means it
-// uses Knuth's multiplication method; for large means a normal
-// approximation with continuity correction, which is accurate enough for
-// workload generation.
-func poisson(r *Source, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	v := normMeanStd(r, mean, math.Sqrt(mean)) + 0.5
-	if v < 0 {
-		return 0
-	}
-	return int(v)
-}
-
 // normMeanStd returns a normal variate with the given mean and standard
 // deviation.
 func normMeanStd(r *Source, mean, std float64) float64 {

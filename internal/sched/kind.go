@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"context"
-
-	"nnwc/internal/obs"
-)
+import "context"
 
 // Kind is one experiment as an index-parallel task set: cross-validation
 // folds, compare cells, surface-grid rows, importance features, topology
@@ -41,25 +37,12 @@ func Start[R, O any](ctx context.Context, k Kind[R, O]) {
 	}
 }
 
-// Execute runs every task of k on at most workers goroutines (<= 0 means
-// the default) and reduces the results in index order. Each task traces
-// into its own slot of a fork of the trace ctx carries, inside a span
-// named k.Scope(); the slots replay in index order, so the trace is as
-// deterministic as the result.
+// Execute runs every task of k through Map on at most workers goroutines
+// (<= 0 means the default), each in a span named k.Scope(), and reduces
+// the results in index order.
 func Execute[R, O any](ctx context.Context, workers int, k Kind[R, O]) (O, error) {
 	Start(ctx, k)
-	n := k.Tasks()
-	results := make([]R, n)
-	fork := obs.TraceFromContext(ctx).Fork(n)
-	err := ForEachWorker(Workers(workers), n, func(i, w int) error {
-		slot := fork.Slot(i)
-		span := slot.StartSpan(k.Scope(), i, w)
-		defer span.End()
-		r, err := k.Run(obs.ContextWithTrace(ctx, slot), i)
-		results[i] = r
-		return err
-	})
-	fork.Join()
+	results, err := Map(ctx, workers, k.Scope(), k.Tasks(), k.Run)
 	if err != nil {
 		var zero O
 		return zero, err

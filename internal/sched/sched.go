@@ -1,7 +1,7 @@
 // Package sched is the deterministic task scheduler behind the experiment
 // plane: bounded worker pools for embarrassingly parallel outer loops
 // (cross-validation folds, ensemble members, sweep cells, surface-grid
-// rows), per-task seed derivation, bounded free lists of reusable
+// rows) behind one fan-out (Map), per-task seed derivation, bounded free lists of reusable
 // workspaces (Pool) that, unlike a sync.Pool, never drop what they hold,
 // and Kind, an experiment as an index-parallel task set, with Execute,
 // its in-process executor (internal/dist/jobs holds the distributed one).
@@ -17,10 +17,12 @@
 package sched
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"nnwc/internal/obs"
 	"nnwc/internal/obs/metrics"
 )
 
@@ -95,81 +97,59 @@ func Shard(n, size int) [][2]int {
 	return shards
 }
 
-// ForEachWorker runs task(i, worker) for every i in [0, n) on at most
-// `workers` goroutines (use Workers to resolve a request first). Workers
-// pull task indices from a shared counter, so all worker counts execute
-// the same task set; callers must make tasks independent and write results
-// into index-addressed slots. Every task runs even if another fails; the
-// error of the lowest-indexed failing task is returned, so error reporting
-// is as deterministic as the results. The worker identity is the hook the
-// observability spans use to attribute wall time: which worker runs which
-// task is a scheduling accident, so tasks must not let it influence
-// results (seeds and result slots key off the task index alone). The
-// inline workers<=1 path always reports worker 0.
-func ForEachWorker(workers, n int, task func(i, worker int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		// Inline fast path: no goroutines, identical semantics.
-		var first error
-		for i := 0; i < n; i++ {
-			tasksTotal.Inc()
-			if err := task(i, 0); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
+// Map runs task(ctx, i) for every i in [0, n) on at most Workers(workers)
+// goroutines and returns the results in index order. Workers pull task
+// indices from a shared counter, so all worker counts execute the same
+// task set; tasks must be independent. Every task runs even if another
+// fails; the error of the lowest-indexed failing task is returned, with no
+// results, so error reporting is as deterministic as the results.
+//
+// Map forks the trace ctx carries: task i runs with slot i of the fork in
+// its context, inside a span named scope, and the slots replay into the
+// parent in index order, so the trace is as deterministic as the result.
+// A context without a trace emits nothing. The span's worker field is the
+// only place the executing goroutine shows: which worker runs which task
+// is a scheduling accident, so tasks must not let it influence results
+// (seeds and result slots key off the task index alone).
+func Map[T any](ctx context.Context, workers int, scope string, n int, task func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
 	errs := make([]error, n)
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				tasksTotal.Inc()
-				errs[i] = task(i, w)
-			}
-		}(w)
+	fork := obs.TraceFromContext(ctx).Fork(n)
+	run := func(i, w int) {
+		tasksTotal.Inc()
+		slot := fork.Slot(i)
+		span := slot.StartSpan(scope, i, w)
+		out[i], errs[i] = task(obs.ContextWithTrace(ctx, slot), i)
+		span.End()
 	}
-	wg.Wait()
+	if workers = min(Workers(workers), n); workers <= 1 {
+		// Inline fast path: no goroutines, identical semantics.
+		for i := 0; i < n; i++ {
+			run(i, 0)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
+					}
+					run(i, w)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	fork.Join()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
-	}
-	return nil
-}
-
-// Map runs task(i) for every i in [0, n) on at most `workers` goroutines
-// and returns the results in task order. Error semantics match ForEachWorker.
-func Map[T any](workers, n int, task func(i int) (T, error)) ([]T, error) {
-	return MapWorker(workers, n, func(i, _ int) (T, error) { return task(i) })
-}
-
-// MapWorker is Map with the executing worker's identity handed to each
-// task; see ForEachWorker for the attribution caveat.
-func MapWorker[T any](workers, n int, task func(i, worker int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachWorker(workers, n, func(i, w int) error {
-		v, err := task(i, w)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -1,11 +1,17 @@
 package sched
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
+
+	"nnwc/internal/obs"
+	"nnwc/internal/obs/obstest"
 )
 
 func TestWorkersResolution(t *testing.T) {
@@ -34,9 +40,9 @@ func TestForEachRunsEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		const n = 57
 		var counts [n]int64
-		err := ForEachWorker(workers, n, func(i, _ int) error {
+		_, err := Map(context.Background(), workers, "t", n, func(_ context.Context, i int) (struct{}, error) {
 			atomic.AddInt64(&counts[i], 1)
-			return nil
+			return struct{}{}, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -53,14 +59,14 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 	e3 := errors.New("task 3")
 	e9 := errors.New("task 9")
 	for _, workers := range []int{1, 4} {
-		err := ForEachWorker(workers, 12, func(i, _ int) error {
+		_, err := Map(context.Background(), workers, "t", 12, func(_ context.Context, i int) (int, error) {
 			switch i {
 			case 9:
-				return e9
+				return 0, e9
 			case 3:
-				return e3
+				return 0, e3
 			}
-			return nil
+			return i, nil
 		})
 		if err != e3 {
 			t.Fatalf("workers=%d: got %v, want lowest-index error", workers, err)
@@ -70,12 +76,12 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 
 func TestForEachRunsAllTasksDespiteError(t *testing.T) {
 	var ran int64
-	err := ForEachWorker(4, 20, func(i, _ int) error {
+	_, err := Map(context.Background(), 4, "t", 20, func(_ context.Context, i int) (int, error) {
 		atomic.AddInt64(&ran, 1)
 		if i == 0 {
-			return errors.New("early failure")
+			return 0, errors.New("early failure")
 		}
-		return nil
+		return i, nil
 	})
 	if err == nil {
 		t.Fatal("expected error")
@@ -87,7 +93,7 @@ func TestForEachRunsAllTasksDespiteError(t *testing.T) {
 
 func TestMapOrdersResultsByTaskIndex(t *testing.T) {
 	for _, workers := range []int{1, 7} {
-		got, err := Map(workers, 40, func(i int) (string, error) {
+		got, err := Map(context.Background(), workers, "t", 40, func(_ context.Context, i int) (string, error) {
 			return fmt.Sprintf("r%d", i), nil
 		})
 		if err != nil {
@@ -102,7 +108,7 @@ func TestMapOrdersResultsByTaskIndex(t *testing.T) {
 }
 
 func TestMapErrorDropsResults(t *testing.T) {
-	got, err := Map(2, 5, func(i int) (int, error) {
+	got, err := Map(context.Background(), 2, "t", 5, func(_ context.Context, i int) (int, error) {
 		if i == 2 {
 			return 0, errors.New("boom")
 		}
@@ -113,14 +119,20 @@ func TestMapErrorDropsResults(t *testing.T) {
 	}
 }
 
+// mixTask is a task-index-derived stream, like the real call sites.
+func mixTask(i int) uint64 {
+	s := TaskSeed(42, i)
+	s ^= s >> 31
+	return s * 0x9e3779b97f4a7c15
+}
+
 func TestMapIdenticalAcrossWorkerCounts(t *testing.T) {
 	compute := func(workers int) []uint64 {
-		out, err := Map(workers, 64, func(i int) (uint64, error) {
-			// A task-index-derived stream, like the real call sites.
-			s := TaskSeed(42, i)
-			s ^= s >> 31
-			s *= 0x9e3779b97f4a7c15
-			return s, nil
+		out, err := Map(context.Background(), workers, "t", 64, func(ctx context.Context, i int) (uint64, error) {
+			if obs.TraceFromContext(ctx) != nil {
+				t.Error("an untraced context gained a trace")
+			}
+			return mixTask(i), nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -134,6 +146,52 @@ func TestMapIdenticalAcrossWorkerCounts(t *testing.T) {
 			if got[i] != ref[i] {
 				t.Fatalf("workers=%d: slot %d differs", workers, i)
 			}
+		}
+	}
+}
+
+// TestMapTracesEachTaskInItsSpan pins Map's trace contract: whatever the
+// worker count, task i's events land inside its own scope span, the spans
+// follow in index order, and the canonical trace is the same bytes.
+func TestMapTracesEachTaskInItsSpan(t *testing.T) {
+	const n = 23
+	run := func(workers int) ([]uint64, []byte) {
+		var buf bytes.Buffer
+		ctx := obs.ContextWithTrace(context.Background(), obs.NewTrace(obs.NewWriterSink(&buf)))
+		out, err := Map(ctx, workers, "unit", n, func(ctx context.Context, i int) (uint64, error) {
+			tr := obs.TraceFromContext(ctx)
+			for step := 0; step < i%3+1; step++ {
+				tr.Emit("step", obs.Int("i", i), obs.Int("step", step))
+			}
+			return mixTask(i), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon, err := obstest.CanonicalizeJSONL(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, canon
+	}
+	refOut, refTrace := run(1)
+	var want bytes.Buffer
+	for i := 0; i < n; i++ {
+		for step := 0; step < i%3+1; step++ {
+			fmt.Fprintf(&want, "{\"ev\":\"step\",\"i\":%d,\"step\":%d}\n", i, step)
+		}
+		fmt.Fprintf(&want, "{\"ev\":\"span\",\"scope\":\"unit\",\"task\":%d}\n", i)
+	}
+	if !bytes.Equal(refTrace, want.Bytes()) {
+		t.Fatalf("workers=1 trace:\n%s\nwant:\n%s", refTrace, want.Bytes())
+	}
+	for _, workers := range []int{2, 8} {
+		out, trace := run(workers)
+		if !slices.Equal(out, refOut) {
+			t.Fatalf("workers=%d: results differ from workers=1", workers)
+		}
+		if !bytes.Equal(trace, refTrace) {
+			t.Fatalf("workers=%d: trace differs from workers=1:\n%s", workers, trace)
 		}
 	}
 }

@@ -11,12 +11,11 @@ import (
 	"nnwc/internal/workload"
 )
 
-// batchOnly hides a model's PredictMatrix so tests can force the
-// core.PredictAll fallback path.
-type batchOnly struct{ m *core.NNModel }
+// rowOnly hides a model's PredictMatrix so tests can force the per-row
+// Predict fallback path.
+type rowOnly struct{ m *core.NNModel }
 
-func (b batchOnly) Predict(x []float64) []float64         { return b.m.Predict(x) }
-func (b batchOnly) PredictAll(xs [][]float64) [][]float64 { return b.m.PredictAll(xs) }
+func (r rowOnly) Predict(x []float64) []float64 { return r.m.Predict(x) }
 
 // trainedModel fits a small 2→1 model on a smooth synthetic function.
 func trainedModel(t *testing.T) *core.NNModel {
@@ -49,7 +48,7 @@ func probeSlice(n int) Slice {
 }
 
 // TestMatrixPathMatchesFallback pins the pooled matrix probe path to the
-// materializing core.PredictAll fallback bit for bit, across worker counts.
+// per-row Predict fallback bit for bit, across worker counts.
 func TestMatrixPathMatchesFallback(t *testing.T) {
 	m := trainedModel(t)
 	sl := probeSlice(12)
@@ -60,7 +59,7 @@ func TestMatrixPathMatchesFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := Evaluate(batchOnly{m}, sl, m.InputDim(), m.OutputDim())
+		slow, err := Evaluate(rowOnly{m}, sl, m.InputDim(), m.OutputDim())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -125,9 +125,8 @@ var probePool = sched.NewPool(func() *probeScratch { return &probeScratch{} })
 
 // probeRow evaluates one grid row (one XValue, every YValue) through the
 // zero-alloc matrix path: configurations build in place in the pooled
-// scratch matrix and one PredictMatrix call answers the whole row. The
-// values are identical to the core.PredictAll fallback — both route the
-// same batched forward kernels.
+// scratch matrix and one PredictMatrix call answers the whole row. Row for
+// row the values are bit-identical to Predict.
 //
 //nnwc:hotpath
 func probeRow(mp core.MatrixPredictor, s Slice, xv float64, inputDim int, zi []float64) {
@@ -146,20 +145,15 @@ func probeRow(mp core.MatrixPredictor, s Slice, xv float64, inputDim int, zi []f
 	}
 }
 
-// probeRowSlow is probeRow for plain Predictors: the same configuration
-// rows routed through core.PredictAll instead of the matrix kernels.
+// probeRowSlow is probeRow for plain Predictors: the same configurations,
+// one Predict call each.
 func probeRowSlow(p core.Predictor, s Slice, xv float64, inputDim int, zi []float64) {
-	rows := make([][]float64, len(s.YValues))
+	x := make([]float64, inputDim)
+	copy(x, s.Fixed)
+	x[s.XIndex] = xv
 	for j, yv := range s.YValues {
-		x := make([]float64, inputDim)
-		copy(x, s.Fixed)
-		x[s.XIndex] = xv
 		x[s.YIndex] = yv
-		rows[j] = x
-	}
-	outs := core.PredictAll(p, rows)
-	for j := range zi {
-		zi[j] = outs[j][s.Output]
+		zi[j] = p.Predict(x)[s.Output]
 	}
 }
 

@@ -1,6 +1,7 @@
 package threetier
 
 import (
+	"context"
 	"fmt"
 
 	"nnwc/internal/rng"
@@ -68,6 +69,10 @@ func Collect(spec SweepSpec, sys SystemParams, seed uint64) (*workload.Dataset, 
 	return CollectConfigs(spec.Configs(), spec.Replicates, sys, seed)
 }
 
+// simPool keeps warm simulators: reset overwrites every field a run reads,
+// so a reused simulator keeps only its storage.
+var simPool = sched.NewPool(func() *Simulator { return new(Simulator) })
+
 // CollectConfigs runs an arbitrary list of configurations (e.g. one
 // produced by a Design-of-Experiments planner) and returns the samples.
 // Each configuration is simulated `replicates` times (minimum 1) with
@@ -84,15 +89,9 @@ func CollectConfigs(configs []Config, replicates int, sys SystemParams, seed uin
 	for i := range srcs {
 		srcs[i] = master.Split()
 	}
-	// Each worker reuses one Simulator's storage across its configurations.
-	// (A sync.Pool need not keep its items, and under -race it drops some.)
-	workers := sched.Workers(0)
-	sims := make([]*Simulator, workers) // apart: no shared cache lines
-	for w := range sims {
-		sims[w] = new(Simulator)
-	}
-	ys, err := sched.MapWorker(workers, len(configs), func(i, w int) ([]float64, error) {
-		cfg, sim := configs[i], sims[w]
+	ys, err := sched.Map(context.TODO(), 0, "collect-config", len(configs), func(_ context.Context, i int) ([]float64, error) {
+		cfg, sim := configs[i], simPool.Get()
+		defer simPool.Put(sim)
 		acc := make([]float64, len(IndicatorNames()))
 		for rep := 0; rep < replicates; rep++ {
 			if err := sim.reset(cfg, sys, srcs[i*replicates+rep]); err != nil {

@@ -129,11 +129,10 @@ func TestBatchEpochZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := NewGradients(net)
-	n := len(xs)
-	invN := 1 / float64(n)
-	tr.batchEpoch(net, g, n, invN)
+	invN := 1 / float64(len(xs))
+	tr.batchEpoch(net, g, invN)
 	allocs := testing.AllocsPerRun(50, func() {
-		tr.batchEpoch(net, g, n, invN)
+		tr.batchEpoch(net, g, invN)
 	})
 	if allocs != 0 {
 		t.Fatalf("batch epoch allocated %.1f times per run with tracing disabled, want 0", allocs)

@@ -214,7 +214,7 @@ func (t *Trainer) FitStaged(net *nn.Network, hasVal bool) (Result, error) {
 				// Pure copy: no floating-point work is added or reordered.
 				t.prevParams = append(t.prevParams[:0], net.Params()...)
 			}
-			trainLoss = t.batchEpoch(net, batchGrad, n, invN)
+			trainLoss = t.batchEpoch(net, batchGrad, invN)
 		case Online:
 			t.src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			for _, i := range order {
@@ -293,7 +293,7 @@ func (t *Trainer) FitStaged(net *nn.Network, hasVal bool) (Result, error) {
 // TestBatchEpochZeroAlloc.
 //
 //nnwc:hotpath
-func (t *Trainer) batchEpoch(net *nn.Network, batchGrad *Gradients, _ int, invN float64) float64 {
+func (t *Trainer) batchEpoch(net *nn.Network, batchGrad *Gradients, invN float64) float64 {
 	trainLoss := BackpropBatch(net, &t.X, &t.Y, invN, &t.ws, batchGrad) * invN
 	applyWeightDecay(net, batchGrad, t.cfg.WeightDecay)
 	t.cfg.Optimizer.Step(net, batchGrad)
